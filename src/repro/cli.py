@@ -830,9 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument(
         "--kernel-backend", default=None, metavar="NAME",
         help="element-wise kernel backend of the vectorized engine "
-             "(registry name, e.g. numpy or numexpr; default: "
-             "$REPRO_KERNEL_BACKEND, then numpy — an unavailable backend "
-             "silently degrades to numpy)",
+             "(registry name, e.g. numpy; default: "
+             "$REPRO_KERNEL_BACKEND, then numpy)",
     )
     simulate_parser.add_argument(
         "--kernel-threads", type=int, default=None, metavar="N",
@@ -879,8 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument(
         "--kernel-backend", default=None, metavar="NAME",
         help="element-wise kernel backend for the vectorized campaigns "
-             "(sets REPRO_KERNEL_BACKEND for the run; unavailable backends "
-             "silently degrade to numpy)",
+             "(sets REPRO_KERNEL_BACKEND for the run)",
     )
     experiment_parser.add_argument(
         "--kernel-threads", type=int, default=None, metavar="N",

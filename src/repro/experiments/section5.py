@@ -16,11 +16,12 @@ meeting and freeze times.  The expectation mirrored from the paper: the
 success rate stays 1.0 across the whole grid (budget exhaustion aside), only
 the meeting gets later as the meeting radius shrinks.
 
-The campaign runs on the vectorized asymmetric batch engine by default
-(:func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`, one batched
-call per (type, ratio) cell); ``engine="event"`` drives the per-instance
-event engine instead, which is the cross-check the asymmetric parity suite
-automates.
+The campaign runs on the vectorized batch engine by default
+(:func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`, the freeze-
+aware entry point of the one batch driver of :mod:`repro.sim.batch`, one
+batched call per (type, ratio) cell); ``engine="event"`` drives the
+per-instance event engine instead, which is the cross-check the asymmetric
+parity suite automates.
 """
 
 from __future__ import annotations

@@ -2,41 +2,38 @@
 
 The fused window kernel (:func:`repro.geometry.closest_approach.fused_window_batch`
 and its dual-radius variant) is pure element-wise array math over ~10 float64
-columns — exactly the shape of computation that accelerator libraries
-(numexpr, CuPy, numba) evaluate faster than numpy's one-temporary-per-operator
-model.  This module makes the kernel implementation a *plugin*: backends
-register under a name, the public kernel entry points dispatch to the selected
-backend per call, and the batch engines hand the selection through untouched —
-chunk-granular, because the engines already cap kernel calls at
-``KERNEL_CHUNK_WINDOWS`` windows (the natural transfer granularity for any
-device backend).
+columns.  This module makes its implementation a *plugin*: backends register
+under a name, the public kernel entry points dispatch to the selected backend
+per call, and the batch driver hands the selection through untouched, one
+call per kernel chunk of at most ``KERNEL_CHUNK_WINDOWS`` windows.  Only the
+numpy reference ships: the kernel is about a tenth of a batch run's wall
+time, too little for an accelerator library to pay for itself.
 
 Selection, in priority order:
 
 1. an explicit ``backend=`` argument (a name or a :class:`KernelBackend`
-   instance) on the kernel entry points / batch engines / CLI
+   instance) on the kernel entry points / batch engine / CLI
    ``--kernel-backend``;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable;
 3. the ``"numpy"`` default.
 
-A *registered but unavailable* backend (numexpr not importable in this
-environment) degrades silently to numpy — campaigns keep running, just on the
-default implementation; an *unknown* name raises ``ValueError``.  The parity
-contract is part of the interface: every backend must reproduce the numpy
-backend's verdicts exactly and its hit/closest-approach offsets to 1e-9
-relative (pinned by ``tests/test_geometry_backends.py`` for every backend
-available in the environment).
+An *unknown* name raises ``ValueError``; a registered backend whose
+:meth:`~KernelBackend.is_available` says no (an optional library missing)
+degrades silently to numpy.  The parity contract is part of the interface:
+every backend must reproduce the numpy backend's verdicts exactly and its
+hit/closest-approach offsets to 1e-9 relative (pinned by
+``tests/test_geometry_backends.py`` for every available backend).
 
-Writing a new backend is ~50 lines: subclass :class:`KernelBackend`, implement
-:meth:`~KernelBackend.solve` over the relative-coordinate columns, declare
-availability, and :func:`register_backend` it.
+A new backend subclasses :class:`KernelBackend`, implements
+:meth:`~KernelBackend.solve` over the relative-coordinate columns, and is
+passed to :func:`register_backend`.  Its ``solve`` must be safe to call from
+several threads at once: ``kernel_threads > 1`` fans the chunks out over a
+thread pool.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import threading
 from typing import Dict, Optional, Tuple, Type, Union
 
 import numpy as np
@@ -52,8 +49,6 @@ __all__ = [
     "THREADS_ENV_VAR",
     "KernelBackend",
     "NumpyBackend",
-    "NumexprBackend",
-    "NumbaBackend",
     "available_backends",
     "get_backend",
     "register_backend",
@@ -111,15 +106,6 @@ class KernelBackend:
 
     #: Registry name; subclasses must override.
     name: str = ""
-
-    #: Whether :meth:`solve` may be called concurrently from several threads
-    #: (the engines' chunked dispatch with ``kernel_threads > 1``).  Backends
-    #: that touch shared global state — a library-level VM, cached buffers —
-    #: must declare ``False``; the chunked dispatch then stays serial for
-    #: them (results are identical either way, this is purely a safety
-    #: gate).  Pure element-wise numpy code is safe: every call works on its
-    #: own arrays and numpy releases the GIL.
-    thread_safe: bool = True
 
     @classmethod
     def is_available(cls) -> bool:
@@ -241,255 +227,12 @@ class NumpyBackend(KernelBackend):
         return hit, second_hit, min_distance, t_star
 
 
-class NumexprBackend(KernelBackend):
-    """Fused evaluation through numexpr's blocked, multi-threaded VM.
-
-    numexpr evaluates a whole expression tree per memory block, so the ~15
-    float64 temporaries of the numpy backend collapse into a handful of
-    cache-sized passes.  The expressions restate the numpy backend's formulas
-    exactly — same smaller-root extraction, same guards — and the parity suite
-    holds every registered backend to identical verdicts and 1e-9-relative
-    offsets.  Auto-detected: registered always, available only when
-    ``import numexpr`` succeeds, silently replaced by numpy otherwise.
-    """
-
-    name = "numexpr"
-
-    #: numexpr.evaluate shared global VM state and was not thread-safe
-    #: before numexpr 2.8.4 (no version is pinned here), and the library
-    #: already multi-threads internally per evaluate call — outer chunk
-    #: threads would add contention, not parallelism.  The chunked dispatch
-    #: therefore stays serial for this backend.
-    thread_safe = False
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:  # pragma: no cover - depends on the environment
-            import numexpr  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    @staticmethod
-    def _first_hit(ne, speed_sq, dot_pv, c, durations):  # pragma: no cover - needs numexpr
-        local = {
-            "speed_sq": speed_sq,
-            "dot_pv": dot_pv,
-            "c": c,
-            "durations": durations,
-            "nan": math.nan,
-        }
-        t_hit = ne.evaluate(
-            "(2.0 * c) / where("
-            "  (c > 0.0) & (speed_sq > 0.0) & (dot_pv < 0.0)"
-            "  & (4.0 * dot_pv * dot_pv - 4.0 * speed_sq * c >= 0.0),"
-            "  -2.0 * dot_pv + sqrt(abs(4.0 * dot_pv * dot_pv - 4.0 * speed_sq * c)),"
-            "  1.0)",
-            local_dict=local,
-        )
-        local["t_hit"] = t_hit
-        return ne.evaluate(
-            "where(c <= 0.0, 0.0, where("
-            "  (c > 0.0) & (speed_sq > 0.0) & (dot_pv < 0.0)"
-            "  & (4.0 * dot_pv * dot_pv - 4.0 * speed_sq * c >= 0.0)"
-            "  & (t_hit <= durations),"
-            "  where(t_hit > 0.0, t_hit, 0.0), nan))",
-            local_dict=local,
-        )
-
-    def solve(
-        self, rel_x, rel_y, rvel_x, rvel_y, radius, second_radius, durations,
-        track_closest,
-    ):  # pragma: no cover - needs numexpr
-        import numexpr as ne
-
-        columns = {
-            "rel_x": rel_x, "rel_y": rel_y,
-            "rvel_x": rvel_x, "rvel_y": rvel_y,
-        }
-        speed_sq = ne.evaluate("rvel_x * rvel_x + rvel_y * rvel_y", local_dict=columns)
-        dot_pv = ne.evaluate("rel_x * rvel_x + rel_y * rvel_y", local_dict=columns)
-        c = ne.evaluate(
-            "rel_x * rel_x + rel_y * rel_y - radius * radius",
-            local_dict={**columns, "radius": radius},
-        )
-        hit = self._first_hit(ne, speed_sq, dot_pv, c, durations)
-        second_hit = None
-        if second_radius is not None:
-            if second_radius is radius or np.array_equal(radius, second_radius):
-                second_hit = hit
-            else:
-                c2 = ne.evaluate(
-                    "rel_x * rel_x + rel_y * rel_y - radius * radius",
-                    local_dict={**columns, "radius": second_radius},
-                )
-                second_hit = self._first_hit(ne, speed_sq, dot_pv, c2, durations)
-        if not track_closest:
-            return hit, second_hit, None, None
-        local = {
-            **columns,
-            "speed_sq": speed_sq,
-            "dot_pv": dot_pv,
-            "durations": durations,
-        }
-        t_star = ne.evaluate(
-            "where(where(speed_sq > 0.0, -dot_pv / where(speed_sq > 0.0, speed_sq, 1.0), 0.0)"
-            " < 0.0, 0.0, where("
-            "  where(speed_sq > 0.0, -dot_pv / where(speed_sq > 0.0, speed_sq, 1.0), 0.0)"
-            "  > durations, durations,"
-            "  where(speed_sq > 0.0, -dot_pv / where(speed_sq > 0.0, speed_sq, 1.0), 0.0)))",
-            local_dict=local,
-        )
-        local["t_star"] = t_star
-        min_distance = ne.evaluate(
-            "sqrt((rel_x + t_star * rvel_x) ** 2 + (rel_y + t_star * rvel_y) ** 2)",
-            local_dict=local,
-        )
-        return hit, second_hit, min_distance, t_star
-
-
-#: Lazily compiled numba kernel pair, shared by every NumbaBackend instance
-#: (dispatchers are process-wide anyway; compiling once per process is the
-#: whole point).  The lock serializes the first compile against concurrent
-#: chunk threads.
-_NUMBA_KERNELS = None
-_NUMBA_COMPILE_LOCK = threading.Lock()
-
-
-class NumbaBackend(KernelBackend):
-    """LLVM-compiled elementwise loops through numba's ``@njit``.
-
-    The jitted loops restate the numpy backend's float operations line for
-    line — same ``c``/``disc`` accumulation order, same smaller-root
-    extraction, same clip-then-evaluate closest approach — so verdicts stay
-    bit-identical and offsets land far inside the registry's 1e-9 parity
-    contract (the per-backend suite pins this wherever numba is importable).
-    Fused single-pass loops avoid numpy's one-temporary-per-operator memory
-    traffic, the same win numexpr gets, without expression-string limits.
-
-    Auto-detected exactly like numexpr: registered always, available only
-    when ``import numba`` succeeds, silently degrading to numpy otherwise —
-    the image this repo develops in has no numba, so the class is exercised
-    there only as an unavailable registration.  Compilation happens once per
-    process on first use (`cache=False`: no __pycache__ writes in read-only
-    deployments).
-    """
-
-    name = "numba"
-
-    #: The jitted loops are compiled with ``nogil=True`` and touch only
-    #: their own arguments (first compile serialized by a module lock), so
-    #: concurrent chunk calls are safe *and* actually run in parallel.
-    thread_safe = True
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:  # pragma: no cover - depends on the environment
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    @staticmethod
-    def _kernels():  # pragma: no cover - needs numba
-        """Compile (once) and return the ``(first_hit, closest)`` jitted pair.
-
-        Guarded by a lock: the first threaded round fans chunks out
-        concurrently, and without it every worker would pay the multi-second
-        LLVM compile before one assignment won the global.
-        """
-        global _NUMBA_KERNELS
-        if _NUMBA_KERNELS is not None:
-            return _NUMBA_KERNELS
-        with _NUMBA_COMPILE_LOCK:
-            if _NUMBA_KERNELS is not None:
-                return _NUMBA_KERNELS
-            return _compile_numba_kernels()
-
-    def solve(
-        self, rel_x, rel_y, rvel_x, rvel_y, radius, second_radius, durations,
-        track_closest,
-    ):  # pragma: no cover - needs numba
-        first_hit, closest = self._kernels()
-        speed_sq = rvel_x * rvel_x + rvel_y * rvel_y
-        dot_pv = rel_x * rvel_x + rel_y * rvel_y
-        hit = np.empty_like(rel_x)
-        first_hit(speed_sq, dot_pv, rel_x, rel_y, radius, durations, hit)
-        second_hit = None
-        if second_radius is not None:
-            if second_radius is radius or np.array_equal(radius, second_radius):
-                second_hit = hit
-            else:
-                second_hit = np.empty_like(rel_x)
-                first_hit(
-                    speed_sq, dot_pv, rel_x, rel_y, second_radius, durations, second_hit
-                )
-        if not track_closest:
-            return hit, second_hit, None, None
-        min_distance = np.empty_like(rel_x)
-        t_star = np.empty_like(rel_x)
-        closest(
-            speed_sq, dot_pv, rel_x, rel_y, rvel_x, rvel_y, durations,
-            min_distance, t_star,
-        )
-        return hit, second_hit, min_distance, t_star
-
-
-def _compile_numba_kernels():  # pragma: no cover - needs numba
-    """Compile the jitted pair; runs once per process, under the lock.
-
-    ``nogil=True`` is load-bearing: the backend declares ``thread_safe`` and
-    ``solve_round``'s threaded chunk dispatch only parallelizes if the
-    kernels actually release the GIL for their loop bodies (pure nopython
-    array loops, so releasing it is safe).
-    """
-    global _NUMBA_KERNELS
-    import numba
-
-    @numba.njit(cache=False, fastmath=False, nogil=True)
-    def first_hit(speed_sq, dot_pv, rel_x, rel_y, radius, durations, out):
-        for i in range(rel_x.shape[0]):
-            c = rel_x[i] * rel_x[i]
-            c += rel_y[i] * rel_y[i]
-            c -= radius[i] * radius[i]
-            if c <= 0.0:
-                out[i] = 0.0
-                continue
-            b = 2.0 * dot_pv[i]
-            disc = b * b
-            disc -= 4.0 * speed_sq[i] * c
-            if speed_sq[i] > 0.0 and b < 0.0 and disc >= 0.0:
-                t_hit = 2.0 * c
-                t_hit /= math.sqrt(disc) - b
-                if t_hit <= durations[i]:
-                    out[i] = t_hit if t_hit > 0.0 else 0.0
-                    continue
-            out[i] = math.nan
-
-    @numba.njit(cache=False, fastmath=False, nogil=True)
-    def closest(speed_sq, dot_pv, rel_x, rel_y, rvel_x, rvel_y, durations,
-                min_out, t_out):
-        for i in range(rel_x.shape[0]):
-            t_star = -dot_pv[i] / speed_sq[i] if speed_sq[i] > 0.0 else 0.0
-            if t_star < 0.0:
-                t_star = 0.0
-            elif t_star > durations[i]:
-                t_star = durations[i]
-            at_x = t_star * rvel_x[i] + rel_x[i]
-            at_y = t_star * rvel_y[i] + rel_y[i]
-            min_out[i] = math.sqrt(at_x * at_x + at_y * at_y)
-            t_out[i] = t_star
-
-    _NUMBA_KERNELS = (first_hit, closest)
-    return _NUMBA_KERNELS
-
-
 class _CheckedBackend(KernelBackend):
     """Transparent proxy applying the kernel contracts to every ``solve``.
 
     Installed by :func:`get_backend` when contract checking is enabled, so
-    every backend — numpy, numexpr, numba, future plugins — is held to the
-    same declared invariants (``kernel.min_distance_nonneg``,
+    every backend — numpy and any registered plugin — is held to the same
+    declared invariants (``kernel.min_distance_nonneg``,
     ``kernel.min_leq_endpoints``, ``kernel.hit_within_window``) without any
     backend opting in.  Never registered; never constructed in ``off`` mode,
     so the production path keeps raw instances.
@@ -498,7 +241,6 @@ class _CheckedBackend(KernelBackend):
     def __init__(self, inner: KernelBackend) -> None:
         self.inner = inner
         self.name = inner.name
-        self.thread_safe = inner.thread_safe
 
     @classmethod
     def is_available(cls) -> bool:  # pragma: no cover - proxy is never registered
@@ -542,8 +284,6 @@ def register_backend(backend: Type[KernelBackend]) -> Type[KernelBackend]:
 
 
 register_backend(NumpyBackend)
-register_backend(NumexprBackend)
-register_backend(NumbaBackend)
 
 
 def registered_backends() -> Tuple[str, ...]:
@@ -563,10 +303,11 @@ def get_backend(
 
     ``None`` consults ``REPRO_KERNEL_BACKEND`` and falls back to ``"numpy"``;
     a :class:`KernelBackend` instance passes through untouched (which is how
-    the batch engines resolve once per round and stay chunk-granular without
+    the batch driver resolves once per run and stays chunk-granular without
     re-resolving per kernel call).  An unknown name raises ``ValueError``; a
-    known-but-unavailable name degrades silently to numpy (logged once), so a
-    campaign configured for numexpr still runs on a machine without it.
+    registered-but-unavailable name degrades silently to numpy (logged once),
+    so a campaign configured for a plugin still runs on a machine without its
+    library.
     """
     if isinstance(backend, KernelBackend):
         return backend

@@ -24,8 +24,8 @@ Two flavours of the kernel exist:
   simulation — or of many stacked simulations — in single array operations.
   Their element-wise implementation is pluggable: the entry points validate
   inputs and dispatch to a backend from :mod:`repro.geometry.backends`
-  (numpy reference by default; numexpr auto-detected; selection via the
-  ``backend=`` argument or ``REPRO_KERNEL_BACKEND``).
+  (the numpy reference by default; selection via the ``backend=`` argument
+  or ``REPRO_KERNEL_BACKEND``).
 """
 
 from __future__ import annotations

@@ -2,16 +2,15 @@
 
 The Monte-Carlo experiments (Theorem 3.1 / 3.2 characterization sweeps,
 scaling studies) simulate hundreds of independent instances.  Since the
-vectorized batch engines (:mod:`repro.sim.batch`,
-:mod:`repro.sim.batch_asymmetric`) solve whole campaigns as array code, the
-runner's default mode groups compatible tasks by (algorithm, options) and
-dispatches each group to :func:`repro.sim.batch.simulate_batch` (or its
-asymmetric-radius counterpart for tasks with per-agent radii) *inline* — no
-worker processes, and therefore results that are bit-identical regardless of
-any worker count.  Tasks the vectorized engines cannot take
-(exact timebase — authoritative for the S1/S2 boundary runs — trajectory
-recording, ``raise_on_budget``) fall back to the per-task event engine,
-optionally across a process pool.
+vectorized batch engine (:mod:`repro.sim.batch`, one round driver behind
+two entry points) solves whole campaigns as array code, the runner's default
+mode groups compatible tasks by (algorithm, options) and dispatches each
+group to :func:`repro.sim.batch.simulate_batch` (or its asymmetric-radius
+counterpart for tasks with per-agent radii) *inline* — no worker processes,
+and therefore results that are bit-identical regardless of any worker count.
+Tasks the vectorized engine cannot take (exact timebase — authoritative for
+the S1/S2 boundary runs — trajectory recording, ``raise_on_budget``) fall
+back to the per-task event engine, optionally across a process pool.
 
 Design notes, following the hpc-parallel guides:
 
@@ -78,9 +77,9 @@ def _execute_task(task: BatchTask) -> Dict[str, Any]:
     return record
 
 
-#: Simulator options the vectorized engines understand.  A task carrying any
+#: Simulator options the vectorized engine understands.  A task carrying any
 #: other option (or a non-float timebase) is not vectorizable.  Tasks with
-#: ``radius_a``/``radius_b`` route to the asymmetric-radius batch engine.
+#: ``radius_a``/``radius_b`` route to the asymmetric-radius entry point.
 _VECTORIZABLE_OPTIONS = frozenset(
     {
         "max_time",
@@ -103,7 +102,7 @@ _VECTORIZABLE_OPTIONS = frozenset(
 #: Options that become per-instance *columns* of one stacked batch call
 #: rather than part of the grouping key: a whole radius-ratio sweep, a speed
 #: grid or a ranged stall schedule with distinct per-task values is one batch
-#: engine call.  ``stall_agent`` stays in the key — the batch engines take
+#: engine call.  ``stall_agent`` stays in the key — the batch engine takes
 #: one stalled agent per call, so groups are all-stall-A, all-stall-B or
 #: stall-free.
 _COLUMN_OPTIONS = frozenset(
@@ -112,7 +111,7 @@ _COLUMN_OPTIONS = frozenset(
 
 
 def _vectorizable(task: BatchTask) -> bool:
-    """Whether a vectorized engine can take this task verbatim."""
+    """Whether the vectorized engine can take this task verbatim."""
     options = task.simulator_options
     if not _VECTORIZABLE_OPTIONS.issuperset(options):
         return False
@@ -125,7 +124,7 @@ def _is_asymmetric(task: BatchTask) -> bool:
 
 
 def _execute_vectorized_group(tasks: Sequence[BatchTask]) -> List[Dict[str, Any]]:
-    """Run one compatible group through a batch engine, inline.
+    """Run one compatible group through the batch engine, inline.
 
     Symmetric groups go to :func:`repro.sim.batch.simulate_batch`.  Groups
     carrying per-agent radii go to
@@ -206,7 +205,7 @@ class BatchRunner:
     ----------
     engine:
         ``"auto"`` (default) sends vectorizable tasks (float timebase, only
-        options the batch engines understand) through
+        options the batch engine understands) through
         :func:`repro.sim.batch.simulate_batch` — or, for tasks carrying
         per-agent ``radius_a``/``radius_b``, through
         :func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric` —

@@ -22,14 +22,14 @@ This module binds that semantics to the unified window loop of
 
 The symmetric case (``r_a == r_b``) degenerates to the ordinary engine.
 
-Two backends implement the semantics: the event path through
+Two engines implement the semantics: the event path through
 :func:`~repro.sim.engine.drive_windows` (``engine="event"``, the default —
-timebase-generic and authoritative) and the vectorized batch engine of
-:mod:`repro.sim.batch_asymmetric` (``engine="vectorized"``, float timebase
-only, or call :func:`~repro.sim.batch_asymmetric.simulate_batch_asymmetric`
-directly for whole campaigns).  Outcomes match to the same 1e-9 relative
-tolerance as the symmetric engines; see
-``tests/test_sim_asymmetric_batch_parity.py``.
+timebase-generic and authoritative) and the one vectorized batch driver of
+:mod:`repro.sim.batch`, which takes the larger radius as a freeze input
+(``engine="vectorized"``, float timebase only, or call
+:func:`~repro.sim.batch_asymmetric.simulate_batch_asymmetric` directly for
+whole campaigns).  Outcomes match to the same 1e-9 relative tolerance as the
+symmetric path; see ``tests/test_sim_asymmetric_batch_parity.py``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,11 @@ from repro.sim.engine import (
     drive_windows,
 )
 from repro.sim.results import SimulationResult, TerminationReason
-from repro.sim.scenarios import scaled_agents, stall_schedule
+from repro.sim.scenarios import (
+    scaled_agents,
+    stall_schedule,
+    validate_scenario_options,
+)
 from repro.sim.timebase import Timebase, get_timebase
 
 
@@ -128,10 +132,13 @@ def simulate_asymmetric(
     """
     if engine not in ("event", "vectorized"):
         raise ValueError(f"unknown engine {engine!r}; expected 'event' or 'vectorized'")
+    validate_scenario_options(
+        {"radius_a": radius_a, "radius_b": radius_b}, "simulate_asymmetric"
+    )
     r_a = instance.r if radius_a is None else float(radius_a)
     r_b = instance.r if radius_b is None else float(radius_b)
-    if r_a <= 0.0 or r_b <= 0.0:
-        raise ValueError("visibility radii must be positive")
+    if not (math.isfinite(radius_slack) and radius_slack >= 0.0):
+        raise ValueError("radius_slack must be non-negative and finite")
     if not (math.isfinite(max_time) and max_time > 0.0):
         raise ValueError("max_time must be positive and finite")
     if max_segments <= 0:

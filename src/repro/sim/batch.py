@@ -1,75 +1,64 @@
 """The vectorized batch simulation engine.
 
-The event engine (:mod:`repro.sim.engine`) advances one simulation window by
-window in Python — exact, timebase-generic, but paying interpreter overhead
-and two quadratic-kernel calls per window.  This module is the columnar
-counterpart for Monte-Carlo campaigns: it bulk-compiles both agents'
-trajectories into :class:`~repro.motion.compiler.TrajectoryTable` arrays,
-stacks the merged event windows of *every instance of the batch* into flat
-arrays with one cross-instance pass
+The event engine (:mod:`repro.sim.engine`) advances one simulation window at
+a time in Python.  This module is the columnar counterpart for Monte-Carlo
+campaigns: it bulk-compiles both agents' trajectories into
+:class:`~repro.motion.compiler.TrajectoryTable` arrays, stacks the merged
+event windows of *every instance of the batch* into flat arrays
 (:func:`repro.sim.rounds.build_windows`), and solves all window quadratics
-with chunked calls of the fused batch kernel
-(:func:`repro.geometry.closest_approach.fused_window_batch`, dispatching to a
-pluggable element-wise backend — see :mod:`repro.geometry.backends`).
+with chunked fused-kernel calls (:func:`repro.sim.rounds.solve_round`).
 
-The engine matches the event engine's early-exit economics through *adaptive
-horizons*: every instance is first simulated to a small horizon derived from
-its geometry (meetings cannot happen before the agents could close the
-distance), and only the instances that neither met nor terminated are retried
-with a geometrically grown horizon.  A meeting found within a horizon is the
-global first meeting — windows are scanned in time order — so the horizon
-schedule never changes a result, it only bounds how much trajectory is
-compiled and how many windows are solved.  The round/horizon machinery lives
-in :mod:`repro.sim.rounds` and is shared with the asymmetric-radius engine
-(:mod:`repro.sim.batch_asymmetric`).
+One private round driver, :func:`_run_rounds`, serves both public entry
+points: :func:`simulate_batch` (shared radius) and
+:func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric` (Section 5
+per-agent radii, which adds a freeze input).  The driver works through
+*adaptive horizons*: every instance is first simulated to a small horizon
+derived from its geometry, and only the instances that neither met nor
+terminated are retried with a geometrically grown horizon.  Windows are
+scanned in time order, so a hit found within a horizon is the global first
+one; the horizon schedule never changes a result, it only bounds how much
+trajectory is compiled and how many windows are solved.
 
-Round resolution and result assembly are themselves flat: each round's
-entries are classified at once with numpy masks (met / horizon-grow /
-terminal), per-instance round state (requested horizon, scan resume point,
-window counts, partial closest approach) lives in the preallocated columns of
-:class:`~repro.sim.columns.ResultColumns`, meeting times/positions and
-closest-approach merges are masked column writes, and the
-:class:`SimulationResult` objects are materialized once per batch after the
-last round.  The only remaining per-instance Python runs exactly once per
-instance, at resolution (segment-cursor counts, the horizon-cut final-window
-rescan) — never per round per instance.
+Each round is classified at once with numpy masks (met / freeze / grow /
+terminal) over the carried per-instance columns of
+:class:`~repro.sim.columns.ResultColumns`; per-instance Python runs only at a
+freeze and once per instance at resolution (segment-cursor counts, the
+horizon-cut final-window rescan).
 
 Scope and guarantees:
 
 * float timebase only — the event engine stays authoritative for exact-
   timebase runs (S1/S2 boundary experiments, astronomically long waits);
-* results are deterministic and independent of any worker count (there are no
-  workers: the batch runs inline as array code) and of the horizon schedule;
+* results are deterministic and independent of the horizon schedule, the
+  kernel chunking and the kernel thread count;
 * per instance, the outcome (``met``, meeting time, termination reason,
   closest-approach *distance*) matches the event engine up to float
-  associativity — the parity test suite pins this to a 1e-9 relative
-  tolerance.  ``min_distance_time`` is best-effort: when several windows
-  attain near-equal minima (periodic programs revisit the same geometry),
-  ulp-level differences between the engines' accumulated positions can pick
-  a different — equally minimal — window;
+  associativity — the parity suites pin this to 1e-9 relative.
+  ``min_distance_time`` is best-effort: when several windows attain
+  near-equal minima, ulp-level differences can pick a different, equally
+  minimal window;
 * ``max_segments`` is the event engine's *combined* budget across both
-  agents: the batch engine computes the exact absolute time at which the
-  event loop would stop pulling segments and caps the horizon there;
-* universal algorithms (instance-independent programs) are consumed **once**
-  per batch through a shared :class:`~repro.motion.compiler.LocalProgramBuilder`,
-  so a thousand instances pay for one instruction stream; non-universal
-  programs are resolved once per (instance, agent), exactly like the event
-  engine.
+  agents: the driver computes the exact absolute time at which the event
+  loop would stop pulling segments and caps the horizon there;
+* universal algorithms are consumed **once** per batch through a shared
+  :class:`~repro.motion.compiler.LocalProgramBuilder`; non-universal
+  programs are resolved once per (instance, agent), like the event engine.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import check_result
-from repro.obs import core as _obs
 from repro.core.instance import Instance
 from repro.geometry.backends import get_backend, resolve_kernel_threads
+from repro.motion.compiler import constant_table
+from repro.obs import core as _obs
 from repro.sim.columns import (
     MAX_SEGMENTS as _CODE_MAX_SEGMENTS,
     MAX_TIME as _CODE_MAX_TIME,
@@ -124,6 +113,333 @@ def batch_group_key(algorithm: Any) -> Any:
     return id(algorithm)
 
 
+class _FreezeEvent(NamedTuple):
+    """Where and when the larger-radius agent froze, for one instance."""
+
+    agent: str
+    time: float
+    position: Tuple[float, float]
+    distance: float
+    segments: int
+
+
+def _run_rounds(
+    instances: List[Instance],
+    algorithm: Any,
+    radius: np.ndarray,
+    *,
+    freeze: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    max_time: float,
+    max_segments: int,
+    radius_slack: float,
+    track_min_distance: bool,
+    initial_horizon: Optional[float],
+    backend: Any,
+    kernel_threads: Optional[int],
+    speed_a: Any,
+    speed_b: Any,
+    stall_agent: Optional[str],
+    stall_time: Any,
+    stall_duration: Any,
+) -> Tuple[ResultColumns, Dict[int, _FreezeEvent], float]:
+    """The adaptive-horizon round loop behind both public batch entry points.
+
+    ``radius`` is the per-instance meeting radius column.  ``freeze`` is
+    ``(larger_radius, larger_agent)``, two per-instance columns: with it, the
+    first hit at the larger radius strictly before any meeting hit freezes
+    that agent, which then continues as a one-row
+    :func:`~repro.motion.compiler.constant_table` while its pre-freeze
+    segment count keeps feeding the combined budget (``extra_segments``).
+    Without it, the kernel solves a single radius and nothing ever freezes.
+    ``radius_slack`` is added to both columns.
+
+    Validates every option, also for an empty batch, then returns the filled
+    result columns, the freeze events by instance row, and the wall seconds.
+    """
+    if not (math.isfinite(max_time) and max_time > 0.0):
+        raise ValueError("max_time must be positive and finite")
+    if max_segments <= 0:
+        raise ValueError("max_segments must be positive")
+    if not (math.isfinite(radius_slack) and radius_slack >= 0.0):
+        raise ValueError("radius_slack must be non-negative and finite")
+    if initial_horizon is not None and initial_horizon <= 0.0:
+        raise ValueError("initial_horizon must be positive")
+    kernel = get_backend(backend)
+    threads = resolve_kernel_threads(kernel_threads)
+    count = len(instances)
+    speeds_a = per_instance_option(speed_a, count, "speed_a")
+    speeds_b = per_instance_option(speed_b, count, "speed_b")
+    stall = stall_arrays(stall_agent, stall_time, stall_duration, count)
+    frozen: Dict[int, _FreezeEvent] = {}
+    cols = ResultColumns(count)
+    if not instances:
+        return cols, frozen, 0.0
+
+    wall_start = _time.perf_counter()
+    with _obs.span("engine.compile"):
+        source = ProgramSource(algorithm, max_segments)
+        specs = [
+            scaled_agents(instance, sa, sb)
+            for instance, sa, sb in zip(instances, speeds_a.tolist(), speeds_b.tolist())
+        ]
+        stall_memo = StallTransform() if stall is not None else None
+        meet_radius = radius + radius_slack
+        if freeze is not None:
+            freeze_radius = freeze[0] + radius_slack
+            larger_agent = freeze[1]
+        if initial_horizon is None:
+            cols.horizon[:] = [
+                default_initial_horizon(instance, max_time) for instance in instances
+            ]
+        else:
+            cols.horizon[:] = min(initial_horizon, max_time)
+    pending = np.arange(count, dtype=np.int64)
+    frozen_rows = np.zeros(count, dtype=bool)
+    total_windows = 0
+    round_number = 0
+
+    def agent_table(idx: int, agent: str, horizon: float, frozen_state):
+        # The frozen agent's stationary table replaces all remaining motion,
+        # pending stall included (the event engine clears the frozen cursor's
+        # stream); the other agent keeps its stall.
+        if frozen_state is not None and frozen_state.agent == agent:
+            return constant_table(frozen_state.position)
+        spec = specs[idx][0 if agent == "A" else 1]
+        table = source.table_for(idx, instances[idx], spec, agent, horizon)
+        if stall is not None and stall[0] == agent:
+            table = stall_memo.apply(table, stall[1][idx], stall[2][idx])
+        return table
+
+    while pending.size:
+        round_number += 1
+        with _obs.span("engine.compile"):
+            # Plain-float views of the pending rows: scalar numpy indexing
+            # inside the construction loop would pay boxing overhead per entry.
+            entries = []
+            for idx, horizon, scan_from in zip(
+                pending.tolist(), cols.horizon[pending].tolist(),
+                cols.scan_from[pending].tolist(),
+            ):
+                frozen_state = frozen.get(idx)
+                entries.append(
+                    RoundEntry(
+                        idx,
+                        instances[idx],
+                        agent_table(idx, "A", horizon, frozen_state),
+                        agent_table(idx, "B", horizon, frozen_state),
+                        horizon,
+                        scan_from,
+                        max_segments,
+                        max_time,
+                        extra_segments=(
+                            0 if frozen_state is None else frozen_state.segments
+                        ),
+                    )
+                )
+        with _obs.span("engine.build_windows"):
+            windows = build_windows(entries)
+            entry_radius = meet_radius[pending]
+            dual = {}
+            if freeze is not None:
+                # After the freeze only the meeting radius is live; feeding it
+                # as the freeze column too keeps the scan limit (and therefore
+                # the closest-approach prefix) at the meeting window.
+                pending_frozen = frozen_rows[pending]
+                entry_large = np.where(pending_frozen, entry_radius, freeze_radius[pending])
+                dual = {
+                    "second_radius": np.repeat(entry_large, windows.counts),
+                    # Motion past a freeze never happens: clamp the closest-
+                    # approach tracking of a freezing window at the freeze.
+                    "clamp_at_second_hit": True,
+                }
+            window_radius = np.repeat(entry_radius, windows.counts)
+        with _obs.span("engine.kernel_solve", backend=kernel.name, threads=threads):
+            solution = solve_round(
+                windows,
+                window_radius,
+                track_min_distance=track_min_distance,
+                backend=kernel,
+                threads=threads,
+                **dual,
+            )
+        total_windows += len(windows)
+
+        with _obs.span("engine.assemble"):
+            offsets = windows.offsets
+            lo = offsets[:-1]
+            hi = offsets[1:]
+            first_hit = solution.first_hit
+            met = first_hit < hi
+            freezes = np.zeros_like(met)
+            if freeze is not None:
+                # The event engine's rule: the larger-radius agent freezes iff
+                # it sees the other one *strictly before* the distance reaches
+                # the meeting radius; on a tie the meeting wins.
+                freeze_hit = solution.first_hit2
+                freezes = (
+                    ~pending_frozen
+                    & (freeze_hit < hi)
+                    & (
+                        (first_hit > freeze_hit)
+                        | ((first_hit == freeze_hit)
+                           & (solution.hit_offset2 < solution.hit_offset))
+                    )
+                )
+                met &= ~freezes
+
+            if track_min_distance:
+                # Earlier rounds take precedence on ties, mirroring the event
+                # engine's first-window-wins rule.
+                cols.fold_round_min(pending, solution.group_min, solution.min_time)
+
+            # Round classification: the mask form of RoundEntry.resolves_without_hit.
+            budget_limited, entry_horizon, finish = entry_state_arrays(entries)
+            finished_within = finish <= entry_horizon
+            unresolved = (
+                ~met
+                & ~freezes
+                & ~budget_limited
+                & ~finished_within
+                & (entry_horizon < max_time)
+            )
+            terminal = ~met & ~freezes & ~unresolved
+
+            if np.any(freezes):
+                # Bulk geometry for the round's freeze events, then a small
+                # per-freeze Python pass (at most one per instance per run).
+                rows = pending[freezes]
+                hit_index = freeze_hit[freezes]
+                offset = solution.hit_offset2[freezes]
+                freeze_time = windows.starts[hit_index] + offset
+                pax, pay, vax, vay, pbx, pby, vbx, vby = (
+                    column[hit_index] for column in windows.states
+                )
+                pos_ax = pax + vax * offset
+                pos_ay = pay + vay * offset
+                pos_bx = pbx + vbx * offset
+                pos_by = pby + vby * offset
+                distance = np.hypot(pos_ax - pos_bx, pos_ay - pos_by)
+                agents = larger_agent[rows]
+                for j, k in enumerate(np.nonzero(freezes)[0].tolist()):
+                    entry = entries[k]
+                    agent = str(agents[j])
+                    segments_a, segments_b = entry.segments_in_play(float(freeze_time[j]))
+                    frozen[entry.index] = _FreezeEvent(
+                        agent=agent,
+                        time=float(freeze_time[j]),
+                        position=(
+                            (float(pos_ax[j]), float(pos_ay[j]))
+                            if agent == "A"
+                            else (float(pos_bx[j]), float(pos_by[j]))
+                        ),
+                        distance=float(distance[j]),
+                        segments=segments_a if agent == "A" else segments_b,
+                    )
+                frozen_rows[rows] = True
+                # Resume scanning at the freeze time with the frozen agent
+                # stationary; same horizon.  The freeze window's tracking was
+                # clamped at the freeze, so it needs no full-length rescan.
+                cols.scan_from[rows] = freeze_time
+                cols.windows_before[rows] += (hit_index - lo[freezes]) + 1
+
+            if np.any(unresolved):
+                grow = pending[unresolved]
+                cols.horizon[grow] = np.minimum(
+                    cols.horizon[grow] * GROWTH_FACTOR, max_time
+                )
+                # The final window was cut at the horizon; the next round
+                # re-scans it from its start, at full length.
+                cols.scan_from[grow] = windows.starts[hi[unresolved] - 1]
+                cols.windows_before[grow] += (hi - lo)[unresolved] - 1
+
+            if np.any(terminal):
+                rows = pending[terminal]
+                code = np.full(rows.shape[0], _CODE_MAX_TIME, dtype=np.int8)
+                code[budget_limited[terminal]] = _CODE_MAX_SEGMENTS
+                code[
+                    ~budget_limited[terminal]
+                    & finished_within[terminal]
+                    & (finish[terminal] < max_time)
+                ] = _CODE_PROGRAMS_FINISHED
+                cols.termination[rows] = code
+                cols.windows_processed[rows] = (
+                    cols.windows_before[rows] + (hi - lo)[terminal]
+                )
+                # The event loop reports the capped horizon on a budget stop
+                # and the full time budget otherwise.
+                cols.simulated_time[rows] = np.where(
+                    budget_limited[terminal], entry_horizon[terminal], max_time
+                )
+
+            if np.any(met):
+                rows = pending[met]
+                hit_index = first_hit[met]
+                offset = solution.hit_offset[met]
+                meeting_time = windows.starts[hit_index] + offset
+                pax, pay, vax, vay, pbx, pby, vbx, vby = (
+                    column[hit_index] for column in windows.states
+                )
+                cols.met[rows] = True
+                cols.termination[rows] = _CODE_RENDEZVOUS
+                cols.meeting_time[rows] = meeting_time
+                cols.meet_ax[rows] = pax + vax * offset
+                cols.meet_ay[rows] = pay + vay * offset
+                cols.meet_bx[rows] = pbx + vbx * offset
+                cols.meet_by[rows] = pby + vby * offset
+                cols.simulated_time[rows] = meeting_time
+                cols.windows_processed[rows] = (
+                    cols.windows_before[rows] + (hit_index - lo[met]) + 1
+                )
+
+            # Per-resolved-instance residue (once per instance per batch):
+            # segment-cursor counts up to the stopping point, the frozen
+            # cursor's count, and the event engine's full-length rescan of a
+            # meeting window that was cut at the adaptive horizon.
+            resolved_positions = np.nonzero(met | terminal)[0]
+            if resolved_positions.size:
+                met_list = met.tolist()
+                for k in resolved_positions.tolist():
+                    entry = entries[k]
+                    if met_list[k]:
+                        segments_until = float(windows.starts[first_hit[k]])
+                        if (
+                            track_min_distance
+                            and first_hit[k] == hi[k] - 1
+                            and not entry.budget_limited
+                        ):
+                            full_window = full_final_window_min(
+                                entry, windows, int(first_hit[k]), max_time
+                            )
+                            if full_window is not None:
+                                cols.improve_min(entry.index, *full_window)
+                    else:
+                        segments_until = entry.horizon
+                    segments_a, segments_b = entry.segments_in_play(segments_until)
+                    frozen_state = frozen.get(entry.index)
+                    if frozen_state is not None:
+                        # The frozen cursor stopped pulling at the freeze time.
+                        if frozen_state.agent == "A":
+                            segments_a = frozen_state.segments
+                        else:
+                            segments_b = frozen_state.segments
+                    cols.segments_a[entry.index] = segments_a
+                    cols.segments_b[entry.index] = segments_b
+
+            pending = pending[unresolved | freezes]
+
+    trim_builder_cache()
+    trim_compiler_cache()
+    elapsed = _time.perf_counter() - wall_start
+    logger.debug(
+        "batch rounds: %d instances, %d windows over %d rounds, %.3fs",
+        count,
+        total_windows,
+        round_number,
+        elapsed,
+    )
+    return cols, frozen, elapsed
+
+
 def simulate_batch(
     instances: Sequence[Instance],
     algorithm: Any,
@@ -160,8 +476,9 @@ def simulate_batch(
         exactly the event engine's stopping rule, reproduced by capping the
         horizon at the start time of the first over-budget segment.
     radius_slack:
-        Additive tolerance (absolute length units) on the visibility radius,
-        used only for meeting detection; see the event engine.
+        Additive tolerance (absolute length units, finite and non-negative)
+        on the visibility radius, used only for meeting detection; see the
+        event engine.
     track_min_distance:
         With ``False`` the closest-approach bookkeeping is skipped entirely
         (results carry ``min_distance = inf``), the fastest mode for
@@ -170,17 +487,14 @@ def simulate_batch(
         Overrides the per-instance starting horizon of the adaptive round
         loop.  Results never depend on it — only performance does.
     backend:
-        Kernel backend selection — a registry name (``"numpy"``,
-        ``"numexpr"``) or a resolved
-        :class:`~repro.geometry.backends.KernelBackend`.  ``None`` honours
-        ``REPRO_KERNEL_BACKEND`` and defaults to numpy.  Results never depend
-        on it (backends are parity-pinned) — only performance does.
+        Kernel backend selection — a registry name (``"numpy"``) or a
+        resolved :class:`~repro.geometry.backends.KernelBackend`.  ``None``
+        honours ``REPRO_KERNEL_BACKEND`` and defaults to numpy.
     kernel_threads:
         Thread count of the chunked kernel dispatch.  ``None`` honours
         ``REPRO_KERNEL_THREADS`` and defaults to 1 (serial).  Chunks write
         disjoint output slices and numpy releases the GIL, so results are
-        bit-identical for every thread count — only wall time depends on it
-        (worth > 1 on multi-core campaign hardware, pointless on 1-core CI).
+        bit-identical for every thread count — only wall time depends on it.
     speed_a, speed_b:
         Heterogeneous-speed scenario (:mod:`repro.sim.scenarios`): positive
         finite speed factors for agents A and B, each a scalar applied to the
@@ -195,212 +509,36 @@ def simulate_batch(
 
     Returns one :class:`SimulationResult` per instance, in input order, with
     ``met``, the meeting time (1e-9 relative parity with the event engine),
-    the termination reason and the closest approach.  The float timebase is
-    used throughout; use the event engine for exact runs.
+    the termination reason and the closest approach.  Every option is
+    validated, also for an empty batch.
     """
     instances = list(instances)
-    if not (math.isfinite(max_time) and max_time > 0.0):
-        raise ValueError("max_time must be positive and finite")
-    if max_segments <= 0:
-        raise ValueError("max_segments must be positive")
-    if radius_slack < 0.0:
-        raise ValueError("radius_slack must be non-negative")
-    if initial_horizon is not None and initial_horizon <= 0.0:
-        raise ValueError("initial_horizon must be positive")
-    kernel = get_backend(backend)
-    threads = resolve_kernel_threads(kernel_threads)
+    cols, _, elapsed = _run_rounds(
+        instances,
+        algorithm,
+        np.array([instance.r for instance in instances], dtype=float),
+        max_time=max_time,
+        max_segments=max_segments,
+        radius_slack=radius_slack,
+        track_min_distance=track_min_distance,
+        initial_horizon=initial_horizon,
+        backend=backend,
+        kernel_threads=kernel_threads,
+        speed_a=speed_a,
+        speed_b=speed_b,
+        stall_agent=stall_agent,
+        stall_time=stall_time,
+        stall_duration=stall_duration,
+    )
     if not instances:
         return []
-
-    wall_start = _time.perf_counter()
-    with _obs.span("engine.compile"):
-        source = ProgramSource(algorithm, max_segments)
-        name = _algorithm_name(algorithm)
-        speeds_a = per_instance_option(speed_a, len(instances), "speed_a")
-        speeds_b = per_instance_option(speed_b, len(instances), "speed_b")
-        specs = [
-            scaled_agents(instance, sa, sb)
-            for instance, sa, sb in zip(instances, speeds_a.tolist(), speeds_b.tolist())
-        ]
-        stall = stall_arrays(stall_agent, stall_time, stall_duration, len(instances))
-        stall_memo = StallTransform() if stall is not None else None
-        radii = np.array([instance.r for instance in instances]) + radius_slack
-
-        cols = ResultColumns(len(instances))
-        if initial_horizon is None:
-            cols.horizon[:] = [
-                default_initial_horizon(instance, max_time) for instance in instances
-            ]
-        else:
-            cols.horizon[:] = min(initial_horizon, max_time)
-    pending = np.arange(len(instances), dtype=np.int64)
-    total_windows = 0
-    round_number = 0
-
-    while pending.size:
-        round_number += 1
-        # Plain-float views of the pending rows: scalar numpy indexing inside
-        # the construction loop would pay boxing overhead per entry.
-        pending_list = pending.tolist()
-        horizon_list = cols.horizon[pending].tolist()
-        scan_list = cols.scan_from[pending].tolist()
-        def entry_tables(idx: int, horizon: float):
-            table_a = source.table_for(idx, instances[idx], specs[idx][0], "A", horizon)
-            table_b = source.table_for(idx, instances[idx], specs[idx][1], "B", horizon)
-            if stall is not None:
-                agent, times, durations = stall
-                if agent == "A":
-                    table_a = stall_memo.apply(table_a, times[idx], durations[idx])
-                else:
-                    table_b = stall_memo.apply(table_b, times[idx], durations[idx])
-            return table_a, table_b
-
-        with _obs.span("engine.compile"):
-            entries = [
-                RoundEntry(
-                    idx,
-                    instances[idx],
-                    *entry_tables(idx, horizon),
-                    horizon,
-                    scan_from,
-                    max_segments,
-                    max_time,
-                )
-                for idx, horizon, scan_from in zip(pending_list, horizon_list, scan_list)
-            ]
-        with _obs.span("engine.build_windows"):
-            windows = build_windows(entries)
-            radius = np.repeat(radii[pending], windows.counts)
-        with _obs.span("engine.kernel_solve", backend=kernel.name, threads=threads):
-            solution = solve_round(
-                windows,
-                radius,
-                track_min_distance=track_min_distance,
-                backend=kernel,
-                threads=threads,
-            )
-        total_windows += len(windows)
-
-        with _obs.span("engine.assemble"):
-            offsets = windows.offsets
-            lo = offsets[:-1]
-            hi = offsets[1:]
-            first_hit = solution.first_hit
-            met = first_hit < hi
-
-            if track_min_distance:
-                # Earlier rounds take precedence on ties, mirroring the event
-                # engine's first-window-wins rule.  The matching is best-effort:
-                # on near-equal minima, ulp-level differences between the engines
-                # can pick a different (equally minimal) window.
-                cols.fold_round_min(pending, solution.group_min, solution.min_time)
-
-            # Round classification: the mask form of RoundEntry.resolves_without_hit.
-            budget_limited, entry_horizon, finish = entry_state_arrays(entries)
-            finished_within = finish <= entry_horizon
-            unresolved = (
-                ~met
-                & ~budget_limited
-                & ~finished_within
-                & (entry_horizon < max_time)
-            )
-            terminal = ~met & ~unresolved
-
-            if np.any(unresolved):
-                grow = pending[unresolved]
-                cols.horizon[grow] = np.minimum(
-                    cols.horizon[grow] * GROWTH_FACTOR, max_time
-                )
-                # The final window was cut at the horizon; the next round re-scans
-                # it from its start, at full length.
-                cols.scan_from[grow] = windows.starts[hi[unresolved] - 1]
-                cols.windows_before[grow] += (hi - lo)[unresolved] - 1
-
-            if np.any(terminal):
-                rows = pending[terminal]
-                code = np.full(rows.shape[0], _CODE_MAX_TIME, dtype=np.int8)
-                code[budget_limited[terminal]] = _CODE_MAX_SEGMENTS
-                code[
-                    ~budget_limited[terminal]
-                    & finished_within[terminal]
-                    & (finish[terminal] < max_time)
-                ] = _CODE_PROGRAMS_FINISHED
-                cols.termination[rows] = code
-                cols.windows_processed[rows] = (
-                    cols.windows_before[rows] + (hi - lo)[terminal]
-                )
-                # The event loop reports the capped horizon on a budget stop and
-                # the full time budget otherwise.
-                cols.simulated_time[rows] = np.where(
-                    budget_limited[terminal], entry_horizon[terminal], max_time
-                )
-
-            if np.any(met):
-                rows = pending[met]
-                hit_index = first_hit[met]
-                offset = solution.hit_offset[met]
-                start = windows.starts[hit_index]
-                meeting_time = start + offset
-                pax, pay, vax, vay, pbx, pby, vbx, vby = (
-                    column[hit_index] for column in windows.states
-                )
-                cols.met[rows] = True
-                cols.termination[rows] = _CODE_RENDEZVOUS
-                cols.meeting_time[rows] = meeting_time
-                cols.meet_ax[rows] = pax + vax * offset
-                cols.meet_ay[rows] = pay + vay * offset
-                cols.meet_bx[rows] = pbx + vbx * offset
-                cols.meet_by[rows] = pby + vby * offset
-                cols.simulated_time[rows] = meeting_time
-                cols.windows_processed[rows] = (
-                    cols.windows_before[rows] + (hit_index - lo[met]) + 1
-                )
-
-            # Per-resolved-instance residue (runs once per instance per batch):
-            # segment-cursor counts up to the stopping point, and the event
-            # engine's full-length rescan of a meeting window that was cut at the
-            # adaptive horizon rather than at a segment boundary.
-            resolved_positions = np.nonzero(met | terminal)[0]
-            if resolved_positions.size:
-                met_list = met.tolist()
-                for k in resolved_positions.tolist():
-                    entry = entries[k]
-                    if met_list[k]:
-                        segments_until = float(windows.starts[first_hit[k]])
-                        if (
-                            track_min_distance
-                            and first_hit[k] == hi[k] - 1
-                            and not entry.budget_limited
-                        ):
-                            full_window = full_final_window_min(
-                                entry, windows, int(first_hit[k]), max_time
-                            )
-                            if full_window is not None:
-                                cols.improve_min(entry.index, *full_window)
-                    else:
-                        segments_until = entry.horizon
-                    segments_a, segments_b = entry.segments_in_play(segments_until)
-                    cols.segments_a[entry.index] = segments_a
-                    cols.segments_b[entry.index] = segments_b
-
-            pending = pending[unresolved]
-
-    trim_builder_cache()
-    trim_compiler_cache()
-    elapsed = _time.perf_counter() - wall_start
     with _obs.span("engine.assemble"):
         results = cols.build_results(
-            instances, name, elapsed_wall_seconds=elapsed / max(len(instances), 1)
+            instances,
+            _algorithm_name(algorithm),
+            elapsed_wall_seconds=elapsed / len(instances),
         )
         if _contracts.enabled():
             for result in results:
                 check_result(result, max_time=max_time)
-
-    logger.debug(
-        "simulate_batch: %d instances, %d windows over %d rounds, %.3fs",
-        len(instances),
-        total_windows,
-        round_number,
-        elapsed,
-    )
     return results

@@ -4,131 +4,40 @@ The event-driven :func:`repro.sim.asymmetric.simulate_asymmetric` generalizes
 the rendezvous semantics to per-agent radii ``r_a``/``r_b``: the first time
 the distance reaches the *larger* radius, that agent sees the other one and
 freezes forever at its current position; rendezvous is declared at the first
-time the distance reaches the *smaller* radius.  This module is its columnar
-counterpart for Section 5 sweep campaigns, built on the same shared
-round/horizon machinery (:mod:`repro.sim.rounds`) as the symmetric
-:func:`repro.sim.batch.simulate_batch`:
+time the distance reaches the *smaller* radius.
 
-* both agents' trajectories compile through the columnar
-  :class:`~repro.motion.compiler.LocalProgramBuilder` /
-  :class:`~repro.motion.compiler.TrajectoryTable` path;
-* merged event windows are stacked flat across instances, carrying *two*
-  per-window radius columns — the smaller (meeting) radius and the larger
-  (freeze) radius — into the dual fused kernel
-  (:func:`repro.geometry.closest_approach.fused_window_batch_dual`, which
-  shares every dot product between the two quadratics and dispatches to the
-  pluggable element-wise backends of :mod:`repro.geometry.backends`);
-* each run is a two-phase state machine over adaptive-horizon rounds.  Before
-  the freeze, the round's first hit at the larger radius (strictly before any
-  hit at the smaller one — the event engine's rule) freezes the larger-radius
-  agent: the engine records the freeze event, substitutes a one-row
-  :func:`~repro.motion.compiler.constant_table` for the frozen agent and
-  resumes scanning from the freeze time.  After the freeze only the smaller
-  radius is live, and the frozen agent's pre-freeze segment count keeps
-  feeding the combined ``max_segments`` budget (``RoundEntry``'s
-  ``extra_segments``), so the event loop's stopping rule is reproduced across
-  the phase change.
-
-Like the symmetric engine, round resolution is flat: meet/freeze/grow/
-terminal classification is a set of numpy masks over the round's entries,
-per-instance state (horizon, scan resume point, window counts, partial
-closest approach) lives in :class:`~repro.sim.columns.ResultColumns` arrays,
-meeting and freeze positions are bulk gathers, and the
-:class:`~repro.sim.asymmetric.AsymmetricOutcome` objects are materialized
-once after the last round.  Per-instance Python runs only at a freeze or at
-resolution — never per round per instance.
+:func:`simulate_batch_asymmetric` is its columnar counterpart for Section 5
+sweep campaigns.  It is a thin wrapper over the round driver of
+:mod:`repro.sim.batch`: the smaller radius is the driver's meeting radius,
+and the larger radius plus the agent holding it are its freeze input, which
+switches on the dual-radius kernel and the two-phase freeze state machine.
 
 Parity contract (pinned by ``tests/test_sim_asymmetric_batch_parity.py``):
 per instance, ``met``, the meeting time (1e-9 relative), the termination
 reason, the closest approach, the frozen agent and the freeze time/distance
 match :func:`~repro.sim.asymmetric.simulate_asymmetric` on every
-float-timebase run.  Equal radii degenerate to the symmetric semantics: the
-freeze never fires (a smaller-radius hit is never strictly later than the
-larger-radius hit of the same window) and outcomes match
-:func:`~repro.sim.batch.simulate_batch`.
+float-timebase run.  Equal radii degenerate exactly to the symmetric
+semantics: the freeze never fires (a meeting hit is never strictly later
+than the freeze hit of the same window) and every result field but the name
+and wall time equals :func:`~repro.sim.batch.simulate_batch`'s.
 """
 
 from __future__ import annotations
 
-import math
-import time as _time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import check_outcome
 from repro.core.instance import Instance
-from repro.geometry.backends import get_backend, resolve_kernel_threads
-from repro.motion.compiler import constant_table
 from repro.obs import core as _obs
 from repro.sim.asymmetric import AsymmetricOutcome
-from repro.sim.columns import (
-    MAX_SEGMENTS as _CODE_MAX_SEGMENTS,
-    MAX_TIME as _CODE_MAX_TIME,
-    PROGRAMS_FINISHED as _CODE_PROGRAMS_FINISHED,
-    RENDEZVOUS as _CODE_RENDEZVOUS,
-    ResultColumns,
-)
+from repro.sim.batch import _run_rounds
 from repro.sim.engine import _algorithm_name
-from repro.sim.rounds import (
-    GROWTH_FACTOR,
-    ProgramSource,
-    RoundEntry,
-    StallTransform,
-    build_windows,
-    default_initial_horizon,
-    entry_state_arrays,
-    full_final_window_min,
-    per_instance_option,
-    solve_round,
-    stall_arrays,
-    trim_builder_cache,
-    trim_compiler_cache,
-)
-from repro.sim.scenarios import scaled_agents
-from repro.util.logging import get_logger
-
-logger = get_logger("sim.batch_asymmetric")
+from repro.sim.rounds import per_instance_option
 
 __all__ = ["simulate_batch_asymmetric"]
-
-
-class _FreezeState:
-    """Where/when the larger-radius agent froze, for one instance."""
-
-    __slots__ = ("agent", "time", "position", "distance", "segments")
-
-    def __init__(
-        self,
-        agent: str,
-        time: float,
-        position: Tuple[float, float],
-        distance: float,
-        segments: int,
-    ) -> None:
-        self.agent = agent
-        self.time = time
-        self.position = position
-        self.distance = distance
-        self.segments = segments
-
-
-def _radius_array(value, instances: Sequence[Instance], label: str) -> np.ndarray:
-    """Per-instance radius column from ``None`` (instance ``r``), scalar or sequence."""
-    if value is None:
-        return np.array([instance.r for instance in instances], dtype=float)
-    array = np.asarray(value, dtype=float)
-    if array.ndim == 0:
-        array = np.full(len(instances), float(array))
-    if array.shape != (len(instances),):
-        raise ValueError(
-            f"{label} must be a scalar or a sequence of one radius per instance; "
-            f"got shape {array.shape} for {len(instances)} instances"
-        )
-    if not np.all(np.isfinite(array)) or np.any(array <= 0.0):
-        raise ValueError("visibility radii must be positive")
-    return array
 
 
 def simulate_batch_asymmetric(
@@ -161,343 +70,75 @@ def simulate_batch_asymmetric(
         ``None`` (default) uses each instance's own ``r``, a scalar applies
         to every instance, a sequence supplies one radius per instance —
         which is how a Section 5 sweep carries a whole radius-ratio grid in
-        one batch.  Radii must be positive; the instance's ``r`` is otherwise
-        ignored for meeting detection (it still defines the feasibility
-        classification of the underlying symmetric instance).
+        one batch.  Radii must be positive and finite; the instance's ``r``
+        is otherwise ignored for meeting detection (it still defines the
+        feasibility classification of the underlying symmetric instance).
     max_time, max_segments, radius_slack, track_min_distance, initial_horizon,
     backend, kernel_threads:
         Exactly as in :func:`repro.sim.batch.simulate_batch` — including the
         combined ``max_segments`` budget semantics across both agents (the
         frozen agent stops drawing on the budget at its freeze time, like the
-        event engine's frozen cursor), the kernel-backend selection and the
-        threaded chunk dispatch (bit-identical for every thread count).
+        event engine's frozen cursor).
     speed_a, speed_b, stall_agent, stall_time, stall_duration:
         The heterogeneous-speed and stalling-agent scenario options, exactly
-        as in :func:`repro.sim.batch.simulate_batch` (scalars or per-instance
-        sequences; ``stall_agent`` is one agent for the whole batch).  A
-        frozen agent's pending stall is discarded — its stationary table
-        replaces all remaining motion, like the event engine's cleared
-        cursor stream.
+        as in :func:`repro.sim.batch.simulate_batch`.  A frozen agent's
+        pending stall is discarded — its stationary table replaces all
+        remaining motion, like the event engine's cleared cursor stream.
 
     Returns one :class:`~repro.sim.asymmetric.AsymmetricOutcome` per instance,
     in input order: an ordinary :class:`SimulationResult` (``met`` means the
-    distance reached the smaller radius; meeting time at 1e-9 relative parity
-    with the event engine) plus the freeze event of the larger-radius agent,
-    if any.  Float timebase only.
+    distance reached the smaller radius) plus the freeze event of the
+    larger-radius agent, if any.  Float timebase only.
     """
     instances = list(instances)
-    if not (math.isfinite(max_time) and max_time > 0.0):
-        raise ValueError("max_time must be positive and finite")
-    if max_segments <= 0:
-        raise ValueError("max_segments must be positive")
-    if radius_slack < 0.0:
-        raise ValueError("radius_slack must be non-negative")
-    if initial_horizon is not None and initial_horizon <= 0.0:
-        raise ValueError("initial_horizon must be positive")
-    radii_a = _radius_array(radius_a, instances, "radius_a")
-    radii_b = _radius_array(radius_b, instances, "radius_b")
-    kernel = get_backend(backend)
-    threads = resolve_kernel_threads(kernel_threads)
+    own_radii = [instance.r for instance in instances]
+    radii_a = per_instance_option(
+        own_radii if radius_a is None else radius_a, len(instances), "radius_a"
+    )
+    radii_b = per_instance_option(
+        own_radii if radius_b is None else radius_b, len(instances), "radius_b"
+    )
+    # The smaller radius declares the meeting, the larger one the freeze; the
+    # agent holding the larger radius freezes first (ties never freeze).
+    cols, frozen, elapsed = _run_rounds(
+        instances,
+        algorithm,
+        np.minimum(radii_a, radii_b),
+        freeze=(np.maximum(radii_a, radii_b), np.where(radii_a >= radii_b, "A", "B")),
+        max_time=max_time,
+        max_segments=max_segments,
+        radius_slack=radius_slack,
+        track_min_distance=track_min_distance,
+        initial_horizon=initial_horizon,
+        backend=backend,
+        kernel_threads=kernel_threads,
+        speed_a=speed_a,
+        speed_b=speed_b,
+        stall_agent=stall_agent,
+        stall_time=stall_time,
+        stall_duration=stall_duration,
+    )
     if not instances:
         return []
-
-    wall_start = _time.perf_counter()
-    with _obs.span("engine.compile"):
-        source = ProgramSource(algorithm, max_segments)
-        base_name = _algorithm_name(algorithm)
-        speeds_a = per_instance_option(speed_a, len(instances), "speed_a")
-        speeds_b = per_instance_option(speed_b, len(instances), "speed_b")
-        specs = [
-            scaled_agents(instance, sa, sb)
-            for instance, sa, sb in zip(instances, speeds_a.tolist(), speeds_b.tolist())
-        ]
-        stall = stall_arrays(stall_agent, stall_time, stall_duration, len(instances))
-        stall_memo = StallTransform() if stall is not None else None
-
-        def maybe_stalled(table, agent: str, idx: int):
-            if stall is not None and stall[0] == agent:
-                return stall_memo.apply(table, stall[1][idx], stall[2][idx])
-            return table
-
-        # The smaller radius declares the meeting, the larger one the freeze; the
-        # agent holding the larger radius freezes first (ties never freeze).
-        small = np.minimum(radii_a, radii_b) + radius_slack
-        large = np.maximum(radii_a, radii_b) + radius_slack
-        larger_agent = np.where(radii_a >= radii_b, "A", "B")
-
-        cols = ResultColumns(len(instances))
-        if initial_horizon is None:
-            cols.horizon[:] = [
-                default_initial_horizon(instance, max_time) for instance in instances
-            ]
-        else:
-            cols.horizon[:] = min(initial_horizon, max_time)
-    pending = np.arange(len(instances), dtype=np.int64)
-    frozen: Dict[int, _FreezeState] = {}
-    frozen_rows = np.zeros(len(instances), dtype=bool)
-    total_windows = 0
-    round_number = 0
-
-    while pending.size:
-        round_number += 1
-        with _obs.span("engine.compile"):
-            pending_list = pending.tolist()
-            horizon_list = cols.horizon[pending].tolist()
-            scan_list = cols.scan_from[pending].tolist()
-            entries = []
-            for idx, horizon, scan_from in zip(pending_list, horizon_list, scan_list):
-                instance = instances[idx]
-                spec_a, spec_b = specs[idx]
-                freeze = frozen.get(idx)
-                if freeze is None:
-                    table_a = maybe_stalled(
-                        source.table_for(idx, instance, spec_a, "A", horizon), "A", idx
-                    )
-                    table_b = maybe_stalled(
-                        source.table_for(idx, instance, spec_b, "B", horizon), "B", idx
-                    )
-                    extra = 0
-                else:
-                    # The frozen agent's stationary table replaces all remaining
-                    # motion, pending stall included (the event engine clears the
-                    # frozen cursor's stream); the other agent keeps its stall.
-                    still = constant_table(freeze.position)
-                    if freeze.agent == "A":
-                        table_a = still
-                        table_b = maybe_stalled(
-                            source.table_for(idx, instance, spec_b, "B", horizon), "B", idx
-                        )
-                    else:
-                        table_a = maybe_stalled(
-                            source.table_for(idx, instance, spec_a, "A", horizon), "A", idx
-                        )
-                        table_b = still
-                    extra = freeze.segments
-                entries.append(
-                    RoundEntry(
-                        idx,
-                        instance,
-                        table_a,
-                        table_b,
-                        horizon,
-                        scan_from,
-                        max_segments,
-                        max_time,
-                        extra_segments=extra,
-                    )
-                )
-        with _obs.span("engine.build_windows"):
-            windows = build_windows(entries)
-            pending_frozen = frozen_rows[pending]
-            entry_small = small[pending]
-            # After the freeze only the meeting radius is live; feeding the small
-            # radius as the "freeze" column keeps the scan limit (and therefore
-            # the closest-approach prefix) at the meeting window.
-            entry_large = np.where(pending_frozen, entry_small, large[pending])
-            meet_radius = np.repeat(entry_small, windows.counts)
-            freeze_radius = np.repeat(entry_large, windows.counts)
-        with _obs.span("engine.kernel_solve", backend=kernel.name, threads=threads):
-            solution = solve_round(
-                windows,
-                meet_radius,
-                track_min_distance=track_min_distance,
-                second_radius=freeze_radius,
-                backend=kernel,
-                threads=threads,
-                # Freeze semantics: the closest-approach tracking of a window in
-                # which the freeze wins is clamped to the freeze offset — the
-                # minimum past it would come from counterfactual motion.
-                clamp_at_second_hit=True,
-            )
-        total_windows += len(windows)
-
-        with _obs.span("engine.assemble"):
-            offsets = windows.offsets
-            lo = offsets[:-1]
-            hi = offsets[1:]
-            meet_hit = solution.first_hit
-            freeze_hit = solution.first_hit2
-
-            if track_min_distance:
-                cols.fold_round_min(pending, solution.group_min, solution.min_time)
-
-            # The event engine's rule: the larger-radius agent freezes iff it
-            # sees the other one *strictly before* the distance reaches the
-            # smaller radius; on a tie (equal radii, or an instance already
-            # within both at a window start) the meeting wins.
-            freezes = (
-                ~pending_frozen
-                & (freeze_hit < hi)
-                & (
-                    (meet_hit > freeze_hit)
-                    | ((meet_hit == freeze_hit)
-                       & (solution.hit_offset2 < solution.hit_offset))
-                )
-            )
-            met = (meet_hit < hi) & ~freezes
-
-            # Round classification over the non-met, non-freezing remainder: the
-            # mask form of RoundEntry.resolves_without_hit.
-            budget_limited, entry_horizon, finish = entry_state_arrays(entries)
-            finished_within = finish <= entry_horizon
-            unresolved = (
-                ~met
-                & ~freezes
-                & ~budget_limited
-                & ~finished_within
-                & (entry_horizon < max_time)
-            )
-            terminal = ~met & ~freezes & ~unresolved
-
-            if np.any(freezes):
-                # Bulk geometry for all freeze events of the round, then a small
-                # per-freeze Python pass (at most one per instance per run) for
-                # the state objects and segment-cursor counts.
-                freeze_positions = np.nonzero(freezes)[0]
-                rows = pending[freezes]
-                hit_index = freeze_hit[freezes]
-                offset = solution.hit_offset2[freezes]
-                start = windows.starts[hit_index]
-                freeze_time = start + offset
-                pax, pay, vax, vay, pbx, pby, vbx, vby = (
-                    column[hit_index] for column in windows.states
-                )
-                pos_ax = pax + vax * offset
-                pos_ay = pay + vay * offset
-                pos_bx = pbx + vbx * offset
-                pos_by = pby + vby * offset
-                distance = np.hypot(pos_ax - pos_bx, pos_ay - pos_by)
-                agents = larger_agent[rows]
-                for j, k in enumerate(freeze_positions.tolist()):
-                    entry = entries[k]
-                    idx = entry.index
-                    agent = str(agents[j])
-                    frozen_pos = (
-                        (float(pos_ax[j]), float(pos_ay[j]))
-                        if agent == "A"
-                        else (float(pos_bx[j]), float(pos_by[j]))
-                    )
-                    segments_a, segments_b = entry.segments_in_play(float(freeze_time[j]))
-                    frozen[idx] = _FreezeState(
-                        agent=agent,
-                        time=float(freeze_time[j]),
-                        position=frozen_pos,
-                        distance=float(distance[j]),
-                        segments=segments_a if agent == "A" else segments_b,
-                    )
-                    # The closest-approach tracking of the freeze window was
-                    # clamped at the freeze offset inside ``solve_round`` (motion
-                    # past the freeze never happens), so — unlike a meeting
-                    # window — a horizon-cut freeze window needs *no* full-length
-                    # rescan: nothing beyond the freeze time is ever scanned.
-                frozen_rows[rows] = True
-                # Resume scanning at the freeze time, with the frozen agent
-                # replaced by its stationary table; same horizon.
-                cols.scan_from[rows] = freeze_time
-                cols.windows_before[rows] += (hit_index - lo[freezes]) + 1
-
-            if np.any(unresolved):
-                grow = pending[unresolved]
-                cols.horizon[grow] = np.minimum(
-                    cols.horizon[grow] * GROWTH_FACTOR, max_time
-                )
-                # The final window was cut at the horizon; the next round re-scans
-                # it from its start, at full length.
-                cols.scan_from[grow] = windows.starts[hi[unresolved] - 1]
-                cols.windows_before[grow] += (hi - lo)[unresolved] - 1
-
-            if np.any(terminal):
-                rows = pending[terminal]
-                code = np.full(rows.shape[0], _CODE_MAX_TIME, dtype=np.int8)
-                code[budget_limited[terminal]] = _CODE_MAX_SEGMENTS
-                code[
-                    ~budget_limited[terminal]
-                    & finished_within[terminal]
-                    & (finish[terminal] < max_time)
-                ] = _CODE_PROGRAMS_FINISHED
-                cols.termination[rows] = code
-                cols.windows_processed[rows] = (
-                    cols.windows_before[rows] + (hi - lo)[terminal]
-                )
-                cols.simulated_time[rows] = np.where(
-                    budget_limited[terminal], entry_horizon[terminal], max_time
-                )
-
-            if np.any(met):
-                rows = pending[met]
-                hit_index = meet_hit[met]
-                offset = solution.hit_offset[met]
-                start = windows.starts[hit_index]
-                meeting_time = start + offset
-                pax, pay, vax, vay, pbx, pby, vbx, vby = (
-                    column[hit_index] for column in windows.states
-                )
-                cols.met[rows] = True
-                cols.termination[rows] = _CODE_RENDEZVOUS
-                cols.meeting_time[rows] = meeting_time
-                cols.meet_ax[rows] = pax + vax * offset
-                cols.meet_ay[rows] = pay + vay * offset
-                cols.meet_bx[rows] = pbx + vbx * offset
-                cols.meet_by[rows] = pby + vby * offset
-                cols.simulated_time[rows] = meeting_time
-                cols.windows_processed[rows] = (
-                    cols.windows_before[rows] + (hit_index - lo[met]) + 1
-                )
-
-            # Per-resolved-instance residue (once per instance per batch):
-            # segment-cursor counts, the frozen agent's cursor override, and the
-            # horizon-cut final-window rescan of a meeting window.
-            resolved_positions = np.nonzero(met | terminal)[0]
-            if resolved_positions.size:
-                met_list = met.tolist()
-                for k in resolved_positions.tolist():
-                    entry = entries[k]
-                    if met_list[k]:
-                        segments_until = float(windows.starts[meet_hit[k]])
-                        if (
-                            track_min_distance
-                            and meet_hit[k] == hi[k] - 1
-                            and not entry.budget_limited
-                        ):
-                            full_window = full_final_window_min(
-                                entry, windows, int(meet_hit[k]), max_time
-                            )
-                            if full_window is not None:
-                                cols.improve_min(entry.index, *full_window)
-                    else:
-                        segments_until = entry.horizon
-                    segments_a, segments_b = entry.segments_in_play(segments_until)
-                    freeze = frozen.get(entry.index)
-                    if freeze is not None:
-                        # The frozen cursor stopped pulling at the freeze time.
-                        if freeze.agent == "A":
-                            segments_a = freeze.segments
-                        else:
-                            segments_b = freeze.segments
-                    cols.segments_a[entry.index] = segments_a
-                    cols.segments_b[entry.index] = segments_b
-
-            pending = pending[unresolved | freezes]
-
-    trim_builder_cache()
-    trim_compiler_cache()
-    elapsed = _time.perf_counter() - wall_start
     with _obs.span("engine.assemble"):
+        base_name = _algorithm_name(algorithm)
         names = [
-            base_name + f"[r_a={float(r_a):g}, r_b={float(r_b):g}]"
-            for r_a, r_b in zip(radii_a, radii_b)
+            base_name + f"[r_a={r_a:g}, r_b={r_b:g}]"
+            for r_a, r_b in zip(radii_a.tolist(), radii_b.tolist())
         ]
         results = cols.build_results(
-            instances, names, elapsed_wall_seconds=elapsed / max(len(instances), 1)
+            instances, names, elapsed_wall_seconds=elapsed / len(instances)
         )
         outcomes = []
-        for k, result in enumerate(results):
+        for k, (result, r_a, r_b) in enumerate(
+            zip(results, radii_a.tolist(), radii_b.tolist())
+        ):
             freeze = frozen.get(k)
             outcomes.append(
                 AsymmetricOutcome(
                     result=result,
-                    radius_a=float(radii_a[k]),
-                    radius_b=float(radii_b[k]),
+                    radius_a=r_a,
+                    radius_b=r_b,
                     frozen_agent=freeze.agent if freeze is not None else None,
                     freeze_time=freeze.time if freeze is not None else None,
                     freeze_distance=freeze.distance if freeze is not None else None,
@@ -506,12 +147,4 @@ def simulate_batch_asymmetric(
         if _contracts.enabled():
             for outcome in outcomes:
                 check_outcome(outcome, max_time=max_time)
-
-    logger.debug(
-        "simulate_batch_asymmetric: %d instances, %d windows over %d rounds, %.3fs",
-        len(instances),
-        total_windows,
-        round_number,
-        elapsed,
-    )
     return outcomes

@@ -1,10 +1,9 @@
-"""Flat result columns shared by the vectorized batch engines.
+"""Flat result columns of the vectorized batch driver.
 
-The batch engines (:mod:`repro.sim.batch`, :mod:`repro.sim.batch_asymmetric`)
-resolve instances round by round, but build no per-instance Python objects
-while rounds are running: every outcome field lives in a preallocated numpy
-column indexed by instance position, written with masked assignments as whole
-rounds classify at once.  :class:`ResultColumns` is that struct — the columns
+The batch driver (:mod:`repro.sim.batch`) resolves instances round by round,
+but builds no per-instance Python objects while rounds are running: every
+outcome field lives in a preallocated numpy column indexed by instance
+position, written with masked assignments as whole rounds classify at once.  :class:`ResultColumns` is that struct — the columns
 of the eventual :class:`~repro.sim.results.SimulationResult` list plus the
 carried per-instance round state (requested horizon, scan resume point,
 window counts, partial closest approach) that the first engine generation
@@ -48,7 +47,7 @@ RENDEZVOUS, MAX_TIME, MAX_SEGMENTS, PROGRAMS_FINISHED = range(4)
 class ResultColumns:
     """Preallocated per-instance outcome and round-state columns.
 
-    One row per instance of the batch, in input order.  The engines write
+    One row per instance of the batch, in input order.  The driver writes
     rows with masked fancy-indexed assignments (never per-instance Python);
     rows of instances still pending keep their initial sentinels until the
     round that resolves them.
@@ -131,8 +130,9 @@ class ResultColumns:
         """Materialize the columns into :class:`SimulationResult`s, input order.
 
         The one per-instance Python pass of a batch run.  ``algorithm_name``
-        is a single shared name or one name per instance (the asymmetric
-        engine embeds per-instance radii in the name).
+        is a single shared name or one name per instance
+        (:func:`~repro.sim.batch_asymmetric.simulate_batch_asymmetric` embeds
+        per-instance radii in the name).
         """
         names = (
             [algorithm_name] * len(self)

@@ -452,13 +452,13 @@ class RendezvousSimulator:
         defaulting to ``instance.r``.  Asymmetric runs do not record
         trajectories.
     kernel_backend:
-        Element-wise backend of the vectorized engines' fused window kernel
-        (a :mod:`repro.geometry.backends` registry name, e.g. ``"numpy"`` or
-        ``"numexpr"``).  ``None`` honours ``REPRO_KERNEL_BACKEND`` and
-        defaults to numpy; the event engine ignores it.  Results never
-        depend on it — backends are parity-pinned.
+        Element-wise backend of the vectorized engine's fused window kernel
+        (a :mod:`repro.geometry.backends` registry name, e.g. ``"numpy"``).
+        ``None`` honours ``REPRO_KERNEL_BACKEND`` and defaults to numpy; the
+        event engine ignores it.  Results never depend on it — backends are
+        parity-pinned.
     kernel_threads:
-        Thread count of the vectorized engines' chunked kernel dispatch.
+        Thread count of the vectorized engine's chunked kernel dispatch.
         ``None`` honours ``REPRO_KERNEL_THREADS`` and defaults to 1 (serial);
         the event engine ignores it.  Results never depend on it — threaded
         and serial dispatch are bit-identical.
@@ -512,6 +512,8 @@ class RendezvousSimulator:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected 'event' or 'vectorized'"
             )
+        if not (math.isfinite(self.radius_slack) and self.radius_slack >= 0.0):
+            raise ValueError("radius_slack must be non-negative and finite")
         if self.radius_a is not None or self.radius_b is not None:
             return self._run_asymmetric(instance, algorithm)
         if self.engine == "vectorized":
@@ -546,8 +548,6 @@ class RendezvousSimulator:
             recorder_b, stream_transform=transform_b,
         )
 
-        if self.radius_slack < 0.0:
-            raise ValueError("radius_slack must be non-negative")
         radius = instance.r + self.radius_slack
 
         loop = drive_windows(

@@ -1,13 +1,13 @@
-"""Shared round/horizon machinery of the vectorized batch engines.
+"""Round/horizon building blocks of the vectorized batch driver.
 
-Both batch engines — the symmetric :func:`repro.sim.batch.simulate_batch` and
-the asymmetric-radius :func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`
-— run the same outer loop: compile trajectory prefixes up to an adaptive
-horizon, stack the merged event windows of every unresolved instance into flat
-arrays, solve all window quadratics with one chunked fused-kernel pass, and
-retry the instances that neither met nor terminated with a geometrically grown
-horizon.  This module holds that loop's building blocks so the two engines
-share one implementation:
+The batch driver (:func:`repro.sim.batch._run_rounds`, behind both
+:func:`repro.sim.batch.simulate_batch` and
+:func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`) runs one outer
+loop: compile trajectory prefixes up to an adaptive horizon, stack the merged
+event windows of every unresolved instance into flat arrays, solve all window
+quadratics with one chunked fused-kernel pass, and retry the instances that
+neither met nor terminated with a geometrically grown horizon.  This module
+holds that loop's building blocks:
 
 * :class:`ProgramSource` — serves trajectory tables while consuming each
   instruction stream only once (shared builders for universal algorithms)
@@ -20,7 +20,7 @@ share one implementation:
 * :class:`RoundEntry` — one instance's tables, horizon and budget state for
   one round, including the exact reproduction of the event engine's
   ``max_segments`` stopping rule (:func:`entry_state_arrays` is the column
-  form the engines classify whole rounds with);
+  form the driver classifies whole rounds with);
 * :func:`build_windows` — the *flat* cross-instance window construction:
   grouped ``searchsorted`` range cuts, one stable lexsort merging every
   entry's two boundary runs at once, one entry-grouped deduplication pass and
@@ -32,15 +32,14 @@ share one implementation:
 * :func:`solve_round` — the chunked fused-kernel pass (one pluggable-backend
   call per chunk) with segmented first-hit/minimum reductions, optionally
   solving every window against a *second* per-window radius column in the
-  same pass (the asymmetric engine's freeze radius) and optionally fanning
+  same pass (the Section 5 freeze radius) and optionally fanning
   the chunks out over a persistent thread pool (``threads=``; numpy releases
   the GIL and chunks write disjoint output slices, so results stay
   bit-identical to the serial pass).
 
-Nothing in here depends on the meeting semantics: the drivers interpret the
-per-entry first-hit indices (meeting for the symmetric engine; meeting *or*
-freeze for the asymmetric one) and assemble results into flat columns
-(:mod:`repro.sim.columns`).
+Nothing in here depends on the meeting semantics: the driver interprets the
+per-entry first-hit indices (meeting, and with per-agent radii also freeze)
+and assembles results into flat columns (:mod:`repro.sim.columns`).
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ def trim_builder_cache() -> None:
 
     Builders keep growing *after* insertion (the cache stores them before the
     adaptive rounds consume the program), so the insertion-time trim cannot
-    see their final size; the engines call this once per batch run to evict
+    see their final size; the batch driver calls this once per run to evict
     entries that outgrew the budget meanwhile.
     """
     _trim_builder_cache()
@@ -144,7 +143,7 @@ def trim_builder_cache() -> None:
 #: pinned.  Insertions enforce only the entry cap (O(1) amortized — summing
 #: rows per insert would make the hot path O(cache size)); compilers keep
 #: growing after insertion anyway, so the row budget is applied by the
-#: engines' once-per-run re-trim (:func:`trim_compiler_cache`).
+#: batch driver's once-per-run re-trim (:func:`trim_compiler_cache`).
 _COMPILER_CACHE: Dict[Any, IncrementalTableCompiler] = {}
 _COMPILER_CACHE_LIMIT = 4096
 _COMPILER_CACHE_ROW_LIMIT = 4_000_000  # x 6 float64 columns ~= 192 MB
@@ -311,7 +310,7 @@ class ProgramSource:
                 # Only the entry cap is enforced here (O(1) amortized in the
                 # hot path); the row budget is meaningless at insertion time
                 # anyway — compilers grow *after* insertion — and is applied
-                # by the engines' post-run trim_compiler_cache().
+                # by the batch driver's post-run trim_compiler_cache().
                 _COMPILER_CACHE[global_key] = compiler
                 while len(_COMPILER_CACHE) > _COMPILER_CACHE_LIMIT:
                     del _COMPILER_CACHE[next(iter(_COMPILER_CACHE))]
@@ -340,14 +339,23 @@ def default_initial_horizon(instance: Instance, max_time: float) -> float:
     return min(max(snapped, raw), max_time)
 
 
-def per_instance_option(value: Any, count: int, label: str) -> np.ndarray:
+def per_instance_option(
+    value: Any, count: int, label: str, *, allow_zero: bool = False
+) -> np.ndarray:
     """Broadcast a scalar-or-sequence simulator option to a float column.
 
-    The shared shape rule of the batch engines' per-instance options
-    (asymmetric radii, speed factors, stall schedules): a scalar applies to
-    every instance, a sequence must match the batch length exactly.
+    The shared shape and domain rule of the batch driver's per-instance
+    options (asymmetric radii, speed factors, stall schedules): a scalar
+    applies to every instance, a sequence must match the batch length
+    exactly, and every given value must be finite and positive (or zero,
+    with ``allow_zero``) — checked before broadcasting, so an empty batch
+    rejects a bad scalar too.
     """
     array = np.asarray(value, dtype=float)
+    in_domain = array >= 0.0 if allow_zero else array > 0.0
+    if not bool(np.all(np.isfinite(array) & in_domain)):
+        bound = ">= 0" if allow_zero else "positive"
+        raise ValueError(f"{label} must be {bound} and finite")
     if array.ndim == 0:
         return np.full(count, float(array))
     if array.shape != (count,):
@@ -363,8 +371,8 @@ def stall_arrays(
 ) -> Optional[Tuple[str, np.ndarray, np.ndarray]]:
     """Validate and broadcast the stall trio for one batch (``None`` = inactive).
 
-    Mirrors :func:`repro.sim.scenarios.stall_schedule` for the vectorized
-    engines, where ``stall_time`` / ``stall_duration`` may be per-instance
+    Mirrors :func:`repro.sim.scenarios.stall_schedule` for the batch driver,
+    where ``stall_time`` / ``stall_duration`` may be per-instance
     columns (``stall_agent`` is one agent for the whole batch).
     """
     if stall_agent is None and stall_time is None and stall_duration is None:
@@ -374,17 +382,13 @@ def stall_arrays(
             "stall_agent ('A'/'B'), stall_time and stall_duration must be "
             "given together"
         )
-    times = per_instance_option(stall_time, count, "stall_time")
+    times = per_instance_option(stall_time, count, "stall_time", allow_zero=True)
     durations = per_instance_option(stall_duration, count, "stall_duration")
-    if not bool(np.all(np.isfinite(times) & (times >= 0.0))):
-        raise ValueError("stall_time must be >= 0 and finite")
-    if not bool(np.all(np.isfinite(durations) & (durations > 0.0))):
-        raise ValueError("stall_duration must be positive and finite")
     return str(stall_agent), times, durations
 
 
 class StallTransform:
-    """Memoized columnar stall transform for one batch-engine call.
+    """Memoized columnar stall transform for one batch-driver call.
 
     :meth:`ProgramSource.table_for` returns cached table objects (one per
     compiler growth state), so keying the splice on the table's identity both
@@ -415,8 +419,7 @@ class RoundEntry:
 
     ``extra_segments`` counts trajectory segments that the event engine's
     cursors have already pulled but that are *not* rows of the tables handed
-    in — the asymmetric engine passes the frozen agent's pre-freeze segment
-    count here (its synthetic table has ``segments == 0``), so the combined
+    in — the driver passes a frozen agent's pre-freeze segment count here (its synthetic table has ``segments == 0``), so the combined
     ``max_segments`` stopping rule keeps matching the event loop exactly.
     """
 
@@ -524,8 +527,8 @@ class RoundEntry:
         """Termination reason if no window of this round contains a hit.
 
         ``None`` means the instance is unresolved at this horizon and must be
-        retried with a larger one.  The engines' round loops apply the same
-        rule in bulk over :func:`entry_state_arrays` columns; this scalar
+        retried with a larger one.  The batch driver applies the same rule
+        in bulk over :func:`entry_state_arrays` columns; this scalar
         form is the readable reference (and serves unit tests).
         """
         if self.budget_limited:
@@ -553,7 +556,7 @@ def entry_state_arrays(
     """``(budget_limited, horizon, finish)`` columns over one round's entries.
 
     The array form of the per-entry state that
-    :meth:`RoundEntry.resolves_without_hit` consults, letting the engines
+    :meth:`RoundEntry.resolves_without_hit` consults, letting the driver
     classify a whole round's misses with masks: ``budget_limited`` and the
     (possibly budget-capped) effective ``horizon`` per entry, and ``finish``
     — the absolute time at which *both* programs have ended (``inf`` when
@@ -982,28 +985,22 @@ def solve_round(
     """Solve all windows of a round with the fused batch kernel, chunked.
 
     ``radius`` (and the optional ``second_radius``) are per-window columns —
-    windows of different instances carry different radii, which is how the
-    asymmetric engine feeds per-agent visibility radii through the shared
-    pipeline.  ``backend`` selects the kernel implementation (a name or
-    resolved :class:`~repro.geometry.backends.KernelBackend`; the engines
-    resolve once per run and pass the instance).  Chunking caps peak kernel
-    memory without changing any result: segmented reductions never cross
-    instances — and each chunk is one backend call, which makes
-    ``KERNEL_CHUNK_WINDOWS`` the natural transfer granularity for device
-    backends.
+    windows of different instances carry different radii, which is how
+    per-agent visibility radii flow through the shared pipeline.
+    ``backend`` selects the kernel implementation (a name or resolved
+    :class:`~repro.geometry.backends.KernelBackend`; the driver resolves once
+    per run and passes the instance).  Chunking caps peak kernel memory
+    without changing any result: segmented reductions never cross instances,
+    and each chunk is one backend call.
 
-    ``threads > 1`` fans the chunks out over a persistent thread pool —
-    provided the resolved backend declares
-    :attr:`~repro.geometry.backends.KernelBackend.thread_safe` (numexpr does
-    not: its evaluate shares VM state and multi-threads internally; the
-    dispatch silently stays serial for such backends).  Chunks write
-    disjoint output slices and numpy releases the GIL inside the kernels, so
-    the threaded pass is bit-identical to the serial one; the chunk target
-    is subdivided below the memory cap (never below ``_MIN_THREADED_CHUNK``
-    windows) so every worker has chunks to solve.  Chunk boundaries never
-    change results either way.
+    ``threads > 1`` fans the chunks out over a persistent thread pool.
+    Chunks write disjoint output slices and numpy releases the GIL inside the
+    kernels, so the threaded pass is bit-identical to the serial one; the
+    chunk target is subdivided below the memory cap (never below
+    ``_MIN_THREADED_CHUNK`` windows) so every worker has chunks to solve.
+    Chunk boundaries never change results either way.
 
-    ``clamp_at_second_hit`` is the asymmetric engine's freeze semantics: a
+    ``clamp_at_second_hit`` is the Section 5 freeze semantics: a
     second-radius hit that strictly precedes any first-radius hit cancels the
     rest of that window's motion (the larger-radius agent freezes), so the
     closest-approach tracking of that window is clamped to the hit offset —
@@ -1018,8 +1015,6 @@ def solve_round(
         return solution
 
     backend = get_backend(backend)
-    if threads > 1 and not backend.thread_safe:
-        threads = 1
     total = int(offsets[-1])
     target = KERNEL_CHUNK_WINDOWS
     if threads > 1:

@@ -180,7 +180,7 @@ def scaled_agents(
     """The instance's agent specs with per-agent speed factors applied.
 
     This is the single lowering point of the heterogeneous-speed family: the
-    event engine and both batch engines call it instead of
+    event engine and the batch driver call it instead of
     ``instance.agents()``, so the scaled world is bit-identical across paths
     (the compiled tables and segment streams are derived from the same specs,
     and the compiler caches key on the frozen spec value).

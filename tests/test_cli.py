@@ -94,6 +94,19 @@ class TestSimulateCommand:
         assert code == 2
         assert "kernel_threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_numexpr_kernel_backend_is_unknown(self, command, capsys):
+        # Only the numpy backend ships; a former backend name is a usage error.
+        if command == "simulate":
+            argv = ["simulate", "--r", "0.5", "--x", "1", "--y", "1",
+                    "--algorithm", "stay-put", "--timebase", "float",
+                    "--engine", "vectorized", "--allow-miss"]
+        else:
+            argv = ["experiment", "thm31", "--samples", "1", "--no-save"]
+        code = main(argv + ["--kernel-backend", "numexpr"])
+        assert code == 2
+        assert "unknown kernel backend 'numexpr'" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_algorithms_listing(self, capsys):

@@ -188,23 +188,47 @@ class TestAsymmetricParityAcrossClasses:
         )
 
 
+def _result_fields(result):
+    """Every deterministic field of a result: all but the name and wall time."""
+    return (
+        result.met,
+        result.termination,
+        result.meeting_time,
+        result.meeting_point_a,
+        result.meeting_point_b,
+        result.min_distance,
+        result.min_distance_time,
+        result.simulated_time,
+        result.segments_a,
+        result.segments_b,
+        result.windows_processed,
+    )
+
+
 class TestDegenerateCasesAndErrors:
     def test_equal_radii_match_symmetric_batch(self):
+        # Both entry points share one round driver: with equal radii every
+        # result field but the name and the wall time must be identical.
         sampler = InstanceSampler(seed=5)
-        instances = sampler.batch_of_class(InstanceClass.TYPE_4, 4)
+        instances = []
+        for cls in (InstanceClass.TYPE_1, InstanceClass.TYPE_2,
+                    InstanceClass.TYPE_3, InstanceClass.TYPE_4):
+            instances.extend(sampler.batch_of_class(cls, 3))
         algorithm = get_algorithm("almost-universal-compact")
-        symmetric = simulate_batch(
-            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS
+        budgets = dict(max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
+        scenarios = (
+            {},
+            {"speed_a": 1.7, "speed_b": [0.6 + 0.1 * k for k in range(len(instances))]},
+            {"stall_agent": "B", "stall_time": 3.0, "stall_duration": 12.5},
         )
-        asymmetric = simulate_batch_asymmetric(
-            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS
-        )
-        for s, a in zip(symmetric, asymmetric):
-            assert a.frozen_agent is None  # equal radii never freeze
-            assert a.met == s.met
-            assert a.meeting_time == s.meeting_time
-            assert a.result.termination == s.termination
-            assert a.result.min_distance == pytest.approx(s.min_distance, rel=1e-12)
+        for scenario in scenarios:
+            symmetric = simulate_batch(instances, algorithm, **budgets, **scenario)
+            asymmetric = simulate_batch_asymmetric(
+                instances, algorithm, **budgets, **scenario
+            )
+            for s, a in zip(symmetric, asymmetric):
+                assert a.frozen_agent is None  # equal radii never freeze
+                assert _result_fields(a.result) == _result_fields(s), scenario
 
     def test_zero_radius_ratio_rejected_by_both_engines(self):
         instance = Instance(r=0.5, x=2.0, y=0.0)
@@ -235,6 +259,70 @@ class TestDegenerateCasesAndErrors:
 
     def test_empty_batch(self):
         assert simulate_batch_asymmetric([], get_algorithm("stay-put")) == []
+
+    @pytest.mark.parametrize("entry_point", [simulate_batch, simulate_batch_asymmetric])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"stall_agent": "C", "stall_time": 1.0, "stall_duration": 1.0},
+            {"stall_agent": "A", "stall_time": -1.0, "stall_duration": 1.0},
+            {"stall_agent": "A", "stall_time": 1.0, "stall_duration": 0.0},
+            {"speed_a": -1.0},
+            {"speed_b": math.nan},
+            {"radius_slack": math.nan},
+            {"max_time": math.inf},
+            {"max_segments": 0},
+            {"initial_horizon": -1.0},
+            {"kernel_threads": 0},
+            {"backend": "no-such-backend"},
+        ],
+    )
+    def test_empty_batch_validates_options(self, entry_point, options):
+        # An empty batch rejects every option a one-instance batch rejects.
+        algorithm = get_algorithm("stay-put")
+        with pytest.raises(ValueError):
+            entry_point([Instance(r=0.5, x=2.0, y=0.0)], algorithm, **options)
+        with pytest.raises(ValueError):
+            entry_point([], algorithm, **options)
+
+    def test_empty_batch_validates_radii(self):
+        for radii in ({"radius_a": 0.0}, {"radius_b": math.inf}, {"radius_b": [0.5]}):
+            with pytest.raises(ValueError):
+                simulate_batch_asymmetric([], get_algorithm("stay-put"), **radii)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "engine, option",
+        [
+            ("event", "radius_a"),
+            ("event", "radius_slack"),
+            ("event-asymmetric", "radius_a"),
+            ("event-asymmetric", "radius_slack"),
+            ("batch", "radius_slack"),  # its radii are the instances' own r
+            ("batch-asymmetric", "radius_a"),
+            ("batch-asymmetric", "radius_slack"),
+        ],
+    )
+    def test_non_finite_radius_and_slack_rejected(self, engine, option, bad):
+        # The campaign spec's rule, applied by every engine: radii positive
+        # and finite, slack finite and non-negative.
+        instance = InstanceSampler(seed=7).batch_of_class(InstanceClass.TYPE_1, 1)[0]
+        algorithm = get_algorithm("almost-universal-compact")
+        budgets = dict(max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
+        run = {
+            "event": lambda **kw: RendezvousSimulator(**budgets, **kw).run(
+                instance, algorithm
+            ),
+            "event-asymmetric": lambda **kw: simulate_asymmetric(
+                instance, algorithm, **budgets, **kw
+            ),
+            "batch": lambda **kw: simulate_batch([instance], algorithm, **budgets, **kw),
+            "batch-asymmetric": lambda **kw: simulate_batch_asymmetric(
+                [instance], algorithm, **budgets, **kw
+            ),
+        }[engine]
+        with pytest.raises(ValueError):
+            run(**{option: bad})
 
     def test_trivial_instance_meets_at_time_zero_without_freeze(self):
         # Initial distance within the smaller radius: met at t=0, no freeze.

@@ -151,41 +151,6 @@ class TestThreadedBitParity:
 
 
 class TestBackendThreadSafety:
-    def test_backend_declarations(self):
-        from repro.geometry.backends import NumexprBackend, NumpyBackend
-
-        assert NumpyBackend.thread_safe
-        # numexpr shares evaluate state (not thread-safe before 2.8.4) and
-        # multi-threads internally; the chunked dispatch must not fan it out.
-        assert not NumexprBackend.thread_safe
-
-    def test_non_thread_safe_backend_stays_serial(self, small_chunks, monkeypatch):
-        from repro.geometry.backends import NumpyBackend
-
-        class SerialOnly(NumpyBackend):
-            name = "serial-only-test"
-            thread_safe = False
-
-        instances = _campaign(count_per_type=2, seed=5)
-        algorithm = get_algorithm("almost-universal-compact")
-        serial = simulate_batch(
-            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
-            kernel_threads=1,
-        )
-
-        def forbidden(threads):
-            raise AssertionError(
-                "thread pool engaged for a backend that declares thread_safe=False"
-            )
-
-        monkeypatch.setattr(rounds, "_chunk_executor", forbidden)
-        gated = simulate_batch(
-            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
-            kernel_threads=3, backend=SerialOnly(),
-        )
-        for s, t in zip(serial, gated):
-            assert _fields(s) == _fields(t)
-
     def test_thread_pool_actually_engaged_for_numpy(self, small_chunks, monkeypatch):
         engaged = []
         real = rounds._chunk_executor
