@@ -464,9 +464,12 @@ def compile_table(spec: AgentSpec, table: LocalProgramTable) -> TrajectoryTable:
     vel_y = np.where(positive, disp_y / safe_durations, 0.0)
 
     # Rows are written into preallocated output columns (program rows framed
-    # by the optional pre-wake sleep row and trailing infinite row) instead
-    # of concatenating per-section arrays; the arithmetic is unchanged, so
-    # rows stay bit-identical to the lazy compiler's accumulation.
+    # by the optional pre-wake sleep row and trailing infinite row).  Start
+    # times and positions are left folds seeded with the wake time and start
+    # point (``c_0 = start, c_j = c_{j-1} + d_j``), the exact additions of the
+    # lazy compiler, so rows are bit-identical to its segments; adding the
+    # start to an unseeded cumsum instead rounds differently whenever it is
+    # non-zero.
     n = len(table)
     pre = 1 if wake > 0.0 else 0
     post = 1 if table.complete else 0
@@ -488,13 +491,16 @@ def compile_table(spec: AgentSpec, table: LocalProgramTable) -> TrajectoryTable:
 
     if n:
         body = slice(pre, pre + n)
-        out_time[pre] = wake
-        np.add(wake, np.cumsum(durations)[:-1], out=out_time[pre + 1 : pre + n])
+        folds = np.empty((n, 3))
+        folds[0] = (wake, start_x0, start_y0)
+        folds[1:, 0] = durations[:-1]
+        folds[1:, 1] = disp_x[:-1]
+        folds[1:, 2] = disp_y[:-1]
+        folds = np.cumsum(folds, axis=0)
+        out_time[body] = folds[:, 0]
         out_duration[body] = durations
-        out_x[pre] = start_x0
-        np.add(start_x0, np.cumsum(disp_x)[:-1], out=out_x[pre + 1 : pre + n])
-        out_y[pre] = start_y0
-        np.add(start_y0, np.cumsum(disp_y)[:-1], out=out_y[pre + 1 : pre + n])
+        out_x[body] = folds[:, 1]
+        out_y[body] = folds[:, 2]
         out_vx[body] = vel_x
         out_vy[body] = vel_y
 
@@ -580,11 +586,12 @@ class IncrementalTableCompiler:
         self._x0, self._y0 = spec.start
         self._pre = 1 if self._wake > 0.0 else 0
         self._count = 0
-        # Left-fold carries after the last compiled row: scaled duration sum
-        # and displacement sums (the values cumsum would have reached).
-        self._carry_t = 0.0
-        self._carry_x = 0.0
-        self._carry_y = 0.0
+        # Left-fold carries after the last compiled row: the start time and
+        # position of the next row (folds seeded with the wake time and start
+        # point, exactly like compile_table and the lazy compiler).
+        self._carry_t = self._wake
+        self._carry_x = self._x0
+        self._carry_y = self._y0
         size = self._pre + 1  # room for the pre-wake row and a tail slot
         self._time = np.empty(size)
         self._dur = np.empty(size)
@@ -653,9 +660,9 @@ class IncrementalTableCompiler:
         extension[1:, 1] = disp_x
         extension[1:, 2] = disp_y
         cums = np.cumsum(extension, axis=0)
-        np.add(self._wake, cums[:-1, 0], out=self._time[body])
-        np.add(self._x0, cums[:-1, 1], out=self._x[body])
-        np.add(self._y0, cums[:-1, 2], out=self._y[body])
+        self._time[body] = cums[:-1, 0]
+        self._x[body] = cums[:-1, 1]
+        self._y[body] = cums[:-1, 2]
         self._carry_t = float(cums[-1, 0])
         self._carry_x = float(cums[-1, 1])
         self._carry_y = float(cums[-1, 2])

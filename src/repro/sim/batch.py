@@ -123,6 +123,30 @@ class _FreezeEvent(NamedTuple):
     segments: int
 
 
+def _row_position(
+    table: Any, window_start: float, first_window: bool, when: float
+) -> Tuple[float, float]:
+    """An agent's position at ``when`` inside the window starting at ``window_start``.
+
+    Computed exactly like the event engine's cursor (``state_at``): from the
+    start of the table row active at the window start, with the offset
+    clamped into that row.  Extrapolating from the window-start state instead
+    differs by an ulp, which a grazing approach after a freeze amplifies into
+    a visibly different meeting time.  A first window starting at time 0 uses
+    row 0, like :func:`~repro.sim.rounds.build_windows`.
+    """
+    if first_window and window_start <= 0.0:
+        row = 0
+    else:
+        row = int(np.searchsorted(table.start_time, window_start, side="right")) - 1
+    offset = when - float(table.start_time[row])
+    offset = min(max(offset, 0.0), float(table.duration[row]))
+    return (
+        float(table.start_x[row]) + float(table.vel_x[row]) * offset,
+        float(table.start_y[row]) + float(table.vel_y[row]) * offset,
+    )
+
+
 def _run_rounds(
     instances: List[Instance],
     algorithm: Any,
@@ -305,34 +329,26 @@ def _run_rounds(
             terminal = ~met & ~freezes & ~unresolved
 
             if np.any(freezes):
-                # Bulk geometry for the round's freeze events, then a small
-                # per-freeze Python pass (at most one per instance per run).
+                # A small per-freeze Python pass (at most one per instance
+                # per run).
                 rows = pending[freezes]
                 hit_index = freeze_hit[freezes]
-                offset = solution.hit_offset2[freezes]
-                freeze_time = windows.starts[hit_index] + offset
-                pax, pay, vax, vay, pbx, pby, vbx, vby = (
-                    column[hit_index] for column in windows.states
-                )
-                pos_ax = pax + vax * offset
-                pos_ay = pay + vay * offset
-                pos_bx = pbx + vbx * offset
-                pos_by = pby + vby * offset
-                distance = np.hypot(pos_ax - pos_bx, pos_ay - pos_by)
+                freeze_time = windows.starts[hit_index] + solution.hit_offset2[freezes]
                 agents = larger_agent[rows]
                 for j, k in enumerate(np.nonzero(freezes)[0].tolist()):
                     entry = entries[k]
                     agent = str(agents[j])
-                    segments_a, segments_b = entry.segments_in_play(float(freeze_time[j]))
+                    when = float(freeze_time[j])
+                    window_start = float(windows.starts[hit_index[j]])
+                    first_window = bool(hit_index[j] == lo[k])
+                    pos_a = _row_position(entry.table_a, window_start, first_window, when)
+                    pos_b = _row_position(entry.table_b, window_start, first_window, when)
+                    segments_a, segments_b = entry.segments_in_play(when)
                     frozen[entry.index] = _FreezeEvent(
                         agent=agent,
-                        time=float(freeze_time[j]),
-                        position=(
-                            (float(pos_ax[j]), float(pos_ay[j]))
-                            if agent == "A"
-                            else (float(pos_bx[j]), float(pos_by[j]))
-                        ),
-                        distance=float(distance[j]),
+                        time=when,
+                        position=pos_a if agent == "A" else pos_b,
+                        distance=math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1]),
                         segments=segments_a if agent == "A" else segments_b,
                     )
                 frozen_rows[rows] = True

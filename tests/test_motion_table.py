@@ -124,6 +124,18 @@ class TestCompileTableParity:
                 end.start_time + end.duration, rel=1e-12, abs=1e-12
             )
 
+    @SLOW_SETTINGS
+    @given(instance_specs, instructions)
+    def test_start_times_and_positions_are_bit_identical_to_lazy(self, instance, program):
+        # Both compilers fold from the wake time and start point in the same
+        # order, so window states built from either agree to the last bit.
+        spec = instance.agent_b()
+        lazy = list(compile_trajectory(spec, iter(program)))
+        table = compile_table(spec, local_program_table(program))
+        assert table.start_time[: len(lazy)].tolist() == [s.start_time for s in lazy]
+        assert table.start_x[: len(lazy)].tolist() == [s.start_pos[0] for s in lazy]
+        assert table.start_y[: len(lazy)].tolist() == [s.start_pos[1] for s in lazy]
+
     @STANDARD_SETTINGS
     @given(instance_specs, st.floats(0.1, 50.0))
     def test_states_at_matches_segment_states(self, instance, when):

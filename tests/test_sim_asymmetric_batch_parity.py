@@ -395,6 +395,29 @@ class TestFreezeSemantics:
         assert outcome.result.meeting_distance == pytest.approx(0.5)
         assert outcome.meeting_time == pytest.approx(10.0 + (5.0 - 3.0) - 0.5)
 
+    @pytest.mark.parametrize(
+        "instance, radius_a",
+        [
+            # After A freezes, B grazes A's frozen position at exactly the
+            # meeting radius: the crossing is decided below float rounding,
+            # so the engines agree only on bit-identical window inputs (the
+            # freeze position and the trajectory rows).
+            (Instance(r=1.0, x=0.5, y=-1.5, phi=0.0, tau=1.0, v=1.0, chi=-1), 1.0),
+            (Instance(r=1.0, x=0.5, y=-1.453916191745678, phi=0.0, tau=1.375,
+                      v=1.5, chi=-1), 1.5),
+        ],
+    )
+    def test_grazing_after_freeze_matches_event_engine_exactly(self, instance, radius_a):
+        algorithm = get_algorithm("almost-universal-compact")
+        kwargs = dict(radius_a=radius_a, radius_b=0.5, max_time=1e4, max_segments=10_000)
+        event = simulate_asymmetric(instance, algorithm, engine="event", **kwargs)
+        batch = simulate_asymmetric(instance, algorithm, engine="vectorized", **kwargs)
+        assert event.frozen_agent == batch.frozen_agent == "A"
+        assert (event.freeze_time, event.freeze_distance) == (
+            batch.freeze_time, batch.freeze_distance
+        )
+        assert _result_fields(event.result) == _result_fields(batch.result)
+
     def test_reports_radii_in_algorithm_name(self):
         instance = Instance(r=0.5, x=2.0, y=0.0, t=3.0)
         outcome = simulate_batch_asymmetric(
