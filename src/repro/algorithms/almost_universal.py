@@ -19,32 +19,50 @@ per instance type of Section 3.1.1:
 
 The block sizes come from a :class:`~repro.algorithms.schedules.Schedule`
 (default: the paper's literal constants).
+
+The program exists in two forms with identical rows: the instruction stream
+of :meth:`AlmostUniversalRV.program` (the event engine's input) and the
+column blocks of :meth:`AlmostUniversalRV.program_blocks` (the batch
+engine's), where block 1 is one rotation of the cached ``PlanarCowWalk``
+columns per frame.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import lru_cache, partial
 from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.algorithms.base import UniversalAlgorithm
 from repro.algorithms.cgkk import cgkk_program
-from repro.algorithms.cow_walk import planar_cow_walk, planar_cow_walk_segment_count
+from repro.algorithms.cow_walk import (
+    planar_cow_walk,
+    planar_cow_walk_columns,
+    planar_cow_walk_segment_count,
+)
 from repro.algorithms.latecomers import latecomers_program
 from repro.algorithms.schedules import PaperSchedule, Schedule
 from repro.motion.instructions import Instruction, Wait
 from repro.motion.program import (
+    ColumnBlock,
     chunked_with_waits,
+    instruction_blocks,
     replay_path,
     rotate_instructions,
     take_local_time,
 )
 
 #: Phases whose estimated instruction count stays below this are memoized as
-#: tuples, keyed by (schedule, phase index).  The program is instance-
-#: independent — every agent of every batched simulation replays the same
+#: tuples, keyed by (schedule, phase index), for the event engine, which
+#: reads :meth:`AlmostUniversalRV.program` one instruction at a time.  The
+#: program is instance-independent — every simulated agent replays the same
 #: stream — so regenerating the rotated cow walks per run is pure overhead.
-#: Deeper phases stay on the lazy generators: they are astronomically long,
-#: always truncated by simulation budgets, and would blow up memory.
+#: (The batch engine reads :meth:`AlmostUniversalRV.program_blocks` instead,
+#: which builds the sweeps as columns.)  Deeper phases stay on the lazy
+#: generators: they are astronomically long, always truncated by simulation
+#: budgets, and would blow up memory.
 PHASE_MEMO_INSTRUCTION_LIMIT = 250_000
 
 
@@ -84,7 +102,7 @@ class AlmostUniversalRV(UniversalAlgorithm):
         resolution = self.schedule.planar_resolution(i)
         step = self.schedule.rotation_step(i)
         for j in range(1, self.schedule.rotations(i) + 1):
-            yield from rotate_instructions(planar_cow_walk(resolution), j * step)
+            yield from _rotated_cow_walk(resolution, j * step)
 
     def _block2_type2(self, i: int) -> Iterator[Instruction]:
         """Lines 9-12: wait, run ``Latecomers`` for a bounded time, backtrack."""
@@ -125,6 +143,64 @@ class AlmostUniversalRV(UniversalAlgorithm):
         while self.max_phase is None or i <= self.max_phase:
             yield from self._phase_steps(i)
             i += 1
+
+    # -- the columnar program -------------------------------------------------------------
+    def phase_blocks(self, i: int) -> Iterator[ColumnBlock]:
+        """Phase ``i`` as column blocks, row for row the stream of :meth:`phase`.
+
+        Block 1 is one block per rotation: the cached ``PlanarCowWalk``
+        columns rotated with ``math.cos`` / ``math.sin`` of the angle, exactly
+        the arithmetic of ``Move.rotated``, with ``np.hypot`` lengths standing
+        in for ``Move.length`` (``program.columns_parity`` re-derives a sample
+        of them through the objects).  Block 3's sweep is the cached walk
+        itself.  Blocks 2 and 4 are bounded by ``2**i`` local time and go
+        through the instruction adapter.
+        """
+        resolution = self.schedule.planar_resolution(i)
+        walk = planar_cow_walk_columns(resolution)
+        step = self.schedule.rotation_step(i)
+        for j in range(1, self.schedule.rotations(i) + 1):
+            alpha = j * step
+            c = math.cos(alpha)
+            s = math.sin(alpha)
+            dx = c * walk.dx - s * walk.dy
+            dy = s * walk.dx + c * walk.dy
+            yield ColumnBlock(
+                dx, dy, np.hypot(dx, dy),
+                reference=partial(_rotated_cow_walk, resolution, alpha),
+            )
+        yield from instruction_blocks(self._block2_type2(i))
+        yield from instruction_blocks([Wait(self.schedule.block3_wait(i))])
+        yield walk
+        yield from instruction_blocks(self._block4_type4(i))
+
+    def program_blocks(self) -> Iterator[ColumnBlock]:
+        """The program as column blocks; see :meth:`phase_blocks`.
+
+        A subclass that overrides how the instruction stream is generated gets
+        the instruction adapter over its :meth:`program` instead.
+        """
+        if any(
+            getattr(type(self), name) is not getattr(AlmostUniversalRV, name)
+            for name in _STREAM_METHODS
+        ):
+            return super().program_blocks()
+        return self._native_blocks()
+
+    def _native_blocks(self) -> Iterator[ColumnBlock]:
+        i = 1
+        while self.max_phase is None or i <= self.max_phase:
+            yield from self.phase_blocks(i)
+            i += 1
+
+
+#: The methods :meth:`AlmostUniversalRV.phase_blocks` reproduces natively.
+_STREAM_METHODS = ("program", "phase", "_block1_type1", "_block3_type3")
+
+
+def _rotated_cow_walk(resolution: int, alpha: float) -> Iterator[Instruction]:
+    """``PlanarCowWalk(resolution)`` executed in the frame ``Rot(alpha)``."""
+    return rotate_instructions(planar_cow_walk(resolution), alpha)
 
 
 def _phase_is_cacheable(schedule: Schedule, i: int) -> bool:

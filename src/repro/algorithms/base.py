@@ -29,6 +29,7 @@ from repro.core.canonical import canonical_geometry
 from repro.core.instance import AgentSpec, Instance
 from repro.geometry.vec import Vec2, norm, scale, sub
 from repro.motion.instructions import Instruction
+from repro.motion.program import ColumnBlock, instruction_blocks
 from repro.util.errors import KnowledgeError
 
 
@@ -122,6 +123,17 @@ class Algorithm:
         """Return the instruction stream of the agent ``role`` for ``instance``."""
         raise NotImplementedError
 
+    def program_blocks_for(
+        self, instance: Instance, spec: AgentSpec, role: str
+    ) -> Iterable[ColumnBlock]:
+        """The same program as :meth:`program_for`, as column blocks.
+
+        The batch engine's input.  The default adapts the instruction stream;
+        algorithms with a columnar structure override it to skip the
+        per-instruction objects.
+        """
+        return instruction_blocks(self.program_for(instance, spec, role))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -136,11 +148,20 @@ class UniversalAlgorithm(Algorithm):
         """The (usually infinite) instruction stream executed by every agent."""
         raise NotImplementedError
 
+    def program_blocks(self) -> Iterator[ColumnBlock]:
+        """:meth:`program` as column blocks (the instruction adapter by default)."""
+        return instruction_blocks(self.program())
+
     def program_for(
         self, instance: Instance, spec: AgentSpec, role: str
     ) -> Iterable[Instruction]:
         # Deliberately ignore all arguments: anonymity is enforced here.
         return self.program()
+
+    def program_blocks_for(
+        self, instance: Instance, spec: AgentSpec, role: str
+    ) -> Iterable[ColumnBlock]:
+        return self.program_blocks()
 
 
 class DedicatedAlgorithm(Algorithm):

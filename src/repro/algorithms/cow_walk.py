@@ -15,11 +15,14 @@ lets an agent pass within ``2**-i`` local units of every point of the square
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Tuple
+
+import numpy as np
 
 from repro.algorithms.base import UniversalAlgorithm
 from repro.motion.instructions import Instruction, go_east, go_north, go_south, go_west
+from repro.motion.program import ColumnBlock
 
 #: Walks whose analytic segment count stays below this are memoized as tuples
 #: (instance-independent instruction streams: every agent of every batched
@@ -83,6 +86,45 @@ def planar_cow_walk(i: int) -> Iterator[Instruction]:
     if planar_cow_walk_segment_count(i) <= MEMO_SEGMENT_LIMIT:
         return iter(_planar_cow_walk_steps(i))
     return _planar_cow_walk_gen(i)
+
+
+@lru_cache(maxsize=3)
+def planar_cow_walk_columns(i: int) -> ColumnBlock:
+    """``PlanarCowWalk(i)`` as one read-only column block.
+
+    Row for row the instructions of :func:`planar_cow_walk` (``go(E, d)`` is
+    ``(d, 0.0)``, ``go(S, d)`` is ``(0.0, -d)``, and so on), built with array
+    operations instead of instruction objects.  The block carries the walk as
+    its ``reference`` stream.
+    """
+    if i < 0:
+        raise ValueError("PlanarCowWalk parameter must be non-negative")
+    steps = 2.0 ** np.arange(1, i + 1)
+    linear = np.stack([steps, -2.0 * steps, steps], axis=1).ravel()
+    row_step = 1.0 / float(2**i)
+    rows = 2 ** (2 * i)
+    half_height = float(2**i)
+    # One sweep row: the vertical hop, then a linear walk along the new row.
+    row_dx = np.concatenate(([0.0], linear))
+    row_zeros = np.zeros(row_dx.shape[0] - 1)
+    north_dy = np.concatenate(([row_step], row_zeros))
+    south_dy = np.concatenate(([-row_step], row_zeros))
+    dx = np.concatenate(
+        (linear, np.tile(row_dx, rows), [0.0], np.tile(row_dx, rows), [0.0])
+    )
+    dy = np.concatenate(
+        (
+            np.zeros(linear.shape[0]),
+            np.tile(north_dy, rows),
+            [-half_height],
+            np.tile(south_dy, rows),
+            [half_height],
+        )
+    )
+    duration = np.hypot(dx, dy)
+    for column in (dx, dy, duration):
+        column.setflags(write=False)
+    return ColumnBlock(dx, dy, duration, reference=partial(planar_cow_walk, i))
 
 
 # -- analytic helpers used by schedules, tests and benchmarks -----------------------

@@ -8,6 +8,8 @@ checks themselves run at the seams:
 - kernel contracts — inside the :class:`~repro.geometry.backends.KernelBackend`
   proxy that ``get_backend`` installs when checking is enabled, and inside
   ``solve_round``'s sampled chunked-vs-unchunked re-solve;
+- the program contract — inside ``LocalProgramBuilder``, which re-derives a
+  sample of natively generated column blocks through the instruction objects;
 - engine contracts — at the four engine exits (event/batch × symmetric/
   asymmetric) via :func:`check_result` / :func:`check_outcome`;
 - parity contracts — from the differential test suites via
@@ -67,6 +69,15 @@ KERNEL_CHUNK_PARITY = declare(
     "kernel.chunk_parity",
     "solve_round produces bit-identical solutions under any chunk "
     "partitioning of the window table",
+)
+
+# -- program seams ---------------------------------------------------------------
+
+PROGRAM_COLUMNS_PARITY = declare(
+    "program.columns_parity",
+    "a natively generated column block is bit-identical to the Move/Wait "
+    "stream it stands for (displacements through Move.rotated, durations "
+    "through Move.length)",
 )
 
 # -- engine seams ----------------------------------------------------------------

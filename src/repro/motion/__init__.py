@@ -9,7 +9,9 @@ of such instructions; this package turns those streams into
   piecewise-linear paths in the agent's own coordinates and units), which is
   what Algorithm 1 needs for truncation, chunking and backtracking, and
 * absolute-time, absolute-coordinate trajectory segments via the
-  :mod:`~repro.motion.compiler`, which is what the simulator consumes.
+  :mod:`~repro.motion.compiler`, which is what the simulator consumes (the
+  batch engine reads programs as :class:`~repro.motion.program.ColumnBlock`
+  runs instead of one instruction object at a time).
 """
 
 from repro.motion.instructions import (
@@ -26,6 +28,8 @@ from repro.motion.instructions import (
 )
 from repro.motion.localpath import LocalStep, LocalPath
 from repro.motion.program import (
+    ColumnBlock,
+    instruction_blocks,
     rotate_instructions,
     scale_instructions,
     concat_programs,
@@ -60,6 +64,8 @@ __all__ = [
     "wait",
     "LocalStep",
     "LocalPath",
+    "ColumnBlock",
+    "instruction_blocks",
     "rotate_instructions",
     "scale_instructions",
     "concat_programs",

@@ -20,9 +20,10 @@ exact even when the paper's algorithms schedule waits of ``2**(15 i^2)`` time
 units next to sub-unit moves.
 
 Besides the lazy segment-by-segment mode, the compiler has a *bulk* mode for
-the vectorized batch engine: :class:`LocalProgramBuilder` accumulates a local
-instruction stream into columnar numpy arrays (consumed once, reusable across
-every instance running the same universal program), and
+the vectorized batch engine: :class:`LocalProgramBuilder` accumulates a
+program's column blocks (:class:`~repro.motion.program.ColumnBlock`) into
+columnar numpy arrays (consumed once, reusable across every instance running
+the same universal program), and
 :func:`compile_trajectory_table` turns such a columnar program into a
 :class:`TrajectoryTable` — the absolute-time trajectory of one agent as plain
 float arrays — with a handful of array operations instead of per-segment
@@ -39,11 +40,12 @@ from typing import Any, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.contracts import core as _contracts
-from repro.contracts.invariants import SCENARIO_STALL_SEGMENT
+from repro.contracts.invariants import PROGRAM_COLUMNS_PARITY, SCENARIO_STALL_SEGMENT
 from repro.core.instance import AgentSpec
 from repro.geometry.transforms import frame_matrix
 from repro.geometry.vec import Vec2, add, scale
 from repro.motion.instructions import Instruction, Move, Wait
+from repro.motion.program import ColumnBlock, instruction_blocks
 from repro.obs import core as _obs
 from repro.util.errors import AlgorithmContractError
 
@@ -227,24 +229,32 @@ class LocalProgramTable:
 
 
 class LocalProgramBuilder:
-    """Incrementally consumes an instruction stream into columnar arrays.
+    """Incrementally consumes a stream of column blocks into columnar arrays.
 
-    The builder pulls instructions only on demand (:meth:`ensure_time` /
-    :meth:`ensure_steps`), so infinite programs can be consumed under a
-    budget, and :meth:`snapshot` returns array *views* — one builder can serve
-    every instance of a batch that runs the same universal program, each with
-    its own local-time budget.
+    The input is a stream of :class:`~repro.motion.program.ColumnBlock` s
+    (``Algorithm.program_blocks_for``; instruction streams go through
+    :func:`~repro.motion.program.instruction_blocks`).  Blocks are pulled only
+    on demand (:meth:`ensure_time`), so infinite programs can be consumed
+    under a budget, and :meth:`snapshot` returns array *views* — one builder
+    can serve every instance of a batch that runs the same universal program,
+    each with its own local-time budget.
+
+    Every block is validated (equal-length finite columns, non-negative
+    durations) and its null rows (zero duration) are dropped.  A snapshot
+    that reaches the end of the buffers looks one block ahead, so it is
+    ``complete`` exactly when it holds the whole of a finite program.
     """
 
-    _CHUNK = 1024
+    _INITIAL_CAPACITY = 1024
 
-    def __init__(self, program: Iterable[Instruction]) -> None:
-        self._iter = iter(program)
+    def __init__(self, blocks: Iterable[ColumnBlock]) -> None:
+        self._iter = iter(blocks)
         self._size = 0
         self._dx = np.empty(0, dtype=float)
         self._dy = np.empty(0, dtype=float)
         self._duration = np.empty(0, dtype=float)
         self._cumulative = np.empty(0, dtype=float)
+        self._lookahead: Optional[ColumnBlock] = None
         self.exhausted = False
 
     def __len__(self) -> int:
@@ -264,50 +274,63 @@ class LocalProgramBuilder:
         capacity = self._duration.shape[0]
         if needed <= capacity:
             return
-        new_capacity = max(self._CHUNK, 2 * capacity, needed)
+        new_capacity = max(self._INITIAL_CAPACITY, 2 * capacity, needed)
         for name in ("_dx", "_dy", "_duration", "_cumulative"):
             old = getattr(self, name)
             grown = np.empty(new_capacity, dtype=float)
             grown[: self._size] = old[: self._size]
             setattr(self, name, grown)
 
-    def _append(self, dx, dy, duration) -> None:
-        base = self.consumed_local_time
-        new_dur = np.asarray(duration, dtype=float)
-        count = new_dur.shape[0]
-        end = self._size + count
+    def _append(self, block: ColumnBlock) -> None:
+        dx = np.asarray(block.dx, dtype=float)
+        dy = np.asarray(block.dy, dtype=float)
+        duration = np.asarray(block.duration, dtype=float)
+        if not (
+            duration.ndim == 1
+            and dx.shape == dy.shape == duration.shape
+            and np.isfinite(dx).all()
+            and np.isfinite(dy).all()
+            and ((duration >= 0.0) & (duration < math.inf)).all()
+        ):
+            raise AlgorithmContractError(
+                "program block needs three equal-length columns of finite "
+                "displacements and finite non-negative durations"
+            )
+        if block.reference is not None and _contracts.enabled():
+            _check_columns_parity(block)
+        if not duration.all():
+            keep = duration != 0.0
+            dx, dy, duration = dx[keep], dy[keep], duration[keep]
+        count = duration.shape[0]
+        if not count:
+            return
+        start = self._size
+        end = start + count
         self._ensure_capacity(end)
-        self._dx[self._size:end] = dx
-        self._dy[self._size:end] = dy
-        self._duration[self._size:end] = new_dur
-        self._cumulative[self._size:end] = base + np.cumsum(new_dur)
+        self._dx[start:end] = dx
+        self._dy[start:end] = dy
+        self._duration[start:end] = duration
+        # A left fold seeded with the carried total (c_j = c_{j-1} + d_j):
+        # the column is the same whatever the block boundaries are.
+        fold = np.empty(count + 1)
+        fold[0] = self.consumed_local_time
+        fold[1:] = duration
+        np.cumsum(fold, out=fold)
+        self._cumulative[start:end] = fold[1:]
         self._size = end
 
-    def _pull_chunk(self) -> bool:
-        """Consume up to ``_CHUNK`` instructions; return False when exhausted."""
-        dx, dy, duration = [], [], []
-        for instruction in self._iter:
-            if isinstance(instruction, Wait):
-                if instruction.duration == 0.0:
-                    continue
-                dx.append(0.0)
-                dy.append(0.0)
-                duration.append(instruction.duration)
-            elif isinstance(instruction, Move):
-                if instruction.is_null():
-                    continue
-                dx.append(instruction.dx)
-                dy.append(instruction.dy)
-                duration.append(instruction.length)
-            else:  # pragma: no cover - defensive
-                raise AlgorithmContractError(f"unknown instruction {instruction!r}")
-            if len(duration) >= self._CHUNK:
-                self._append(dx, dy, duration)
-                return True
-        if duration:
-            self._append(dx, dy, duration)
-        self.exhausted = True
-        return False
+    def _peek(self) -> None:
+        """Fetch the next block without appending it; mark the end if none."""
+        if self._lookahead is None and not self.exhausted:
+            self._lookahead = next(self._iter, None)
+            self.exhausted = self._lookahead is None
+
+    def _pull(self) -> None:
+        """Append the next block (or mark the program exhausted)."""
+        self._peek()
+        if self._lookahead is not None:
+            block, self._lookahead = self._lookahead, None
+            self._append(block)
 
     def ensure_time(self, local_time: float, *, max_steps: Optional[int] = None) -> None:
         """Consume until the covered local time reaches ``local_time``.
@@ -317,7 +340,7 @@ class LocalProgramBuilder:
         while not self.exhausted and self.consumed_local_time < local_time:
             if max_steps is not None and len(self) >= max_steps:
                 return
-            self._pull_chunk()
+            self._pull()
 
     def snapshot(
         self, local_time: Optional[float] = None, *, max_steps: Optional[int] = None
@@ -341,6 +364,8 @@ class LocalProgramBuilder:
             count = min(count, len(self))
         if max_steps is not None:
             count = min(count, max_steps)
+        if count == len(self):
+            self._peek()  # the prefix is everything read: is it the whole program?
         complete = self.exhausted and count == len(self)
         return LocalProgramTable(
             dx=self._dx[:count],
@@ -351,6 +376,36 @@ class LocalProgramBuilder:
         )
 
 
+#: Every ``2**_COLUMNS_PARITY_SAMPLE_SHIFT``-th referenced block is re-derived
+#: through the instruction objects when contracts are enabled.
+_COLUMNS_PARITY_SAMPLE_SHIFT = 3
+_columns_parity_calls = 0
+
+
+def _check_columns_parity(block: ColumnBlock) -> None:
+    """``program.columns_parity`` on a sample of natively generated blocks.
+
+    Re-derives the block from the instruction stream it stands for (through
+    ``Move.rotated`` / ``Move.length``, via the instruction adapter) and
+    requires bit-identical columns, signed zeros included.
+    """
+    global _columns_parity_calls
+    sample = _columns_parity_calls % (1 << _COLUMNS_PARITY_SAMPLE_SHIFT) == 0
+    _columns_parity_calls += 1
+    if not sample:
+        return
+    rows = len(block.duration)
+    # One block holds the whole stream unless it is longer than this one.
+    derived = next(instruction_blocks(block.reference(), chunk=rows + 1), None)
+    same = derived is not None and all(
+        mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        for mine, theirs in zip(block[:3], derived[:3])
+    )
+    PROGRAM_COLUMNS_PARITY.check(
+        same, f"{len(block.duration)}-row block differs from its instruction stream"
+    )
+
+
 def local_program_table(
     program: Iterable[Instruction],
     *,
@@ -358,15 +413,9 @@ def local_program_table(
     max_steps: Optional[int] = None,
 ) -> LocalProgramTable:
     """One-shot convenience: accumulate ``program`` into a columnar table."""
-    builder = LocalProgramBuilder(program)
-    if max_local_time is None and max_steps is None:
-        while not builder.exhausted:
-            builder._pull_chunk()
-        return builder.snapshot()
-    if max_local_time is None:
-        builder.ensure_time(math.inf, max_steps=max_steps)
-        return builder.snapshot(max_steps=max_steps)
-    return builder.snapshot(max_local_time, max_steps=max_steps)
+    builder = LocalProgramBuilder(instruction_blocks(program))
+    local_time = math.inf if max_local_time is None else max_local_time
+    return builder.snapshot(local_time, max_steps=max_steps)
 
 
 @dataclass(frozen=True)
@@ -505,21 +554,10 @@ def compile_table(spec: AgentSpec, table: LocalProgramTable) -> TrajectoryTable:
         out_vy[body] = vel_y
 
     if post:
-        if n:
-            final_time = wake + float(table.cumulative[-1] * units.clock_rate)
-            # Recompute the end position the same way the lazy compiler does
-            # (sequential accumulation is what cumsum performs as well).
-            final_x = start_x0 + float(np.sum(disp_x))
-            final_y = start_y0 + float(np.sum(disp_y))
-        else:
-            final_time = wake
-            final_x, final_y = start_x0, start_y0
-        out_time[-1] = final_time
-        out_duration[-1] = math.inf
-        out_x[-1] = final_x
-        out_y[-1] = final_y
-        out_vx[-1] = 0.0
-        out_vy[-1] = 0.0
+        _write_trailing_row(
+            (out_time, out_duration, out_x, out_y, out_vx, out_vy),
+            total - 1, (wake, start_x0, start_y0),
+        )
 
     return TrajectoryTable(
         start_time=out_time,
@@ -531,6 +569,31 @@ def compile_table(spec: AgentSpec, table: LocalProgramTable) -> TrajectoryTable:
         exhausted=table.complete,
         segments=n + pre,
     )
+
+
+def _write_trailing_row(columns, at: int, origin) -> None:
+    """Write a finished program's infinite stationary row at index ``at``.
+
+    ``columns`` are the table's ``(start_time, duration, start_x, start_y,
+    vel_x, vel_y)`` buffers.  The row starts where row ``at - 1`` ends, derived
+    exactly as the event engine's cursor does when a finite program runs out
+    (``_AgentCursor.advance_past``): that segment's start time plus its
+    duration, at its end position ``start + velocity * duration``.  With no
+    row before it the agent never moves and holds ``origin``, its
+    ``(wake_time, x, y)``.
+    """
+    time, duration, x, y, vx, vy = columns
+    if at:
+        last = at - 1
+        span = duration[last]
+        time[at] = time[last] + span
+        x[at] = x[last] + vx[last] * span
+        y[at] = y[last] + vy[last] * span
+    else:
+        time[at], x[at], y[at] = origin
+    duration[at] = math.inf
+    vx[at] = 0.0
+    vy[at] = 0.0
 
 
 #: Process-wide count of trajectory rows compiled by every
@@ -680,25 +743,10 @@ class IncrementalTableCompiler:
         total = self._pre + n
         if local.complete:
             # One-time tail: the program is complete, so the prefix is final.
-            # The end position is recomputed exactly like compile_table
-            # (pairwise np.sum over the full displacement columns).
-            if n:
-                final_time = self._wake + float(
-                    local.cumulative[-1] * self._rate
-                )
-                disp_x = (self._m00 * local.dx + self._m01 * local.dy) * self._unit
-                disp_y = (self._m10 * local.dx + self._m11 * local.dy) * self._unit
-                final_x = self._x0 + float(np.sum(disp_x))
-                final_y = self._y0 + float(np.sum(disp_y))
-            else:
-                final_time = self._wake
-                final_x, final_y = self._x0, self._y0
-            self._time[total] = final_time
-            self._dur[total] = math.inf
-            self._x[total] = final_x
-            self._y[total] = final_y
-            self._vx[total] = 0.0
-            self._vy[total] = 0.0
+            _write_trailing_row(
+                (self._time, self._dur, self._x, self._y, self._vx, self._vy),
+                total, (self._wake, self._x0, self._y0),
+            )
             total += 1
         table = TrajectoryTable(
             start_time=self._time[:total],

@@ -6,15 +6,75 @@ combinators below let Algorithm 1 compose them the way the pseudocode does:
 run a sub-procedure in a rotated frame, run it only for a bounded local time
 while recording the followed path, interleave recorded chunks with waits,
 backtrack, and so on.
+
+The batch engine consumes programs in a second, columnar form: a stream of
+:class:`ColumnBlock` s, each a run of rows ``(dx, dy, duration)`` as float
+arrays.  :func:`instruction_blocks` turns any instruction stream into that
+form; algorithms whose structure is columnar (Algorithm 1's rotated cow-walk
+sweeps) emit blocks directly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional
+
+import numpy as np
 
 from repro.motion.instructions import Instruction, Move, Wait
 from repro.motion.localpath import LocalPath, LocalStep
 from repro.util.errors import AlgorithmContractError
+
+
+class ColumnBlock(NamedTuple):
+    """A run of program rows as columns: local displacement and local duration.
+
+    ``duration`` is the move length (``Move.length``) for moves and the wait
+    time for waits, whose displacement is zero.  Rows of zero duration are
+    null instructions and are dropped by the consumer.  ``reference``, when
+    set, re-creates the instruction stream the block stands for; natively
+    generated blocks carry it so a contract check can re-derive them through
+    :class:`Move` (see ``program.columns_parity``).
+    """
+
+    dx: np.ndarray
+    dy: np.ndarray
+    duration: np.ndarray
+    reference: Optional[Callable[[], Iterable[Instruction]]] = None
+
+
+def instruction_blocks(program: Iterable[Instruction], chunk: int = 1024) -> Iterator[ColumnBlock]:
+    """Columnar form of an instruction stream, ``chunk`` rows per block.
+
+    The adapter every instruction-emitting program goes through to reach the
+    batch engine.  The stream is consumed lazily, one block at a time, so
+    infinite programs stay infinite.
+    """
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
+    iterator = iter(program)
+
+    def blocks() -> Iterator[ColumnBlock]:
+        dx: List[float] = []
+        dy: List[float] = []
+        duration: List[float] = []
+        for instruction in iterator:
+            if isinstance(instruction, Move):
+                dx.append(instruction.dx)
+                dy.append(instruction.dy)
+                duration.append(instruction.length)
+            elif isinstance(instruction, Wait):
+                dx.append(0.0)
+                dy.append(0.0)
+                duration.append(instruction.duration)
+            else:
+                raise AlgorithmContractError(f"unknown instruction {instruction!r}")
+            if len(duration) == chunk:
+                yield ColumnBlock(np.array(dx), np.array(dy), np.array(duration))
+                dx, dy, duration = [], [], []
+        if duration:
+            yield ColumnBlock(np.array(dx), np.array(dy), np.array(duration))
+
+    return blocks()
 
 
 def rotate_instructions(program: Iterable[Instruction], alpha: float) -> Iterator[Instruction]:

@@ -10,7 +10,7 @@ neither met nor terminated with a geometrically grown horizon.  This module
 holds that loop's building blocks:
 
 * :class:`ProgramSource` — serves trajectory tables while consuming each
-  instruction stream only once (shared builders for universal algorithms)
+  program's column blocks only once (shared builders for universal algorithms)
   and compiling each trajectory row only once *per process*
   (:class:`~repro.motion.compiler.IncrementalTableCompiler` per distinct
   trajectory, extended as the adaptive horizon grows); both the consumed
@@ -65,6 +65,7 @@ from repro.motion.compiler import (
     LocalProgramBuilder,
     TrajectoryTable,
 )
+from repro.motion.program import instruction_blocks
 from repro.obs import core as _obs
 from repro.sim.engine import _resolve_program
 from repro.sim.results import TerminationReason
@@ -223,13 +224,26 @@ def compiler_cache_admission(policy: str) -> Iterator[None]:
         _COMPILER_CACHE_ADMISSION = previous
 
 
-class ProgramSource:
-    """Serves trajectory tables, consuming each instruction stream only once.
+def _resolve_blocks(algorithm: Any, instance: Instance, spec: AgentSpec, role: str):
+    """The column blocks of one agent's program (the batch engine's input).
 
-    Universal algorithms share a single :class:`LocalProgramBuilder` across
-    every agent of every instance; non-universal programs get one builder per
-    (instance, role), created on first use and *extended* (never re-created)
-    as the adaptive horizon grows.
+    Algorithm objects provide them through ``program_blocks_for``; bare
+    callables and duck-typed objects go through the instruction adapter.
+    """
+    hook = getattr(algorithm, "program_blocks_for", None)
+    if hook is not None:
+        return hook(instance, spec, role)
+    return instruction_blocks(_resolve_program(algorithm, instance, spec, role))
+
+
+class ProgramSource:
+    """Serves trajectory tables, consuming each program only once.
+
+    Every program reaches its builder as column blocks
+    (``program_blocks_for``).  Universal algorithms share a single
+    :class:`LocalProgramBuilder` across every agent of every instance;
+    non-universal programs get one builder per (instance, role), created on
+    first use and *extended* (never re-created) as the adaptive horizon grows.
     """
 
     def __init__(self, algorithm: Any, max_segments: Optional[int]) -> None:
@@ -270,7 +284,7 @@ class ProgramSource:
                     self._shared = _BUILDER_CACHE.pop(cache_key, None)
                 if self._shared is None:
                     self._shared = LocalProgramBuilder(
-                        _resolve_program(self.algorithm, instance, spec, role)
+                        _resolve_blocks(self.algorithm, instance, spec, role)
                     )
                 if cache_key is not None:
                     # (Re-)insert at the back: dict order is the LRU order.
@@ -282,7 +296,7 @@ class ProgramSource:
             builder = self._builders.get(key)
             if builder is None:
                 builder = LocalProgramBuilder(
-                    _resolve_program(self.algorithm, instance, spec, role)
+                    _resolve_blocks(self.algorithm, instance, spec, role)
                 )
                 self._builders[key] = builder
         local = builder.snapshot(local_budget, max_steps=self.max_steps)

@@ -1,18 +1,25 @@
 """Tests for AlmostUniversalRV (Algorithm 1): structure and coverage (Theorem 3.2)."""
 
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.algorithms.almost_universal import AlmostUniversalRV
 from repro.algorithms.cow_walk import planar_cow_walk_duration, planar_cow_walk_segment_count
 from repro.algorithms.schedules import CompactSchedule, PaperSchedule
+from repro.contracts import core as contracts_core
+from repro.contracts.core import ContractViolation, _override_mode
 from repro.core.instance import Instance
+from repro.motion.compiler import LocalProgramBuilder
 from repro.motion.instructions import Move, Wait
 from repro.motion.localpath import LocalPath
+from repro.motion.program import ColumnBlock, instruction_blocks
 from repro.sim.engine import simulate
 from repro.sim.results import TerminationReason
+from repro.util.errors import AlgorithmContractError
 
 
 class TestSchedules:
@@ -196,3 +203,83 @@ class TestPhaseMemoization:
         tweaked = Tweaked(PaperSchedule())
         assert list(tweaked._phase_steps(1)) == [Wait(1.0)]
         assert tweaked.program_cache_key is None
+
+
+def _columns(blocks, max_steps=None):
+    """The builder table of a block stream, fully consumed (or ``max_steps`` rows)."""
+    return LocalProgramBuilder(blocks).snapshot(math.inf, max_steps=max_steps)
+
+
+def _assert_bit_identical(native, reference):
+    for name in ("dx", "dy", "duration", "cumulative"):
+        assert getattr(native, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+class TestColumnarProgram:
+    """``program_blocks`` is the instruction stream, row for row and bit for bit."""
+
+    @pytest.mark.parametrize("schedule", [PaperSchedule(), CompactSchedule()], ids=["paper", "compact"])
+    @pytest.mark.parametrize("phase", [1, 2, 3, 4])
+    def test_phase_blocks_match_the_instruction_stream(self, schedule, phase):
+        algorithm = AlmostUniversalRV(schedule)
+        native = _columns(algorithm.phase_blocks(phase))
+        reference = _columns(instruction_blocks(algorithm.phase(phase)))
+        assert native.complete and reference.complete
+        _assert_bit_identical(native, reference)
+
+    def test_phase_five_prefix_matches_the_instruction_stream(self):
+        algorithm = AlmostUniversalRV(CompactSchedule())
+        rows = 50_000
+        native = _columns(algorithm.phase_blocks(5), max_steps=rows)
+        reference = _columns(
+            instruction_blocks(itertools.islice(algorithm.phase(5), rows)), max_steps=rows
+        )
+        assert len(native) == len(reference) == rows
+        _assert_bit_identical(native, reference)
+
+    def test_max_phase_is_honoured(self):
+        algorithm = AlmostUniversalRV(CompactSchedule(), max_phase=3)
+        native = _columns(algorithm.program_blocks())
+        reference = _columns(instruction_blocks(algorithm.program()))
+        assert native.complete
+        assert len(native) == sum(len(_columns(instruction_blocks(algorithm.phase(i)))) for i in (1, 2, 3))
+        _assert_bit_identical(native, reference)
+
+    def test_phase_override_falls_back_to_the_adapter(self):
+        class Tweaked(AlmostUniversalRV):
+            def phase(self, i):
+                yield Wait(float(i))
+
+        table = _columns(Tweaked(PaperSchedule(), max_phase=3).program_blocks())
+        assert table.complete
+        assert table.duration.tolist() == [1.0, 2.0, 3.0]
+
+    def test_non_finite_schedule_is_rejected(self):
+        @dataclasses.dataclass(frozen=True)
+        class NanStep(PaperSchedule):
+            def rotation_step(self, i):
+                return math.nan
+
+        with pytest.raises(AlgorithmContractError):
+            _columns(AlmostUniversalRV(NanStep(), max_phase=1).program_blocks())
+
+    def test_columns_parity_contract_checks_native_blocks(self, monkeypatch):
+        from repro.motion import compiler
+
+        contract = contracts_core.get("program.columns_parity")
+        monkeypatch.setattr(compiler, "_columns_parity_calls", 0)
+        fired = contract.fired
+        with _override_mode("raise"):
+            _columns(AlmostUniversalRV(PaperSchedule(), max_phase=2).program_blocks())
+        assert contract.fired > fired
+
+    def test_columns_parity_contract_catches_a_divergent_block(self, monkeypatch):
+        from repro.motion import compiler
+
+        monkeypatch.setattr(compiler, "_columns_parity_calls", 0)
+        block = ColumnBlock(
+            np.array([1.0]), np.array([0.0]), np.array([1.0]),
+            reference=lambda: [Move(1.0, -0.0)],  # the signed zero differs
+        )
+        with _override_mode("raise"), pytest.raises(ContractViolation):
+            _columns([block])

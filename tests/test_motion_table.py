@@ -16,6 +16,7 @@ from profiles import SLOW_SETTINGS, STANDARD_SETTINGS
 from repro.algorithms.cow_walk import planar_cow_walk
 from repro.core.instance import Instance
 from repro.motion.compiler import (
+    IncrementalTableCompiler,
     LocalProgramBuilder,
     compile_table,
     compile_trajectory,
@@ -23,6 +24,10 @@ from repro.motion.compiler import (
     local_program_table,
 )
 from repro.motion.instructions import Move, Wait
+from repro.motion.program import ColumnBlock, instruction_blocks
+from repro.sim.engine import _AgentCursor
+from repro.sim.timebase import FloatTimebase
+from repro.util.errors import AlgorithmContractError
 
 # Subnormal components carry only a handful of mantissa bits, so the tight
 # tolerances below are not meaningful for them (and such moves are physically
@@ -67,7 +72,7 @@ class TestLocalProgramBuilder:
 
     def test_budgeted_snapshot_covers_requested_time(self):
         program = [Wait(1.0)] * 20
-        builder = LocalProgramBuilder(program)
+        builder = LocalProgramBuilder(instruction_blocks(program))
         snap = builder.snapshot(4.5)
         assert snap.total_duration >= 4.5
         assert not snap.complete
@@ -81,16 +86,113 @@ class TestLocalProgramBuilder:
                 k += 1.0
                 yield Wait(k)
 
-        builder = LocalProgramBuilder(stream())
+        builder = LocalProgramBuilder(instruction_blocks(stream()))
         early = builder.snapshot(1.0)
         early_durations = early.duration.copy()
         builder.ensure_time(1e7)
         assert np.array_equal(early.duration, early_durations)
 
     def test_max_steps_bound(self):
-        builder = LocalProgramBuilder(Wait(1.0) for _ in range(10**6))
+        builder = LocalProgramBuilder(instruction_blocks(Wait(1.0) for _ in range(10**6)))
         snap = builder.snapshot(1e18, max_steps=100)
         assert len(snap) == 100 and not snap.complete
+
+
+def _sequential_fold(durations):
+    total, fold = 0.0, []
+    for duration in durations:
+        total = total + duration
+        fold.append(total)
+    return fold
+
+
+class TestBuilderBlocks:
+    @pytest.mark.parametrize("chunk", [1, 7, 1024, 5000])
+    def test_cumulative_is_the_sequential_fold_for_any_block_size(self, chunk):
+        # Random waits make an unseeded per-block cumsum round differently
+        # from the sequential fold on most rows.
+        rng = np.random.default_rng(13)
+        waits = [Wait(float(d)) for d in rng.uniform(0.0, 10.0, 5000)]
+        builder = LocalProgramBuilder(instruction_blocks(waits, chunk=chunk))
+        table = builder.snapshot(math.inf)
+        assert table.complete and len(table) == 5000
+        assert table.cumulative.tolist() == _sequential_fold(w.duration for w in waits)
+
+    def test_null_rows_inside_a_block_are_dropped(self):
+        block = ColumnBlock(
+            np.array([0.0, 3.0, 0.0]), np.array([0.0, 4.0, 0.0]), np.array([0.0, 5.0, 2.0])
+        )
+        table = LocalProgramBuilder([block]).snapshot(math.inf)
+        assert table.duration.tolist() == [5.0, 2.0]
+        assert table.cumulative.tolist() == [5.0, 7.0]
+        assert table.dx.tolist() == [3.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "dx, dy, duration",
+        [
+            (math.nan, 0.0, 1.0),
+            (0.0, math.inf, 1.0),
+            (0.0, 0.0, math.inf),
+            (0.0, 0.0, math.nan),
+            (0.0, 0.0, -1.0),
+        ],
+    )
+    def test_non_finite_block_is_rejected(self, dx, dy, duration):
+        good = ColumnBlock(np.array([1.0]), np.array([0.0]), np.array([1.0]))
+        bad = ColumnBlock(np.array([dx]), np.array([dy]), np.array([duration]))
+        builder = LocalProgramBuilder([good, bad])
+        with pytest.raises(AlgorithmContractError):
+            builder.snapshot(math.inf)
+
+    def test_finite_program_is_complete_as_soon_as_its_last_row_is_read(self):
+        builder = LocalProgramBuilder(instruction_blocks([Wait(1.0)] * 4, chunk=2))
+        table = builder.snapshot(4.0)
+        assert len(table) == 4 and table.complete
+
+
+class TestTrailingRow:
+    """The trailing row of a finite program starts where the event engine's
+    cursor parks the finished agent: the last segment's start time plus its
+    duration, at its end position."""
+
+    INSTANCE = Instance(r=0.5, x=3.0, y=1.0, phi=0.7, tau=1.3, v=0.9, t=2.5, chi=1)
+
+    @staticmethod
+    def _program():
+        rng = np.random.default_rng(5)
+        program = []
+        for _ in range(3000):
+            if rng.random() < 0.2:
+                program.append(Wait(float(rng.uniform(0.1, 3.0))))
+            else:
+                program.append(Move(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))))
+        return program
+
+    @pytest.mark.parametrize("role", ["A", "B"])
+    def test_both_compilers_match_the_event_engine_exactly(self, role):
+        spec = self.INSTANCE.agent_a() if role == "A" else self.INSTANCE.agent_b()
+        program = self._program()
+        cursor = _AgentCursor(spec, iter(program), FloatTimebase())
+        cursor.advance_past(math.inf)
+        assert cursor.exhausted
+        expected = (cursor.current.start_time, *cursor.current.start_pos)
+        local = local_program_table(program)
+        for table in (compile_table(spec, local), IncrementalTableCompiler(spec).table(local)):
+            assert table.exhausted and math.isinf(table.duration[-1])
+            assert (table.start_time[-1], table.start_x[-1], table.start_y[-1]) == expected
+            last = len(table) - 2
+            span = table.duration[last]
+            assert table.start_time[-1] == table.start_time[last] + span
+            assert table.start_x[-1] == table.start_x[last] + table.vel_x[last] * span
+
+    def test_empty_program_holds_the_start_from_wake_up(self):
+        spec = self.INSTANCE.agent_b()
+        for table in (
+            compile_table(spec, local_program_table([])),
+            IncrementalTableCompiler(spec).table(local_program_table([])),
+        ):
+            assert table.start_time[-1] == spec.units.wake_time
+            assert (table.start_x[-1], table.start_y[-1]) == spec.start
 
 
 class TestCompileTableParity:

@@ -23,6 +23,7 @@ from repro.analysis.sampler import InstanceSampler
 from repro.core.classification import InstanceClass
 from repro.core.instance import Instance
 from repro.motion.compiler import LocalProgramBuilder
+from repro.motion.program import instruction_blocks
 from repro.motion.instructions import Move
 from repro.parallel.runner import BatchRunner, BatchTask, run_batch
 from repro.sim import rounds
@@ -559,7 +560,7 @@ class TestSection5Experiment:
 
 
 def _builder_with_rows(rows: int) -> LocalProgramBuilder:
-    builder = LocalProgramBuilder(Move(1.0, 0.0) for _ in range(rows))
+    builder = LocalProgramBuilder(instruction_blocks(Move(1.0, 0.0) for _ in range(rows)))
     builder.ensure_time(math.inf)
     assert len(builder) == rows
     return builder
