@@ -123,8 +123,8 @@ def main() -> int:
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        # Environment-resolved kernel settings of this measurement; results
-        # never depend on them, wall times do.
+        # The kernel of this measurement (the one numpy kernel, serial
+        # chunks), kept so the snapshot schema stays unchanged.
         "kernel": {
             "backend": get_backend(None).name,
             "threads": resolve_kernel_threads(None),

@@ -215,10 +215,9 @@ def main() -> int:
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        # The kernel settings the measurement ran under (environment-resolved:
-        # REPRO_KERNEL_BACKEND / REPRO_KERNEL_THREADS).  Results never depend
-        # on them, but wall times do — a baseline written under a different
-        # setting is not comparable second-for-second.
+        # The kernel the measurement ran under: the one numpy kernel, chunks
+        # solved serially.  Kept so every snapshot carries the same schema
+        # as the committed baselines.
         "kernel": {
             "backend": get_backend(None).name,
             "threads": resolve_kernel_threads(None),

@@ -28,7 +28,6 @@ from repro.campaign.executor import FaultInjection, ShardExecutor
 from repro.campaign.leases import LeaseManager
 from repro.campaign.orchestrator import (
     CampaignRunStats,
-    resolve_cache_policy,
     run_campaign,
     status_rows,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "UNIFORM_CLASS",
     "plan_shards",
     "records_to_columns",
-    "resolve_cache_policy",
     "run_campaign",
     "shard_instances",
     "shard_tasks",

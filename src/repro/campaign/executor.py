@@ -54,7 +54,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from multiprocessing import get_context
 
 from repro.campaign.leases import LeaseManager
-from repro.campaign.shards import Shard, shard_instances, shard_tasks
+from repro.campaign.shards import Shard, shard_cache_scope, shard_instances, shard_tasks
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.campaign.store import CampaignStore, records_to_columns
 from repro.obs import core as _obs
@@ -118,7 +118,7 @@ def _apply_fault(kind: Optional[str]) -> None:
         raise RuntimeError("injected shard fault")
 
 
-def _worker_main(spec: CampaignSpec, cache_policy: str, conn) -> None:
+def _worker_main(spec: CampaignSpec, conn) -> None:
     """Worker process: compute shards from the pipe until told to stop.
 
     Workers compute *columns* and ship them back; the parent alone writes
@@ -142,7 +142,6 @@ def _worker_main(spec: CampaignSpec, cache_policy: str, conn) -> None:
     # SIGINT, releases leases and shuts the pool down cleanly.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.parallel.runner import BatchRunner
-    from repro.sim.rounds import compiler_cache_admission
 
     with BatchRunner(processes=1) as runner:
         while True:
@@ -156,7 +155,7 @@ def _worker_main(spec: CampaignSpec, cache_policy: str, conn) -> None:
                 if not _obs.enabled():
                     instances = shard_instances(spec, shard)
                     tasks = shard_tasks(spec, shard, instances)
-                    with compiler_cache_admission(cache_policy):
+                    with shard_cache_scope(spec):
                         records = runner.run(tasks)
                     columns = records_to_columns(shard, records)
                     conn.send(
@@ -168,7 +167,7 @@ def _worker_main(spec: CampaignSpec, cache_policy: str, conn) -> None:
                             with _obs.span("campaign.sample"):
                                 instances = shard_instances(spec, shard)
                                 tasks = shard_tasks(spec, shard, instances)
-                            with compiler_cache_admission(cache_policy):
+                            with shard_cache_scope(spec):
                                 records = runner.run(tasks)
                             with _obs.span("campaign.collate"):
                                 columns = records_to_columns(shard, records)
@@ -220,7 +219,6 @@ class ShardExecutor:
     stats: Any  # CampaignRunStats (avoids a circular import)
     emit: Callable[[str], None]
     workers: int
-    cache_policy: str
     plan_size: int
     shard_timeout: Optional[float] = None
     max_attempts: int = 3
@@ -276,7 +274,7 @@ class ShardExecutor:
         parent_conn, child_conn = self._mp.Pipe()
         process = self._mp.Process(
             target=_worker_main,
-            args=(self.spec, self.cache_policy, child_conn),
+            args=(self.spec, child_conn),
             daemon=True,
         )
         process.start()

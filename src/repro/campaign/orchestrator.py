@@ -18,14 +18,11 @@ uninterrupted run's — for every worker count, retry history and interleaving
 of concurrent runners (the lease protocol of :mod:`repro.campaign.leases`
 keeps those from duplicating work).
 
-The orchestrator is also where the compiler-cache admission policy lives
-(the natural shard-granular vantage point the ROADMAP asked for): with
-``cache_policy="auto"`` it counts the campaign's expected distinct universal
-compilers — one shared A-side compiler plus one B-side compiler per distinct
-instance — against :func:`repro.sim.rounds.compiler_cache_entry_budget`, and
-scopes :func:`repro.sim.rounds.compiler_cache_admission` to ``"shared-only"``
-around every shard when the budget would thrash: the guaranteed-reusable
-A-side entry stays cached, the single-use B-side flood never enters.
+Every shard runs inside :func:`repro.campaign.shards.shard_cache_scope`,
+inline and in the pool's workers alike: agent A's compiler is shared by every
+shard, and B-side compilers enter the cross-call compiler cache only when a
+later arm of the same algorithm will ask for them again (and they fit the
+cache); otherwise they die with their shard.
 """
 
 from __future__ import annotations
@@ -40,22 +37,24 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.executor import FaultInjection, ShardExecutor, retry_delay
 from repro.campaign.leases import DEFAULT_STALE_AFTER, LeaseManager
-from repro.campaign.shards import Shard, plan_shards, shard_instances, shard_tasks
+from repro.campaign.shards import (
+    Shard,
+    plan_shards,
+    shard_cache_scope,
+    shard_instances,
+    shard_tasks,
+)
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.campaign.store import CampaignStore, records_to_columns
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import CAMPAIGN_RESUME_NO_RECOMPUTE
 from repro.obs import core as _obs
 from repro.obs import trace as _trace
-from repro.sim.rounds import compiler_cache_admission, compiler_cache_entry_budget
 from repro.util.logging import get_logger
 
 logger = get_logger("campaign.orchestrator")
 
-__all__ = ["CampaignRunStats", "resolve_cache_policy", "run_campaign", "status_rows"]
-
-#: Valid ``cache_policy`` selections of :func:`run_campaign`.
-CACHE_POLICIES = ("auto", "all", "shared-only")
+__all__ = ["CampaignRunStats", "run_campaign", "status_rows"]
 
 
 @dataclass
@@ -70,7 +69,6 @@ class CampaignRunStats:
     """
 
     spec_digest: str
-    cache_policy: str
     workers: int = 1
     shards_planned: int = 0
     shards_skipped: int = 0
@@ -108,7 +106,6 @@ class CampaignRunStats:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "spec_digest": self.spec_digest,
-            "cache_policy": self.cache_policy,
             "workers": self.workers,
             "shards_planned": self.shards_planned,
             "shards_skipped": self.shards_skipped,
@@ -126,33 +123,6 @@ class CampaignRunStats:
             "complete": self.complete,
             "wall_seconds": round(self.wall_seconds, 3),
         }
-
-
-def resolve_cache_policy(spec: CampaignSpec, policy: str) -> str:
-    """Resolve ``"auto"`` against the compiler cache's entry budget.
-
-    Cross-call compiler-cache entries are keyed ``(program_cache_key,
-    spec)``: per distinct arm *algorithm* the campaign holds one shared
-    A-side entry plus (at most) one B-side entry per distinct instance.
-    Instances are shared across arms, so the estimate is
-    ``distinct_algorithms x (classes x instances_per_cell + 1)``.  When that
-    exceeds the cross-call cache's entry budget, LRU insertion would evict
-    reusable entries to make room for single-use ones — so admission drops to
-    the shared A side only.
-    """
-    if policy not in CACHE_POLICIES:
-        raise CampaignError(
-            f"unknown cache_policy {policy!r}; expected one of {CACHE_POLICIES}"
-        )
-    if policy != "auto":
-        return policy
-    distinct_algorithms = len({arm.algorithm for arm in spec.arms})
-    distinct_compilers = distinct_algorithms * (
-        len(spec.classes) * spec.instances_per_cell + 1
-    )
-    if distinct_compilers > compiler_cache_entry_budget():
-        return "shared-only"
-    return "all"
 
 
 class _SignalGuard:
@@ -202,7 +172,6 @@ def run_campaign(
     *,
     runner=None,
     max_shards: Optional[int] = None,
-    cache_policy: str = "auto",
     shard_hook: Optional[Callable[[Shard], None]] = None,
     progress: Optional[Callable[[str], None]] = None,
     workers: int = 1,
@@ -234,9 +203,6 @@ def run_campaign(
         ``stats.interrupted = True`` — the controlled form of "kill it
         partway" (CI interrupts campaigns this way; a real crash just stops
         harder).  ``None`` runs to completion.
-    cache_policy:
-        Compiler-cache admission around each shard: ``"auto"`` (default,
-        see :func:`resolve_cache_policy`), ``"all"``, or ``"shared-only"``.
     shard_hook:
         Called with each :class:`Shard` immediately before it executes (on
         every dispatch, including retries).  Exists for fault injection — a
@@ -296,7 +262,6 @@ def run_campaign(
     else:
         spec = store.initialize(spec)
     spec.validate_algorithms()
-    policy = resolve_cache_policy(spec, cache_policy)
     emit = progress if progress is not None else (lambda line: logger.debug("%s", line))
 
     plan = plan_shards(spec)
@@ -304,7 +269,6 @@ def run_campaign(
     quarantined = store.failed_shards()
     stats = CampaignRunStats(
         spec_digest=spec.digest(),
-        cache_policy=policy,
         workers=workers,
         shards_planned=len(plan),
     )
@@ -319,7 +283,7 @@ def run_campaign(
     emit(
         f"campaign {spec.name!r} [{stats.spec_digest}]: {len(plan)} shards planned, "
         f"{stats.shards_skipped} already complete, {len(pending)} to run "
-        f"(cache policy: {policy}, workers: {workers})"
+        f"(workers: {workers})"
     )
     if stats.shards_quarantined:
         emit(
@@ -343,7 +307,6 @@ def run_campaign(
                     stats=stats,
                     emit=emit,
                     workers=workers,
-                    cache_policy=policy,
                     plan_size=len(plan),
                     shard_timeout=shard_timeout,
                     max_attempts=max_attempts,
@@ -360,7 +323,6 @@ def run_campaign(
                     leases=leases,
                     stats=stats,
                     emit=emit,
-                    policy=policy,
                     plan_size=len(plan),
                     pending=pending,
                     runner=runner,
@@ -409,7 +371,6 @@ def _run_inline(
     leases: LeaseManager,
     stats: CampaignRunStats,
     emit: Callable[[str], None],
-    policy: str,
     plan_size: int,
     pending: Sequence[Shard],
     runner,
@@ -489,7 +450,7 @@ def _run_inline(
                             with _obs.span("campaign.sample"):
                                 instances = shard_instances(spec, shard)
                                 tasks = shard_tasks(spec, shard, instances)
-                            with compiler_cache_admission(policy):
+                            with shard_cache_scope(spec):
                                 records = runner.run(tasks)
                             with _obs.span("campaign.collate"):
                                 columns = records_to_columns(shard, records)

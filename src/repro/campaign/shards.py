@@ -18,6 +18,7 @@ resume.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
@@ -26,7 +27,14 @@ from repro.campaign.spec import RATIO_OPTIONS, CampaignSpec
 from repro.core.instance import Instance
 from repro.sim.scenarios import STALL_RANGE_OPTIONS, resolve_stall_options
 
-__all__ = ["Shard", "class_stream_seed", "plan_shards", "shard_instances", "shard_tasks"]
+__all__ = [
+    "Shard",
+    "class_stream_seed",
+    "plan_shards",
+    "shard_cache_scope",
+    "shard_instances",
+    "shard_tasks",
+]
 
 #: Spawn-key tag rooting the stall-option draws in their own branch of the
 #: class stream's seed tree.  Sampler children append the bare instance
@@ -104,6 +112,33 @@ def class_stream_seed(spec: CampaignSpec, class_index: int):
     import numpy as np
 
     return np.random.SeedSequence(spec.seed).spawn(len(spec.classes))[class_index]
+
+
+def shard_cache_scope(spec: CampaignSpec):
+    """The cross-call compiler-cache admission every shard of ``spec`` runs under.
+
+    Agent A's spec is the same in every instance, so its compiler is always
+    cached.  B-side specs are one per instance, and every arm simulates the
+    same instance stream (:func:`class_stream_seed`): a later arm of an
+    algorithm an earlier arm already ran asks for the same B-side compilers
+    again.  Arms run one after another (:func:`plan_shards`), so those
+    compilers are still cached when the later arm comes only if every
+    algorithm's B-side set fits the cache's entry cap at once.  When an
+    algorithm repeats and the sets fit, shards admit every spec (the
+    Section 5 ratio grid and the stalling sweep are such campaigns);
+    otherwise each B-side compiler would be used once, and caching it would
+    only evict entries that recur, so shards admit agent A's alone
+    (:func:`repro.sim.rounds.compiler_cache_admission`).  Results never
+    depend on the choice.
+    """
+    from repro.sim.rounds import compiler_cache_admission, compiler_cache_entry_limit
+
+    algorithms = [arm.algorithm for arm in spec.arms]
+    distinct = len(set(algorithms))
+    compilers = distinct * (len(spec.classes) * spec.instances_per_cell + 1)
+    if distinct < len(algorithms) and compilers <= compiler_cache_entry_limit():
+        return contextlib.nullcontext()
+    return compiler_cache_admission()
 
 
 def shard_instances(spec: CampaignSpec, shard: Shard) -> List[Instance]:

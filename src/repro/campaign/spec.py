@@ -12,9 +12,9 @@ campaign directories holding equal specs therefore hold byte-identical
 result columns once complete, which is what makes ``repro campaign resume``
 safe: the digest pins the work, the manifest records which of it is done.
 
-Per-arm options are ordinary simulator options
-(:data:`repro.parallel.runner._VECTORIZABLE_OPTIONS` plus anything the event
-fallback accepts, e.g. ``timebase="exact"``) with two campaign-only
+Per-arm options are ordinary simulator options (the fields of
+:class:`~repro.sim.engine.RendezvousSimulator`, e.g. ``timebase="exact"``,
+plus the options the scenario registry declares) with two campaign-only
 conveniences resolved at task-build time: ``radius_a_ratio`` /
 ``radius_b_ratio`` scale each *instance's own* ``r`` into concrete per-agent
 radii, which is how a Section 5 radius-ratio sweep serializes without
@@ -26,11 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classification import InstanceClass
-from repro.sim.scenarios import validate_scenario_options
+from repro.sim.engine import RendezvousSimulator
+from repro.sim.scenarios import registered_scenarios, validate_scenario_options
 from repro.util.errors import ReproError
 
 __all__ = [
@@ -58,8 +59,8 @@ class CampaignError(ReproError):
 #: construction so a bad value fails with a named CampaignError up front —
 #: not as a numpy/engine ValueError in the middle of a shard, where the
 #: fault-tolerant executor would retry it and quarantine the shard.
-_POSITIVE_FINITE_OPTIONS = ("max_time", "initial_horizon", "radius_a", "radius_b")
-_POSITIVE_INT_OPTIONS = ("max_segments", "kernel_threads")
+_POSITIVE_FINITE_OPTIONS = ("max_time", "radius_a", "radius_b")
+_POSITIVE_INT_OPTIONS = ("max_segments",)
 _NON_NEGATIVE_OPTIONS = ("radius_slack",)
 
 
@@ -67,13 +68,35 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _validate_simulator_options(options: Mapping[str, Any], where: str) -> None:
-    """Range-check the known numeric simulator options of one option mapping.
+def _known_simulator_options() -> frozenset:
+    """Every option key a campaign task may carry.
 
-    Unknown keys pass through untouched (the event fallback accepts options —
-    ``timebase``, ``record_trajectories`` — this module has no business
-    enumerating); only the numeric knobs with a fixed domain are pinned.
+    The :class:`~repro.sim.engine.RendezvousSimulator` fields (what the event
+    fallback is built from), the :data:`RATIO_OPTIONS` conveniences, and the
+    options every registered scenario family declares (including derived
+    ones such as ``stall_time_range``).  Read at call time, so a family
+    registered after import is known too.
     """
+    known = {spec_field.name for spec_field in fields(RendezvousSimulator)}
+    known.update(RATIO_OPTIONS)
+    for family in registered_scenarios():
+        known.update(family.options)
+    return frozenset(known)
+
+
+def _validate_simulator_options(options: Mapping[str, Any], where: str) -> None:
+    """Reject unknown keys, then range-check the numeric options of a mapping.
+
+    An unknown key (a typo such as ``max_segmnts``) would otherwise reach
+    ``RendezvousSimulator(**options)`` as a ``TypeError`` in every attempt
+    of every shard, and the executor would quarantine them all.
+    """
+    unknown = sorted(set(options) - _known_simulator_options())
+    if unknown:
+        raise CampaignError(
+            f"unknown simulator option(s) {', '.join(map(repr, unknown))} "
+            f"in {where}"
+        )
     for key in _POSITIVE_FINITE_OPTIONS:
         value = options.get(key)
         if value is None:

@@ -28,8 +28,7 @@ Exit-code contract (every subcommand, tested in ``tests/test_cli.py``):
 * ``0`` — success: the command did what was asked and, where applicable,
   the subject is complete and healthy (a finished campaign, a clean store,
   an accepted or deduplicated submission, a cleanly drained daemon);
-* ``2`` — usage error: bad flags, invalid spec, unknown backend, an
-  unreachable daemon — nothing was executed (argparse's own convention,
+* ``2`` — usage error: bad flags, invalid spec, an unreachable daemon — nothing was executed (argparse's own convention,
   shared by every :class:`~repro.util.errors.ReproError`);
 * ``3`` — ran fine but the subject is not (yet) complete: an interrupted or
   partial campaign, quarantined shards or jobs, a submission refused by
@@ -88,44 +87,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_kernel_backend(name: Optional[str]) -> Optional[str]:
-    """Resolve a --kernel-backend name early; returns an error string if unknown."""
-    if name is None:
-        return None
-    from repro.geometry.backends import get_backend
-
-    try:
-        get_backend(name)
-    except ValueError as error:
-        return str(error)
-    return None
-
-
-def _check_kernel_threads(value: Optional[int]) -> Optional[str]:
-    """Resolve a --kernel-threads count early; returns an error string if invalid.
-
-    ``None`` still resolves — it consults ``REPRO_KERNEL_THREADS``, so a bad
-    environment value surfaces as a clean CLI error instead of a traceback
-    mid-campaign.
-    """
-    from repro.geometry.backends import resolve_kernel_threads
-
-    try:
-        resolve_kernel_threads(value)
-    except ValueError as error:
-        return str(error)
-    return None
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = _instance_from_args(args)
     algorithm = get_algorithm(args.algorithm)
-    backend_error = _check_kernel_backend(args.kernel_backend)
-    if backend_error is None:
-        backend_error = _check_kernel_threads(args.kernel_threads)
-    if backend_error is not None:
-        print(f"error: {backend_error}", file=sys.stderr)
-        return 2
     # Non-default scenario flags, validated by the registry before any work.
     declared = {}
     if args.speed_a != 1.0:
@@ -164,8 +128,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             max_segments=args.max_segments,
             timebase=args.timebase,
             engine=args.engine,
-            kernel_backend=args.kernel_backend,
-            kernel_threads=args.kernel_threads,
             **scenario_options,
         )
         result = outcome.result
@@ -190,8 +152,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             timebase=args.timebase,
             record_trajectories=args.render,
             engine=args.engine,
-            kernel_backend=args.kernel_backend,
-            kernel_threads=args.kernel_threads,
             **scenario_options,
         )
     print(result.summary())
@@ -203,24 +163,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    backend_error = _check_kernel_backend(args.kernel_backend)
-    if backend_error is None:
-        backend_error = _check_kernel_threads(args.kernel_threads)
-    if backend_error is not None:
-        print(f"error: {backend_error}", file=sys.stderr)
-        return 2
-    if args.kernel_backend is not None or args.kernel_threads is not None:
-        # The experiment drivers build their own batch tasks; the environment
-        # variables are the documented process-wide opt-ins they all honour.
-        import os
-
-        from repro.geometry.backends import ENV_VAR, THREADS_ENV_VAR
-
-        if args.kernel_backend is not None:
-            os.environ[ENV_VAR] = args.kernel_backend
-        if args.kernel_threads is not None:
-            os.environ[THREADS_ENV_VAR] = str(args.kernel_threads)
-
     from repro.experiments import (
         all_figures,
         run_asymmetric_radius_experiment,
@@ -394,22 +336,6 @@ def _campaign_spec_from_args(args: argparse.Namespace):
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    backend_error = _check_kernel_backend(args.kernel_backend)
-    if backend_error is None:
-        backend_error = _check_kernel_threads(args.kernel_threads)
-    if backend_error is not None:
-        print(f"error: {backend_error}", file=sys.stderr)
-        return 2
-    if args.kernel_backend is not None or args.kernel_threads is not None:
-        import os
-
-        from repro.geometry.backends import ENV_VAR, THREADS_ENV_VAR
-
-        if args.kernel_backend is not None:
-            os.environ[ENV_VAR] = args.kernel_backend
-        if args.kernel_threads is not None:
-            os.environ[THREADS_ENV_VAR] = str(args.kernel_threads)
-
     from repro.campaign import run_campaign
     from repro.parallel.runner import BatchRunner
 
@@ -420,7 +346,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             spec,
             runner=runner,
             max_shards=args.max_shards,
-            cache_policy=args.cache_policy,
             progress=print,
             workers=args.workers,
             shard_timeout=args.shard_timeout,
@@ -827,18 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="event", choices=("event", "vectorized"),
         help="simulation backend (vectorized requires --timebase float)",
     )
-    simulate_parser.add_argument(
-        "--kernel-backend", default=None, metavar="NAME",
-        help="element-wise kernel backend of the vectorized engine "
-             "(registry name, e.g. numpy; default: "
-             "$REPRO_KERNEL_BACKEND, then numpy)",
-    )
-    simulate_parser.add_argument(
-        "--kernel-threads", type=int, default=None, metavar="N",
-        help="thread count of the vectorized engine's chunked kernel dispatch "
-             "(default: $REPRO_KERNEL_THREADS, then 1; results are "
-             "bit-identical for every value)",
-    )
     simulate_parser.add_argument("--radius-a", type=float, default=None,
                                  help="agent A's visibility radius (Section 5 extension)")
     simulate_parser.add_argument("--radius-b", type=float, default=None,
@@ -874,17 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument(
         "--engine", default="auto", choices=("auto", "event", "vectorized"),
         help="backend for the Monte-Carlo campaigns (thm31/thm32/section5)",
-    )
-    experiment_parser.add_argument(
-        "--kernel-backend", default=None, metavar="NAME",
-        help="element-wise kernel backend for the vectorized campaigns "
-             "(sets REPRO_KERNEL_BACKEND for the run)",
-    )
-    experiment_parser.add_argument(
-        "--kernel-threads", type=int, default=None, metavar="N",
-        help="thread count of the vectorized campaigns' chunked kernel "
-             "dispatch (sets REPRO_KERNEL_THREADS for the run; results are "
-             "bit-identical for every value)",
     )
     experiment_parser.add_argument("--results-dir", default=None)
     experiment_parser.add_argument(
@@ -947,11 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="campaign directory (spec + manifest + shard columns)")
         sub.add_argument("--max-shards", type=int, default=None, metavar="N",
                          help="stop after N shards (exit code 3; resume later)")
-        sub.add_argument("--cache-policy", default="auto",
-                         choices=("auto", "all", "shared-only"),
-                         help="compiler-cache admission around each shard (auto "
-                              "drops to shared-only when the campaign's distinct "
-                              "compilers would thrash the cache budget)")
         sub.add_argument("--processes", type=int, default=None, metavar="N",
                          help="worker processes for non-vectorizable (e.g. exact-"
                               "timebase) shards; vectorized shards never use workers")
@@ -970,12 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds without a heartbeat before a shard lease "
                               "counts as stale and may be taken over (keep above "
                               "the slowest shard's wall time)")
-        sub.add_argument("--kernel-backend", default=None, metavar="NAME",
-                         help="kernel backend for the vectorized shards "
-                              "(sets REPRO_KERNEL_BACKEND for the run)")
-        sub.add_argument("--kernel-threads", type=int, default=None, metavar="N",
-                         help="kernel chunk threads (sets REPRO_KERNEL_THREADS; "
-                              "results are bit-identical for every value)")
 
     def _add_spec_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--spec", default=None, metavar="FILE",

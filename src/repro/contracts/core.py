@@ -10,8 +10,7 @@ the suite when a registered contract was never exercised, so dead contracts
 can't silently rot.
 
 Checking is governed by one process-wide mode, resolved **once at import**
-from ``REPRO_CONTRACTS`` (mirroring the ``REPRO_KERNEL_BACKEND`` /
-``REPRO_KERNEL_THREADS`` knobs):
+from ``REPRO_CONTRACTS``:
 
 - ``off`` — the production default.  Zero cost: the decorators return the
   undecorated function at decoration time and every instrumentation site
@@ -24,8 +23,8 @@ from ``REPRO_CONTRACTS`` (mirroring the ``REPRO_KERNEL_BACKEND`` /
   default: the repo's ``conftest.py`` sets ``REPRO_CONTRACTS=raise`` before
   anything imports.
 
-An unknown mode raises ``ValueError`` — an explicit misconfiguration, like a
-bad thread count, not a degradable preference.
+An unknown mode raises ``ValueError`` — an explicit misconfiguration, not a
+degradable preference.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ Declarations live here so the registry is complete the moment
 plugin see every invariant without importing the instrumented modules.  The
 checks themselves run at the seams:
 
-- kernel contracts — inside the :class:`~repro.geometry.backends.KernelBackend`
-  proxy that ``get_backend`` installs when checking is enabled, and inside
-  ``solve_round``'s sampled chunked-vs-unchunked re-solve;
+- kernel contracts — inside
+  :func:`~repro.geometry.closest_approach.solve_windows`, the fused kernel's
+  one implementation, and inside ``solve_round``'s sampled
+  chunked-vs-unchunked re-solve;
 - the program contract — inside ``LocalProgramBuilder``, which re-derives a
   sample of natively generated column blocks through the instruction objects;
 - engine contracts — at the four engine exits (event/batch × symmetric/
@@ -22,7 +23,7 @@ This module deliberately imports only numpy and :mod:`repro.contracts.core`
 (never the engines), so instrumented modules can import it without cycles.
 
 Tolerances: engines guarantee each other 1e-9-relative agreement (the
-registered-backend parity contract), and the kernel's ``sqrt(x*x + y*y)``
+engine-parity contracts), and the kernel's ``sqrt(x*x + y*y)``
 distance differs from an exact hypot by ulps.  ``_REL = 1e-9`` /
 ``_ABS = 1e-9`` below absorb exactly that class of rounding, nothing more.
 """

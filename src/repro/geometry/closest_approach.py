@@ -22,10 +22,9 @@ Two flavours of the kernel exist:
   :func:`closest_approach_batch`, :func:`fused_window_batch`) used by the
   vectorized batch engine, which solve the quadratics of *all* windows of a
   simulation — or of many stacked simulations — in single array operations.
-  Their element-wise implementation is pluggable: the entry points validate
-  inputs and dispatch to a backend from :mod:`repro.geometry.backends`
-  (the numpy reference by default; selection via the ``backend=`` argument
-  or ``REPRO_KERNEL_BACKEND``).
+  Their element-wise math is plain numpy (:func:`solve_windows`), which
+  mirrors the scalar kernels operation for operation; with contract checking
+  enabled every call also runs the declared kernel contracts.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.backends import get_backend
+from repro.contracts import core as _contracts
+from repro.contracts.invariants import check_kernel_solution
 from repro.geometry.vec import Vec2, dot, norm, sub
 
 
@@ -234,6 +234,103 @@ def _relative_arrays(pos_a, vel_a, pos_b, vel_b):
     return rel[..., 0], rel[..., 1], rel_vel[..., 0], rel_vel[..., 1]
 
 
+def _first_hit_columns(speed_sq, dot_pv, rel_x, rel_y, radius, durations):
+    """First-hit offsets from precomputed dot products, one radius column.
+
+    In-place ufuncs reuse temporaries where the value is no longer needed;
+    every element still goes through exactly the scalar kernel's float
+    operations, so verdicts stay bit-identical to the event engine.
+    """
+    c = rel_x * rel_x
+    c += rel_y * rel_y
+    c -= radius * radius
+    inside = c <= 0.0
+    b = 2.0 * dot_pv
+    disc = b * b
+    disc -= 4.0 * speed_sq * c
+    approaching = ~inside
+    approaching &= speed_sq > 0.0
+    approaching &= b < 0.0
+    approaching &= disc >= 0.0
+    # Guard the sqrt/division on non-candidate windows; the formula matches
+    # the numerically stable smaller root of the scalar kernel.
+    safe_disc = np.where(approaching, disc, 0.0)
+    np.sqrt(safe_disc, out=safe_disc)
+    safe_disc -= b
+    denominator = np.where(approaching, safe_disc, 1.0)
+    t_hit = 2.0 * c
+    t_hit /= denominator
+    hit = np.where(
+        approaching & (t_hit <= durations), np.maximum(t_hit, 0.0), np.nan
+    )
+    return np.where(inside, 0.0, hit)
+
+
+def _closest_columns(speed_sq, dot_pv, rel_x, rel_y, rvel_x, rvel_y, durations):
+    """Closest-approach half of the fused kernel, from precomputed dots.
+
+    ``sqrt(x*x + y*y)`` stands in for ``hypot`` — a couple of ulps apart
+    at these (overflow-safe) magnitudes, far inside both the kernel
+    suite's 1e-12 and the engines' 1e-9 parity tolerances, and several
+    times faster than libm's hypot.
+    """
+    safe_speed_sq = np.where(speed_sq > 0.0, speed_sq, 1.0)
+    t_star = np.where(speed_sq > 0.0, -dot_pv / safe_speed_sq, 0.0)
+    t_star = np.clip(t_star, 0.0, durations)
+    at_x = t_star * rvel_x
+    at_x += rel_x
+    at_y = t_star * rvel_y
+    at_y += rel_y
+    at_x *= at_x
+    at_y *= at_y
+    at_x += at_y
+    min_distance = np.sqrt(at_x, out=at_x)
+    return min_distance, t_star
+
+
+def solve_windows(
+    rel_x, rel_y, rvel_x, rvel_y, radius, second_radius, durations, track_closest
+):
+    """The fused kernel's element-wise math over validated float columns.
+
+    Returns ``(hit, second_hit, min_distance, t_star)``: ``hit`` holds
+    first-hit offsets at ``radius`` with ``NaN`` where the window never
+    reaches it; ``second_hit`` answers the same for ``second_radius``
+    (``None`` when no second column was given); ``min_distance``/``t_star``
+    are the per-window closest approach (``None`` when untracked).  Inputs
+    are assumed validated by the public entry points below: non-negative
+    radii and durations, same-length columns.  With contract checking
+    enabled, the kernel contracts (``kernel.min_distance_nonneg``,
+    ``kernel.min_leq_endpoints``, ``kernel.hit_within_window``) run on every
+    call.
+    """
+    speed_sq = rvel_x * rvel_x + rvel_y * rvel_y
+    dot_pv = rel_x * rvel_x + rel_y * rvel_y
+    hit = _first_hit_columns(speed_sq, dot_pv, rel_x, rel_y, radius, durations)
+    second_hit = None
+    if second_radius is not None:
+        if second_radius is radius or np.array_equal(radius, second_radius):
+            # Equal columns (degenerate equal-radius sweeps, post-freeze
+            # rounds of the asymmetric engine) answer both questions with
+            # one root extraction; the equality check is a cheap pass.
+            second_hit = hit
+        else:
+            second_hit = _first_hit_columns(
+                speed_sq, dot_pv, rel_x, rel_y, second_radius, durations
+            )
+    min_distance = t_star = None
+    if track_closest:
+        min_distance, t_star = _closest_columns(
+            speed_sq, dot_pv, rel_x, rel_y, rvel_x, rvel_y, durations
+        )
+    if _contracts.enabled():
+        check_kernel_solution(
+            hit, second_hit, min_distance, t_star,
+            rel_x, rel_y, rvel_x, rvel_y, durations,
+        )
+    return hit, second_hit, min_distance, t_star
+
+
 def fused_window_batch(
     rel_x: np.ndarray,
     rel_y: np.ndarray,
@@ -243,7 +340,6 @@ def fused_window_batch(
     durations: np.ndarray,
     *,
     track_closest: bool = True,
-    backend=None,
 ):
     """Solve the quadratics of many windows at once, on relative coordinates.
 
@@ -255,22 +351,15 @@ def fused_window_batch(
     *offsets from the window start*, which stay small even when absolute
     simulation times are astronomically large).
 
-    ``backend`` selects the element-wise implementation: a name or
-    :class:`~repro.geometry.backends.KernelBackend` instance from the backend
-    registry; ``None`` honours ``REPRO_KERNEL_BACKEND`` and defaults to the
-    numpy reference backend (see :mod:`repro.geometry.backends`).
-
     Returns ``(hit, min_distance, time_offset)``: ``hit`` holds the first
     offset at which the distance is ``<= radius`` and ``NaN`` where the window
     never comes within the radius (the vectorized analogue of ``None``);
     ``min_distance``/``time_offset`` mirror :class:`ClosestApproach` per
-    window, or are ``None`` when ``track_closest`` is false.  The numpy
-    backend's arithmetic matches the scalar kernels operation for operation,
-    so verdicts agree with the event engine exactly on identical window
-    inputs — the batch engines' 1e-9 parity tolerance absorbs only the
-    accumulation differences upstream of the kernel; alternate backends are
-    held to identical verdicts and 1e-9-relative offsets by the backend
-    parity suite.
+    window, or are ``None`` when ``track_closest`` is false.  The arithmetic
+    matches the scalar kernels operation for operation, so verdicts agree
+    with the event engine exactly on identical window inputs — the batch
+    engines' 1e-9 parity tolerance absorbs only the accumulation differences
+    upstream of the kernel.
     """
     rel_x = np.asarray(rel_x, dtype=float)
     rel_y = np.asarray(rel_y, dtype=float)
@@ -285,7 +374,7 @@ def fused_window_batch(
     if np.any(durations < 0.0):
         raise ValueError("durations must be non-negative")
 
-    hit, _, min_distance, t_star = get_backend(backend).solve(
+    hit, _, min_distance, t_star = solve_windows(
         rel_x, rel_y, rvel_x, rvel_y, radius, None, durations, track_closest
     )
     return hit, min_distance, t_star
@@ -301,7 +390,6 @@ def fused_window_batch_dual(
     durations: np.ndarray,
     *,
     track_closest: bool = True,
-    backend=None,
 ):
     """Solve every window against *two* per-window radius columns in one pass.
 
@@ -309,15 +397,14 @@ def fused_window_batch_dual(
     offset at which the distance reaches the smaller (meeting) radius and the
     first offset at which it reaches the larger (freeze) radius.  Both
     quadratics share every dot product — only the constant term differs — so
-    the backends compute the shared terms once and run the root extraction
+    the kernel computes the shared terms once and runs the root extraction
     twice, with the same operation-for-operation arithmetic as the scalar
     kernel (verdict parity with the event engine is exact on identical window
     inputs; the engines' 1e-9 tolerance only absorbs upstream accumulation).
 
     ``radius`` and ``second_radius`` are scalars or per-window arrays in
     absolute length units; there is no ordering requirement between them.
-    ``backend`` selects the registry implementation exactly as in
-    :func:`fused_window_batch`.  Returns ``(hit, second_hit, min_distance,
+    Returns ``(hit, second_hit, min_distance,
     time_offset)`` where ``hit`` and ``second_hit`` are the first-hit offsets
     (``NaN`` where the window never reaches that radius) and the trailing
     pair mirrors :func:`fused_window_batch` (``None`` when ``track_closest``
@@ -335,7 +422,7 @@ def fused_window_batch_dual(
     if np.any(durations < 0.0):
         raise ValueError("durations must be non-negative")
 
-    return get_backend(backend).solve(
+    return solve_windows(
         rel_x, rel_y, rvel_x, rvel_y, radius, second_radius, durations,
         track_closest,
     )

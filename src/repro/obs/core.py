@@ -19,7 +19,7 @@ way ``repro contracts list`` lists the invariants.
 
 ``REPRO_TRACE_FILE`` without an explicit ``REPRO_OBS`` selection implies
 ``on`` — a trace file is a request for spans.  An unknown mode raises
-``ValueError``, an explicit misconfiguration like a bad thread count.
+``ValueError``, an explicit misconfiguration like an unknown contract mode.
 """
 
 from __future__ import annotations
@@ -282,8 +282,8 @@ def span(instrument_id: str, **tags: Any):
 
     The off-mode fast path — one module-global read, then the shared
     :data:`_NULL_SPAN` — is the whole zero-cost claim; nothing else runs.
-    Tags land in the Chrome trace event's ``args`` (backend name, thread
-    count, shard id); they are not part of the aggregate registry totals.
+    Tags land in the Chrome trace event's ``args`` (shard id, job digest);
+    they are not part of the aggregate registry totals.
     """
     if _MODE == "off":
         return _NULL_SPAN

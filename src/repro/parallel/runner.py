@@ -89,8 +89,6 @@ _VECTORIZABLE_OPTIONS = frozenset(
         "timebase",
         "radius_a",
         "radius_b",
-        "kernel_backend",
-        "kernel_threads",
         "speed_a",
         "speed_b",
         "stall_agent",
@@ -140,7 +138,6 @@ def _execute_vectorized_group(tasks: Sequence[BatchTask]) -> List[Dict[str, Any]
         for key, value in tasks[0].simulator_options.items()
         if key != "timebase" and key not in _COLUMN_OPTIONS
     }
-    options["backend"] = options.pop("kernel_backend", None)
     with _obs.span("campaign.sample"):
         instances = [Instance.from_dict(task.instance) for task in tasks]
     algorithm = get_algorithm(tasks[0].algorithm)

@@ -96,8 +96,6 @@ def simulate_asymmetric(
     radius_slack: float = 0.0,
     track_min_distance: bool = True,
     engine: str = "event",
-    kernel_backend: Optional[str] = None,
-    kernel_threads: Optional[int] = None,
     speed_a: float = 1.0,
     speed_b: float = 1.0,
     stall_agent: Optional[str] = None,
@@ -125,10 +123,6 @@ def simulate_asymmetric(
     columnar batch engine (float timebase only), whose outcomes — ``met``,
     meeting time at 1e-9 relative, termination reason, closest approach,
     freeze event — match the event path per the asymmetric parity suite.
-    ``kernel_backend`` selects the vectorized engine's element-wise kernel
-    implementation (see :mod:`repro.geometry.backends`) and
-    ``kernel_threads`` its chunked dispatch's thread count (results never
-    depend on either); the event path ignores both.
     """
     if engine not in ("event", "vectorized"):
         raise ValueError(f"unknown engine {engine!r}; expected 'event' or 'vectorized'")
@@ -162,8 +156,6 @@ def simulate_asymmetric(
             max_segments=max_segments,
             radius_slack=radius_slack,
             track_min_distance=track_min_distance,
-            backend=kernel_backend,
-            kernel_threads=kernel_threads,
             speed_a=speed_a,
             speed_b=speed_b,
             stall_agent=stall_agent,

@@ -29,8 +29,8 @@ Scope and guarantees:
 
 * float timebase only — the event engine stays authoritative for exact-
   timebase runs (S1/S2 boundary experiments, astronomically long waits);
-* results are deterministic and independent of the horizon schedule, the
-  kernel chunking and the kernel thread count;
+* results are deterministic and independent of the horizon schedule and
+  the kernel chunking;
 * per instance, the outcome (``met``, meeting time, termination reason,
   closest-approach *distance*) matches the event engine up to float
   associativity — the parity suites pin this to 1e-9 relative.
@@ -56,7 +56,6 @@ import numpy as np
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import check_result
 from repro.core.instance import Instance
-from repro.geometry.backends import get_backend, resolve_kernel_threads
 from repro.motion.compiler import constant_table
 from repro.obs import core as _obs
 from repro.sim.columns import (
@@ -158,8 +157,6 @@ def _run_rounds(
     radius_slack: float,
     track_min_distance: bool,
     initial_horizon: Optional[float],
-    backend: Any,
-    kernel_threads: Optional[int],
     speed_a: Any,
     speed_b: Any,
     stall_agent: Optional[str],
@@ -188,8 +185,6 @@ def _run_rounds(
         raise ValueError("radius_slack must be non-negative and finite")
     if initial_horizon is not None and initial_horizon <= 0.0:
         raise ValueError("initial_horizon must be positive")
-    kernel = get_backend(backend)
-    threads = resolve_kernel_threads(kernel_threads)
     count = len(instances)
     speeds_a = per_instance_option(speed_a, count, "speed_a")
     speeds_b = per_instance_option(speed_b, count, "speed_b")
@@ -277,13 +272,11 @@ def _run_rounds(
                     "clamp_at_second_hit": True,
                 }
             window_radius = np.repeat(entry_radius, windows.counts)
-        with _obs.span("engine.kernel_solve", backend=kernel.name, threads=threads):
+        with _obs.span("engine.kernel_solve"):
             solution = solve_round(
                 windows,
                 window_radius,
                 track_min_distance=track_min_distance,
-                backend=kernel,
-                threads=threads,
                 **dual,
             )
         total_windows += len(windows)
@@ -465,8 +458,6 @@ def simulate_batch(
     radius_slack: float = 0.0,
     track_min_distance: bool = True,
     initial_horizon: Optional[float] = None,
-    backend=None,
-    kernel_threads: Optional[int] = None,
     speed_a: Any = 1.0,
     speed_b: Any = 1.0,
     stall_agent: Optional[str] = None,
@@ -502,15 +493,6 @@ def simulate_batch(
     initial_horizon:
         Overrides the per-instance starting horizon of the adaptive round
         loop.  Results never depend on it — only performance does.
-    backend:
-        Kernel backend selection — a registry name (``"numpy"``) or a
-        resolved :class:`~repro.geometry.backends.KernelBackend`.  ``None``
-        honours ``REPRO_KERNEL_BACKEND`` and defaults to numpy.
-    kernel_threads:
-        Thread count of the chunked kernel dispatch.  ``None`` honours
-        ``REPRO_KERNEL_THREADS`` and defaults to 1 (serial).  Chunks write
-        disjoint output slices and numpy releases the GIL, so results are
-        bit-identical for every thread count — only wall time depends on it.
     speed_a, speed_b:
         Heterogeneous-speed scenario (:mod:`repro.sim.scenarios`): positive
         finite speed factors for agents A and B, each a scalar applied to the
@@ -538,8 +520,6 @@ def simulate_batch(
         radius_slack=radius_slack,
         track_min_distance=track_min_distance,
         initial_horizon=initial_horizon,
-        backend=backend,
-        kernel_threads=kernel_threads,
         speed_a=speed_a,
         speed_b=speed_b,
         stall_agent=stall_agent,

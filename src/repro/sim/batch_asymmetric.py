@@ -51,8 +51,6 @@ def simulate_batch_asymmetric(
     radius_slack: float = 0.0,
     track_min_distance: bool = True,
     initial_horizon: Optional[float] = None,
-    backend=None,
-    kernel_threads: Optional[int] = None,
     speed_a: Any = 1.0,
     speed_b: Any = 1.0,
     stall_agent: Optional[str] = None,
@@ -73,8 +71,7 @@ def simulate_batch_asymmetric(
         one batch.  Radii must be positive and finite; the instance's ``r``
         is otherwise ignored for meeting detection (it still defines the
         feasibility classification of the underlying symmetric instance).
-    max_time, max_segments, radius_slack, track_min_distance, initial_horizon,
-    backend, kernel_threads:
+    max_time, max_segments, radius_slack, track_min_distance, initial_horizon:
         Exactly as in :func:`repro.sim.batch.simulate_batch` — including the
         combined ``max_segments`` budget semantics across both agents (the
         frozen agent stops drawing on the budget at its freeze time, like the
@@ -110,8 +107,6 @@ def simulate_batch_asymmetric(
         radius_slack=radius_slack,
         track_min_distance=track_min_distance,
         initial_horizon=initial_horizon,
-        backend=backend,
-        kernel_threads=kernel_threads,
         speed_a=speed_a,
         speed_b=speed_b,
         stall_agent=stall_agent,

@@ -451,17 +451,6 @@ class RendezvousSimulator:
         counterpart under ``engine="vectorized"``), with the unset radius
         defaulting to ``instance.r``.  Asymmetric runs do not record
         trajectories.
-    kernel_backend:
-        Element-wise backend of the vectorized engine's fused window kernel
-        (a :mod:`repro.geometry.backends` registry name, e.g. ``"numpy"``).
-        ``None`` honours ``REPRO_KERNEL_BACKEND`` and defaults to numpy; the
-        event engine ignores it.  Results never depend on it — backends are
-        parity-pinned.
-    kernel_threads:
-        Thread count of the vectorized engine's chunked kernel dispatch.
-        ``None`` honours ``REPRO_KERNEL_THREADS`` and defaults to 1 (serial);
-        the event engine ignores it.  Results never depend on it — threaded
-        and serial dispatch are bit-identical.
     speed_a, speed_b:
         Per-agent speed factors (the ``heterogeneous-speed`` scenario family
         of :mod:`repro.sim.scenarios`).  Each agent's ``units.speed`` is
@@ -486,8 +475,6 @@ class RendezvousSimulator:
     engine: str = "event"
     radius_a: Optional[float] = None
     radius_b: Optional[float] = None
-    kernel_backend: Optional[str] = None
-    kernel_threads: Optional[int] = None
     speed_a: float = 1.0
     speed_b: float = 1.0
     stall_agent: Optional[str] = None
@@ -622,8 +609,6 @@ class RendezvousSimulator:
             radius_slack=self.radius_slack,
             track_min_distance=self.track_min_distance,
             engine=self.engine,
-            kernel_backend=self.kernel_backend,
-            kernel_threads=self.kernel_threads,
             speed_a=self.speed_a,
             speed_b=self.speed_b,
             stall_agent=self.stall_agent,
@@ -661,8 +646,6 @@ class RendezvousSimulator:
             max_segments=self.max_segments,
             radius_slack=self.radius_slack,
             track_min_distance=self.track_min_distance,
-            backend=self.kernel_backend,
-            kernel_threads=self.kernel_threads,
             speed_a=self.speed_a,
             speed_b=self.speed_b,
             stall_agent=self.stall_agent,
@@ -695,8 +678,6 @@ def simulate(
     engine: str = "event",
     radius_a: Optional[float] = None,
     radius_b: Optional[float] = None,
-    kernel_backend: Optional[str] = None,
-    kernel_threads: Optional[int] = None,
     speed_a: float = 1.0,
     speed_b: float = 1.0,
     stall_agent: Optional[str] = None,
@@ -723,8 +704,6 @@ def simulate(
         engine=engine,
         radius_a=radius_a,
         radius_b=radius_b,
-        kernel_backend=kernel_backend,
-        kernel_threads=kernel_threads,
         speed_a=speed_a,
         speed_b=speed_b,
         stall_agent=stall_agent,

@@ -29,13 +29,10 @@ holds that loop's building blocks:
   per-entry Python runs anywhere in the merge (the first engine generation
   called ``np.unique``/``states_at`` per instance; the second still rank-
   merged each entry's runs in a Python loop);
-* :func:`solve_round` — the chunked fused-kernel pass (one pluggable-backend
-  call per chunk) with segmented first-hit/minimum reductions, optionally
+* :func:`solve_round` — the chunked fused-kernel pass (one kernel call per
+  chunk, serially) with segmented first-hit/minimum reductions, optionally
   solving every window against a *second* per-window radius column in the
-  same pass (the Section 5 freeze radius) and optionally fanning
-  the chunks out over a persistent thread pool (``threads=``; numpy releases
-  the GIL and chunks write disjoint output slices, so results stay
-  bit-identical to the serial pass).
+  same pass (the Section 5 freeze radius).
 
 Nothing in here depends on the meeting semantics: the driver interprets the
 per-entry first-hit indices (meeting, and with per-agent radii also freeze)
@@ -45,7 +42,6 @@ and assembles results into flat columns (:mod:`repro.sim.columns`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -54,7 +50,6 @@ import numpy as np
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import KERNEL_CHUNK_PARITY
 from repro.core.instance import AgentSpec, Instance
-from repro.geometry.backends import get_backend
 from repro.geometry.closest_approach import (
     closest_approach_moving_points,
     fused_window_batch,
@@ -171,57 +166,38 @@ def trim_compiler_cache() -> None:
     _trim_compiler_cache()
 
 
-def compiler_cache_entry_budget() -> int:
-    """The entry cap of the cross-call compiler cache.
-
-    Exposed for admission-policy decisions (the campaign orchestrator
-    compares a campaign's expected distinct-compiler count against this
-    budget before choosing a policy); reads the module-level limit at call
-    time so tests can shrink it.
-    """
+def compiler_cache_entry_limit() -> int:
+    """The entry cap of the cross-call compiler cache (read at call time)."""
     return _COMPILER_CACHE_LIMIT
 
 
-#: Current admission policy of ``_COMPILER_CACHE``.  ``"all"`` (default)
-#: admits every universal compiler with a ``program_cache_key``; ``"shared-only"``
-#: admits only agent A's — the canonical reference spec shared by *every*
-#: instance — so a campaign whose per-instance B-side specs outnumber the
-#: cache budget keeps its one guaranteed-reusable entry instead of thrashing
-#: the LRU with thousands of single-use B compilers (each insertion of which
-#: would evict an entry that *would* have been reused).
-_COMPILER_CACHE_ADMISSION = "all"
-
-_ADMISSION_POLICIES = ("all", "shared-only")
-
-
-def compiler_cache_admission_policy() -> str:
-    """The admission policy currently applied to the cross-call compiler cache."""
-    return _COMPILER_CACHE_ADMISSION
+#: Whether ``_COMPILER_CACHE`` currently admits only agent A's compilers.
+#: Direct engine calls admit every universal compiler with a
+#: ``program_cache_key`` (repeated sweeps re-use their B-side rows too);
+#: campaign shards whose B-side specs no later shard asks for again run
+#: under :func:`compiler_cache_admission`, so single-use compilers do not
+#: evict the one entry every shard re-uses.
+_SHARED_ONLY = False
 
 
 @contextmanager
-def compiler_cache_admission(policy: str) -> Iterator[None]:
-    """Scope a compiler-cache admission policy around a batch run.
+def compiler_cache_admission() -> Iterator[None]:
+    """Admit only agent A's compiler to the cross-call cache, for one scope.
 
-    ``"all"`` restores the default behaviour; ``"shared-only"`` makes
-    :class:`ProgramSource` bypass the cross-call ``_COMPILER_CACHE`` for every
-    spec except agent A's (``spec.name == "A"``), the one compiler every
-    instance of every campaign shares.  Results never depend on the policy —
-    only which rows are *recompiled* across calls does.  The previous policy
-    is restored on exit, so nested scopes compose.
+    Inside the scope :class:`ProgramSource` bypasses ``_COMPILER_CACHE`` for
+    every spec except agent A's (``spec.name == "A"``), the canonical
+    reference spec every instance of every campaign shares; B-side compilers
+    stay local to their run.  Results never depend on it — only which rows
+    are *recompiled* across calls does.  The previous setting is restored on
+    exit, so nested scopes compose.
     """
-    if policy not in _ADMISSION_POLICIES:
-        raise ValueError(
-            f"unknown compiler-cache admission policy {policy!r}; "
-            f"expected one of {_ADMISSION_POLICIES}"
-        )
-    global _COMPILER_CACHE_ADMISSION
-    previous = _COMPILER_CACHE_ADMISSION
-    _COMPILER_CACHE_ADMISSION = policy
+    global _SHARED_ONLY
+    previous = _SHARED_ONLY
+    _SHARED_ONLY = True
     try:
         yield
     finally:
-        _COMPILER_CACHE_ADMISSION = previous
+        _SHARED_ONLY = previous
 
 
 def _resolve_blocks(algorithm: Any, instance: Instance, spec: AgentSpec, role: str):
@@ -303,13 +279,11 @@ class ProgramSource:
         compiler_key: Any = spec if self._universal else (index, role)
         compiler = self._compilers.get(compiler_key)
         if compiler is None:
-            # Under the "shared-only" admission policy, only agent A's spec —
+            # Inside a compiler_cache_admission() scope, only agent A's spec —
             # the canonical reference shared by every instance — may consult
             # or populate the cross-call cache; per-instance B specs compile
             # locally and die with the run instead of churning the LRU.
-            admitted = (
-                _COMPILER_CACHE_ADMISSION == "all" or spec.name == "A"
-            )
+            admitted = not _SHARED_ONLY or spec.name == "A"
             if self._universal and self._cache_key is not None and admitted:
                 global_key = (self._cache_key, spec)
                 compiler = _COMPILER_CACHE.pop(global_key, None)
@@ -629,8 +603,6 @@ class RoundWindows:
 
 #: Shared consecutive-integer buffer for segmented index arithmetic; grows on
 #: demand and is only ever read through slices, so earlier slices stay valid.
-#: Worker threads of the chunked kernel dispatch never grow it —
-#: :func:`solve_round` pre-sizes it before fanning out.
 _CONSECUTIVE = np.arange(4096)
 
 
@@ -950,29 +922,6 @@ def _first_hits(hit, index, local_offsets, local_total):
     return np.minimum.reduceat(masked, local_offsets)
 
 
-#: Smallest per-chunk window count the threaded dispatch subdivides down to:
-#: below this, per-chunk numpy overhead dominates any parallel gain.
-_MIN_THREADED_CHUNK = 1 << 14
-
-#: Persistent thread pool of the chunked kernel dispatch, sized lazily on
-#: first threaded round and rebuilt when the requested thread count changes.
-_CHUNK_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_CHUNK_EXECUTOR_THREADS = 0
-
-
-def _chunk_executor(threads: int) -> ThreadPoolExecutor:
-    global _CHUNK_EXECUTOR, _CHUNK_EXECUTOR_THREADS
-    if _CHUNK_EXECUTOR is not None and _CHUNK_EXECUTOR_THREADS != threads:
-        _CHUNK_EXECUTOR.shutdown(wait=True)
-        _CHUNK_EXECUTOR = None
-    if _CHUNK_EXECUTOR is None:
-        _CHUNK_EXECUTOR = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="repro-kernel"
-        )
-        _CHUNK_EXECUTOR_THREADS = threads
-    return _CHUNK_EXECUTOR
-
-
 #: Chunk-parity contract sampling: every ``2**_PARITY_SAMPLE_SHIFT``-th
 #: eligible ``solve_round`` call (plus the very first) re-solves under an
 #: alternative chunk partition and bit-compares — enough to exercise the
@@ -990,8 +939,6 @@ def solve_round(
     *,
     track_min_distance: bool,
     second_radius: Optional[np.ndarray] = None,
-    backend=None,
-    threads: int = 1,
     clamp_at_second_hit: bool = False,
     _chunk_target: Optional[int] = None,
     _parity_recheck: bool = True,
@@ -1000,19 +947,9 @@ def solve_round(
 
     ``radius`` (and the optional ``second_radius``) are per-window columns —
     windows of different instances carry different radii, which is how
-    per-agent visibility radii flow through the shared pipeline.
-    ``backend`` selects the kernel implementation (a name or resolved
-    :class:`~repro.geometry.backends.KernelBackend`; the driver resolves once
-    per run and passes the instance).  Chunking caps peak kernel memory
-    without changing any result: segmented reductions never cross instances,
-    and each chunk is one backend call.
-
-    ``threads > 1`` fans the chunks out over a persistent thread pool.
-    Chunks write disjoint output slices and numpy releases the GIL inside the
-    kernels, so the threaded pass is bit-identical to the serial one; the
-    chunk target is subdivided below the memory cap (never below
-    ``_MIN_THREADED_CHUNK`` windows) so every worker has chunks to solve.
-    Chunk boundaries never change results either way.
+    per-agent visibility radii flow through the shared pipeline.  Chunking
+    caps peak kernel memory without changing any result: segmented
+    reductions never cross instances, and each chunk is one kernel call.
 
     ``clamp_at_second_hit`` is the Section 5 freeze semantics: a
     second-radius hit that strictly precedes any first-radius hit cancels the
@@ -1028,12 +965,8 @@ def solve_round(
     if n_entries == 0:
         return solution
 
-    backend = get_backend(backend)
     total = int(offsets[-1])
     target = KERNEL_CHUNK_WINDOWS
-    if threads > 1:
-        per_thread = -(-total // (2 * threads))
-        target = min(target, max(per_thread, _MIN_THREADED_CHUNK))
     if _chunk_target is not None:
         # Private hook of the chunk-parity contract: re-solve the same round
         # under a different partition of the window table.
@@ -1045,7 +978,7 @@ def solve_round(
         bounds.append(min(max(end, start + 1), n_entries))
     chunks = list(zip(bounds[:-1], bounds[1:]))
 
-    def solve_chunk(chunk_start: int, chunk_end: int) -> None:
+    for chunk_start, chunk_end in chunks:
         lo = int(offsets[chunk_start])
         hi = int(offsets[chunk_end])
         starts = windows.starts[lo:hi]
@@ -1062,12 +995,12 @@ def solve_round(
             hit, hit2, window_min, window_t_star = fused_window_batch_dual(
                 rel_x, rel_y, rvel_x, rvel_y,
                 radius[lo:hi], second_radius[lo:hi], durations,
-                track_closest=track_min_distance, backend=backend,
+                track_closest=track_min_distance,
             )
         else:
             hit, window_min, window_t_star = fused_window_batch(
                 rel_x, rel_y, rvel_x, rvel_y, radius[lo:hi], durations,
-                track_closest=track_min_distance, backend=backend,
+                track_closest=track_min_distance,
             )
             hit2 = None
 
@@ -1140,18 +1073,6 @@ def solve_round(
                 has_min, starts[bounded_min] + window_t_star[bounded_min], np.nan
             )
 
-    if threads > 1 and len(chunks) > 1:
-        # Pre-size the shared consecutive buffer so workers only ever *read*
-        # it (concurrent growth could hand a worker a truncated slice).
-        _consecutive(max(int(offsets[e] - offsets[s]) for s, e in chunks))
-        executor = _chunk_executor(threads)
-        # Draining the map iterator propagates any worker exception.
-        for _ in executor.map(lambda span: solve_chunk(*span), chunks):
-            pass
-    else:
-        for span in chunks:
-            solve_chunk(*span)
-
     if (
         _parity_recheck
         and n_entries > 1
@@ -1164,12 +1085,12 @@ def solve_round(
         if sample:
             # Re-solve under a different chunk partition (single-chunk when
             # this pass was chunked, roughly-halved otherwise) and require a
-            # bit-identical solution — the declared contract behind both the
-            # memory-capped chunking and the threaded dispatch.
+            # bit-identical solution — the declared contract behind the
+            # memory-capped chunking.
             alternative = solve_round(
                 windows, radius,
                 track_min_distance=track_min_distance,
-                second_radius=second_radius, backend=backend, threads=1,
+                second_radius=second_radius,
                 clamp_at_second_hit=clamp_at_second_hit,
                 _chunk_target=(total if len(chunks) > 1 else max(1, total // 2)),
                 _parity_recheck=False,

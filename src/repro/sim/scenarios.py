@@ -1,7 +1,7 @@
 """The scenario registry: one event engine, many worlds.
 
 A *scenario family* binds together everything one simulated world needs,
-registered like the kernel backends of :mod:`repro.geometry.backends`:
+registered under a name in one process-wide registry:
 
 * the :mod:`repro.sim.events` kinds the world can fire;
 * the simulator options the family owns (and how to validate them at the

@@ -9,6 +9,7 @@ sibling rule (knob validation happens before any directory is touched) is
 pinned explicitly for the orchestrator.
 """
 
+import json
 import math
 
 import pytest
@@ -62,7 +63,7 @@ class TestSimulatorOptionRanges:
         with pytest.raises(CampaignError, match="max_time.*campaign defaults"):
             make_spec(simulator={"max_time": bad})
 
-    @pytest.mark.parametrize("key", ["max_segments", "kernel_threads"])
+    @pytest.mark.parametrize("key", ["max_segments"])
     @pytest.mark.parametrize("bad", [0, -10, 2.5])
     def test_integer_options_must_be_positive_ints(self, key, bad):
         with pytest.raises(CampaignError, match=f"{key}.*positive integer"):
@@ -72,10 +73,6 @@ class TestSimulatorOptionRanges:
         with pytest.raises(CampaignError, match="radius_slack.*non-negative"):
             make_spec(simulator={"radius_slack": -1e-9})
         assert make_spec(simulator={"radius_slack": 0.0}) is not None
-
-    def test_initial_horizon_must_be_positive(self):
-        with pytest.raises(CampaignError, match="initial_horizon"):
-            make_spec(simulator={"initial_horizon": 0.0})
 
     def test_bad_arm_override_names_the_arm(self):
         # The engines see campaign defaults merged under the arm's overrides,
@@ -100,14 +97,63 @@ class TestSimulatorOptionRanges:
         with pytest.raises(CampaignError, match="radius_a"):
             make_spec(arms=(arm,))
 
-    def test_unknown_options_pass_through(self):
-        # The event fallback takes arbitrary keyword options; range checks
-        # only cover the keys the campaign layer understands.
+    def test_simulator_fields_without_a_range_pass_through(self):
+        # Every RendezvousSimulator field is a valid option; range checks
+        # only cover the numeric keys with a fixed domain.
         spec = make_spec(simulator={"max_time": 10.0, "raise_on_budget": False})
         assert spec.simulator["raise_on_budget"] is False
 
     def test_none_means_engine_default_and_is_accepted(self):
-        assert make_spec(simulator={"kernel_threads": None}) is not None
+        assert make_spec(simulator={"radius_a": None}) is not None
+
+
+class TestUnknownSimulatorOptions:
+    """Keys no simulator, ratio or scenario declares fail at the spec.
+
+    Left alone they reach ``RendezvousSimulator(**options)`` as a
+    ``TypeError`` in every attempt of every shard, and the executor
+    quarantines the whole campaign with zero rows.
+    """
+
+    @pytest.mark.parametrize("key", [
+        "max_segmnts",        # a typo
+        "initial_horizon",    # a batch-engine argument, not a simulator field
+        "kernel_threads",     # removed execution knobs
+        "kernel_backend",
+    ])
+    def test_unknown_default_is_named(self, key):
+        with pytest.raises(CampaignError, match=f"unknown simulator option.*'{key}'"):
+            make_spec(simulator={"max_time": 100.0, key: 1})
+
+    def test_unknown_arm_option_names_key_and_arm(self):
+        arm = CampaignArm(algorithm="stay-put", label="typo",
+                          options={"radius_b_ration": 0.5})
+        with pytest.raises(CampaignError, match="'radius_b_ration' in arm 'typo'"):
+            make_spec(arms=(arm,))
+
+    def test_declared_options_are_accepted(self):
+        # Simulator fields, ratio conveniences and scenario-declared options
+        # (derived ranges included) together make up the accepted set.
+        arm = CampaignArm(algorithm="stay-put",
+                          options={"radius_a_ratio": 1.0, "radius_b_ratio": 0.5})
+        spec = make_spec(arms=(arm,), simulator={
+            "max_time": 100.0, "timebase": "float", "track_min_distance": False,
+            "speed_b": 0.5, "stall_agent": "A", "stall_time_range": [0.0, 1.0],
+            "stall_duration": 1.0,
+        })
+        assert spec.arm_options(0)["radius_b_ratio"] == 0.5
+
+    def test_campaign_run_spec_file_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        data = make_spec().as_dict()
+        data["simulator"]["max_segmnts"] = 1000
+        spec_file.write_text(json.dumps(data))
+        target = tmp_path / "never-created"
+        code = main(["campaign", "run", "--campaign-dir", str(target),
+                     "--spec", str(spec_file)])
+        assert code == 2
+        assert "max_segmnts" in capsys.readouterr().err
+        assert not target.exists()
 
 
 class TestScenarioOptionBoundary:

@@ -20,9 +20,9 @@ from repro.campaign import (
     CampaignSpec,
     CampaignStore,
     plan_shards,
-    resolve_cache_policy,
     run_campaign,
 )
+from repro.campaign.shards import shard_cache_scope
 from repro.sim import rounds
 
 
@@ -177,57 +177,110 @@ class TestRunAndResume:
 
 
 class TestCachePolicy:
-    def test_auto_resolves_against_the_entry_budget(self, monkeypatch):
-        spec = make_spec()  # 2 classes x 8 instances + 1 = 17 distinct compilers
-        assert resolve_cache_policy(spec, "auto") == "all"
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 16)
-        assert resolve_cache_policy(spec, "auto") == "shared-only"
-        assert resolve_cache_policy(spec, "all") == "all"
-        assert resolve_cache_policy(spec, "shared-only") == "shared-only"
-
-    def test_auto_counts_entries_per_distinct_algorithm(self, monkeypatch):
-        # Cache entries key on (program_cache_key, spec): two distinct
-        # algorithms double the estimate; two arms of the *same* algorithm
-        # (e.g. a ratio grid) do not.
-        two_algorithms = make_spec(
-            arms=(
-                CampaignArm(algorithm="almost-universal-compact"),
-                CampaignArm(algorithm="almost-universal", label="paper"),
-            )
-        )  # 2 x (2 x 8 + 1) = 34
-        same_algorithm = make_spec(
-            arms=(
-                CampaignArm(algorithm="almost-universal-compact"),
-                CampaignArm(
-                    algorithm="almost-universal-compact",
-                    label="quarter",
-                    options={"radius_b_ratio": 0.25},
-                ),
-            )
-        )  # 1 x (2 x 8 + 1) = 17
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 20)
-        assert resolve_cache_policy(two_algorithms, "auto") == "shared-only"
-        assert resolve_cache_policy(same_algorithm, "auto") == "all"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(CampaignError, match="cache_policy"):
-            resolve_cache_policy(make_spec(), "most")
-
-    def test_shared_only_campaign_admits_only_a_side(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def fresh_caches(self, monkeypatch):
         monkeypatch.setattr(rounds, "_BUILDER_CACHE", {})
         monkeypatch.setattr(rounds, "_COMPILER_CACHE", {})
-        stats = run_campaign(
-            str(tmp_path / "camp"), make_spec(), cache_policy="shared-only"
+
+    @staticmethod
+    def two_arm_spec():
+        # Two arms of one algorithm simulate the same instance stream, so
+        # the second asks for every B-side compiler the first one built.
+        return make_spec(
+            arms=(
+                CampaignArm(algorithm="almost-universal-compact", label="first"),
+                CampaignArm(algorithm="almost-universal-compact", label="second"),
+            )
         )
-        assert stats.cache_policy == "shared-only"
+
+    def test_single_arm_campaign_admits_only_a_side(self, tmp_path, fresh_caches):
+        # No later arm asks for a B-side spec again: only agent A's
+        # compiler, shared by every instance, enters the cross-call cache.
+        stats = run_campaign(str(tmp_path / "camp"), make_spec())
+        assert stats.complete
+        assert "cache_policy" not in stats.as_dict()
+        assert rounds._COMPILER_CACHE
+        assert all(spec_key.name == "A" for _, spec_key in rounds._COMPILER_CACHE)
+        assert rounds._SHARED_ONLY is False  # the scope ends with the shard
+
+    def test_repeated_algorithm_reuses_b_side_compilers(self, tmp_path, fresh_caches):
+        from repro.motion import compiler as motion_compiler
+
+        directory, spec = str(tmp_path / "camp"), self.two_arm_spec()
+        first_arm = sum(1 for shard in plan_shards(spec) if shard.arm_index == 0)
+        run_campaign(directory, spec, max_shards=first_arm)
+        assert any(spec_key.name == "B" for _, spec_key in rounds._COMPILER_CACHE)
+        before = motion_compiler.rows_compiled_total()
+        assert run_campaign(directory).complete
+        assert motion_compiler.rows_compiled_total() == before
+
+    def test_b_side_beyond_the_entry_cap_is_not_admitted(
+        self, tmp_path, fresh_caches, monkeypatch
+    ):
+        # 2 classes x 8 instances + agent A = 17 compilers; a 16-entry cache
+        # could not keep them until the second arm, so only A is admitted.
+        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 16)
+        assert run_campaign(str(tmp_path / "camp"), self.two_arm_spec()).complete
         assert rounds._COMPILER_CACHE
         assert all(spec_key.name == "A" for _, spec_key in rounds._COMPILER_CACHE)
 
-    def test_policy_does_not_change_stored_columns(self, tmp_path):
-        default, restricted = str(tmp_path / "default"), str(tmp_path / "restricted")
-        run_campaign(default, make_spec(), cache_policy="all")
-        run_campaign(restricted, make_spec(), cache_policy="shared-only")
-        identical_stores(default, restricted)
+    @pytest.mark.parametrize(
+        "algorithms, limit, shared_only",
+        [
+            # One arm: no later shard asks for a B-side spec again.
+            (("almost-universal-compact",), 4096, True),
+            # A repeated algorithm re-uses its 2 x 8 + 1 = 17 compilers.
+            (("almost-universal-compact",) * 2, 4096, False),
+            (("almost-universal-compact",) * 2, 17, False),
+            (("almost-universal-compact",) * 2, 16, True),
+            # Distinct algorithms never share a compiler.
+            (("almost-universal-compact", "almost-universal"), 4096, True),
+            # Between the repeats the other algorithm's 17 entries arrive too.
+            (("almost-universal-compact", "almost-universal") * 2, 34, False),
+            (("almost-universal-compact", "almost-universal") * 2, 33, True),
+        ],
+    )
+    def test_scope_follows_from_the_spec(self, monkeypatch, algorithms, limit, shared_only):
+        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", limit)
+        arms = tuple(
+            CampaignArm(algorithm=name, label=f"arm-{index}")
+            for index, name in enumerate(algorithms)
+        )
+        with shard_cache_scope(make_spec(arms=arms)):
+            assert rounds._SHARED_ONLY is shared_only
+        assert rounds._SHARED_ONLY is False
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_admission_does_not_change_stored_results(
+        self, tmp_path, monkeypatch, workers
+    ):
+        admitted, restricted = str(tmp_path / "admitted"), str(tmp_path / "restricted")
+        run_campaign(admitted, self.two_arm_spec(), workers=workers)
+        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 16)
+        run_campaign(restricted, self.two_arm_spec(), workers=workers)
+        identical_stores(admitted, restricted)
+
+    @pytest.mark.parametrize("family", ["section5", "stalling"])
+    def test_experiment_campaigns_match_across_admission(
+        self, tmp_path, monkeypatch, fresh_caches, family
+    ):
+        # The ratio grid freezes on shared B-side tables and the stalling
+        # sweep stalls them; neither may alter a cached table for later arms.
+        from repro.experiments.scenarios import stalling_campaign_spec
+        from repro.experiments.section5 import asymmetric_campaign_spec
+
+        build = asymmetric_campaign_spec if family == "section5" else stalling_campaign_spec
+        spec = build(samples_per_type=3, seed=5, max_segments=20_000, shard_size=2)
+        admitted, restricted = str(tmp_path / "admitted"), str(tmp_path / "restricted")
+        with shard_cache_scope(spec):
+            assert rounds._SHARED_ONLY is False
+        run_campaign(admitted, spec)
+        assert any(spec_key.name == "B" for _, spec_key in rounds._COMPILER_CACHE)
+        rounds._COMPILER_CACHE.clear()
+        rounds._BUILDER_CACHE.clear()
+        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 1)
+        run_campaign(restricted, spec)
+        identical_stores(admitted, restricted)
 
 
 class TestFreezeHeavyExactCrossCheck:

@@ -76,36 +76,33 @@ class TestSimulateCommand:
         assert "froze at" in out
         assert "rendezvous at" in out
 
-    def test_vectorized_with_kernel_threads(self, capsys):
-        code = main(
-            ["simulate", "--r", "0.5", "--x", "1", "--y", "1", "--phi", "1.5707963",
-             "--algorithm", "dedicated", "--timebase", "float",
-             "--engine", "vectorized", "--kernel-threads", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "rendezvous at" in out
-
-    def test_invalid_kernel_threads_rejected(self, capsys):
-        code = main(
-            ["simulate", "--r", "0.5", "--x", "1", "--y", "1",
-             "--algorithm", "stay-put", "--kernel-threads", "0", "--allow-miss"]
-        )
-        assert code == 2
-        assert "kernel_threads" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["simulate", "experiment"])
-    def test_numexpr_kernel_backend_is_unknown(self, command, capsys):
-        # Only the numpy backend ships; a former backend name is a usage error.
-        if command == "simulate":
-            argv = ["simulate", "--r", "0.5", "--x", "1", "--y", "1",
-                    "--algorithm", "stay-put", "--timebase", "float",
-                    "--engine", "vectorized", "--allow-miss"]
-        else:
-            argv = ["experiment", "thm31", "--samples", "1", "--no-save"]
-        code = main(argv + ["--kernel-backend", "numexpr"])
-        assert code == 2
-        assert "unknown kernel backend 'numexpr'" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [
+        ["--kernel-backend", "numpy"],
+        ["--kernel-threads", "2"],
+        ["--cache-policy", "all"],
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "experiment", "campaign run",
+                                         "campaign resume"])
+    def test_removed_execution_flags_are_usage_errors(self, command, flag,
+                                                      tmp_path, capsys):
+        # The kernel has one implementation, chunks are solved serially and
+        # campaign shards always admit only agent A's compiler: the flags
+        # that once selected among those are gone, and argparse says so.
+        argv = {
+            "simulate": ["simulate", "--r", "0.5", "--x", "1", "--y", "1",
+                         "--algorithm", "stay-put", "--timebase", "float",
+                         "--engine", "vectorized", "--allow-miss"],
+            "experiment": ["experiment", "thm31", "--samples", "1", "--no-save"],
+            "campaign run": ["campaign", "run", "--campaign-dir",
+                             str(tmp_path / "camp"), "--algorithm", "stay-put"],
+            "campaign resume": ["campaign", "resume", "--campaign-dir",
+                                str(tmp_path / "camp")],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "camp").exists()
 
 
 class TestOtherCommands:

@@ -22,7 +22,8 @@ from repro.contracts.core import (
     requires,
     resolve_mode,
 )
-from repro.geometry.backends import _CheckedBackend, get_backend
+from repro.geometry.backends import get_backend, resolve_kernel_threads
+from repro.geometry.closest_approach import fused_window_batch
 
 
 @pytest.fixture
@@ -196,21 +197,51 @@ class TestDecorators:
         assert core.get("test.scratch_by_id").fired == 1
 
 
-class TestBackendWrapping:
-    @pytest.mark.skipif(not core.enabled(),
-                        reason="requires REPRO_CONTRACTS=check|raise")
-    def test_enabled_mode_serves_a_checked_proxy(self):
-        backend = get_backend("numpy")
-        assert isinstance(backend, _CheckedBackend)
-        assert backend.name == "numpy"
+class TestKernelContracts:
+    """The fused kernel runs its declared contracts itself when enabled."""
 
-    def test_off_mode_serves_the_raw_instance(self):
+    KERNEL_CONTRACTS = (
+        "kernel.hit_within_window",
+        "kernel.min_distance_nonneg",
+        "kernel.min_leq_endpoints",
+    )
+
+    def _solve_once(self):
+        # One approaching window: a hit at offset 2 and a closest approach.
+        return fused_window_batch([3.0], [0.0], [-1.0], [0.0], 1.0, [5.0])
+
+    def test_enabled_mode_fires_every_kernel_contract(self):
+        with _override_mode("raise"):
+            before = [core.get(cid).fired for cid in self.KERNEL_CONTRACTS]
+            hit, _, _ = self._solve_once()
+            after = [core.get(cid).fired for cid in self.KERNEL_CONTRACTS]
+        assert hit[0] == 2.0
+        assert all(a == b + 1 for a, b in zip(after, before))
+
+    def test_off_mode_runs_no_kernel_contract(self):
         with _override_mode("off"):
-            assert not isinstance(get_backend("numpy"), _CheckedBackend)
+            before = [core.get(cid).fired for cid in self.KERNEL_CONTRACTS]
+            self._solve_once()
+            after = [core.get(cid).fired for cid in self.KERNEL_CONTRACTS]
+        assert after == before
 
-    def test_instance_passthrough_is_never_wrapped(self):
-        raw = get_backend("numpy")
-        assert get_backend(raw) is raw
+    def test_reporters_name_the_one_kernel(self):
+        assert get_backend().name == "numpy"
+        assert get_backend(None) is get_backend()
+        assert resolve_kernel_threads(None) == 1
+
+    @pytest.mark.parametrize("choice", ["numpy", "numexpr", 2])
+    def test_reporters_reject_any_selection(self, choice):
+        with pytest.raises(ValueError, match="nothing to select"):
+            get_backend(choice)
+        with pytest.raises(ValueError, match="nothing to select"):
+            resolve_kernel_threads(choice)
+
+    def test_reporters_ignore_the_old_environment_variables(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numexpr")
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "many")
+        assert get_backend().name == "numpy"
+        assert resolve_kernel_threads() == 1
 
 
 class TestCli:

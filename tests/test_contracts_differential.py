@@ -1,9 +1,8 @@
-"""Differential contract fuzzing: event vs vectorized engines × kernel backends.
+"""Differential contract fuzzing: event vs vectorized engines.
 
 Hypothesis draws random small instances and runs them through both engine
-families (symmetric and asymmetric), parametrized over every kernel backend
-available in the environment.  The assertions are the *declared* engine-parity
-contracts (``parity.verdict`` / ``parity.meeting_time`` /
+families (symmetric and asymmetric).  The assertions are the *declared*
+engine-parity contracts (``parity.verdict`` / ``parity.meeting_time`` /
 ``parity.min_distance`` / ``parity.freeze``) — not hand-rolled comparisons —
 so these tests exercise the registry at the same time as verifying the
 engines, and a mismatch under ``REPRO_CONTRACTS=raise`` names its invariant.
@@ -27,7 +26,6 @@ from repro.contracts import (
 )
 from repro.contracts.core import _override_mode
 from repro.core.instance import Instance
-from repro.geometry.backends import available_backends
 from repro.sim.asymmetric import simulate_asymmetric
 from repro.sim.batch import simulate_batch
 from repro.sim.engine import RendezvousSimulator, simulate
@@ -35,8 +33,6 @@ from repro.sim.scenarios import registered_scenarios, scenarios_for_options
 
 MAX_TIME = 1e4
 MAX_SEGMENTS = 10_000
-
-BACKENDS = available_backends()
 
 #: One shared strategy for "random small instance" — bounded geometry so the
 #: budgets above resolve quickly, wide enough to hit every window shape
@@ -60,11 +56,10 @@ def _build(params):
     return Instance(r=r, x=x, y=y, phi=phi, tau=tau, v=v, t=t, chi=chi)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSymmetricDifferential:
     @CONTRACT_SETTINGS
     @given(params=instance_params)
-    def test_event_vs_vectorized(self, backend, params):
+    def test_event_vs_vectorized(self, params):
         instance = _build(params)
         if instance is None:
             return
@@ -74,12 +69,11 @@ class TestSymmetricDifferential:
         ).run(instance, algorithm)
         batch = simulate_batch(
             [instance], algorithm,
-            max_time=MAX_TIME, max_segments=MAX_SEGMENTS, backend=backend,
+            max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
         )[0]
         assert check_engine_parity(event, batch)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestAsymmetricDifferential:
     @CONTRACT_SETTINGS
     @given(
@@ -87,7 +81,7 @@ class TestAsymmetricDifferential:
         radius_a=st.floats(0.3, 1.5),
         radius_b=st.floats(0.3, 1.5),
     )
-    def test_event_vs_vectorized_freeze(self, backend, params, radius_a, radius_b):
+    def test_event_vs_vectorized_freeze(self, params, radius_a, radius_b):
         instance = _build(params)
         if instance is None:
             return
@@ -98,8 +92,7 @@ class TestAsymmetricDifferential:
         )
         event = simulate_asymmetric(instance, algorithm, engine="event", **kwargs)
         batch = simulate_asymmetric(
-            instance, algorithm, engine="vectorized",
-            kernel_backend=backend, **kwargs,
+            instance, algorithm, engine="vectorized", **kwargs
         )
         assert check_outcome_parity(event, batch)
 

@@ -21,6 +21,7 @@ from repro.geometry.closest_approach import (
     first_time_within,
     first_time_within_batch,
     fused_window_batch,
+    fused_window_batch_dual,
 )
 
 coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -130,6 +131,80 @@ class TestFusedWindowBatch:
             rel[:, 0], rel[:, 1], rel_vel[:, 0], rel_vel[:, 1], radius, durations
         )
         assert np.array_equal(hit, full_hit, equal_nan=True)
+
+
+def _window_spread(count=512, seed=3):
+    """Relative-coordinate windows covering hits, misses, statics and grazes."""
+    rng = np.random.default_rng(seed)
+    rel_x = rng.uniform(-40.0, 40.0, count)
+    rel_y = rng.uniform(-40.0, 40.0, count)
+    rvel_x = rng.uniform(-4.0, 4.0, count)
+    rvel_y = rng.uniform(-4.0, 4.0, count)
+    rvel_x[::7] = 0.0  # static relative motion lanes
+    rvel_y[::7] = 0.0
+    radius = rng.uniform(0.05, 6.0, count)
+    radius[::11] = 0.0  # exact-contact lanes
+    second = radius * rng.uniform(1.0, 3.0, count)
+    durations = rng.uniform(0.0, 30.0, count)
+    return rel_x, rel_y, rvel_x, rvel_y, radius, second, durations
+
+
+def _scalar(rel_x, rel_y, rvel_x, rvel_y, radius, duration):
+    """The event engine's fused scalar kernel on one relative window."""
+    return first_hit_and_closest_approach(
+        (0.0, 0.0), (0.0, 0.0), (rel_x, rel_y), (rvel_x, rvel_y), radius, duration
+    )
+
+
+class TestKernelOnWindowSpread:
+    """Both batch kernels against the scalar kernel on a fixed window spread."""
+
+    def test_single_radius_matches_scalar(self):
+        rel_x, rel_y, rvel_x, rvel_y, radius, _, durations = _window_spread()
+        hit, mins, t_star = fused_window_batch(
+            rel_x, rel_y, rvel_x, rvel_y, radius, durations
+        )
+        for k in range(len(durations)):
+            scalar_hit, approach = _scalar(
+                rel_x[k], rel_y[k], rvel_x[k], rvel_y[k], radius[k], durations[k]
+            )
+            if scalar_hit is None:
+                assert math.isnan(hit[k])
+            else:
+                assert hit[k] == scalar_hit
+            assert mins[k] == pytest.approx(approach.min_distance, rel=1e-12, abs=1e-12)
+            assert t_star[k] == approach.time_offset
+
+    def test_dual_radius_matches_scalar_at_both_radii(self):
+        rel_x, rel_y, rvel_x, rvel_y, radius, second, durations = _window_spread()
+        hit, hit2, mins, t_star = fused_window_batch_dual(
+            rel_x, rel_y, rvel_x, rvel_y, radius, second, durations
+        )
+        single = fused_window_batch(rel_x, rel_y, rvel_x, rvel_y, radius, durations)
+        assert np.array_equal(hit, single[0], equal_nan=True)
+        assert np.array_equal(mins, single[1])
+        assert np.array_equal(t_star, single[2])
+        for k in range(len(durations)):
+            scalar_hit2, _ = _scalar(
+                rel_x[k], rel_y[k], rvel_x[k], rvel_y[k], second[k], durations[k]
+            )
+            if scalar_hit2 is None:
+                assert math.isnan(hit2[k])
+            else:
+                assert hit2[k] == scalar_hit2
+
+    def test_dual_radius_verdict_only_mode(self):
+        rel_x, rel_y, rvel_x, rvel_y, radius, second, durations = _window_spread(128)
+        hit, hit2, mins, t_star = fused_window_batch_dual(
+            rel_x, rel_y, rvel_x, rvel_y, radius, second, durations,
+            track_closest=False,
+        )
+        assert mins is None and t_star is None
+        full = fused_window_batch_dual(
+            rel_x, rel_y, rvel_x, rvel_y, radius, second, durations
+        )
+        assert np.array_equal(hit, full[0], equal_nan=True)
+        assert np.array_equal(hit2, full[1], equal_nan=True)
 
 
 class TestFusedScalarKernel:

@@ -211,12 +211,12 @@ class TestTraceSink:
         assert trace.flush() is None
 
     def test_span_tags_land_in_args(self, scratch_trace):
-        with core.span("engine.kernel_solve", backend="numpy", threads=2):
+        with core.span("campaign.shard", shard="c0-a0-s0001"):
             pass
         trace.flush()
         trace.merge()
         (event,) = json.load(open(scratch_trace))["traceEvents"]
-        assert event["args"] == {"backend": "numpy", "threads": 2}
+        assert event["args"] == {"shard": "c0-a0-s0001"}
 
     def test_merge_collects_worker_segments(self, scratch_trace, tmp_path):
         foreign = [{

@@ -1,6 +1,7 @@
 """Smoke tests of the public API surface (the names promised by the README)."""
 
 import importlib
+import inspect
 import math
 
 import pytest
@@ -53,3 +54,23 @@ class TestPublicAPI:
 
         instance = repro.Instance(r=0.5, x=1.0, y=1.0, phi=math.pi / 2, chi=1, t=0.5)
         assert universal_phase_bound(instance) >= 1
+
+
+
+def test_no_entry_point_takes_a_removed_execution_keyword():
+    """The kernel-selection, thread and cache-policy keywords stay gone."""
+    removed = {"backend", "kernel_backend", "threads", "kernel_threads", "cache_policy"}
+    for entry_point in (
+        "repro.geometry.closest_approach:fused_window_batch",
+        "repro.geometry.closest_approach:fused_window_batch_dual",
+        "repro.sim.rounds:solve_round",
+        "repro.sim.batch:simulate_batch",
+        "repro.sim.batch_asymmetric:simulate_batch_asymmetric",
+        "repro.sim.asymmetric:simulate_asymmetric",
+        "repro.sim.engine:RendezvousSimulator",
+        "repro.sim.engine:simulate",
+        "repro.campaign.orchestrator:run_campaign",
+    ):
+        module_name, _, attribute = entry_point.partition(":")
+        target = getattr(importlib.import_module(module_name), attribute)
+        assert not removed & set(inspect.signature(target).parameters), entry_point

@@ -143,6 +143,23 @@ class TestReplay:
         assert reopened.torn_lines == 0
         assert reopened.invalid_records == 0
 
+    def test_stats_with_retired_fields_replay_cleanly(self, tmp_path):
+        # Journals written before the campaign cache policy was removed carry
+        # "cache_policy" in their run stats; stats are stored opaque, so such
+        # a journal still replays with every job and field intact.
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(make_spec())
+        queue.mark_running(job.digest)
+        old_stats = {"spec_digest": job.digest, "cache_policy": "shared-only",
+                     "workers": 2, "rows_computed": 4, "complete": True}
+        queue.mark_complete(job.digest, stats=old_stats)
+
+        reopened = JobQueue(tmp_path)
+        assert reopened.invalid_records == 0 and reopened.torn_lines == 0
+        replayed = reopened.job(job.digest)
+        assert replayed.state == "complete"
+        assert replayed.stats == old_stats
+
     def test_torn_tail_is_skipped_losslessly(self, tmp_path):
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(make_spec())

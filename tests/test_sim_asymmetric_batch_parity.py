@@ -231,6 +231,40 @@ class TestDegenerateCasesAndErrors:
                 assert a.frozen_agent is None  # equal radii never freeze
                 assert _result_fields(a.result) == _result_fields(s), scenario
 
+    @pytest.mark.parametrize("ratio", [None, 0.4])
+    def test_multi_chunk_rounds_match_default_chunking(self, ratio, monkeypatch):
+        # Chunk boundaries cap kernel memory and must never change a result:
+        # with a 256-window cap every round splits into many kernel calls,
+        # and both entry points must reproduce the single-chunk run bit for
+        # bit (freeze events included when the radii differ).
+        sampler = InstanceSampler(seed=7)
+        instances = []
+        for cls in (InstanceClass.TYPE_1, InstanceClass.TYPE_2,
+                    InstanceClass.TYPE_3, InstanceClass.TYPE_4):
+            instances.extend(sampler.batch_of_class(cls, 5))
+        algorithm = get_algorithm("almost-universal-compact")
+        budgets = dict(max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
+
+        def run():
+            if ratio is None:
+                results = simulate_batch(instances, algorithm, **budgets)
+                return [_result_fields(result) for result in results]
+            outcomes = simulate_batch_asymmetric(
+                instances, algorithm,
+                radius_a=[instance.r for instance in instances],
+                radius_b=[instance.r * ratio for instance in instances],
+                **budgets,
+            )
+            return [
+                (o.frozen_agent, o.freeze_time, o.freeze_distance,
+                 _result_fields(o.result))
+                for o in outcomes
+            ]
+
+        default = run()
+        monkeypatch.setattr(rounds, "KERNEL_CHUNK_WINDOWS", 256)
+        assert run() == default
+
     def test_zero_radius_ratio_rejected_by_both_engines(self):
         instance = Instance(r=0.5, x=2.0, y=0.0)
         algorithm = get_algorithm("stay-put")
@@ -274,8 +308,6 @@ class TestDegenerateCasesAndErrors:
             {"max_time": math.inf},
             {"max_segments": 0},
             {"initial_horizon": -1.0},
-            {"kernel_threads": 0},
-            {"backend": "no-such-backend"},
         ],
     )
     def test_empty_batch_validates_options(self, entry_point, options):

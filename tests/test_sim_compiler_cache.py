@@ -193,38 +193,33 @@ class TestCompilerCacheBounds:
 
 
 class TestCacheAdmissionPolicy:
-    """The campaign-scale admission hook: "shared-only" admits only agent A.
+    """The A-only scope: only agent A's compiler enters the cache.
 
-    Large campaigns hold more distinct per-instance B-side specs than the
-    cache has entries; admitting them all would evict the one entry every
-    instance shares (agent A's).  The policy trades B-side reuse for a
-    guaranteed A-side hit — pinned here via the rows-compiled counter.
+    Campaign shards whose B-side specs no later shard asks for again run
+    inside it, so single-use B-side compilers do not evict the one entry
+    every shard re-uses.  Direct engine calls keep admitting every spec —
+    pinned here via the rows-compiled counter.
     """
 
     def test_policy_is_scoped_and_restored(self):
-        assert rounds.compiler_cache_admission_policy() == "all"
-        with rounds.compiler_cache_admission("shared-only"):
-            assert rounds.compiler_cache_admission_policy() == "shared-only"
-            with rounds.compiler_cache_admission("all"):
-                assert rounds.compiler_cache_admission_policy() == "all"
-            assert rounds.compiler_cache_admission_policy() == "shared-only"
-        assert rounds.compiler_cache_admission_policy() == "all"
+        assert rounds._SHARED_ONLY is False
+        with rounds.compiler_cache_admission():
+            assert rounds._SHARED_ONLY is True
+            with rounds.compiler_cache_admission():
+                assert rounds._SHARED_ONLY is True
+            assert rounds._SHARED_ONLY is True
+        assert rounds._SHARED_ONLY is False
 
     def test_policy_restored_on_error(self):
         with pytest.raises(RuntimeError):
-            with rounds.compiler_cache_admission("shared-only"):
+            with rounds.compiler_cache_admission():
                 raise RuntimeError("shard died")
-        assert rounds.compiler_cache_admission_policy() == "all"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="admission policy"):
-            with rounds.compiler_cache_admission("most-of-them"):
-                pass
+        assert rounds._SHARED_ONLY is False
 
     def test_shared_only_caches_only_agent_a_specs(self, fresh_caches):
         instances = _campaign()
         algorithm = get_algorithm("almost-universal-compact")
-        with rounds.compiler_cache_admission("shared-only"):
+        with rounds.compiler_cache_admission():
             simulate_batch(
                 instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS
             )
@@ -232,12 +227,12 @@ class TestCacheAdmissionPolicy:
         assert all(spec.name == "A" for _, spec in rounds._COMPILER_CACHE)
 
     def test_rows_recompiled_counter_pins_the_policy(self, fresh_caches):
-        """shared-only recompiles exactly the B side on repeat; "all" nothing."""
+        """The scope recompiles exactly the B side on repeat; direct calls nothing."""
         instances = _campaign()
         algorithm = get_algorithm("almost-universal-compact")
         kwargs = dict(max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
 
-        with rounds.compiler_cache_admission("shared-only"):
+        with rounds.compiler_cache_admission():
             before = motion_compiler.rows_compiled_total()
             simulate_batch(instances, algorithm, **kwargs)
             cold_rows = motion_compiler.rows_compiled_total() - before
@@ -249,7 +244,7 @@ class TestCacheAdmissionPolicy:
         # compiler (and the builder cache) still serve their rows.
         assert recompiled < cold_rows
 
-        # Same campaign under the default policy: zero rows on repeat.
+        # Same campaign outside the scope: zero rows on repeat.
         rounds._COMPILER_CACHE.clear()
         rounds._BUILDER_CACHE.clear()
         simulate_batch(instances, algorithm, **kwargs)
@@ -261,15 +256,10 @@ class TestCacheAdmissionPolicy:
         instances = _campaign(seed=9)
         algorithm = get_algorithm("almost-universal-compact")
         kwargs = dict(max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
-        with rounds.compiler_cache_admission("shared-only"):
+        with rounds.compiler_cache_admission():
             restricted = simulate_batch(instances, algorithm, **kwargs)
         rounds._COMPILER_CACHE.clear()
         rounds._BUILDER_CACHE.clear()
         default = simulate_batch(instances, algorithm, **kwargs)
         for a, b in zip(restricted, default):
             assert _fields(a) == _fields(b)
-
-    def test_entry_budget_getter_tracks_the_limit(self, monkeypatch):
-        assert rounds.compiler_cache_entry_budget() == rounds._COMPILER_CACHE_LIMIT
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 7)
-        assert rounds.compiler_cache_entry_budget() == 7
