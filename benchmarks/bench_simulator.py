@@ -12,7 +12,11 @@ import math
 import pytest
 
 from repro.algorithms.almost_universal import AlmostUniversalRV
-from repro.algorithms.cow_walk import planar_cow_walk, planar_cow_walk_segment_count
+from repro.algorithms.cow_walk import (
+    planar_cow_walk,
+    planar_cow_walk_columns,
+    planar_cow_walk_segment_count,
+)
 from repro.core.instance import Instance
 from repro.geometry.closest_approach import first_time_within
 from repro.motion.compiler import compile_trajectory
@@ -41,7 +45,7 @@ def test_trajectory_compiler_throughput(benchmark):
     spec = instance.agent_b()
 
     def run():
-        return sum(1 for _ in compile_trajectory(spec, planar_cow_walk(4)))
+        return sum(1 for _ in compile_trajectory(spec, [planar_cow_walk_columns(4)]))
 
     # One extra segment: the pre-wake sleep (the agent wakes at t = 1).
     assert benchmark(run) == planar_cow_walk_segment_count(4) + 1

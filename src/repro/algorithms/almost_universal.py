@@ -21,17 +21,18 @@ The block sizes come from a :class:`~repro.algorithms.schedules.Schedule`
 (default: the paper's literal constants).
 
 The program exists in two forms with identical rows: the instruction stream
-of :meth:`AlmostUniversalRV.program` (the event engine's input) and the
-column blocks of :meth:`AlmostUniversalRV.program_blocks` (the batch
-engine's), where block 1 is one rotation of the cached ``PlanarCowWalk``
-columns per frame.
+of :meth:`AlmostUniversalRV.program` (the authoring form, which tests and
+the ``program.columns_parity`` contract compare against) and the column
+blocks of :meth:`AlmostUniversalRV.program_blocks`, which both engines read
+and where block 1 is one rotation of the cached ``PlanarCowWalk`` columns
+per frame.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from typing import Iterator, Optional, Tuple
+from functools import partial
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from repro.algorithms.cgkk import cgkk_program
 from repro.algorithms.cow_walk import (
     planar_cow_walk,
     planar_cow_walk_columns,
-    planar_cow_walk_segment_count,
 )
 from repro.algorithms.latecomers import latecomers_program
 from repro.algorithms.schedules import PaperSchedule, Schedule
@@ -53,18 +53,6 @@ from repro.motion.program import (
     rotate_instructions,
     take_local_time,
 )
-
-#: Phases whose estimated instruction count stays below this are memoized as
-#: tuples, keyed by (schedule, phase index), for the event engine, which
-#: reads :meth:`AlmostUniversalRV.program` one instruction at a time.  The
-#: program is instance-independent — every simulated agent replays the same
-#: stream — so regenerating the rotated cow walks per run is pure overhead.
-#: (The batch engine reads :meth:`AlmostUniversalRV.program_blocks` instead,
-#: which builds the sweeps as columns.)  Deeper phases stay on the lazy
-#: generators: they are astronomically long, always truncated by simulation
-#: budgets, and would blow up memory.
-PHASE_MEMO_INSTRUCTION_LIMIT = 250_000
-
 
 class AlmostUniversalRV(UniversalAlgorithm):
     """Algorithm 1, parameterized by a phase schedule.
@@ -132,16 +120,10 @@ class AlmostUniversalRV(UniversalAlgorithm):
         yield from self._block4_type4(i)
 
     # -- the algorithm ---------------------------------------------------------------------
-    def _phase_steps(self, i: int):
-        """Phase ``i``, memoized when small (and the subclass did not override it)."""
-        if type(self) is AlmostUniversalRV and _phase_is_cacheable(self.schedule, i):
-            return phase_instruction_list(self.schedule, i)
-        return self.phase(i)
-
     def program(self) -> Iterator[Instruction]:
         i = 1
         while self.max_phase is None or i <= self.max_phase:
-            yield from self._phase_steps(i)
+            yield from self.phase(i)
             i += 1
 
     # -- the columnar program -------------------------------------------------------------
@@ -201,25 +183,3 @@ _STREAM_METHODS = ("program", "phase", "_block1_type1", "_block3_type3")
 def _rotated_cow_walk(resolution: int, alpha: float) -> Iterator[Instruction]:
     """``PlanarCowWalk(resolution)`` executed in the frame ``Rot(alpha)``."""
     return rotate_instructions(planar_cow_walk(resolution), alpha)
-
-
-def _phase_is_cacheable(schedule: Schedule, i: int) -> bool:
-    """Whether phase ``i`` of ``schedule`` is small enough to memoize.
-
-    The estimate counts the dominant contributions — one planar cow walk per
-    rotation of block 1 plus the one of block 3; blocks 2 and 4 are bounded by
-    ``2**i`` local time and stay negligible next to them.
-    """
-    try:
-        hash(schedule)
-    except TypeError:  # unhashable custom schedule: fall back to generators
-        return False
-    walk = planar_cow_walk_segment_count(schedule.planar_resolution(i))
-    estimate = walk * (schedule.rotations(i) + 1)
-    return estimate <= PHASE_MEMO_INSTRUCTION_LIMIT
-
-
-@lru_cache(maxsize=8)
-def phase_instruction_list(schedule: Schedule, i: int) -> Tuple[Instruction, ...]:
-    """The full instruction list of phase ``i``, shared across all consumers."""
-    return tuple(AlmostUniversalRV(schedule).phase(i))

@@ -1,7 +1,9 @@
 """Algorithm protocol and the knowledge model for dedicated algorithms.
 
-The simulator only needs ``program_for(instance, spec, role)``.  The two base
-classes below specialize that protocol:
+Algorithms are authored through ``program_for(instance, spec, role)``; the
+simulator reads the same program as column blocks through
+``program_blocks_for``, which adapts ``program_for`` by default.  The two
+base classes below specialize that protocol:
 
 * :class:`UniversalAlgorithm` — identical program for both agents; subclasses
   implement :meth:`UniversalAlgorithm.program` which receives *nothing*.  This
@@ -128,7 +130,7 @@ class Algorithm:
     ) -> Iterable[ColumnBlock]:
         """The same program as :meth:`program_for`, as column blocks.
 
-        The batch engine's input.  The default adapts the instruction stream;
+        What both engines read.  The default adapts the instruction stream;
         algorithms with a columnar structure override it to skip the
         per-instruction objects.
         """

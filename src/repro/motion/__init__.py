@@ -8,10 +8,15 @@ of such instructions; this package turns those streams into
 * :class:`~repro.motion.localpath.LocalPath` objects (time-parametrized
   piecewise-linear paths in the agent's own coordinates and units), which is
   what Algorithm 1 needs for truncation, chunking and backtracking, and
-* absolute-time, absolute-coordinate trajectory segments via the
-  :mod:`~repro.motion.compiler`, which is what the simulator consumes (the
-  batch engine reads programs as :class:`~repro.motion.program.ColumnBlock`
-  runs instead of one instruction object at a time).
+* absolute-time, absolute-coordinate trajectories via the
+  :mod:`~repro.motion.compiler`, which is what the simulator consumes.
+
+Both engines read a program in one form, a stream of
+:class:`~repro.motion.program.ColumnBlock` s (:func:`instruction_blocks`
+adapts an instruction stream): the event engine through the lazy
+:func:`compile_trajectory`, the batch engine through
+:class:`LocalProgramBuilder` and
+:class:`~repro.motion.compiler.IncrementalTableCompiler`.
 """
 
 from repro.motion.instructions import (
@@ -44,10 +49,7 @@ from repro.motion.compiler import (
     LocalProgramTable,
     TrajectorySegment,
     TrajectoryTable,
-    compile_table,
     compile_trajectory,
-    compile_trajectory_table,
-    local_program_table,
     sleep_segment,
 )
 
@@ -79,8 +81,5 @@ __all__ = [
     "LocalProgramBuilder",
     "LocalProgramTable",
     "compile_trajectory",
-    "compile_trajectory_table",
-    "compile_table",
-    "local_program_table",
     "sleep_segment",
 ]

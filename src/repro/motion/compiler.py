@@ -1,34 +1,38 @@
-"""Compile local instruction streams into absolute-time trajectory segments.
+"""Compile agents' local programs into absolute-time trajectories.
 
 An agent executes its program in its own coordinate system and units; the
 simulator needs the resulting motion in absolute coordinates and absolute
-time.  The compiler performs that translation segment by segment, lazily, so
-infinite programs can be consumed under a budget:
+time.  Programs reach the compiler in one form, a stream of column blocks
+(:class:`~repro.motion.program.ColumnBlock`: rows ``(dx, dy, duration)`` of
+local displacement and local duration), and every row translates the same way:
 
-* a local move of ``d`` length units becomes an absolute segment of length
-  ``d * tau * v`` traversed at speed ``v`` (hence lasting ``d * tau`` absolute
-  time units), in the direction given by the agent's frame;
-* a local wait of ``z`` time units becomes a zero-velocity segment lasting
-  ``z * tau`` absolute time units;
-* the time before the agent's wake-up is represented by an initial
-  zero-velocity segment starting at absolute time 0.
+* a row moving ``(dx, dy)`` over ``d`` local units becomes an absolute segment
+  lasting ``d * tau`` absolute time units, displaced by ``(dx, dy)`` mapped
+  through the agent's frame and scaled by its length unit ``tau * v``;
+* a row with zero displacement is a wait: a zero-velocity segment lasting
+  ``d * tau`` absolute time units;
+* the time before the agent's wake-up is an initial zero-velocity segment
+  starting at absolute time 0.
 
-Timestamps are handled through an optional *timebase* object (see
-:mod:`repro.sim.timebase`): with the default ``None`` they are plain floats;
-with an exact timebase they are ``Fraction`` values, which keeps event times
-exact even when the paper's algorithms schedule waits of ``2**(15 i^2)`` time
-units next to sub-unit moves.
+Two compilers share that arithmetic and one block validator
+(:func:`_validated_columns`):
 
-Besides the lazy segment-by-segment mode, the compiler has a *bulk* mode for
-the vectorized batch engine: :class:`LocalProgramBuilder` accumulates a
-program's column blocks (:class:`~repro.motion.program.ColumnBlock`) into
-columnar numpy arrays (consumed once, reusable across every instance running
-the same universal program), and
-:func:`compile_trajectory_table` turns such a columnar program into a
-:class:`TrajectoryTable` — the absolute-time trajectory of one agent as plain
-float arrays — with a handful of array operations instead of per-segment
-Python.  The bulk mode is float-timebase only; the exact timebase stays on the
-lazy path.
+* :func:`compile_trajectory`, the event engine's, works lazily, one
+  :class:`TrajectorySegment` at a time, so infinite programs can be consumed
+  under a budget.  Timestamps go through an optional *timebase* object (see
+  :mod:`repro.sim.timebase`): plain floats with the default ``None``,
+  ``Fraction`` values with an exact timebase, which keeps event times exact
+  even when the paper's algorithms schedule waits of ``2**(15 i^2)`` time
+  units next to sub-unit moves.
+* :class:`IncrementalTableCompiler`, the batch engine's, turns growing
+  prefixes of a :class:`LocalProgramBuilder` (the blocks accumulated into
+  columnar arrays, reusable across every instance running the same universal
+  program) into a :class:`TrajectoryTable` -- the absolute-time trajectory of
+  one agent as plain float arrays -- compiling each row once, with array
+  operations.  It is float-timebase only.
+
+The lazy compiler is the reference the table compiler is tested against:
+their rows must be equal, exactly, however the program is split into blocks.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from repro.contracts.invariants import PROGRAM_COLUMNS_PARITY, SCENARIO_STALL_SE
 from repro.core.instance import AgentSpec
 from repro.geometry.transforms import frame_matrix
 from repro.geometry.vec import Vec2, add, scale
-from repro.motion.instructions import Instruction, Move, Wait
 from repro.motion.program import ColumnBlock, instruction_blocks
 from repro.obs import core as _obs
 from repro.util.errors import AlgorithmContractError
@@ -109,9 +112,41 @@ def sleep_segment(spec: AgentSpec, timebase: Optional[Any] = None) -> Optional[T
     )
 
 
+def _validated_columns(block: ColumnBlock) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked ``(dx, dy, duration)`` columns of one program block.
+
+    The one validator both compilers read blocks through: the columns must
+    have equal lengths, finite displacements and finite non-negative
+    durations (else :class:`AlgorithmContractError`), and a sample of the
+    natively generated blocks is re-derived through the instruction objects
+    when contracts are enabled (``program.columns_parity``).  Null rows (zero
+    duration) are dropped from the returned columns.
+    """
+    dx = np.asarray(block.dx, dtype=float)
+    dy = np.asarray(block.dy, dtype=float)
+    duration = np.asarray(block.duration, dtype=float)
+    if not (
+        duration.ndim == 1
+        and dx.shape == dy.shape == duration.shape
+        and np.isfinite(dx).all()
+        and np.isfinite(dy).all()
+        and ((duration >= 0.0) & (duration < math.inf)).all()
+    ):
+        raise AlgorithmContractError(
+            "program block needs three equal-length columns of finite "
+            "displacements and finite non-negative durations"
+        )
+    if block.reference is not None and _contracts.enabled():
+        _check_columns_parity(block)
+    if not duration.all():
+        keep = duration != 0.0
+        dx, dy, duration = dx[keep], dy[keep], duration[keep]
+    return dx, dy, duration
+
+
 def compile_trajectory(
     spec: AgentSpec,
-    program: Iterable[Instruction],
+    blocks: Iterable[ColumnBlock],
     *,
     timebase: Optional[Any] = None,
 ) -> Iterator[TrajectorySegment]:
@@ -121,58 +156,59 @@ def compile_trajectory(
     ----------
     spec:
         The agent (frame + units) executing the program.
-    program:
-        Iterable of :class:`Move` / :class:`Wait` instructions in the agent's
-        local coordinates and units.
+    blocks:
+        The program as :class:`~repro.motion.program.ColumnBlock` s in the
+        agent's local coordinates and units; instruction streams go through
+        :func:`~repro.motion.program.instruction_blocks`.  Blocks are pulled
+        one at a time, as the segments are consumed.
     timebase:
         Optional timebase object providing ``lift(float)`` and
         ``add(time, float_delta)``; ``None`` uses plain floats.
+
+    Each row takes the arithmetic of :meth:`IncrementalTableCompiler._extend`
+    in the same order, so on the float timebase segment ``k`` equals table
+    row ``k`` exactly (waits keep a literal zero velocity where the table
+    may hold ``-0.0``).
     """
     units = spec.units
-    frame = spec.frame
-
-    def lift(value: float):
-        return timebase.lift(value) if timebase is not None else float(value)
+    m00, m01, m10, m11 = frame_matrix(spec.frame.phi, spec.frame.chi)
+    unit = units.length_unit
+    rate = units.clock_rate
 
     def advance(current, delta: float):
         return timebase.add(current, delta) if timebase is not None else current + delta
 
-    current_time = lift(units.wake_time)
+    wake = float(units.wake_time)
+    current_time = timebase.lift(wake) if timebase is not None else wake
     current_pos: Vec2 = spec.start
 
     pre_wake = sleep_segment(spec, timebase)
     if pre_wake is not None:
         yield pre_wake
 
-    for instruction in program:
-        if isinstance(instruction, Wait):
-            if instruction.duration == 0.0:
+    for block in blocks:
+        dxs, dys, local_durations = _validated_columns(block)
+        for dx, dy, local in zip(dxs.tolist(), dys.tolist(), local_durations.tolist()):
+            duration = local * rate
+            if dx == 0.0 and dy == 0.0:
+                yield TrajectorySegment(
+                    start_time=current_time,
+                    duration=duration,
+                    start_pos=current_pos,
+                    velocity=(0.0, 0.0),
+                    kind="wait",
+                )
+                current_time = advance(current_time, duration)
                 continue
-            duration = units.local_duration_to_absolute(instruction.duration)
-            yield TrajectorySegment(
-                start_time=current_time,
-                duration=duration,
-                start_pos=current_pos,
-                velocity=(0.0, 0.0),
-                kind="wait",
-            )
-            current_time = advance(current_time, duration)
-        elif isinstance(instruction, Move):
-            if instruction.is_null():
-                continue
-            local_length = instruction.length
-            duration = units.move_duration_absolute(local_length)
-            absolute_disp = scale(
-                frame.local_vector_to_absolute((instruction.dx, instruction.dy)),
-                units.length_unit,
-            )
+            disp_x = (m00 * dx + m01 * dy) * unit
+            disp_y = (m10 * dx + m11 * dy) * unit
             if duration == 0.0:
                 # A subnormal move length times a clock rate below 1 can
                 # underflow to an absolute duration of exactly zero.  No time
                 # passes: emit a stationary zero-duration segment (so segment
-                # counts match the columnar path row for row) and apply the
-                # (at most subnormal-sized) displacement instantaneously
-                # instead of dividing by zero.
+                # counts match the table row for row) and apply the (at most
+                # subnormal-sized) displacement instantaneously instead of
+                # dividing by zero.
                 yield TrajectorySegment(
                     start_time=current_time,
                     duration=0.0,
@@ -180,23 +216,19 @@ def compile_trajectory(
                     velocity=(0.0, 0.0),
                     kind="move",
                 )
-                current_pos = add(current_pos, absolute_disp)
-                continue
-            # Divide directly instead of multiplying by the reciprocal: for
-            # subnormal durations 1.0/duration overflows to inf even though
-            # the component-wise quotients are perfectly representable.
-            velocity = (absolute_disp[0] / duration, absolute_disp[1] / duration)
-            yield TrajectorySegment(
-                start_time=current_time,
-                duration=duration,
-                start_pos=current_pos,
-                velocity=velocity,
-                kind="move",
-            )
-            current_time = advance(current_time, duration)
-            current_pos = add(current_pos, absolute_disp)
-        else:  # pragma: no cover - defensive
-            raise AlgorithmContractError(f"unknown instruction {instruction!r}")
+            else:
+                # Divide directly instead of multiplying by the reciprocal: for
+                # subnormal durations 1.0/duration overflows to inf even though
+                # the component-wise quotients are perfectly representable.
+                yield TrajectorySegment(
+                    start_time=current_time,
+                    duration=duration,
+                    start_pos=current_pos,
+                    velocity=(disp_x / duration, disp_y / duration),
+                    kind="move",
+                )
+                current_time = advance(current_time, duration)
+            current_pos = (current_pos[0] + disp_x, current_pos[1] + disp_y)
 
 
 # -- bulk (columnar) mode ------------------------------------------------------------
@@ -239,8 +271,8 @@ class LocalProgramBuilder:
     can serve every instance of a batch that runs the same universal program,
     each with its own local-time budget.
 
-    Every block is validated (equal-length finite columns, non-negative
-    durations) and its null rows (zero duration) are dropped.  A snapshot
+    Every block goes through :func:`_validated_columns`, which checks it and
+    drops its null rows (zero duration).  A snapshot
     that reaches the end of the buffers looks one block ahead, so it is
     ``complete`` exactly when it holds the whole of a finite program.
     """
@@ -282,25 +314,7 @@ class LocalProgramBuilder:
             setattr(self, name, grown)
 
     def _append(self, block: ColumnBlock) -> None:
-        dx = np.asarray(block.dx, dtype=float)
-        dy = np.asarray(block.dy, dtype=float)
-        duration = np.asarray(block.duration, dtype=float)
-        if not (
-            duration.ndim == 1
-            and dx.shape == dy.shape == duration.shape
-            and np.isfinite(dx).all()
-            and np.isfinite(dy).all()
-            and ((duration >= 0.0) & (duration < math.inf)).all()
-        ):
-            raise AlgorithmContractError(
-                "program block needs three equal-length columns of finite "
-                "displacements and finite non-negative durations"
-            )
-        if block.reference is not None and _contracts.enabled():
-            _check_columns_parity(block)
-        if not duration.all():
-            keep = duration != 0.0
-            dx, dy, duration = dx[keep], dy[keep], duration[keep]
+        dx, dy, duration = _validated_columns(block)
         count = duration.shape[0]
         if not count:
             return
@@ -406,18 +420,6 @@ def _check_columns_parity(block: ColumnBlock) -> None:
     )
 
 
-def local_program_table(
-    program: Iterable[Instruction],
-    *,
-    max_local_time: Optional[float] = None,
-    max_steps: Optional[int] = None,
-) -> LocalProgramTable:
-    """One-shot convenience: accumulate ``program`` into a columnar table."""
-    builder = LocalProgramBuilder(instruction_blocks(program))
-    local_time = math.inf if max_local_time is None else max_local_time
-    return builder.snapshot(local_time, max_steps=max_steps)
-
-
 @dataclass(frozen=True)
 class TrajectoryTable:
     """The absolute-time trajectory of one agent, as columnar float arrays.
@@ -483,94 +485,6 @@ class TrajectoryTable:
         return pos_x, pos_y, self.vel_x[index], self.vel_y[index]
 
 
-def compile_table(spec: AgentSpec, table: LocalProgramTable) -> TrajectoryTable:
-    """Vectorized local → absolute compilation of a columnar program.
-
-    The columnar equivalent of :func:`compile_trajectory` on the float
-    timebase: durations scale by the clock rate, displacements map through the
-    agent's frame and length unit, and cumulative sums produce the absolute
-    start times and positions.  A pre-wake sleep row is prepended when the
-    agent wakes late, and a trailing infinite stationary row is appended when
-    the program is complete (the agent stays at its final position forever).
-    """
-    units = spec.units
-    m00, m01, m10, m11 = frame_matrix(spec.frame.phi, spec.frame.chi)
-    unit = units.length_unit
-    wake = units.wake_time
-    start_x0, start_y0 = spec.start
-
-    durations = table.duration * units.clock_rate
-    disp_x = (m00 * table.dx + m01 * table.dy) * unit
-    disp_y = (m10 * table.dx + m11 * table.dy) * unit
-    # Zero-displacement rows are waits.  Local durations are strictly
-    # positive, but a subnormal duration times a clock rate below 1 can
-    # underflow to exactly zero; such rows pass no time and apply their (at
-    # most subnormal-sized) displacement instantaneously — velocity 0 keeps
-    # the division well-defined, matching the lazy compiler.
-    positive = durations > 0.0
-    safe_durations = np.where(positive, durations, 1.0)
-    vel_x = np.where(positive, disp_x / safe_durations, 0.0)
-    vel_y = np.where(positive, disp_y / safe_durations, 0.0)
-
-    # Rows are written into preallocated output columns (program rows framed
-    # by the optional pre-wake sleep row and trailing infinite row).  Start
-    # times and positions are left folds seeded with the wake time and start
-    # point (``c_0 = start, c_j = c_{j-1} + d_j``), the exact additions of the
-    # lazy compiler, so rows are bit-identical to its segments; adding the
-    # start to an unseeded cumsum instead rounds differently whenever it is
-    # non-zero.
-    n = len(table)
-    pre = 1 if wake > 0.0 else 0
-    post = 1 if table.complete else 0
-    total = pre + n + post
-    out_time = np.empty(total)
-    out_duration = np.empty(total)
-    out_x = np.empty(total)
-    out_y = np.empty(total)
-    out_vx = np.empty(total)
-    out_vy = np.empty(total)
-
-    if pre:
-        out_time[0] = 0.0
-        out_duration[0] = wake
-        out_x[0] = start_x0
-        out_y[0] = start_y0
-        out_vx[0] = 0.0
-        out_vy[0] = 0.0
-
-    if n:
-        body = slice(pre, pre + n)
-        folds = np.empty((n, 3))
-        folds[0] = (wake, start_x0, start_y0)
-        folds[1:, 0] = durations[:-1]
-        folds[1:, 1] = disp_x[:-1]
-        folds[1:, 2] = disp_y[:-1]
-        folds = np.cumsum(folds, axis=0)
-        out_time[body] = folds[:, 0]
-        out_duration[body] = durations
-        out_x[body] = folds[:, 1]
-        out_y[body] = folds[:, 2]
-        out_vx[body] = vel_x
-        out_vy[body] = vel_y
-
-    if post:
-        _write_trailing_row(
-            (out_time, out_duration, out_x, out_y, out_vx, out_vy),
-            total - 1, (wake, start_x0, start_y0),
-        )
-
-    return TrajectoryTable(
-        start_time=out_time,
-        duration=out_duration,
-        start_x=out_x,
-        start_y=out_y,
-        vel_x=out_vx,
-        vel_y=out_vy,
-        exhausted=table.complete,
-        segments=n + pre,
-    )
-
-
 def _write_trailing_row(columns, at: int, origin) -> None:
     """Write a finished program's infinite stationary row at index ``at``.
 
@@ -611,15 +525,14 @@ def rows_compiled_total() -> int:
 class IncrementalTableCompiler:
     """Compiles growing prefixes of one agent's local program, incrementally.
 
-    The adaptive-horizon batch engines re-request the same agent's trajectory
-    with ever longer prefixes (one per round).  A fresh :func:`compile_table`
-    call scales, rotates and accumulates the *whole* prefix each time; this
-    compiler does each row exactly once, extending shared output buffers as
-    the prefix grows.  Bit-parity with from-scratch compilation holds because
-    ``cumsum`` is a sequential left fold: seeding the extension's cumsum with
-    the carried fold value reproduces the exact same additions in the exact
-    same order (``c_j = c_{j-1} + d_j``), so every row of every snapshot is
-    bit-identical to :func:`compile_table`'s output.
+    The batch engine's table compiler.  The adaptive-horizon driver
+    re-requests the same agent's trajectory with ever longer prefixes (one
+    per round); this compiler does each row exactly once, extending shared
+    output buffers as the prefix grows.  Rows do not depend on how the prefix
+    grew because ``cumsum`` is a sequential left fold: seeding the
+    extension's cumsum with the carried fold value reproduces the additions
+    of :func:`compile_trajectory` in the same order (``c_j = c_{j-1} + d_j``),
+    so every row of every snapshot equals the lazy compiler's segment.
 
     Returned tables are views into the shared buffers.  Extensions only write
     rows beyond any previously returned view (buffer growth reallocates but
@@ -651,7 +564,7 @@ class IncrementalTableCompiler:
         self._count = 0
         # Left-fold carries after the last compiled row: the start time and
         # position of the next row (folds seeded with the wake time and start
-        # point, exactly like compile_table and the lazy compiler).
+        # point, exactly like the lazy compiler).
         self._carry_t = self._wake
         self._carry_x = self._x0
         self._carry_y = self._y0
@@ -702,8 +615,12 @@ class IncrementalTableCompiler:
         grown = n - count
         body = slice(base, base + grown)
         self._dur[body] = durations
-        # Same wait/underflow handling as compile_table, on the new rows only
-        # (with the common all-positive case skipping the guard arrays).
+        # Zero-displacement rows are waits.  Local durations are strictly
+        # positive, but a subnormal duration times a clock rate below 1 can
+        # underflow to exactly zero; such rows pass no time and apply their
+        # (at most subnormal-sized) displacement instantaneously -- velocity
+        # 0 keeps the division well-defined, matching the lazy compiler.  The
+        # common all-positive case skips the guard arrays.
         positive = durations > 0.0
         if positive.all():
             np.divide(disp_x, durations, out=self._vx[body])
@@ -782,30 +699,6 @@ def constant_table(position: Vec2) -> TrajectoryTable:
         exhausted=True,
         segments=0,
     )
-
-
-def compile_trajectory_table(
-    spec: AgentSpec,
-    program: Iterable[Instruction],
-    *,
-    horizon: float,
-    max_segments: Optional[int] = None,
-) -> TrajectoryTable:
-    """Bulk-compile ``program`` into a :class:`TrajectoryTable` up to ``horizon``.
-
-    The program is consumed just far enough that the table covers absolute
-    time ``horizon`` (or the whole program, whichever comes first), bounded by
-    ``max_segments`` instructions.  Equivalent to materializing
-    :func:`compile_trajectory` on the float timebase and truncating.
-    """
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
-    units = spec.units
-    local_budget = max((horizon - units.wake_time) / units.clock_rate, 0.0)
-    table = local_program_table(
-        program, max_local_time=local_budget, max_steps=max_segments
-    )
-    return compile_table(spec, table)
 
 
 # -- stalling-agent lowering ------------------------------------------------------

@@ -7,9 +7,9 @@ run a sub-procedure in a rotated frame, run it only for a bounded local time
 while recording the followed path, interleave recorded chunks with waits,
 backtrack, and so on.
 
-The batch engine consumes programs in a second, columnar form: a stream of
-:class:`ColumnBlock` s, each a run of rows ``(dx, dy, duration)`` as float
-arrays.  :func:`instruction_blocks` turns any instruction stream into that
+The simulator's engines consume programs in a second, columnar form: a
+stream of :class:`ColumnBlock` s, each a run of rows ``(dx, dy, duration)``
+as float arrays.  :func:`instruction_blocks` turns any instruction stream into that
 form; algorithms whose structure is columnar (Algorithm 1's rotated cow-walk
 sweeps) emit blocks directly.
 """
@@ -46,8 +46,9 @@ def instruction_blocks(program: Iterable[Instruction], chunk: int = 1024) -> Ite
     """Columnar form of an instruction stream, ``chunk`` rows per block.
 
     The adapter every instruction-emitting program goes through to reach the
-    batch engine.  The stream is consumed lazily, one block at a time, so
-    infinite programs stay infinite.
+    engines.  The stream is consumed lazily, one block at a time, so
+    infinite programs stay infinite; a consumer reading the first row of a
+    block has pulled up to ``chunk - 1`` instructions beyond it.
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")

@@ -47,7 +47,7 @@ from repro.sim.engine import (
     FreezeRule,
     _AgentCursor,
     _algorithm_name,
-    _resolve_program,
+    _resolve_blocks,
     drive_windows,
 )
 from repro.sim.results import SimulationResult, TerminationReason
@@ -185,11 +185,11 @@ def simulate_asymmetric(
             transform_b = transform
 
     cursor_a = _AgentCursor(
-        spec_a, _resolve_program(algorithm, instance, spec_a, "A"), tb,
+        spec_a, _resolve_blocks(algorithm, instance, spec_a, "A"), tb,
         stream_transform=transform_a,
     )
     cursor_b = _AgentCursor(
-        spec_b, _resolve_program(algorithm, instance, spec_b, "B"), tb,
+        spec_b, _resolve_blocks(algorithm, instance, spec_b, "B"), tb,
         stream_transform=transform_b,
     )
 

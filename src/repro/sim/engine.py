@@ -7,10 +7,13 @@ distance drops to the visibility radius is found exactly by the quadratic
 closest-approach kernel of :mod:`repro.geometry.closest_approach`.
 
 The engine is deliberately oblivious to *what* the agents are running: it
-only sees two lazy streams of trajectory segments.  Algorithms plug in through
-the tiny ``program_for(instance, spec, role)`` protocol (or a bare callable
-with the same signature), so the simulator does not depend on the algorithm
-layer.
+only sees two lazy streams of trajectory segments, compiled by
+:func:`~repro.motion.compiler.compile_trajectory` from each agent's program
+in the form both engines read, a stream of column blocks.  Algorithms plug in
+through ``program_blocks_for(instance, spec, role)`` or the tiny
+``program_for(instance, spec, role)`` protocol (or a bare callable with the
+same signature), and :func:`_resolve_blocks` turns any of them into blocks,
+so the simulator does not depend on the algorithm layer.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.geometry.closest_approach import (
 from repro.geometry.vec import Vec2, add, scale
 from repro.motion.compiler import TrajectorySegment, compile_trajectory, stalled_segments
 from repro.motion.instructions import Instruction
+from repro.motion.program import ColumnBlock, instruction_blocks
 from repro.sim.events import FREEZE, EventKind
 from repro.sim.recorder import TrajectoryRecorder
 from repro.sim.results import SimulationResult, TerminationReason
@@ -45,16 +49,28 @@ logger = get_logger("sim.engine")
 ProgramFactory = Callable[[Instance, AgentSpec, str], Iterable[Instruction]]
 
 
-def _resolve_program(algorithm: Any, instance: Instance, spec: AgentSpec, role: str):
-    """Obtain the instruction stream of ``algorithm`` for one agent."""
+def _resolve_blocks(
+    algorithm: Any, instance: Instance, spec: AgentSpec, role: str
+) -> Iterable[ColumnBlock]:
+    """The column blocks of one agent's program: the input of both engines.
+
+    Algorithm objects provide them through ``program_blocks_for``; objects
+    with only ``program_for`` and bare callables with its signature go
+    through the instruction adapter.
+    """
+    hook = getattr(algorithm, "program_blocks_for", None)
+    if hook is not None:
+        return hook(instance, spec, role)
     if hasattr(algorithm, "program_for"):
-        return algorithm.program_for(instance, spec, role)
-    if callable(algorithm):
-        return algorithm(instance, spec, role)
-    raise TypeError(
-        "algorithm must expose program_for(instance, spec, role) or be a callable "
-        f"with that signature, got {algorithm!r}"
-    )
+        program = algorithm.program_for(instance, spec, role)
+    elif callable(algorithm):
+        program = algorithm(instance, spec, role)
+    else:
+        raise TypeError(
+            "algorithm must expose program_for(instance, spec, role) or be a "
+            f"callable with that signature, got {algorithm!r}"
+        )
+    return instruction_blocks(program)
 
 
 def _algorithm_name(algorithm: Any) -> str:
@@ -98,7 +114,7 @@ class _AgentCursor:
     def __init__(
         self,
         spec: AgentSpec,
-        program: Iterable[Instruction],
+        blocks: Iterable[ColumnBlock],
         timebase: Timebase,
         recorder: Optional[TrajectoryRecorder] = None,
         stream_transform: Optional[
@@ -107,7 +123,7 @@ class _AgentCursor:
     ) -> None:
         self.timebase = timebase
         stream: Iterable[TrajectorySegment] = compile_trajectory(
-            spec, program, timebase=timebase
+            spec, blocks, timebase=timebase
         )
         if stream_transform is not None:
             # Scenario lowering hook: e.g. the stall transform of the
@@ -117,6 +133,8 @@ class _AgentCursor:
         self.segments_consumed = 0
         self.exhausted = False
         self.recorder = recorder
+        # The compiler's first segment starts at time 0: the sleep segment,
+        # or the first row when the agent wakes at time 0.
         first = self._pull()
         if first is None:
             # The program is empty: the agent never moves.
@@ -130,23 +148,6 @@ class _AgentCursor:
             self.exhausted = True
         else:
             self.current = first
-            if self.timebase.to_float(first.start_time) > 0.0:
-                # The compiler only emits the first segment at the wake-up
-                # time when there is no sleep segment (wake_time == 0), so a
-                # positive start here cannot happen; guard anyway.
-                self.current = TrajectorySegment(
-                    start_time=timebase.lift(0.0),
-                    duration=self.timebase.to_float(first.start_time),
-                    start_pos=spec.start,
-                    velocity=(0.0, 0.0),
-                    kind="sleep",
-                )
-                self.stream = self._chain(first, self.stream)
-
-    @staticmethod
-    def _chain(head: TrajectorySegment, rest: Iterator[TrajectorySegment]):
-        yield head
-        yield from rest
 
     def _pull(self) -> Optional[TrajectorySegment]:
         try:
@@ -527,11 +528,11 @@ class RendezvousSimulator:
 
         transform_a, transform_b = self._stall_transforms(timebase)
         cursor_a = _AgentCursor(
-            spec_a, _resolve_program(algorithm, instance, spec_a, "A"), timebase,
+            spec_a, _resolve_blocks(algorithm, instance, spec_a, "A"), timebase,
             recorder_a, stream_transform=transform_a,
         )
         cursor_b = _AgentCursor(
-            spec_b, _resolve_program(algorithm, instance, spec_b, "B"), timebase,
+            spec_b, _resolve_blocks(algorithm, instance, spec_b, "B"), timebase,
             recorder_b, stream_transform=transform_b,
         )
 

@@ -60,9 +60,8 @@ from repro.motion.compiler import (
     LocalProgramBuilder,
     TrajectoryTable,
 )
-from repro.motion.program import instruction_blocks
 from repro.obs import core as _obs
-from repro.sim.engine import _resolve_program
+from repro.sim.engine import _resolve_blocks
 from repro.sim.results import TerminationReason
 
 #: Horizon multiplier between rounds.  Scanning resumes at ``scan_from``, so
@@ -200,23 +199,12 @@ def compiler_cache_admission() -> Iterator[None]:
         _SHARED_ONLY = previous
 
 
-def _resolve_blocks(algorithm: Any, instance: Instance, spec: AgentSpec, role: str):
-    """The column blocks of one agent's program (the batch engine's input).
-
-    Algorithm objects provide them through ``program_blocks_for``; bare
-    callables and duck-typed objects go through the instruction adapter.
-    """
-    hook = getattr(algorithm, "program_blocks_for", None)
-    if hook is not None:
-        return hook(instance, spec, role)
-    return instruction_blocks(_resolve_program(algorithm, instance, spec, role))
-
-
 class ProgramSource:
     """Serves trajectory tables, consuming each program only once.
 
     Every program reaches its builder as column blocks
-    (``program_blocks_for``).  Universal algorithms share a single
+    (:func:`~repro.sim.engine._resolve_blocks`, the event engine's resolver
+    too).  Universal algorithms share a single
     :class:`LocalProgramBuilder` across every agent of every instance;
     non-universal programs get one builder per (instance, role), created on
     first use and *extended* (never re-created) as the adaptive horizon grows.

@@ -57,6 +57,19 @@ class TestProgramStructure:
         assert block.is_closed(tol=1e-9)
         assert block.total_duration() == pytest.approx(4 * planar_cow_walk_duration(1))
 
+    def test_program_runs_an_overridden_phase(self):
+        class Tweaked(AlmostUniversalRV):
+            def phase(self, i):
+                yield Wait(1.0)
+
+        tweaked = Tweaked(PaperSchedule(), max_phase=2)
+        assert list(tweaked.program()) == [Wait(1.0)] * 2
+        assert tweaked.program_cache_key is None
+
+    def test_program_chains_the_phases_in_order(self):
+        algorithm = AlmostUniversalRV(CompactSchedule(), max_phase=2)
+        assert list(algorithm.program()) == list(algorithm.phase(1)) + list(algorithm.phase(2))
+
     def test_block2_waits_runs_and_backtracks(self):
         algorithm = AlmostUniversalRV()
         instructions = list(algorithm._block2_type2(2))
@@ -170,41 +183,6 @@ class TestTheorem32Coverage:
             assert result.min_distance >= s1_instance.r - 1e-9
 
 
-class TestPhaseMemoization:
-    def test_cached_phase_equals_generated_phase(self):
-        from repro.algorithms.almost_universal import phase_instruction_list
-
-        algorithm = AlmostUniversalRV(CompactSchedule())
-        assert list(phase_instruction_list(algorithm.schedule, 1)) == list(algorithm.phase(1))
-
-    def test_program_uses_cache_for_small_phases(self):
-        from repro.algorithms.almost_universal import phase_instruction_list
-
-        schedule = PaperSchedule()
-        cached = phase_instruction_list(schedule, 1)
-        program = AlmostUniversalRV(schedule).program()
-        prefix = [next(program) for _ in range(len(cached))]
-        assert prefix == list(cached)
-
-    def test_deep_phases_not_materialized(self):
-        from repro.algorithms.almost_universal import _phase_is_cacheable
-
-        schedule = PaperSchedule()
-        assert _phase_is_cacheable(schedule, 1)
-        assert not _phase_is_cacheable(schedule, 8)
-
-    def test_subclasses_bypass_cache(self):
-        from repro.algorithms.almost_universal import _phase_is_cacheable
-
-        class Tweaked(AlmostUniversalRV):
-            def phase(self, i):
-                yield Wait(1.0)
-
-        tweaked = Tweaked(PaperSchedule())
-        assert list(tweaked._phase_steps(1)) == [Wait(1.0)]
-        assert tweaked.program_cache_key is None
-
-
 def _columns(blocks, max_steps=None):
     """The builder table of a block stream, fully consumed (or ``max_steps`` rows)."""
     return LocalProgramBuilder(blocks).snapshot(math.inf, max_steps=max_steps)
@@ -254,23 +232,35 @@ class TestColumnarProgram:
         assert table.complete
         assert table.duration.tolist() == [1.0, 2.0, 3.0]
 
-    def test_non_finite_schedule_is_rejected(self):
+    @pytest.mark.parametrize("reader", ["builder", "float", "exact"])
+    def test_non_finite_schedule_is_rejected(self, reader):
+        # The batch engine's builder and the event engine (both timebases)
+        # read blocks through the same validator.
         @dataclasses.dataclass(frozen=True)
         class NanStep(PaperSchedule):
             def rotation_step(self, i):
                 return math.nan
 
+        algorithm = AlmostUniversalRV(NanStep(), max_phase=1)
         with pytest.raises(AlgorithmContractError):
-            _columns(AlmostUniversalRV(NanStep(), max_phase=1).program_blocks())
+            if reader == "builder":
+                _columns(algorithm.program_blocks())
+            else:
+                simulate(Instance(r=0.5, x=3.0, y=0.0), algorithm, timebase=reader)
 
-    def test_columns_parity_contract_checks_native_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("reader", ["builder", "event"])
+    def test_columns_parity_contract_checks_native_blocks(self, monkeypatch, reader):
         from repro.motion import compiler
 
         contract = contracts_core.get("program.columns_parity")
         monkeypatch.setattr(compiler, "_columns_parity_calls", 0)
         fired = contract.fired
+        algorithm = AlmostUniversalRV(PaperSchedule(), max_phase=2)
         with _override_mode("raise"):
-            _columns(AlmostUniversalRV(PaperSchedule(), max_phase=2).program_blocks())
+            if reader == "builder":
+                _columns(algorithm.program_blocks())
+            else:
+                simulate(Instance(r=0.5, x=3.0, y=0.0), algorithm, max_segments=100)
         assert contract.fired > fired
 
     def test_columns_parity_contract_catches_a_divergent_block(self, monkeypatch):

@@ -11,6 +11,7 @@ from repro.core.instance import AgentSpec, Instance
 from repro.core.units import AgentUnits
 from repro.motion.compiler import compile_trajectory, sleep_segment
 from repro.motion.instructions import Move, Wait
+from repro.motion.program import instruction_blocks
 from repro.sim.timebase import ExactTimebase
 
 
@@ -33,7 +34,8 @@ class TestSleepSegment:
 class TestReferenceAgent:
     def test_simple_moves(self):
         spec = make_spec()
-        segments = list(compile_trajectory(spec, [Move(2.0, 0.0), Wait(1.0), Move(0.0, 1.0)]))
+        program = [Move(2.0, 0.0), Wait(1.0), Move(0.0, 1.0)]
+        segments = list(compile_trajectory(spec, instruction_blocks(program)))
         assert len(segments) == 3
         move_east, pause, move_north = segments
         assert move_east.start_time == 0.0 and move_east.duration == 2.0
@@ -44,11 +46,12 @@ class TestReferenceAgent:
         assert move_north.end_pos == pytest.approx((2.0, 1.0))
 
     def test_null_instructions_skipped(self):
-        segments = list(compile_trajectory(make_spec(), [Move(0.0, 0.0), Wait(0.0)]))
+        program = [Move(0.0, 0.0), Wait(0.0)]
+        segments = list(compile_trajectory(make_spec(), instruction_blocks(program)))
         assert segments == []
 
     def test_position_at_offset(self):
-        (segment,) = compile_trajectory(make_spec(), [Move(4.0, 0.0)])
+        (segment,) = compile_trajectory(make_spec(), instruction_blocks([Move(4.0, 0.0)]))
         assert segment.position_at_offset(1.0) == pytest.approx((1.0, 0.0))
         with pytest.raises(ValueError):
             segment.position_at_offset(10.0)
@@ -59,36 +62,36 @@ class TestUnitsAndFrames:
         # tau = 2, v = 3: one local length unit = 6 absolute units, traversed
         # in 2 absolute time units (at absolute speed 3).
         spec = make_spec(tau=2.0, v=3.0)
-        (segment,) = compile_trajectory(spec, [Move(1.0, 0.0)])
+        (segment,) = compile_trajectory(spec, instruction_blocks([Move(1.0, 0.0)]))
         assert segment.duration == pytest.approx(2.0)
         assert segment.end_pos == pytest.approx((6.0, 0.0))
         assert math.hypot(*segment.velocity) == pytest.approx(3.0)
 
     def test_wait_scaling(self):
         spec = make_spec(tau=2.0, v=3.0)
-        (segment,) = compile_trajectory(spec, [Wait(5.0)])
+        (segment,) = compile_trajectory(spec, instruction_blocks([Wait(5.0)]))
         assert segment.duration == pytest.approx(10.0)
 
     def test_wake_time_shifts_start(self):
         spec = make_spec(wake=4.0)
-        segments = list(compile_trajectory(spec, [Move(1.0, 0.0)]))
+        segments = list(compile_trajectory(spec, instruction_blocks([Move(1.0, 0.0)])))
         assert segments[0].kind == "sleep"
         assert segments[1].start_time == pytest.approx(4.0)
 
     def test_rotated_frame(self):
         spec = make_spec(phi=math.pi / 2.0)
-        (segment,) = compile_trajectory(spec, [Move(1.0, 0.0)])
+        (segment,) = compile_trajectory(spec, instruction_blocks([Move(1.0, 0.0)]))
         assert segment.end_pos == pytest.approx((0.0, 1.0), abs=1e-12)
 
     def test_mirrored_frame(self):
         spec = make_spec(chi=-1)
-        (segment,) = compile_trajectory(spec, [Move(0.0, 1.0)])
+        (segment,) = compile_trajectory(spec, instruction_blocks([Move(0.0, 1.0)]))
         assert segment.end_pos == pytest.approx((0.0, -1.0))
 
     def test_agent_b_of_instance(self):
         instance = Instance(r=1.0, x=2.0, y=3.0, phi=math.pi, tau=2.0, v=0.5, t=1.0, chi=1)
         spec = instance.agent_b()
-        segments = list(compile_trajectory(spec, [Move(1.0, 0.0)]))
+        segments = list(compile_trajectory(spec, instruction_blocks([Move(1.0, 0.0)])))
         sleep, move = segments
         assert sleep.duration == 1.0
         assert move.start_time == pytest.approx(1.0)
@@ -113,7 +116,7 @@ class TestUnitsAndFrames:
     def test_total_duration_matches_units(self, tau, v, phi, chi, instructions):
         """Total absolute duration equals local duration times the clock rate."""
         spec = make_spec(phi=phi, chi=chi, tau=tau, v=v)
-        segments = list(compile_trajectory(spec, instructions))
+        segments = list(compile_trajectory(spec, instruction_blocks(instructions)))
         local_duration = sum(
             instr.duration for instr in instructions if not instr.is_null()
         )
@@ -135,8 +138,10 @@ class TestUnitsAndFrames:
     )
     def test_path_length_scales_with_length_unit(self, displacements):
         moves = [Move(dx, dy) for dx, dy in displacements]
-        base = list(compile_trajectory(make_spec(), moves))
-        scaled = list(compile_trajectory(make_spec(tau=2.0, v=1.5), moves))
+        base = list(compile_trajectory(make_spec(), instruction_blocks(moves)))
+        scaled = list(
+            compile_trajectory(make_spec(tau=2.0, v=1.5), instruction_blocks(moves))
+        )
         base_length = sum(math.hypot(*s.velocity) * s.duration for s in base)
         scaled_length = sum(math.hypot(*s.velocity) * s.duration for s in scaled)
         assert scaled_length == pytest.approx(base_length * 3.0, rel=1e-9)
@@ -146,7 +151,10 @@ class TestExactTimebase:
     def test_exact_timestamps_are_fractions(self):
         spec = make_spec(wake=0.5)
         segments = list(
-            compile_trajectory(spec, [Move(1.0, 0.0), Wait(0.25)], timebase=ExactTimebase())
+            compile_trajectory(
+                spec, instruction_blocks([Move(1.0, 0.0), Wait(0.25)]),
+                timebase=ExactTimebase(),
+            )
         )
         assert all(isinstance(s.start_time, Fraction) for s in segments)
         assert segments[-1].start_time == Fraction(3, 2)
@@ -154,7 +162,9 @@ class TestExactTimebase:
     def test_exact_accumulation_has_no_drift(self):
         spec = make_spec()
         instructions = [Move(0.1, 0.0)] * 10
-        segments = list(compile_trajectory(spec, instructions, timebase=ExactTimebase()))
+        segments = list(
+            compile_trajectory(spec, instruction_blocks(instructions), timebase=ExactTimebase())
+        )
         # Each duration is Fraction(0.1) exactly; the sum is exact, not 0.9999...
         assert segments[-1].start_time == 9 * Fraction(0.1)
 
@@ -165,7 +175,7 @@ class TestDegenerateMoves:
         of a subnormal duration overflows to inf even though the quotient is
         perfectly representable."""
         d = 2.225073858507203e-309
-        [segment] = list(compile_trajectory(make_spec(), [Move(d, d)]))
+        [segment] = list(compile_trajectory(make_spec(), instruction_blocks([Move(d, d)])))
         assert math.isfinite(segment.velocity[0])
         assert segment.velocity[0] == pytest.approx(math.sqrt(0.5))
         assert segment.velocity[1] == pytest.approx(math.sqrt(0.5))

@@ -1,9 +1,10 @@
 """Tests for the bulk (columnar) mode of the motion compiler.
 
-The contract under test: a :class:`TrajectoryTable` is exactly the
-materialization of the lazy :func:`compile_trajectory` stream — same segment
-boundaries, same positions, same velocities — plus a synthetic trailing
-stationary row for finite programs.
+The contract under test: a :class:`TrajectoryTable` from the
+:class:`IncrementalTableCompiler` is exactly the materialization of the lazy
+:func:`compile_trajectory` stream -- the same rows, to the last bit, however
+the program is partitioned into blocks and however the prefix grows -- plus a
+synthetic trailing stationary row for finite programs.
 """
 
 import math
@@ -13,37 +14,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 from profiles import SLOW_SETTINGS, STANDARD_SETTINGS
+from repro.algorithms.almost_universal import AlmostUniversalRV
+from repro.algorithms.base import FunctionAlgorithm
 from repro.algorithms.cow_walk import planar_cow_walk
+from repro.algorithms.schedules import CompactSchedule
 from repro.core.instance import Instance
 from repro.motion.compiler import (
     IncrementalTableCompiler,
     LocalProgramBuilder,
-    compile_table,
     compile_trajectory,
-    compile_trajectory_table,
-    local_program_table,
 )
 from repro.motion.instructions import Move, Wait
 from repro.motion.program import ColumnBlock, instruction_blocks
 from repro.sim.engine import _AgentCursor
+from repro.sim.rounds import ProgramSource
 from repro.sim.timebase import FloatTimebase
 from repro.util.errors import AlgorithmContractError
 
-# Subnormal components carry only a handful of mantissa bits, so the tight
-# tolerances below are not meaningful for them (and such moves are physically
-# meaningless anyway); keep the strategies to normal floats.
-_coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+# Subnormal components are included: exact equality does not depend on how
+# many mantissa bits a value carries.
+_coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 
-instructions = st.lists(
-    st.one_of(
-        st.builds(
-            Wait,
-            st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False, allow_subnormal=False),
-        ),
-        st.builds(Move, _coord, _coord),
-    ),
-    max_size=30,
+_instruction = st.one_of(
+    st.builds(Wait, st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False)),
+    st.builds(Move, _coord, _coord),
 )
+instructions = st.lists(_instruction, max_size=30)
+
+#: The instruction adapter's block size: every partition must give the same rows.
+chunks = st.integers(1, 2048)
 
 instance_specs = st.builds(
     Instance,
@@ -58,14 +57,42 @@ instance_specs = st.builds(
 )
 
 
+def _local(program, chunk=1024):
+    """The whole (finite) instruction program as a builder snapshot."""
+    return LocalProgramBuilder(instruction_blocks(program, chunk=chunk)).snapshot(math.inf)
+
+
+def _table(spec, program, chunk=1024):
+    return IncrementalTableCompiler(spec).table(_local(program, chunk))
+
+
+def _agent(instance, role):
+    return instance.agent_a() if role == "A" else instance.agent_b()
+
+
+def _rows(table, count):
+    """The first ``count`` rows of a table as ``(t, duration, x, y, vx, vy)`` tuples."""
+    columns = (
+        table.start_time, table.duration, table.start_x, table.start_y,
+        table.vel_x, table.vel_y,
+    )
+    return list(zip(*(column[:count].tolist() for column in columns)))
+
+
+def _segment_rows(segments):
+    return [
+        (s.start_time, s.duration, *s.start_pos, *s.velocity) for s in segments
+    ]
+
+
 class TestLocalProgramBuilder:
     def test_empty_program(self):
-        table = local_program_table([])
+        table = _local([])
         assert len(table) == 0 and table.complete
         assert table.total_duration == 0.0
 
     def test_null_instructions_dropped(self):
-        table = local_program_table([Wait(0.0), Move(0.0, 0.0), Wait(1.0), Move(3.0, 4.0)])
+        table = _local([Wait(0.0), Move(0.0, 0.0), Wait(1.0), Move(3.0, 4.0)])
         assert len(table) == 2
         assert table.duration[0] == 1.0
         assert table.duration[1] == 5.0  # move length
@@ -170,49 +197,40 @@ class TestTrailingRow:
 
     @pytest.mark.parametrize("role", ["A", "B"])
     def test_both_compilers_match_the_event_engine_exactly(self, role):
-        spec = self.INSTANCE.agent_a() if role == "A" else self.INSTANCE.agent_b()
+        spec = _agent(self.INSTANCE, role)
         program = self._program()
-        cursor = _AgentCursor(spec, iter(program), FloatTimebase())
+        cursor = _AgentCursor(spec, instruction_blocks(program), FloatTimebase())
         cursor.advance_past(math.inf)
         assert cursor.exhausted
         expected = (cursor.current.start_time, *cursor.current.start_pos)
-        local = local_program_table(program)
-        for table in (compile_table(spec, local), IncrementalTableCompiler(spec).table(local)):
-            assert table.exhausted and math.isinf(table.duration[-1])
-            assert (table.start_time[-1], table.start_x[-1], table.start_y[-1]) == expected
-            last = len(table) - 2
-            span = table.duration[last]
-            assert table.start_time[-1] == table.start_time[last] + span
-            assert table.start_x[-1] == table.start_x[last] + table.vel_x[last] * span
+        table = _table(spec, program)
+        assert table.exhausted and math.isinf(table.duration[-1])
+        assert (table.start_time[-1], table.start_x[-1], table.start_y[-1]) == expected
+        last = len(table) - 2
+        span = table.duration[last]
+        assert table.start_time[-1] == table.start_time[last] + span
+        assert table.start_x[-1] == table.start_x[last] + table.vel_x[last] * span
 
     def test_empty_program_holds_the_start_from_wake_up(self):
         spec = self.INSTANCE.agent_b()
-        for table in (
-            compile_table(spec, local_program_table([])),
-            IncrementalTableCompiler(spec).table(local_program_table([])),
-        ):
-            assert table.start_time[-1] == spec.units.wake_time
-            assert (table.start_x[-1], table.start_y[-1]) == spec.start
+        table = _table(spec, [])
+        assert table.start_time[-1] == spec.units.wake_time
+        assert (table.start_x[-1], table.start_y[-1]) == spec.start
 
 
-class TestCompileTableParity:
+class TestTableParity:
     @SLOW_SETTINGS
-    @given(instance_specs, instructions)
-    def test_matches_lazy_compiler(self, instance, program):
-        spec = instance.agent_b()
-        lazy = list(compile_trajectory(spec, iter(program)))
-        table = compile_table(spec, local_program_table(program))
+    @given(instance_specs, st.sampled_from(["A", "B"]), instructions, chunks)
+    def test_rows_equal_the_lazy_segments(self, instance, role, program, chunk):
+        spec = _agent(instance, role)
+        lazy = list(compile_trajectory(spec, instruction_blocks(program, chunk=chunk)))
+        table = _table(spec, program, chunk)
 
         # Lazy segments map 1:1 onto table rows (both drop null instructions
-        # and both prepend a sleep segment when the agent wakes late).
+        # and both prepend a sleep segment when the agent wakes late), with
+        # all six columns equal.
         assert table.segments == len(lazy)
-        for k, segment in enumerate(lazy):
-            assert table.start_time[k] == pytest.approx(segment.start_time, rel=1e-12, abs=1e-12)
-            assert table.duration[k] == pytest.approx(segment.duration, rel=1e-12, abs=1e-12)
-            assert table.start_x[k] == pytest.approx(segment.start_pos[0], rel=1e-12, abs=1e-12)
-            assert table.start_y[k] == pytest.approx(segment.start_pos[1], rel=1e-12, abs=1e-12)
-            assert table.vel_x[k] == pytest.approx(segment.velocity[0], rel=1e-12, abs=1e-9)
-            assert table.vel_y[k] == pytest.approx(segment.velocity[1], rel=1e-12, abs=1e-9)
+        assert _rows(table, len(lazy)) == _segment_rows(lazy)
 
         # Finite program: one trailing infinite stationary row at the final
         # position, so the table covers all of time.
@@ -222,27 +240,45 @@ class TestCompileTableParity:
         assert table.vel_x[-1] == 0.0 and table.vel_y[-1] == 0.0
         if lazy:
             end = lazy[-1]
-            assert table.finish_time == pytest.approx(
-                end.start_time + end.duration, rel=1e-12, abs=1e-12
-            )
+            assert table.finish_time == end.start_time + end.duration
+
+    @STANDARD_SETTINGS
+    @given(instance_specs, st.sampled_from(["A", "B"]), st.integers(1, 2))
+    def test_start_times_and_positions_are_bit_identical_to_lazy(self, instance, role, phase):
+        # Algorithm 1's native column blocks (rotated cow-walk sweeps, not
+        # instruction rows): both compilers fold from the wake time and start
+        # point in the same order, so every row agrees to the last bit.
+        spec = _agent(instance, role)
+        algorithm = AlmostUniversalRV(CompactSchedule())
+        lazy = list(compile_trajectory(spec, algorithm.phase_blocks(phase)))
+        local = LocalProgramBuilder(algorithm.phase_blocks(phase)).snapshot(math.inf)
+        table = IncrementalTableCompiler(spec).table(local)
+        assert table.segments == len(lazy) > 0
+        assert _rows(table, len(lazy)) == _segment_rows(lazy)
 
     @SLOW_SETTINGS
-    @given(instance_specs, instructions)
-    def test_start_times_and_positions_are_bit_identical_to_lazy(self, instance, program):
-        # Both compilers fold from the wake time and start point in the same
-        # order, so window states built from either agree to the last bit.
+    @given(
+        instance_specs, st.lists(_instruction, min_size=16, max_size=60), chunks,
+        st.integers(1, 4),
+    )
+    def test_rows_do_not_depend_on_prefix_growth(self, instance, program, chunk, step):
+        # The batch driver extends one compiler round by round; a table grown
+        # ``step`` rows at a time equals the one compiled in a single pass.
+        # (Long programs, so most examples extend the compiler many times.)
         spec = instance.agent_b()
-        lazy = list(compile_trajectory(spec, iter(program)))
-        table = compile_table(spec, local_program_table(program))
-        assert table.start_time[: len(lazy)].tolist() == [s.start_time for s in lazy]
-        assert table.start_x[: len(lazy)].tolist() == [s.start_pos[0] for s in lazy]
-        assert table.start_y[: len(lazy)].tolist() == [s.start_pos[1] for s in lazy]
+        builder = LocalProgramBuilder(instruction_blocks(program, chunk=chunk))
+        full = builder.snapshot(math.inf)
+        grown = IncrementalTableCompiler(spec)
+        for rows in range(step, len(full), step):
+            grown.table(builder.snapshot(math.inf, max_steps=rows))
+        table = grown.table(full)
+        assert _rows(table, len(table)) == _rows(_table(spec, program), len(table))
 
     @STANDARD_SETTINGS
     @given(instance_specs, st.floats(0.1, 50.0))
     def test_states_at_matches_segment_states(self, instance, when):
         spec = instance.agent_b()
-        table = compile_table(spec, local_program_table(planar_cow_walk(1)))
+        table = _table(spec, planar_cow_walk(1))
         times = np.array([0.0, when, table.boundaries()[0] if len(table) > 1 else when])
         xs, ys, vxs, vys = table.states_at(times)
         for time, x, y in zip(times, xs, ys):
@@ -262,24 +298,22 @@ class TestCompileTableParity:
             )
 
 
-class TestCompileTrajectoryTable:
+class TestProgramSourceTables:
+    """The batch driver's horizon-bounded tables (``ProgramSource.table_for``)."""
+
+    ALGORITHM = FunctionAlgorithm(lambda *_: planar_cow_walk(3), "walk")
+
     def test_horizon_coverage(self):
         instance = Instance(r=0.5, x=1.0, y=0.0, t=2.0, tau=2.0)
-        spec = instance.agent_b()
-        table = compile_trajectory_table(spec, planar_cow_walk(2), horizon=50.0)
-        assert table.end_time >= 50.0
-
-    def test_invalid_horizon(self):
-        spec = Instance(r=0.5, x=1.0, y=0.0).agent_b()
-        with pytest.raises(ValueError):
-            compile_trajectory_table(spec, planar_cow_walk(1), horizon=0.0)
-        with pytest.raises(ValueError):
-            compile_trajectory_table(spec, planar_cow_walk(1), horizon=math.inf)
+        source = ProgramSource(self.ALGORITHM, max_segments=None)
+        table = source.table_for(0, instance, instance.agent_b(), "B", 50.0)
+        assert table.end_time >= 50.0 and not table.exhausted
 
     def test_max_segments_truncates(self):
-        spec = Instance(r=0.5, x=1.0, y=0.0).agent_b()
-        table = compile_trajectory_table(
-            spec, planar_cow_walk(3), horizon=1e9, max_segments=10
-        )
+        instance = Instance(r=0.5, x=1.0, y=0.0)
+        source = ProgramSource(self.ALGORITHM, max_segments=10)
+        table = source.table_for(0, instance, instance.agent_b(), "B", 1e9)
         assert not table.exhausted
-        assert table.segments == 10
+        # Each agent may read two rows past the combined budget, so the exact
+        # cutoff can be computed afterwards.
+        assert table.segments == 12

@@ -23,6 +23,7 @@ from repro.geometry.lines import Line
 from repro.geometry.vec import dist
 from repro.motion.compiler import compile_trajectory
 from repro.motion.instructions import Move, Wait
+from repro.motion.program import instruction_blocks
 from repro.sim.engine import simulate
 
 
@@ -31,7 +32,8 @@ def positions_at(instance, program_factory, times):
     specs = instance.agents()
     tracks = []
     for spec, role in zip(specs, "AB"):
-        segments = list(compile_trajectory(spec, program_factory(instance, spec, role)))
+        program = instruction_blocks(program_factory(instance, spec, role))
+        segments = list(compile_trajectory(spec, program))
         positions = []
         for when in times:
             position = spec.start
@@ -111,7 +113,7 @@ class TestClaim37PlanarCoverage:
 
         instance = Instance(r=0.25, x=1.5, y=-0.75, tau=0.5, v=1.0)  # B's unit is 0.5
         spec = instance.agent_b()
-        segments = list(compile_trajectory(spec, planar_cow_walk(2)))
+        segments = list(compile_trajectory(spec, instruction_blocks(planar_cow_walk(2))))
         target = (0.0, 0.0)  # agent A's position, at distance ~1.68 < 2**2 * 0.5
         best = min(
             Segment(segment.start_pos, segment.end_pos).distance_to_point(target)

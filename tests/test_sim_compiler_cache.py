@@ -20,8 +20,9 @@ from repro.analysis.sampler import InstanceSampler
 from repro.core.classification import InstanceClass
 from repro.core.instance import Instance
 from repro.motion import compiler as motion_compiler
-from repro.motion.compiler import IncrementalTableCompiler, local_program_table
+from repro.motion.compiler import IncrementalTableCompiler, LocalProgramBuilder
 from repro.motion.instructions import Move
+from repro.motion.program import instruction_blocks
 from repro.sim import rounds
 from repro.sim.batch import simulate_batch
 from repro.sim.batch_asymmetric import simulate_batch_asymmetric
@@ -135,7 +136,8 @@ class TestCompilerCacheHits:
 def _compiler_with_rows(rows: int) -> IncrementalTableCompiler:
     spec = Instance(r=0.5, x=1.0, y=0.0).agents()[0]
     compiler = IncrementalTableCompiler(spec)
-    compiler.table(local_program_table(Move(1.0, 0.0) for _ in range(rows)))
+    program = instruction_blocks(Move(1.0, 0.0) for _ in range(rows))
+    compiler.table(LocalProgramBuilder(program).snapshot(math.inf))
     assert compiler.rows_compiled == rows
     return compiler
 

@@ -28,8 +28,9 @@ from repro.contracts import check_engine_parity, check_outcome_parity
 from repro.core.classification import InstanceClass
 from repro.core.instance import Instance
 from repro.motion.compiler import (
+    IncrementalTableCompiler,
+    LocalProgramBuilder,
     compile_trajectory,
-    compile_trajectory_table,
     stalled_segments,
     stalled_table,
 )
@@ -248,10 +249,10 @@ class TestStallLowering:
         instance = Instance(r=0.5, x=3.0, y=0.0)
         spec_a, _ = instance.agents()
         algorithm = get_algorithm(ALGORITHM)
-        program = algorithm.program_for(instance, spec_a, "A")
-        return compile_trajectory_table(
-            spec_a, program, horizon=horizon, max_segments=MAX_SEGMENTS
-        )
+        builder = LocalProgramBuilder(algorithm.program_blocks_for(instance, spec_a, "A"))
+        # Agent A wakes at 0 with a unit clock: local time is absolute time.
+        local = builder.snapshot(horizon, max_steps=MAX_SEGMENTS)
+        return IncrementalTableCompiler(spec_a).table(local)
 
     def test_table_splice_structure(self):
         table = self._table()
@@ -288,17 +289,17 @@ class TestStallLowering:
         algorithm = get_algorithm(ALGORITHM)
         onset, duration = 4.0, 2.5
         tb = get_timebase("float")
-        program = algorithm.program_for(instance, spec_a, "A")
+        blocks = algorithm.program_blocks_for(instance, spec_a, "A")
         segments = list(
             _take(stalled_segments(
-                compile_trajectory(spec_a, program, timebase=tb),
+                compile_trajectory(spec_a, blocks, timebase=tb),
                 onset, duration, tb,
             ), 12)
         )
         table = stalled_table(self._table(horizon=200.0), onset, duration)
         for k, segment in enumerate(segments):
             assert segment.start_time == table.start_time[k]
-            assert segment.duration == pytest.approx(table.duration[k], rel=1e-12)
+            assert segment.duration == table.duration[k]
             assert segment.velocity[0] == table.vel_x[k]
             assert segment.velocity[1] == table.vel_y[k]
 
