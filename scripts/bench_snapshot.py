@@ -197,8 +197,7 @@ def main() -> int:
     campaign_total = campaign_spec.total_instances
     print(f"campaign mode          : {campaign_seconds:.3f}s "
           f"({campaign_total / campaign_seconds:,.0f} instances/s, "
-          f"{campaign_stats.shards_executed} shards, "
-          f"{campaign_seconds / batch_seconds:.2f}x the raw batch time)")
+          f"{campaign_stats.shards_executed} shards)")
 
     snapshot = {
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -245,7 +244,6 @@ def main() -> int:
             "instances": campaign_total,
             "shards": campaign_stats.shards_executed,
             "shard_size": campaign_spec.shard_size,
-            "overhead_vs_batch": round(campaign_seconds / batch_seconds, 3),
         },
     }
     if phase_profile is not None:

@@ -24,14 +24,15 @@ quantity that decides whether a run fits a budget.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.algorithms.cgkk import (
     cgkk_meeting_phase_bound,
-    cgkk_probe_schedule,
     cgkk_supported,
 )
 from repro.algorithms.cow_walk import (
@@ -41,7 +42,6 @@ from repro.algorithms.cow_walk import (
 )
 from repro.algorithms.latecomers import (
     latecomers_meeting_phase_bound,
-    latecomers_probe_schedule,
     latecomers_supported,
 )
 from repro.algorithms.schedules import PaperSchedule, Schedule
@@ -55,6 +55,34 @@ from repro.core.instance import Instance
 # ---------------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_phase_sums(phase: int) -> Tuple[int, float]:
+    """``(count, sum of 2|u|)`` over the probe guesses ``u`` of one phase.
+
+    Enumeration phase ``k`` of both substitutes probes every nonzero point
+    of the dyadic disc of :func:`~repro.util.dyadic.dyadic_ball_grid` with
+    resolution ``k - 1`` and extent ``2**(k - 1)``, nearest first.  The
+    order does not matter to a sum, so the disc is summed row by row with
+    numpy — the same points, by the same ``x*x + y*y <= extent**2 + 1e-12``
+    test — and the row totals with ``math.fsum``: no list of points is
+    built and nothing is sorted (phase 7 alone has about 5e7 points).
+    """
+    resolution = phase - 1
+    extent = 2 ** (phase - 1)
+    reach = extent << resolution
+    axis = np.arange(-reach, reach + 1) * (1.0 / (1 << resolution))
+    squares = axis * axis
+    radius_sq = float(extent) * float(extent) + 1e-12
+    count = 0
+    rows = []
+    for x in axis.tolist():
+        inside = axis[x * x + squares <= radius_sq]
+        count += inside.shape[0]
+        rows.append(float(np.hypot(x, inside).sum()))
+    # The origin is inside every disc but never probed; its norm adds 0.
+    return count - 1, 2.0 * math.fsum(rows)
+
+
 def latecomers_completion_bound(instance: Instance) -> float:
     """Local time by which the solo ``Latecomers`` run has met (its ``Delta``).
 
@@ -63,21 +91,25 @@ def latecomers_completion_bound(instance: Instance) -> float:
     ``w`` in phase ``k`` costs ``2**k + 2 |w|`` local time units.
     """
     phase_bound = latecomers_meeting_phase_bound(instance)
-    total = 0.0
-    for phase, (wx, wy) in latecomers_probe_schedule(max_phase=phase_bound):
-        total += 2.0**phase + 2.0 * math.hypot(wx, wy)
-    return total
+    totals = []
+    for phase in range(1, phase_bound + 1):
+        count, norms = _probe_phase_sums(phase)
+        totals.append(count * 2.0**phase + norms)
+    return math.fsum(totals)
 
 
 def cgkk_completion_bound(instance: Instance) -> float:
-    """Local time by which the solo ``CGKK`` run has met (its ``Delta``)."""
+    """Local time by which the solo ``CGKK`` run has met (its ``Delta``).
+
+    A probe with guess ``u`` costs ``2 |u|`` (out and back); summed over
+    every phase up to :func:`cgkk_meeting_phase_bound`.
+    """
     if not cgkk_supported(instance):
         raise ValueError("instance outside the CGKK substitute's contract")
     phase_bound = cgkk_meeting_phase_bound(instance)
-    total = 0.0
-    for _phase, (ux, uy) in cgkk_probe_schedule(max_phase=phase_bound):
-        total += 2.0 * math.hypot(ux, uy)
-    return total
+    return math.fsum(
+        _probe_phase_sums(phase)[1] for phase in range(1, phase_bound + 1)
+    )
 
 
 # ---------------------------------------------------------------------------------

@@ -21,14 +21,17 @@ holds that loop's building blocks:
   one round, including the exact reproduction of the event engine's
   ``max_segments`` stopping rule (:func:`entry_state_arrays` is the column
   form the driver classifies whole rounds with);
-* :func:`build_windows` — the *flat* cross-instance window construction:
-  grouped ``searchsorted`` range cuts, one stable lexsort merging every
-  entry's two boundary runs at once, one entry-grouped deduplication pass and
-  shared scatter index arrays produce window starts, durations and both
-  agents' states as single flat arrays with per-instance offsets — no
-  per-entry Python runs anywhere in the merge (the first engine generation
-  called ``np.unique``/``states_at`` per instance; the second still rank-
-  merged each entry's runs in a Python loop);
+* :func:`build_windows` — the *flat*, sort-free cross-instance window
+  construction: grouped ``searchsorted`` range cuts, gathers of only the
+  table rows a round can touch, a rank merge of every entry's two sorted
+  boundary runs (one ``searchsorted`` per distinct A table places every B
+  boundary, A's fill the rest), active rows written straight from merge
+  positions and one entry-grouped deduplication pass produce window starts,
+  durations and both agents' states as single flat arrays with per-instance
+  offsets — no sort, and Python loops only over distinct tables, never over
+  windows (the first engine generation called ``np.unique``/``states_at``
+  per instance, the second rank-merged each entry in a Python loop, the
+  third ran one stable ``lexsort`` over every event of the round);
 * :func:`solve_round` — the chunked fused-kernel pass (one kernel call per
   chunk, serially) with segmented first-hit/minimum reductions, optionally
   solving every window against a *second* per-window radius column in the
@@ -602,12 +605,6 @@ def _consecutive(count: int) -> np.ndarray:
     return _CONSECUTIVE[:count]
 
 
-def _segment_arange(counts: np.ndarray, total: int) -> np.ndarray:
-    """``0..counts[k]-1`` within each segment, concatenated (length ``total``)."""
-    starts = np.cumsum(counts) - counts
-    return _consecutive(total) - np.repeat(starts, counts)
-
-
 def _dedup_tables(tables: Sequence[TrajectoryTable]):
     """Deduplicate tables by identity: distinct list, member lists, slot column.
 
@@ -630,29 +627,6 @@ def _dedup_tables(tables: Sequence[TrajectoryTable]):
         members[slot].append(k)
         table_of_entry[k] = slot
     return distinct, members, table_of_entry
-
-
-def _flat_table_columns(
-    distinct: Sequence[TrajectoryTable], table_of_entry: np.ndarray
-):
-    """Concatenated state columns of the distinct tables, plus per-entry bases.
-
-    A side collapsing to a *single* distinct table (late rounds of a
-    universal campaign) skips the concatenation entirely and gathers straight
-    from the table's own columns (``None`` base: rows index the table's own
-    columns directly, with no per-window base offsets).
-    """
-    names = ("start_time", "start_x", "start_y", "vel_x", "vel_y")
-    if len(distinct) == 1:
-        table = distinct[0]
-        return tuple(getattr(table, name) for name in names), None
-    lengths = np.array([len(table) for table in distinct], dtype=np.int64)
-    row_offsets = np.concatenate(([0], np.cumsum(lengths)))
-    columns = tuple(
-        np.concatenate([getattr(table, name) for table in distinct])
-        for name in names
-    )
-    return columns, row_offsets[table_of_entry]
 
 
 def _range_cuts(
@@ -693,181 +667,238 @@ def _range_cuts(
     return low, high
 
 
-def _boundary_values(
-    time_column: np.ndarray,
-    table_base: Optional[np.ndarray],
-    base: np.ndarray,
-    counts: np.ndarray,
-    total: int,
-) -> np.ndarray:
-    """One side's in-range boundary times, flat and entry-grouped.
+#: The table columns a window's state is gathered from.
+_STATE_COLUMNS = ("start_time", "start_x", "start_y", "vel_x", "vel_y")
 
-    Boundary ``j`` (0-based within the entry's in-range run) of entry ``k``
-    is row ``base[k] + 1 + j`` of the entry's table — boundaries are the
-    start times of every row but the first — shifted by the entry's
-    concatenation base when the side has several distinct tables.
+
+class _SideRuns:
+    """One agent's side of a round: its tables, range cuts and boundary runs.
+
+    ``base[k]``/``counts[k]`` are entry ``k``'s active-row count at its
+    ``scan_from`` and its number of in-range boundaries; ``offsets[k]`` is
+    where that run starts in the flat, entry-grouped ``values`` (boundary
+    times) and ``rows`` (the row each boundary opens).  Rows are indices
+    into ``columns``, the side's gather source: a side with a single distinct
+    table gathers from that table's own columns; otherwise ``columns``
+    concatenate, per distinct table, only the rows its entries can touch —
+    from the lowest member ``base`` to the highest opened row.  Table row
+    ``r`` of distinct table ``t`` is column index ``r + shift[t]``
+    (``entry_shift`` is the same per entry), and ``[low[t], top[t])`` is the
+    row range present.
     """
-    first_row = base + 1 if table_base is None else base + 1 + table_base
-    gather = np.repeat(first_row, counts) + _segment_arange(counts, total)
-    return time_column[gather]
+
+    __slots__ = (
+        "members", "slot", "base", "counts", "offsets", "columns",
+        "shift", "entry_shift", "low", "top", "rows", "values",
+    )
+
+    def __init__(
+        self,
+        tables: Sequence[TrajectoryTable],
+        scan_froms: np.ndarray,
+        horizons: np.ndarray,
+    ) -> None:
+        n_entries = len(tables)
+        distinct, self.members, self.slot = _dedup_tables(tables)
+        base, high = _range_cuts(
+            distinct, self.members, scan_froms, horizons, n_entries
+        )
+        # A budget-capped horizon can fall at or before scan_from; the
+        # in-range run is then empty (the raw ``base`` stays the active-row
+        # count).
+        counts = np.maximum(high - base, 0)
+        self.base = base
+        self.counts = counts
+        self.offsets = np.cumsum(counts) - counts
+
+        low = np.full(len(distinct), np.iinfo(np.int64).max)
+        np.minimum.at(low, self.slot, base)
+        top = np.zeros(len(distinct), dtype=np.int64)
+        np.maximum.at(top, self.slot, base + counts + 1)
+        self.low = low
+        self.top = top
+        if len(distinct) == 1:
+            table = distinct[0]
+            self.columns = tuple(getattr(table, name) for name in _STATE_COLUMNS)
+            self.shift = np.zeros(1, dtype=np.int64)
+        else:
+            spans = top - low
+            self.shift = np.cumsum(spans) - spans - low
+            bounds = list(zip(distinct, low.tolist(), top.tolist()))
+            self.columns = tuple(
+                np.concatenate(
+                    [getattr(table, name)[lo:hi] for table, lo, hi in bounds]
+                )
+                for name in _STATE_COLUMNS
+            )
+        self.entry_shift = self.shift[self.slot]
+
+        # Boundary ``j`` of entry ``k``'s run is the start time of table row
+        # ``base[k] + 1 + j`` (boundaries are the starts of every row but
+        # the first).
+        total = int(counts.sum())
+        first_row = base + 1 + self.entry_shift
+        self.rows = _consecutive(total) + np.repeat(first_row - self.offsets, counts)
+        self.values = self.columns[0][self.rows]
+
+
+def _a_rows_at_b(side_a: _SideRuns, side_b: _SideRuns) -> np.ndarray:
+    """Agent A's active row (a ``side_a.columns`` index) at every B boundary.
+
+    The row active at B boundary ``v`` counts A's boundaries at or before
+    ``v`` (``searchsorted(side="right")``: A goes first on equal times), and
+    that count minus the entry's ``base`` is the boundary's rank in the
+    entry's A run.  One ``searchsorted`` per distinct A table covers every
+    member entry, over only the rows present in ``side_a.columns``: rows up
+    to ``low`` end at or before every member's ``scan_from``, and rows past
+    the touched range start at or after every member's horizon.  Tables
+    whose members have no A run or no B run are skipped — most of them are
+    frozen agents' one-row tables — and their entries keep the base row.
+    """
+    rows = np.repeat(side_a.base + side_a.entry_shift, side_b.counts)
+    time = side_a.columns[0]
+    slot = side_a.slot
+    n_distinct = len(side_a.members)
+    with_a = np.bincount(slot, weights=side_a.counts, minlength=n_distinct) > 0
+    with_b = np.bincount(slot, weights=side_b.counts, minlength=n_distinct) > 0
+    for t in np.flatnonzero(with_a & with_b).tolist():
+        low = int(side_a.low[t])
+        shift = int(side_a.shift[t])
+        bounds = time[low + 1 + shift : int(side_a.top[t]) + shift]
+        group = side_a.members[t]
+        at: Any
+        if n_distinct == 1:
+            at = slice(None)
+        elif len(group) == 1:
+            start = int(side_b.offsets[group[0]])
+            at = slice(start, start + int(side_b.counts[group[0]]))
+        else:
+            sel = np.array(group, dtype=np.int64)
+            sel_counts = side_b.counts[sel]
+            at = _consecutive(int(sel_counts.sum())) + np.repeat(
+                side_b.offsets[sel] - (np.cumsum(sel_counts) - sel_counts),
+                sel_counts,
+            )
+        rows[at] = bounds.searchsorted(side_b.values[at], side="right") + (low + shift)
+    return rows
+
+
+def _window_states(
+    columns: Tuple[np.ndarray, ...], gather: np.ndarray, starts: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """One agent's ``(px, py, vx, vy)`` at every window start.
+
+    Each position is formed in place as ``p = v * offset; p += s`` — IEEE
+    addition commutes, so this equals ``s + v * offset`` bit for bit.
+    """
+    time, sx, sy, vx, vy = (column[gather] for column in columns)
+    offset = np.subtract(starts, time, out=time)
+    px = vx * offset
+    px += sx
+    py = vy * offset
+    py += sy
+    return px, py, vx, vy
 
 
 def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     """Stack the merged event windows of every entry into flat arrays.
 
-    The flat formulation of the per-instance window construction: all entries'
-    segment boundaries are filtered with grouped ``searchsorted`` cuts and
-    gathered into two flat entry-grouped runs, one stable lexsort merges every
-    entry's A/B runs at once, duplicates fall to one entry-grouped pass,
-    per-entry window layouts are derived from segmented counts, and both
-    agents' states at every window start come from two fancy-indexing gathers
-    instead of per-instance ``states_at`` calls.  No per-entry Python runs in
-    the merge.  Produces bit-identical windows and states to the per-instance
-    formulation (same comparisons, same float values — only the order in
-    which the merge discovers them differs).
+    The flat, sort-free formulation of the per-instance window construction.
+    Each side's in-range boundaries are cut with grouped ``searchsorted``
+    calls and gathered into one flat, entry-grouped run, copying only the
+    table rows a round can touch (:class:`_SideRuns`).  The two runs of every
+    entry are already sorted, so they are merged by *rank*, not by sort: one
+    ``searchsorted`` per distinct A table ranks every B boundary among its
+    entry's A run (ties A-before-B), which fixes B's merged position as
+    ``run offset + j + rank``; A's boundaries fill the remaining positions in
+    order.  Both agents' active rows at every window start follow directly
+    from those positions — a B boundary opens B row ``base + j + 1`` with A
+    at its rank, an A boundary opens A row ``base + i + 1`` with B at the
+    number of B boundaries placed before it — with no cumulative sums.  Equal
+    times inside an entry collapse onto the last window of the run (most
+    rounds have none and skip the compress copies), and both agents' states
+    come from one gather per column.  Python loops run over distinct tables
+    only; a universal program's A side has one to three per symmetric round.
+    Produces bit-identical windows and states to the per-instance
+    formulation: the merge order, every comparison and every float value are
+    the same (the earlier engine generations called ``np.unique`` per
+    instance, then one stable ``lexsort`` over all events).
     """
     n_entries = len(entries)
     entry_ids = np.arange(n_entries)
     horizons = np.array([entry.horizon for entry in entries])
     scan_froms = np.array([entry.scan_from for entry in entries])
+    side_a = _SideRuns([entry.table_a for entry in entries], scan_froms, horizons)
+    side_b = _SideRuns([entry.table_b for entry in entries], scan_froms, horizons)
 
-    # In-range boundary runs per entry and table — boundaries are sorted, so
-    # the ``(scan_from, horizon)`` range is a pair of searchsorted cuts, and
-    # the lower cut doubles as the base row count at the entry's scan_from.
-    distinct_a, members_a, slot_a = _dedup_tables([e.table_a for e in entries])
-    distinct_b, members_b, slot_b = _dedup_tables([e.table_b for e in entries])
-    base_a, high_a = _range_cuts(distinct_a, members_a, scan_froms, horizons, n_entries)
-    base_b, high_b = _range_cuts(distinct_b, members_b, scan_froms, horizons, n_entries)
-    columns_a, table_base_a = _flat_table_columns(distinct_a, slot_a)
-    columns_b, table_base_b = _flat_table_columns(distinct_b, slot_b)
-
-    # A budget-capped horizon can fall at or before scan_from; the in-range
-    # run is then empty (the raw ``base`` stays the active-row count).
-    counts_a = np.maximum(high_a - base_a, 0)
-    counts_b = np.maximum(high_b - base_b, 0)
-    total_a = int(counts_a.sum())
-    total_b = int(counts_b.sum())
-    values_a = _boundary_values(columns_a[0], table_base_a, base_a, counts_a, total_a)
-    values_b = _boundary_values(columns_b[0], table_base_b, base_b, counts_b, total_b)
-
-    # Merge each entry's two sorted boundary runs into one flat, entry-grouped
-    # event array with a single stable lexsort over (entry, time): within an
-    # entry the sort interleaves the two already-sorted runs, and stability
-    # breaks ties A-before-B (every A event precedes its entry's B events in
-    # the concatenated input) so that the keep-last deduplication below sees
-    # equal times adjacent — exactly the order the old per-entry rank merge
-    # produced.
-    events_per_entry = counts_a + counts_b
-    segment_offsets = np.concatenate(([0], np.cumsum(events_per_entry)))
-    total_events = int(segment_offsets[-1])
-    cat_value = np.concatenate((values_a, values_b))
-    cat_entry = np.concatenate(
-        (np.repeat(entry_ids, counts_a), np.repeat(entry_ids, counts_b))
+    # Window layout: entry k owns one window starting at its scan_from, at
+    # ``first[k]``, then one window per boundary of either agent, in merge
+    # order; each window's active rows are stored as gather indices.
+    counts = side_a.counts + side_b.counts + 1
+    first = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    a_rows = _a_rows_at_b(side_a, side_b)
+    # B boundary j of entry k: window ``first[k] + 1 + j + rank`` with
+    # rank = A row - base_a.
+    b_windows = (_consecutive(a_rows.shape[0]) + a_rows) + np.repeat(
+        side_a.offsets - side_a.base - side_a.entry_shift + entry_ids + 1,
+        side_b.counts,
     )
-    cat_is_a = np.zeros(total_events, dtype=bool)
-    cat_is_a[:total_a] = True
-    order = np.lexsort((cat_value, cat_entry))
-    event_value = cat_value[order]
-    event_is_a = cat_is_a[order]
-    event_entry = cat_entry[order]
-    # Inclusive per-entry running counts of A-/B-side events: the number of
-    # boundaries of that agent at or before each event time (within range).
-    a_cumulative = np.cumsum(event_is_a)
-    b_cumulative = np.cumsum(~event_is_a)
-    prefix = np.concatenate(([0], a_cumulative))[segment_offsets[:-1]]
-    a_count = a_cumulative - np.repeat(prefix, events_per_entry)
-    prefix = np.concatenate(([0], b_cumulative))[segment_offsets[:-1]]
-    b_count = b_cumulative - np.repeat(prefix, events_per_entry)
-
-    # Deduplicate equal times within an entry, keeping the *last* occurrence:
-    # its counts already include every boundary at that time.  Equal adjacent
-    # values never straddle entries by construction, so clearing the mask at
-    # every entry's final event confines the comparison within entries; most
-    # rounds have no duplicates at all and skip the compress copies entirely.
-    duplicate_of_next = np.zeros(total_events, dtype=bool)
-    if total_events > 1:
-        np.equal(
-            event_value[:-1], event_value[1:], out=duplicate_of_next[:-1]
-        )
-        duplicate_of_next[segment_offsets[1:-1] - 1] = False
-    if duplicate_of_next.any():
-        keep = ~duplicate_of_next
-        kept_value = event_value[keep]
-        kept_a = a_count[keep]
-        kept_b = b_count[keep]
-        kept_per_entry = np.bincount(event_entry[keep], minlength=n_entries)
-    else:
-        kept_value = event_value
-        kept_a = a_count
-        kept_b = b_count
-        kept_per_entry = events_per_entry
-
-    # Window layout: entry k has kept_per_entry[k] interior events and
-    # therefore kept_per_entry[k] + 1 windows, the first starting at its
-    # scan_from and the last ending at its horizon.  Kept event ``j`` (global,
-    # entry ``k``) *ends* window ``j + k`` and *starts* window ``j + k + 1``
-    # — each earlier entry contributes exactly one leading window — so two
-    # shared index arrays scatter every column without any boolean masks.
-    counts = kept_per_entry + 1
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    total = int(offsets[-1])
-    kept_total = kept_value.shape[0]
-    first_positions = offsets[:-1]
-    last_positions = offsets[1:] - 1
-    end_positions = _consecutive(kept_total) + np.repeat(entry_ids, kept_per_entry)
-    start_positions = end_positions + 1
+    placed = np.zeros(total, dtype=bool)
+    placed[first] = True
+    placed[b_windows] = True
+    a_windows = np.flatnonzero(~placed)
+    # A boundary i of entry k at window w has ``w - first[k] - 1 - i`` B
+    # boundaries before it.
+    b_rows = (a_windows - _consecutive(a_windows.shape[0])) + np.repeat(
+        side_b.base + side_b.entry_shift - side_b.offsets - entry_ids - 1,
+        side_a.counts,
+    )
 
     starts = np.empty(total)
-    starts[first_positions] = scan_froms
-    starts[start_positions] = kept_value
-    ends = np.empty(total)
-    ends[end_positions] = kept_value
-    # A budget-capped horizon can fall at or before scan_from (everything up
-    # to it was already scanned); such an entry degenerates to one clamped,
-    # zero-length window, exactly like the per-instance formulation.
-    ends[last_positions] = np.maximum(horizons, scan_froms)
-    durations = np.maximum(ends - starts, 0.0)
+    starts[first] = scan_froms
+    starts[b_windows] = side_b.values
+    starts[a_windows] = side_a.values
+    gather_a = np.empty(total, dtype=np.int64)
+    gather_a[first] = side_a.base + side_a.entry_shift
+    gather_a[b_windows] = a_rows
+    gather_a[a_windows] = side_a.rows
+    gather_b = np.empty(total, dtype=np.int64)
+    gather_b[first] = side_b.base + side_b.entry_shift
+    gather_b[b_windows] = side_b.rows
+    gather_b[a_windows] = b_rows
 
-    # Active row of each agent's table at each window start: the number of
-    # boundaries at or before that time.  Interior windows get the base count
-    # (boundaries at or before scan_from) plus the running in-range count;
-    # first windows get the base count alone.
-    row_a = np.empty(total, dtype=np.int64)
-    row_a[first_positions] = base_a
-    row_a[start_positions] = np.repeat(base_a, kept_per_entry) + kept_a
-    row_b = np.empty(total, dtype=np.int64)
-    row_b[first_positions] = base_b
-    row_b[start_positions] = np.repeat(base_b, kept_per_entry) + kept_b
+    # Deduplicate equal boundary times within an entry, keeping the *last*
+    # window of the run: its rows already count every boundary at that time.
+    # An entry's first window (at scan_from) and its last never take part,
+    # which also confines the comparison within entries.
+    duplicate = np.zeros(total, dtype=bool)
+    np.equal(starts[:-1], starts[1:], out=duplicate[:-1])
+    duplicate[first] = False
+    duplicate[first[1:] - 1] = False
+    if duplicate.any():
+        keep = ~duplicate
+        starts = starts[keep]
+        gather_a = gather_a[keep]
+        gather_b = gather_b[keep]
+        dropped = np.searchsorted(first, np.flatnonzero(duplicate), side="right") - 1
+        counts = counts - np.bincount(dropped, minlength=n_entries)
+        total = starts.shape[0]
 
-    entry_of_window = (
-        np.repeat(entry_ids, counts)
-        if table_base_a is not None or table_base_b is not None
-        else None
-    )
-    gather_a = (
-        row_a
-        if table_base_a is None
-        else row_a + table_base_a[entry_of_window]
-    )
-    gather_b = (
-        row_b
-        if table_base_b is None
-        else row_b + table_base_b[entry_of_window]
-    )
+    # Each window ends where the next one of its entry starts; the last ends
+    # at the horizon.  A budget-capped horizon can fall at or before
+    # scan_from (everything up to it was already scanned); such an entry
+    # degenerates to one clamped, zero-length window, exactly like the
+    # per-instance formulation.
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    last = offsets[1:] - 1
+    durations = np.empty(total)
+    np.subtract(starts[1:], starts[:-1], out=durations[:-1])
+    durations[last] = np.maximum(horizons, scan_froms) - starts[last]
+    np.maximum(durations, 0.0, out=durations)
 
-    time_a, sx_a, sy_a, vx_a, vy_a = (column[gather_a] for column in columns_a)
-    time_b, sx_b, sy_b, vx_b, vy_b = (column[gather_b] for column in columns_b)
-    offset_a = starts - time_a
-    offset_b = starts - time_b
-    states = (
-        sx_a + vx_a * offset_a,
-        sy_a + vy_a * offset_a,
-        vx_a,
-        vy_a,
-        sx_b + vx_b * offset_b,
-        sy_b + vy_b * offset_b,
-        vx_b,
-        vy_b,
+    states = _window_states(side_a.columns, gather_a, starts) + _window_states(
+        side_b.columns, gather_b, starts
     )
     return RoundWindows(starts, durations, states, offsets, counts)
 

@@ -1,0 +1,200 @@
+"""Property suite for the sort-free window construction.
+
+:func:`repro.sim.rounds.build_windows` merges every entry's two sorted
+boundary runs by rank.  The lexsort construction it replaced is kept verbatim
+in :mod:`build_windows_oracle`; on random entry sets the two must return the
+same arrays byte for byte — window starts, durations, offsets, counts and all
+eight state columns.  The draws aim at the merge's edge cases: A tables shared
+by identity (prefix views of one buffer, as one table compiler hands out) and
+distinct ones, many distinct one-row constant tables (frozen agents), empty
+in-range runs, budget-capped horizons at or before ``scan_from``, boundaries
+at time 0 under ``scan_from == 0``, equal A/B boundary times and duplicate
+boundaries inside one table.  Boundaries at time 0 may be drawn as ``-0.0``:
+equal times collapse onto one window, and only the A-before-B tie order
+decides which of two equal but differently signed zeros that window starts
+at.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import build_windows_oracle
+from repro.core.instance import Instance
+from repro.motion.compiler import TrajectoryTable, constant_table
+from repro.sim.rounds import RoundEntry, build_windows
+
+#: One instance serves every entry: the construction never reads it.
+_INSTANCE = Instance(r=0.5, x=1.0, y=0.0)
+_MAX_TIME = 1e6
+_MAX_SEGMENTS = 10**9
+
+#: Boundary gaps on a coarse dyadic grid (zero included), so that equal
+#: times across tables and duplicates inside one table are common and every
+#: sum stays exact; an occasional irregular gap keeps the times generic.
+_GAPS = st.one_of(
+    st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+    st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+)
+_TIMES = st.one_of(
+    st.integers(min_value=0, max_value=40).map(lambda k: k * 0.25),
+    st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+)
+
+
+def _table(start_time, seed, exhausted=True):
+    """A table with the given row start times and random positions/velocities."""
+    rng = np.random.default_rng(seed)
+    rows = start_time.shape[0]
+    last = math.inf if exhausted else 1.0
+    return TrajectoryTable(
+        start_time=start_time,
+        duration=np.append(np.diff(start_time), last),
+        start_x=rng.uniform(-5.0, 5.0, rows),
+        start_y=rng.uniform(-5.0, 5.0, rows),
+        vel_x=rng.uniform(-1.0, 1.0, rows),
+        vel_y=rng.uniform(-1.0, 1.0, rows),
+        exhausted=exhausted,
+        segments=rows,
+    )
+
+
+@st.composite
+def _start_times(draw, max_rows):
+    # Leading zero gaps are zero-duration first rows: boundaries at time 0.
+    leading = draw(st.integers(0, 2))
+    gaps = [0.0] * leading + draw(st.lists(_GAPS, max_size=max_rows - 1 - leading))
+    start_time = np.concatenate(([0.0], np.cumsum(gaps)))
+    if draw(st.booleans()):
+        start_time[1:][start_time[1:] == 0.0] = -0.0
+    return start_time
+
+
+@st.composite
+def _prefix_views(draw, max_rows=24):
+    """Distinct tables that are prefix views of one table's columns."""
+    full = _table(draw(_start_times(max_rows)), draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(
+        st.lists(st.integers(1, len(full)), min_size=1, max_size=3, unique=True)
+    )
+    return [
+        TrajectoryTable(
+            start_time=full.start_time[:m],
+            duration=full.duration[:m],
+            start_x=full.start_x[:m],
+            start_y=full.start_y[:m],
+            vel_x=full.vel_x[:m],
+            vel_y=full.vel_y[:m],
+            exhausted=m == len(full),
+            segments=m,
+        )
+        for m in lengths
+    ]
+
+
+@st.composite
+def _entries(draw):
+    shared_a = draw(_prefix_views())
+    shared_b = draw(_prefix_views())
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(1, 40))
+    entries = []
+    for index in range(count):
+        kind_a = draw(st.sampled_from(("shared", "own", "frozen")))
+        if kind_a == "shared":
+            table_a = draw(st.sampled_from(shared_a))
+        elif kind_a == "own":
+            table_a = _table(draw(_start_times(12)), seed + 2 * index)
+        else:
+            table_a = constant_table((float(index), -1.0))
+        if draw(st.booleans()):
+            table_b = draw(st.sampled_from(shared_b))
+        else:
+            table_b = _table(draw(_start_times(12)), seed + 2 * index + 1)
+        scan_from = draw(st.one_of(st.just(0.0), _TIMES))
+        if draw(st.integers(0, 4)) == 0:
+            # A budget cap can land at or before scan_from.
+            horizon = draw(st.floats(min_value=0.0, max_value=scan_from))
+        else:
+            horizon = scan_from + draw(_TIMES)
+        entries.append(
+            RoundEntry(
+                index, _INSTANCE, table_a, table_b, horizon, scan_from,
+                _MAX_SEGMENTS, _MAX_TIME,
+            )
+        )
+    return entries
+
+
+def _arrays(windows):
+    return {
+        "starts": windows.starts,
+        "durations": windows.durations,
+        "offsets": windows.offsets,
+        "counts": windows.counts,
+        **{f"state{k}": column for k, column in enumerate(windows.states)},
+    }
+
+
+def assert_same_windows(mine, reference):
+    theirs = _arrays(reference)
+    for name, array in _arrays(mine).items():
+        other = theirs[name]
+        assert array.dtype == other.dtype, name
+        assert array.shape == other.shape, name
+        assert array.tobytes() == other.tobytes(), name
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_entries())
+def test_rank_merge_matches_lexsort_oracle(entries):
+    assert_same_windows(
+        build_windows(entries), build_windows_oracle.build_windows(entries)
+    )
+
+
+def _entry(table_a, table_b, scan_from, horizon):
+    return RoundEntry(
+        0, _INSTANCE, table_a, table_b, horizon, scan_from, _MAX_SEGMENTS, _MAX_TIME
+    )
+
+
+def test_ties_put_a_first_and_collapse_onto_one_window():
+    # A opens rows at 1 and 2, B at 2 (twice) and 3: the three boundaries at
+    # time 2 become one window whose rows count all of them.
+    table_a = _table(np.array([0.0, 1.0, 2.0]), 1)
+    table_b = _table(np.array([0.0, 2.0, 2.0, 3.0]), 2)
+    windows = build_windows([_entry(table_a, table_b, 0.0, 4.0)])
+    assert windows.starts.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert windows.durations.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert windows.counts.tolist() == [4]
+    # The window at time 2 moves with A's row 2 and B's row 2.
+    assert windows.states[2][2] == table_a.vel_x[2]
+    assert windows.states[6][2] == table_b.vel_x[2]
+    assert_same_windows(
+        windows, build_windows_oracle.build_windows([_entry(table_a, table_b, 0.0, 4.0)])
+    )
+
+
+def test_boundaries_at_time_zero_keep_the_first_window():
+    # Zero-duration first rows put boundaries at 0 == scan_from: the entry's
+    # first window stays as a zero-length window ahead of them.
+    table_a = _table(np.array([0.0, 0.0, 1.0]), 3)
+    table_b = _table(np.array([0.0, 0.0]), 4)
+    entries = [_entry(table_a, table_b, 0.0, 2.0)]
+    windows = build_windows(entries)
+    assert windows.starts.tolist() == [0.0, 0.0, 1.0]
+    assert windows.durations.tolist() == [0.0, 1.0, 1.0]
+    assert_same_windows(windows, build_windows_oracle.build_windows(entries))
+
+
+def test_capped_horizon_yields_one_clamped_window():
+    table = _table(np.array([0.0, 1.0, 2.0, 3.0]), 5)
+    entries = [_entry(table, table, 2.5, 1.5), _entry(table, table, 0.5, 2.5)]
+    windows = build_windows(entries)
+    assert windows.counts.tolist() == [1, 3]
+    assert windows.starts.tolist() == [2.5, 0.5, 1.0, 2.0]
+    assert windows.durations.tolist() == [0.0, 0.5, 1.0, 0.5]
+    assert_same_windows(windows, build_windows_oracle.build_windows(entries))
