@@ -54,7 +54,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from multiprocessing import get_context
 
 from repro.campaign.leases import LeaseManager
-from repro.campaign.shards import Shard, shard_cache_scope, shard_instances, shard_tasks
+from repro.campaign.shards import Shard, shard_instances, shard_tasks
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.campaign.store import CampaignStore, records_to_columns
 from repro.obs import core as _obs
@@ -155,8 +155,7 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
                 if not _obs.enabled():
                     instances = shard_instances(spec, shard)
                     tasks = shard_tasks(spec, shard, instances)
-                    with shard_cache_scope(spec):
-                        records = runner.run(tasks)
+                    records = runner.run(tasks)
                     columns = records_to_columns(shard, records)
                     conn.send(
                         ("ok", shard.shard_id, columns, time.perf_counter() - started)
@@ -167,8 +166,7 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
                             with _obs.span("campaign.sample"):
                                 instances = shard_instances(spec, shard)
                                 tasks = shard_tasks(spec, shard, instances)
-                            with shard_cache_scope(spec):
-                                records = runner.run(tasks)
+                            records = runner.run(tasks)
                             with _obs.span("campaign.collate"):
                                 columns = records_to_columns(shard, records)
                             # Wall excludes IPC, matching the off-mode format.

@@ -17,12 +17,6 @@ recomputes **zero** finished shards; by the spawned-seeding contract of
 uninterrupted run's — for every worker count, retry history and interleaving
 of concurrent runners (the lease protocol of :mod:`repro.campaign.leases`
 keeps those from duplicating work).
-
-Every shard runs inside :func:`repro.campaign.shards.shard_cache_scope`,
-inline and in the pool's workers alike: agent A's compiler is shared by every
-shard, and B-side compilers enter the cross-call compiler cache only when a
-later arm of the same algorithm will ask for them again (and they fit the
-cache); otherwise they die with their shard.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from repro.campaign.leases import DEFAULT_STALE_AFTER, LeaseManager
 from repro.campaign.shards import (
     Shard,
     plan_shards,
-    shard_cache_scope,
     shard_instances,
     shard_tasks,
 )
@@ -450,8 +443,7 @@ def _run_inline(
                             with _obs.span("campaign.sample"):
                                 instances = shard_instances(spec, shard)
                                 tasks = shard_tasks(spec, shard, instances)
-                            with shard_cache_scope(spec):
-                                records = runner.run(tasks)
+                            records = runner.run(tasks)
                             with _obs.span("campaign.collate"):
                                 columns = records_to_columns(shard, records)
                         # Matches the worker loop: wall excludes the commit.

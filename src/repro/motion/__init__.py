@@ -14,9 +14,11 @@ of such instructions; this package turns those streams into
 Both engines read a program in one form, a stream of
 :class:`~repro.motion.program.ColumnBlock` s (:func:`instruction_blocks`
 adapts an instruction stream): the event engine through the lazy
-:func:`compile_trajectory`, the batch engine through
-:class:`LocalProgramBuilder` and
-:class:`~repro.motion.compiler.IncrementalTableCompiler`.
+:func:`compile_trajectory`, the batch engine through one shared
+:class:`LocalProgramBuilder` per program, seen by each agent as a
+:class:`~repro.motion.compiler.TrajectoryView` (the local rows under the
+agent's affine frame).  Both map rows with one formula,
+:func:`~repro.motion.compiler.absolute_state`.
 """
 
 from repro.motion.instructions import (
@@ -49,6 +51,7 @@ from repro.motion.compiler import (
     LocalProgramTable,
     TrajectorySegment,
     TrajectoryTable,
+    TrajectoryView,
     compile_trajectory,
     sleep_segment,
 )
@@ -78,6 +81,7 @@ __all__ = [
     "program_from_callable",
     "TrajectorySegment",
     "TrajectoryTable",
+    "TrajectoryView",
     "LocalProgramBuilder",
     "LocalProgramTable",
     "compile_trajectory",

@@ -4,35 +4,37 @@ An agent executes its program in its own coordinate system and units; the
 simulator needs the resulting motion in absolute coordinates and absolute
 time.  Programs reach the compiler in one form, a stream of column blocks
 (:class:`~repro.motion.program.ColumnBlock`: rows ``(dx, dy, duration)`` of
-local displacement and local duration), and every row translates the same way:
+local displacement and local duration).  Folding the rows gives the *local*
+state of row ``k``: the local time ``T`` and displacement ``C`` accumulated
+before it, and its local velocity ``v = (dx, dy) / duration``.  Every agent
+running the program sees an affine image of that local state, fixed by its
+private attributes (:func:`agent_frame`):
 
-* a row moving ``(dx, dy)`` over ``d`` local units becomes an absolute segment
-  lasting ``d * tau`` absolute time units, displaced by ``(dx, dy)`` mapped
-  through the agent's frame and scaled by its length unit ``tau * v``;
-* a row with zero displacement is a wait: a zero-velocity segment lasting
-  ``d * tau`` absolute time units;
-* the time before the agent's wake-up is an initial zero-velocity segment
-  starting at absolute time 0.
+* absolute start time ``wake + rate * T`` (``rate`` is the clock rate ``tau``);
+* absolute position ``start + unit * M(phi, chi) * C`` (``unit = tau * v``);
+* absolute velocity ``(unit / rate) * M(phi, chi) * v``;
+* absolute duration ``rate * duration``;
 
-Two compilers share that arithmetic and one block validator
-(:func:`_validated_columns`):
+plus a pre-wake row (zero velocity at the start point from time 0) when the
+agent wakes late.  :func:`absolute_state` is the one row formula; both engines
+call it, so their rows agree to the last bit by construction:
 
 * :func:`compile_trajectory`, the event engine's, works lazily, one
   :class:`TrajectorySegment` at a time, so infinite programs can be consumed
   under a budget.  Timestamps go through an optional *timebase* object (see
   :mod:`repro.sim.timebase`): plain floats with the default ``None``,
-  ``Fraction`` values with an exact timebase, which keeps event times exact
-  even when the paper's algorithms schedule waits of ``2**(15 i^2)`` time
-  units next to sub-unit moves.
-* :class:`IncrementalTableCompiler`, the batch engine's, turns growing
-  prefixes of a :class:`LocalProgramBuilder` (the blocks accumulated into
-  columnar arrays, reusable across every instance running the same universal
-  program) into a :class:`TrajectoryTable` -- the absolute-time trajectory of
-  one agent as plain float arrays -- compiling each row once, with array
-  operations.  It is float-timebase only.
+  ``Fraction`` values with an exact timebase, which folds the local durations
+  and applies the wake offset and clock rate exactly.
+* The batch engine reads a :class:`LocalProgramBuilder` (the blocks folded
+  into columnar arrays once, shared by every instance running the same
+  universal program) through :class:`TrajectoryView` s: one agent's table as
+  the shared local columns plus that agent's frame.  Nothing is compiled per
+  agent; :func:`repro.sim.rounds.build_windows` maps only the rows a round
+  touches.  :meth:`TrajectoryView.materialize` builds the explicit
+  :class:`TrajectoryTable` (tests, the stall transform).
 
-The lazy compiler is the reference the table compiler is tested against:
-their rows must be equal, exactly, however the program is split into blocks.
+The lazy compiler is the reference the views are tested against: materialized
+rows equal its segments, exactly, however the program is split into blocks.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class TrajectorySegment:
         Absolute position at ``start_time``.
     velocity:
         Constant absolute velocity over the segment (zero for waits/sleep).
+    end_time, end_pos:
+        Absolute time and position at which the next segment starts (time
+        ``None`` for an unbounded segment), so one segment ends exactly where
+        the next begins.
     kind:
         ``"move"``, ``"wait"`` or ``"sleep"`` — used for reporting only.
     """
@@ -79,12 +85,9 @@ class TrajectorySegment:
     duration: float
     start_pos: Vec2
     velocity: Vec2
+    end_time: Any
+    end_pos: Vec2
     kind: str = "move"
-
-    @property
-    def end_pos(self) -> Vec2:
-        """Absolute position at the end of the segment."""
-        return add(self.start_pos, scale(self.velocity, self.duration))
 
     def position_at_offset(self, offset: float) -> Vec2:
         """Absolute position ``offset`` time units after the segment start."""
@@ -108,14 +111,72 @@ def sleep_segment(spec: AgentSpec, timebase: Optional[Any] = None) -> Optional[T
         duration=wake,
         start_pos=spec.start,
         velocity=(0.0, 0.0),
+        end_time=timebase.lift(wake) if timebase is not None else wake,
+        end_pos=spec.start,
         kind="sleep",
     )
+
+
+#: An agent's affine frame, as :func:`agent_frame` returns it:
+#: ``(wake, rate, x0, y0, p00, p01, p10, p11, q00, q01, q10, q11)`` with
+#: ``p = unit * M(phi, chi)`` mapping local displacement and
+#: ``q = (unit / rate) * M(phi, chi)`` mapping local velocity.
+Frame = Tuple[float, ...]
+
+
+def agent_frame(spec: AgentSpec) -> Frame:
+    """The affine frame taking a program's local state to ``spec``'s absolute one."""
+    units = spec.units
+    unit = units.length_unit
+    rate = units.clock_rate
+    m00, m01, m10, m11 = frame_matrix(spec.frame.phi, spec.frame.chi)
+    velocity_unit = unit / rate
+    x0, y0 = spec.start
+    return (
+        float(units.wake_time), float(rate), float(x0), float(y0),
+        unit * m00, unit * m01, unit * m10, unit * m11,
+        velocity_unit * m00, velocity_unit * m01,
+        velocity_unit * m10, velocity_unit * m11,
+    )
+
+
+def absolute_time(wake, rate, local_time):
+    """The time part of :func:`absolute_state`, for lookups needing no position."""
+    time = rate * local_time
+    time += wake
+    return time
+
+
+def absolute_state(frame, time, cx, cy, vx, vy):
+    """The absolute ``(time, x, y, vx, vy)`` of local row state(s), in one formula.
+
+    ``time``/``cx``/``cy`` are the local time and displacement accumulated
+    before the row and ``vx``/``vy`` its local velocity; ``frame`` is
+    :func:`agent_frame`'s tuple.  Scalars and arrays alike (a frame of
+    per-row arrays maps rows of many agents at once), and with ``Fraction``
+    ``wake``/``rate``/``time`` the time is exact.  Every engine path maps
+    rows through this function, which is what keeps them bit-identical.
+    """
+    wake, rate, x0, y0, p00, p01, p10, p11, q00, q01, q10, q11 = frame
+    # Accumulate in place where the operands are arrays (IEEE addition
+    # commutes, so ``x0 + (a + b)`` and ``(a + b) + x0`` are the same bits).
+    x = p00 * cx
+    x += p01 * cy
+    x += x0
+    y = p10 * cx
+    y += p11 * cy
+    y += y0
+    vx_out = q00 * vx
+    vx_out += q01 * vy
+    vy_out = q10 * vx
+    vy_out += q11 * vy
+    return absolute_time(wake, rate, time), x, y, vx_out, vy_out
 
 
 def _validated_columns(block: ColumnBlock) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The checked ``(dx, dy, duration)`` columns of one program block.
 
-    The one validator both compilers read blocks through: the columns must
+    The one validator both engines read blocks through: the columns must
     have equal lengths, finite displacements and finite non-negative
     durations (else :class:`AlgorithmContractError`), and a sample of the
     natively generated blocks is re-derived through the instruction objects
@@ -165,70 +226,44 @@ def compile_trajectory(
         Optional timebase object providing ``lift(float)`` and
         ``add(time, float_delta)``; ``None`` uses plain floats.
 
-    Each row takes the arithmetic of :meth:`IncrementalTableCompiler._extend`
-    in the same order, so on the float timebase segment ``k`` equals table
-    row ``k`` exactly (waits keep a literal zero velocity where the table
-    may hold ``-0.0``).
+    The local folds run in :class:`LocalProgramBuilder`'s order (local time
+    in the timebase) and every row goes through :func:`absolute_state`, so on
+    the float timebase segment ``k`` equals row ``k`` of every
+    :class:`TrajectoryView` of the program exactly.
     """
-    units = spec.units
-    m00, m01, m10, m11 = frame_matrix(spec.frame.phi, spec.frame.chi)
-    unit = units.length_unit
-    rate = units.clock_rate
-
-    def advance(current, delta: float):
-        return timebase.add(current, delta) if timebase is not None else current + delta
-
-    wake = float(units.wake_time)
-    current_time = timebase.lift(wake) if timebase is not None else wake
-    current_pos: Vec2 = spec.start
+    frame = agent_frame(spec)
+    rate = frame[1]
+    if timebase is not None:
+        frame = (timebase.lift(frame[0]), timebase.lift(rate)) + frame[2:]
+    local_time = timebase.lift(0.0) if timebase is not None else 0.0
+    cx = cy = 0.0
 
     pre_wake = sleep_segment(spec, timebase)
     if pre_wake is not None:
         yield pre_wake
 
+    start_time, x, y, _, _ = absolute_state(frame, local_time, cx, cy, 0.0, 0.0)
     for block in blocks:
         dxs, dys, local_durations = _validated_columns(block)
         for dx, dy, local in zip(dxs.tolist(), dys.tolist(), local_durations.tolist()):
-            duration = local * rate
-            if dx == 0.0 and dy == 0.0:
-                yield TrajectorySegment(
-                    start_time=current_time,
-                    duration=duration,
-                    start_pos=current_pos,
-                    velocity=(0.0, 0.0),
-                    kind="wait",
-                )
-                current_time = advance(current_time, duration)
-                continue
-            disp_x = (m00 * dx + m01 * dy) * unit
-            disp_y = (m10 * dx + m11 * dy) * unit
-            if duration == 0.0:
-                # A subnormal move length times a clock rate below 1 can
-                # underflow to an absolute duration of exactly zero.  No time
-                # passes: emit a stationary zero-duration segment (so segment
-                # counts match the table row for row) and apply the (at most
-                # subnormal-sized) displacement instantaneously instead of
-                # dividing by zero.
-                yield TrajectorySegment(
-                    start_time=current_time,
-                    duration=0.0,
-                    start_pos=current_pos,
-                    velocity=(0.0, 0.0),
-                    kind="move",
-                )
-            else:
-                # Divide directly instead of multiplying by the reciprocal: for
-                # subnormal durations 1.0/duration overflows to inf even though
-                # the component-wise quotients are perfectly representable.
-                yield TrajectorySegment(
-                    start_time=current_time,
-                    duration=duration,
-                    start_pos=current_pos,
-                    velocity=(disp_x / duration, disp_y / duration),
-                    kind="move",
-                )
-                current_time = advance(current_time, duration)
-            current_pos = (current_pos[0] + disp_x, current_pos[1] + disp_y)
+            local_time = (
+                timebase.add(local_time, local) if timebase is not None else local_time + local
+            )
+            cx = cx + dx
+            cy = cy + dy
+            end_time, end_x, end_y, vx, vy = absolute_state(
+                frame, local_time, cx, cy, dx / local, dy / local
+            )
+            yield TrajectorySegment(
+                start_time=start_time,
+                duration=local * rate,
+                start_pos=(x, y),
+                velocity=(vx, vy),
+                end_time=end_time,
+                end_pos=(end_x, end_y),
+                kind="wait" if dx == 0.0 and dy == 0.0 else "move",
+            )
+            start_time, x, y = end_time, end_x, end_y
 
 
 # -- bulk (columnar) mode ------------------------------------------------------------
@@ -243,6 +278,8 @@ class LocalProgramTable:
     moves, the wait time for waits).  ``cumulative`` is the running sum of
     durations *after* each row.  ``complete`` records whether the source
     program was fully consumed (finite program) or truncated by a budget.
+    ``source`` is the builder the rows come from (its folded state columns
+    back every :class:`TrajectoryView` of the prefix).
     """
 
     dx: np.ndarray
@@ -250,6 +287,7 @@ class LocalProgramTable:
     duration: np.ndarray
     cumulative: np.ndarray
     complete: bool
+    source: "LocalProgramBuilder"
 
     def __len__(self) -> int:
         return int(self.duration.shape[0])
@@ -271,21 +309,26 @@ class LocalProgramBuilder:
     can serve every instance of a batch that runs the same universal program,
     each with its own local-time budget.
 
+    Besides the input columns the builder keeps the folded local state every
+    view maps (:meth:`state_columns`): local time and displacement before
+    each row — left folds seeded with the carried totals, so they do not
+    depend on block boundaries — and local velocity.  Index ``len(self)``
+    holds the totals after the last row; once the program is exhausted it is
+    the stationary trailing row (zero velocity, infinite duration).
+
     Every block goes through :func:`_validated_columns`, which checks it and
     drops its null rows (zero duration).  A snapshot
     that reaches the end of the buffers looks one block ahead, so it is
     ``complete`` exactly when it holds the whole of a finite program.
     """
 
-    _INITIAL_CAPACITY = 1024
+    _COLUMNS = ("_dx", "_dy", "_duration", "_time", "_cx", "_cy", "_vx", "_vy")
 
     def __init__(self, blocks: Iterable[ColumnBlock]) -> None:
         self._iter = iter(blocks)
         self._size = 0
-        self._dx = np.empty(0, dtype=float)
-        self._dy = np.empty(0, dtype=float)
-        self._duration = np.empty(0, dtype=float)
-        self._cumulative = np.empty(0, dtype=float)
+        for name in self._COLUMNS:
+            setattr(self, name, np.zeros(1))
         self._lookahead: Optional[ColumnBlock] = None
         self.exhausted = False
 
@@ -294,7 +337,11 @@ class LocalProgramBuilder:
 
     @property
     def consumed_local_time(self) -> float:
-        return float(self._cumulative[self._size - 1]) if self._size else 0.0
+        return float(self._time[self._size])
+
+    def state_columns(self) -> Tuple[np.ndarray, ...]:
+        """The folded local ``(time, cx, cy, vx, vy)`` columns (all rows read)."""
+        return self._time, self._cx, self._cy, self._vx, self._vy
 
     def _ensure_capacity(self, needed: int) -> None:
         """Grow the column buffers geometrically (linear total copying).
@@ -306,11 +353,11 @@ class LocalProgramBuilder:
         capacity = self._duration.shape[0]
         if needed <= capacity:
             return
-        new_capacity = max(self._INITIAL_CAPACITY, 2 * capacity, needed)
-        for name in ("_dx", "_dy", "_duration", "_cumulative"):
+        new_capacity = max(16, 2 * capacity, needed)
+        for name in self._COLUMNS:
             old = getattr(self, name)
             grown = np.empty(new_capacity, dtype=float)
-            grown[: self._size] = old[: self._size]
+            grown[: self._size + 1] = old[: self._size + 1]
             setattr(self, name, grown)
 
     def _append(self, block: ColumnBlock) -> None:
@@ -320,24 +367,35 @@ class LocalProgramBuilder:
             return
         start = self._size
         end = start + count
-        self._ensure_capacity(end)
+        self._ensure_capacity(end + 1)
         self._dx[start:end] = dx
         self._dy[start:end] = dy
         self._duration[start:end] = duration
-        # A left fold seeded with the carried total (c_j = c_{j-1} + d_j):
-        # the column is the same whatever the block boundaries are.
-        fold = np.empty(count + 1)
-        fold[0] = self.consumed_local_time
-        fold[1:] = duration
-        np.cumsum(fold, out=fold)
-        self._cumulative[start:end] = fold[1:]
+        np.divide(dx, duration, out=self._vx[start:end])
+        np.divide(dy, duration, out=self._vy[start:end])
+        # One column-wise cumsum continues all three left folds at once; the
+        # leading carry row makes the additions (c_j = c_{j-1} + d_j) land in
+        # exactly the from-scratch order, whatever the block boundaries are.
+        fold = np.empty((count + 1, 3))
+        fold[0] = self._time[start], self._cx[start], self._cy[start]
+        fold[1:, 0] = duration
+        fold[1:, 1] = dx
+        fold[1:, 2] = dy
+        np.cumsum(fold, axis=0, out=fold)
+        self._time[start : end + 1] = fold[:, 0]
+        self._cx[start : end + 1] = fold[:, 1]
+        self._cy[start : end + 1] = fold[:, 2]
         self._size = end
 
     def _peek(self) -> None:
         """Fetch the next block without appending it; mark the end if none."""
         if self._lookahead is None and not self.exhausted:
             self._lookahead = next(self._iter, None)
-            self.exhausted = self._lookahead is None
+            if self._lookahead is None:
+                self.exhausted = True
+                # The program is final: index ``len`` becomes the trailing row.
+                self._vx[self._size] = self._vy[self._size] = 0.0
+                self._duration[self._size] = math.inf
 
     def _pull(self) -> None:
         """Append the next block (or mark the program exhausted)."""
@@ -369,7 +427,7 @@ class LocalProgramBuilder:
             self.ensure_time(local_time, max_steps=max_steps)
             count = (
                 int(
-                    self._cumulative[: self._size].searchsorted(
+                    self._time[1 : self._size + 1].searchsorted(
                         local_time, side="left"
                     )
                 )
@@ -385,8 +443,9 @@ class LocalProgramBuilder:
             dx=self._dx[:count],
             dy=self._dy[:count],
             duration=self._duration[:count],
-            cumulative=self._cumulative[:count],
+            cumulative=self._time[1 : count + 1],
             complete=complete,
+            source=self,
         )
 
 
@@ -420,14 +479,65 @@ def _check_columns_parity(block: ColumnBlock) -> None:
     )
 
 
+def exact_counts(time, limit, wake, rate, bound, strict):
+    """Per query ``i``: ``#{k < limit[i] : wake[i] + rate[i] * time[k] < bound[i]}``.
+
+    ``<=`` instead of ``<`` when not ``strict``; ``time`` is non-decreasing,
+    so the count is a cut.  A ``searchsorted`` of the local times at
+    ``(bound - wake) / rate`` guesses it, and a galloping search against the
+    absolute times corrects the guess, so the cut equals ``searchsorted`` on
+    the materialized column exactly: rounding can map a long run of local
+    times onto one absolute time (a late wake, tiny durations), and the
+    correction is bounded by that run, not by one neighbour.
+    """
+    side = "left" if strict else "right"
+    guess = time[: int(limit.max(initial=0))].searchsorted((bound - wake) / rate, side=side)
+    np.minimum(guess, limit, out=guess)
+
+    def below(queries, rows):
+        absolute = absolute_time(wake[queries], rate[queries], time[rows])
+        return absolute < bound[queries] if strict else absolute <= bound[queries]
+
+    low = np.zeros_like(guess)  # the count lies in [low, high]
+    high = limit.astype(guess.dtype)
+
+    def probe(queries, rows):
+        # Tighten [low, high] with one row per query; True where it holds.
+        hit = below(queries, rows)
+        low[queries[hit]] = np.maximum(low[queries[hit]], rows[hit] + 1)
+        high[queries[~hit]] = np.minimum(high[queries[~hit]], rows[~hit])
+        return hit
+
+    radius = 1
+    open_ = np.arange(guess.shape[0])
+    while open_.size:
+        # Gallop out from the guess until rows on both sides bracket the cut.
+        down = guess[open_] - radius
+        lower = down < 0
+        lower[~lower] = probe(open_[~lower], down[~lower])
+        up = guess[open_] + radius - 1
+        upper = up >= high[open_]
+        upper[~upper] = ~probe(open_[~upper], up[~upper])
+        open_ = open_[~(lower & upper) & (low[open_] < high[open_])]
+        radius *= 2
+    open_ = np.flatnonzero(low < high)
+    while open_.size:
+        probe(open_, (low[open_] + high[open_]) // 2)
+        open_ = open_[low[open_] < high[open_]]
+    return low
+
+
 @dataclass(frozen=True)
 class TrajectoryTable:
-    """The absolute-time trajectory of one agent, as columnar float arrays.
+    """The absolute-time trajectory of one agent, as explicit columnar arrays.
 
     One row per constant-velocity stretch (the columnar analogue of a run of
     :class:`TrajectorySegment`): absolute ``start_time``, ``duration`` (the
     last row's duration is ``inf`` when the program is finite and fully
-    represented), absolute start position and velocity components.
+    represented), absolute start position and velocity components.  The
+    batch engine works on :class:`TrajectoryView` s; explicit tables are
+    their materialization and the stall transform's output, and both answer
+    the same row lookups.
 
     Attributes
     ----------
@@ -438,6 +548,10 @@ class TrajectoryTable:
     segments:
         Number of rows that correspond to real compiled segments (excludes
         the synthetic trailing row, includes the pre-wake sleep row).
+    end_time:
+        Absolute time up to which the table describes the motion: for a
+        table cut from a longer program, the start of the program's next row
+        (the last row's start plus duration can miss it by an ulp).
     """
 
     start_time: np.ndarray
@@ -448,16 +562,21 @@ class TrajectoryTable:
     vel_y: np.ndarray
     exhausted: bool
     segments: int
+    end_time: float
+
+    #: Explicit rows need no frame: they are their own source.
+    frame = None
 
     def __len__(self) -> int:
         return int(self.start_time.shape[0])
 
     @property
-    def end_time(self) -> float:
-        """Absolute time up to which the table describes the motion."""
-        if len(self) == 0:
-            return 0.0
-        return float(self.start_time[-1] + self.duration[-1])
+    def source(self) -> "TrajectoryTable":
+        return self
+
+    def state_columns(self) -> Tuple[np.ndarray, ...]:
+        """The absolute ``(time, x, y, vx, vy)`` columns."""
+        return self.start_time, self.start_x, self.start_y, self.vel_x, self.vel_y
 
     @property
     def finish_time(self) -> Optional[float]:
@@ -469,6 +588,27 @@ class TrajectoryTable:
     def boundaries(self) -> np.ndarray:
         """Internal event times (starts of every row but the first)."""
         return self.start_time[1:]
+
+    def count_boundaries(self, time: float, strict: bool = False) -> int:
+        """Boundaries (starts of rows but the first) before ``time``, or at it too."""
+        return int(self.boundaries().searchsorted(time, side="left" if strict else "right"))
+
+    def start_times(self, count: int) -> np.ndarray:
+        """The start times of the first ``count`` rows."""
+        return self.start_time[:count]
+
+    def row(self, index: int) -> Tuple[float, ...]:
+        """Row ``index`` as ``(start, duration, x, y, vx, vy)`` floats."""
+        return tuple(
+            float(column[index])
+            for column in (
+                self.start_time, self.duration, self.start_x, self.start_y,
+                self.vel_x, self.vel_y,
+            )
+        )
+
+    def materialize(self) -> "TrajectoryTable":
+        return self
 
     def states_at(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(pos_x, pos_y, vel_x, vel_y)`` arrays at the given absolute times.
@@ -485,219 +625,165 @@ class TrajectoryTable:
         return pos_x, pos_y, self.vel_x[index], self.vel_y[index]
 
 
-def _write_trailing_row(columns, at: int, origin) -> None:
-    """Write a finished program's infinite stationary row at index ``at``.
-
-    ``columns`` are the table's ``(start_time, duration, start_x, start_y,
-    vel_x, vel_y)`` buffers.  The row starts where row ``at - 1`` ends, derived
-    exactly as the event engine's cursor does when a finite program runs out
-    (``_AgentCursor.advance_past``): that segment's start time plus its
-    duration, at its end position ``start + velocity * duration``.  With no
-    row before it the agent never moves and holds ``origin``, its
-    ``(wake_time, x, y)``.
-    """
-    time, duration, x, y, vx, vy = columns
-    if at:
-        last = at - 1
-        span = duration[last]
-        time[at] = time[last] + span
-        x[at] = x[last] + vx[last] * span
-        y[at] = y[last] + vy[last] * span
-    else:
-        time[at], x[at], y[at] = origin
-    duration[at] = math.inf
-    vx[at] = 0.0
-    vy[at] = 0.0
-
-
-#: Process-wide count of trajectory rows compiled by every
-#: :class:`IncrementalTableCompiler`.  Each row is counted exactly once, when
-#: its ``_extend`` pass runs — cache hits (cross-call compiler reuse, memoized
-#: snapshots) add nothing, which is what the compiler-cache tests assert.
+#: Process-wide count of trajectory rows materialized into explicit
+#: :class:`TrajectoryTable` s (the batch engine maps view rows without
+#: materializing them, so it adds nothing here unless a stall splices a table).
 _ROWS_COMPILED_TOTAL = 0
 
 
 def rows_compiled_total() -> int:
-    """Trajectory rows compiled process-wide (cache hits compile none)."""
+    """Trajectory rows materialized process-wide."""
     return _ROWS_COMPILED_TOTAL
 
 
-class IncrementalTableCompiler:
-    """Compiles growing prefixes of one agent's local program, incrementally.
+class TrajectoryView:
+    """One agent's trajectory table: shared local rows seen through its frame.
 
-    The batch engine's table compiler.  The adaptive-horizon driver
-    re-requests the same agent's trajectory with ever longer prefixes (one
-    per round); this compiler does each row exactly once, extending shared
-    output buffers as the prefix grows.  Rows do not depend on how the prefix
-    grew because ``cumsum`` is a sequential left fold: seeding the
-    extension's cumsum with the carried fold value reproduces the additions
-    of :func:`compile_trajectory` in the same order (``c_j = c_{j-1} + d_j``),
-    so every row of every snapshot equals the lazy compiler's segment.
+    Row ``r`` of the table is the pre-wake row when the agent wakes late
+    (``pre == 1``, row 0: time 0, the start point, zero velocity, lasting
+    until the wake time), and otherwise local row ``r - pre`` of the
+    builder's folded state mapped by :func:`absolute_state`; a complete
+    program's trailing stationary row is the builder's row after the last.
+    Nothing is stored per agent beyond the frame, so any number of views
+    share one builder; :func:`repro.sim.rounds.build_windows` maps the rows
+    it touches, and :meth:`materialize` builds the explicit table.
 
-    Returned tables are views into the shared buffers.  Extensions only write
-    rows beyond any previously returned view (buffer growth reallocates but
-    leaves old arrays untouched), and the trailing infinite row only exists
-    once the program is complete — at which point the prefix can no longer
-    grow — so earlier tables stay valid for as long as the engines hold them.
-    Tables are memoized per ``(rows, complete)``, which also preserves the
-    identity-sharing that the flat window construction dedupes by.
+    ``rows`` counts the local rows in the table (the trailing row included),
+    ``segments`` the real segments (the pre-wake row included, the trailing
+    row not) — the event engine's cursor count.
     """
 
     __slots__ = (
-        "_m00", "_m01", "_m10", "_m11", "_unit", "_rate", "_wake",
-        "_x0", "_y0", "_pre", "_count",
-        "_carry_t", "_carry_x", "_carry_y",
-        "_time", "_dur", "_x", "_y", "_vx", "_vy",
-        "_tables",
+        "source", "frame", "pre", "rows", "segments", "exhausted",
+        "end_time", "finish_time",
     )
 
-    def __init__(self, spec: AgentSpec) -> None:
-        units = spec.units
-        self._m00, self._m01, self._m10, self._m11 = frame_matrix(
-            spec.frame.phi, spec.frame.chi
+    def __init__(self, local: LocalProgramTable, frame: Frame) -> None:
+        self.source = local.source
+        self.frame = frame
+        self.pre = 1 if frame[0] > 0.0 else 0
+        self.exhausted = local.complete
+        self.rows = len(local) + (1 if local.complete else 0)
+        self.segments = self.pre + len(local)
+        #: Absolute time up to which the table describes the motion, and the
+        #: time the (finite) program ends at, if represented: both the start
+        #: of the builder's row after the prefix.
+        last = self._time(len(local))
+        self.end_time = math.inf if self.exhausted else last
+        self.finish_time = last if self.exhausted else None
+
+    def __len__(self) -> int:
+        return self.pre + self.rows
+
+    def _time(self, local_row: int) -> float:
+        return absolute_time(self.frame[0], self.frame[1], float(self.source._time[local_row]))
+
+    def _count(self, bound: float, strict: bool) -> int:
+        """``#{k < rows : absolute time of local row k < bound}`` (``<=`` if not strict)."""
+        wake, rate = self.frame[0], self.frame[1]
+        time = self.source._time
+        rows = self.rows
+        side = "left" if strict else "right"
+        k = int(time[:rows].searchsorted((bound - wake) / rate, side=side))
+
+        def below(row: int) -> bool:
+            absolute = self._time(row)
+            return absolute < bound if strict else absolute <= bound
+
+        if (k == 0 or below(k - 1)) and (k == rows or not below(k)):
+            return k
+        return int(
+            exact_counts(
+                time, np.array([rows]), np.array([wake]), np.array([rate]),
+                np.array([bound]), strict,
+            )[0]
         )
-        self._unit = units.length_unit
-        self._rate = units.clock_rate
-        self._wake = units.wake_time
-        self._x0, self._y0 = spec.start
-        self._pre = 1 if self._wake > 0.0 else 0
-        self._count = 0
-        # Left-fold carries after the last compiled row: the start time and
-        # position of the next row (folds seeded with the wake time and start
-        # point, exactly like the lazy compiler).
-        self._carry_t = self._wake
-        self._carry_x = self._x0
-        self._carry_y = self._y0
-        size = self._pre + 1  # room for the pre-wake row and a tail slot
-        self._time = np.empty(size)
-        self._dur = np.empty(size)
-        self._x = np.empty(size)
-        self._y = np.empty(size)
-        self._vx = np.empty(size)
-        self._vy = np.empty(size)
-        if self._pre:
-            self._time[0] = 0.0
-            self._dur[0] = self._wake
-            self._x[0] = self._x0
-            self._y[0] = self._y0
-            self._vx[0] = 0.0
-            self._vy[0] = 0.0
+
+    def count_boundaries(self, time: float, strict: bool = False) -> int:
+        """Boundaries (starts of rows but the first) before ``time``, or at it too."""
+        # Without a pre-wake row, local row 0 is the table's first row.
+        return max(self._count(time, strict) - (1 - self.pre), 0)
+
+    def start_times(self, count: int) -> np.ndarray:
+        """The start times of the first ``count`` rows."""
+        local = max(count - self.pre, 0)
+        times = absolute_time(self.frame[0], self.frame[1], self.source._time[:local])
+        return np.concatenate(([0.0], times))[:count] if self.pre else times
+
+    def row(self, index: int) -> Tuple[float, ...]:
+        """Row ``index`` as ``(start, duration, x, y, vx, vy)`` floats."""
+        if index < self.pre:
+            return (0.0, self.frame[0], self.frame[2], self.frame[3], 0.0, 0.0)
+        k = index - self.pre
+        source = self.source
+        time, x, y, vx, vy = absolute_state(
+            self.frame, *(float(column[k]) for column in source.state_columns())
+        )
+        return (time, float(source._duration[k]) * self.frame[1], x, y, vx, vy)
+
+    def materialize(self) -> TrajectoryTable:
+        """The explicit table of every row (counted by :func:`rows_compiled_total`)."""
+        global _ROWS_COMPILED_TOTAL
+        source = self.source
+        time, x, y, vx, vy = absolute_state(
+            self.frame, *(column[: self.rows] for column in source.state_columns())
+        )
+        columns = (time, source._duration[: self.rows] * self.frame[1], x, y, vx, vy)
+        if self.pre:
+            columns = tuple(
+                np.concatenate(([head], column)) for head, column in zip(self.row(0), columns)
+            )
+        _ROWS_COMPILED_TOTAL += len(self)
+        _obs.add("compiler.rows_compiled", len(self))
+        return TrajectoryTable(
+            *columns, exhausted=self.exhausted, segments=self.segments, end_time=self.end_time
+        )
+
+
+class IncrementalTableCompiler:
+    """Hands out one agent's tables: views of the growing program prefixes.
+
+    The adaptive-horizon driver re-requests the same agent's trajectory with
+    ever longer prefixes (one per round); nothing is compiled, the builder
+    folded the local rows once for every agent.  Views are memoized per
+    ``(builder, rows, complete)``, which preserves the identity-sharing that
+    the flat window construction dedupes by.
+    """
+
+    __slots__ = ("_frame", "_tables")
+
+    def __init__(self, spec: AgentSpec) -> None:
+        self._frame = agent_frame(spec)
         self._tables: dict = {}
 
-    def _ensure_capacity(self, needed: int) -> None:
-        capacity = self._time.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(1024, 2 * capacity, needed)
-        for name in ("_time", "_dur", "_x", "_y", "_vx", "_vy"):
-            old = getattr(self, name)
-            grown = np.empty(new_capacity)
-            grown[: self._pre + self._count] = old[: self._pre + self._count]
-            setattr(self, name, grown)
-
-    @property
-    def rows_compiled(self) -> int:
-        """Program rows compiled so far (the cross-call cache's row budget unit)."""
-        return self._count
-
-    def _extend(self, local: LocalProgramTable, n: int) -> None:
-        global _ROWS_COMPILED_TOTAL
-        count = self._count
-        _ROWS_COMPILED_TOTAL += n - count
-        _obs.add("compiler.rows_compiled", n - count)
-        self._ensure_capacity(self._pre + n + 1)
-        dx = local.dx[count:n]
-        dy = local.dy[count:n]
-        durations = local.duration[count:n] * self._rate
-        disp_x = (self._m00 * dx + self._m01 * dy) * self._unit
-        disp_y = (self._m10 * dx + self._m11 * dy) * self._unit
-        base = self._pre + count
-        grown = n - count
-        body = slice(base, base + grown)
-        self._dur[body] = durations
-        # Zero-displacement rows are waits.  Local durations are strictly
-        # positive, but a subnormal duration times a clock rate below 1 can
-        # underflow to exactly zero; such rows pass no time and apply their
-        # (at most subnormal-sized) displacement instantaneously -- velocity
-        # 0 keeps the division well-defined, matching the lazy compiler.  The
-        # common all-positive case skips the guard arrays.
-        positive = durations > 0.0
-        if positive.all():
-            np.divide(disp_x, durations, out=self._vx[body])
-            np.divide(disp_y, durations, out=self._vy[body])
-        else:
-            safe_durations = np.where(positive, durations, 1.0)
-            self._vx[body] = np.where(positive, disp_x / safe_durations, 0.0)
-            self._vy[body] = np.where(positive, disp_y / safe_durations, 0.0)
-        # One column-wise cumsum continues all three left folds at once; the
-        # leading carry row makes the additions (c_j = c_{j-1} + d_j) land in
-        # exactly the from-scratch order.
-        extension = np.empty((grown + 1, 3))
-        extension[0, 0] = self._carry_t
-        extension[0, 1] = self._carry_x
-        extension[0, 2] = self._carry_y
-        extension[1:, 0] = durations
-        extension[1:, 1] = disp_x
-        extension[1:, 2] = disp_y
-        cums = np.cumsum(extension, axis=0)
-        self._time[body] = cums[:-1, 0]
-        self._x[body] = cums[:-1, 1]
-        self._y[body] = cums[:-1, 2]
-        self._carry_t = float(cums[-1, 0])
-        self._carry_x = float(cums[-1, 1])
-        self._carry_y = float(cums[-1, 2])
-        self._count = n
-
-    def table(self, local: LocalProgramTable) -> TrajectoryTable:
-        """The compiled table of ``local`` (a prefix no shorter than any before)."""
-        n = len(local)
-        key = (n, local.complete)
-        cached = self._tables.get(key)
-        if cached is not None:
-            return cached
-        if n > self._count:
-            self._extend(local, n)
-        total = self._pre + n
-        if local.complete:
-            # One-time tail: the program is complete, so the prefix is final.
-            _write_trailing_row(
-                (self._time, self._dur, self._x, self._y, self._vx, self._vy),
-                total, (self._wake, self._x0, self._y0),
-            )
-            total += 1
-        table = TrajectoryTable(
-            start_time=self._time[:total],
-            duration=self._dur[:total],
-            start_x=self._x[:total],
-            start_y=self._y[:total],
-            vel_x=self._vx[:total],
-            vel_y=self._vy[:total],
-            exhausted=local.complete,
-            segments=n + self._pre,
-        )
-        self._tables[key] = table
+    def table(self, local: LocalProgramTable) -> TrajectoryView:
+        """The table of ``local`` as seen by this compiler's agent."""
+        key = (local.source, len(local), local.complete)
+        table = self._tables.get(key)
+        if table is None:
+            table = TrajectoryView(local, self._frame)
+            self._tables[key] = table
         return table
 
 
-def constant_table(position: Vec2) -> TrajectoryTable:
-    """A one-row :class:`TrajectoryTable` pinned at ``position`` forever.
+#: The program that never moves: one stationary row from time 0, forever.
+_IDLE_PROGRAM = LocalProgramBuilder(()).snapshot(math.inf)
+
+
+def constant_table(position: Vec2) -> TrajectoryView:
+    """A one-row table pinned at ``position`` forever.
 
     The columnar analogue of an agent that never moves: a single stationary
     row covering all of time (``exhausted`` — there is nothing beyond it, and
-    ``segments == 0`` — no compiled program segment backs it).  The
+    ``segments == 0`` — no compiled program segment backs it), as a view of
+    the shared empty program with ``position`` as its start.  The
     asymmetric-radius batch engine substitutes this for the frozen agent's
     table: the freeze discards the agent's remaining program, so from the
     freeze time on its trajectory is exactly "stand at the freeze position".
     """
-    return TrajectoryTable(
-        start_time=np.array([0.0]),
-        duration=np.array([math.inf]),
-        start_x=np.array([float(position[0])]),
-        start_y=np.array([float(position[1])]),
-        vel_x=np.array([0.0]),
-        vel_y=np.array([0.0]),
-        exhausted=True,
-        segments=0,
+    x, y = float(position[0]), float(position[1])
+    return TrajectoryView(
+        _IDLE_PROGRAM, (0.0, 1.0, x, y, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0)
     )
 
 
@@ -737,6 +823,8 @@ def stalled_segments(
                 duration=duration,
                 start_pos=segment.start_pos,
                 velocity=(0.0, 0.0),
+                end_time=shifted(segment.start_time),
+                end_pos=segment.start_pos,
                 kind="stall",
             )
             if _contracts.enabled():
@@ -753,25 +841,30 @@ def stalled_segments(
                 duration=segment.duration,
                 start_pos=segment.start_pos,
                 velocity=segment.velocity,
+                end_time=shifted(segment.end_time),
+                end_pos=segment.end_pos,
                 kind=segment.kind,
             )
         else:
             yield segment
 
 
-def stalled_table(table: TrajectoryTable, onset: float, duration: float) -> TrajectoryTable:
+def stalled_table(table, onset: float, duration: float):
     """The columnar stall transform: the batch-engine lowering.
 
     Inserts one zero-velocity row at the first *real* row starting at or
     after ``onset`` and shifts that row and everything after it (including a
-    synthetic trailing row) by ``duration``.  Identity when no compiled row
-    qualifies — which, by the boundary-snapping semantics, is exactly when the
-    stall also never surfaces on the event path within the table's coverage.
+    synthetic trailing row) by ``duration``, in the table's explicit form;
+    the coverage end shifts with them.
+    Identity (the same table object) when no compiled row qualifies — which,
+    by the boundary-snapping semantics, is exactly when the stall also never
+    surfaces on the event path within the table's coverage.
     """
     count = int(table.segments)
-    insert = int(np.searchsorted(table.start_time[:count], onset, side="left"))
+    insert = int(np.searchsorted(table.start_times(count), onset, side="left"))
     if insert >= count:
         return table
+    table = table.materialize()
 
     def spliced(column: np.ndarray, stall_value: float, shift: float = 0.0) -> np.ndarray:
         out = np.empty(len(column) + 1, dtype=column.dtype)
@@ -789,6 +882,7 @@ def stalled_table(table: TrajectoryTable, onset: float, duration: float) -> Traj
         vel_y=spliced(table.vel_y, 0.0),
         exhausted=table.exhausted,
         segments=count + 1,
+        end_time=table.end_time + duration,
     )
     if _contracts.enabled():
         SCENARIO_STALL_SEGMENT.check(

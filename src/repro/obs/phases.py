@@ -98,26 +98,14 @@ SERVICE_DISPATCH = declare_span(
     "scheduler job dispatch: running transition through campaign return",
 )
 
-# -- compiler-cache counters ------------------------------------------------------
-COMPILER_CACHE_HITS = declare_counter(
-    "compiler_cache.hits",
-    "cross-call compiler-cache entries reused by a batch run",
-)
-COMPILER_CACHE_MISSES = declare_counter(
-    "compiler_cache.misses",
-    "cross-call compiler-cache lookups that compiled fresh",
-)
-COMPILER_CACHE_EVICTIONS = declare_counter(
-    "compiler_cache.evictions",
-    "compiler-cache entries dropped by the LRU entry/row budgets",
-)
+# -- cache and compile counters ----------------------------------------------------
 BUILDER_CACHE_EVICTIONS = declare_counter(
     "builder_cache.evictions",
     "builder-cache entries dropped by the LRU entry/row budgets",
 )
 COMPILER_ROWS_COMPILED = declare_counter(
     "compiler.rows_compiled",
-    "trajectory rows compiled (the obs view of rows_compiled_total)",
+    "trajectory rows materialized (the obs view of rows_compiled_total)",
 )
 
 #: Per-shard phase keys that are disjoint slices of the manifest record's

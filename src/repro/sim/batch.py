@@ -2,8 +2,9 @@
 
 The event engine (:mod:`repro.sim.engine`) advances one simulation window at
 a time in Python.  This module is the columnar counterpart for Monte-Carlo
-campaigns: it bulk-compiles both agents' trajectories into
-:class:`~repro.motion.compiler.TrajectoryTable` arrays, stacks the merged
+campaigns: it reads both agents' trajectories as
+:class:`~repro.motion.compiler.TrajectoryView` s (one shared local program
+under each agent's affine frame), stacks the merged
 event windows of *every instance of the batch* into flat arrays
 (:func:`repro.sim.rounds.build_windows`), and solves all window quadratics
 with chunked fused-kernel calls (:func:`repro.sim.rounds.solve_round`).
@@ -17,7 +18,7 @@ derived from its geometry, and only the instances that neither met nor
 terminated are retried with a geometrically grown horizon.  Windows are
 scanned in time order, so a hit found within a horizon is the global first
 one; the horizon schedule never changes a result, it only bounds how much
-trajectory is compiled and how many windows are solved.
+trajectory is mapped and how many windows are solved.
 
 Each round is classified at once with numpy masks (met / freeze / grow /
 terminal) over the carried per-instance columns of
@@ -41,8 +42,10 @@ Scope and guarantees:
   agents: the driver computes the exact absolute time at which the event
   loop would stop pulling segments and caps the horizon there;
 * universal algorithms are consumed **once** per batch through a shared
-  :class:`~repro.motion.compiler.LocalProgramBuilder`; non-universal
-  programs are resolved once per (instance, agent), like the event engine.
+  :class:`~repro.motion.compiler.LocalProgramBuilder`, and no agent's table
+  is compiled: rows are mapped through the agent's frame only where a round
+  touches them; non-universal programs are resolved once per
+  (instance, agent), like the event engine.
 """
 
 from __future__ import annotations
@@ -76,12 +79,10 @@ from repro.sim.rounds import (
     build_windows,
     default_initial_horizon,
     entry_state_arrays,
-    full_final_window_min,
     per_instance_option,
     solve_round,
     stall_arrays,
     trim_builder_cache,
-    trim_compiler_cache,
 )
 from repro.sim.scenarios import scaled_agents
 from repro.util.logging import get_logger
@@ -134,16 +135,10 @@ def _row_position(
     a visibly different meeting time.  A first window starting at time 0 uses
     row 0, like :func:`~repro.sim.rounds.build_windows`.
     """
-    if first_window and window_start <= 0.0:
-        row = 0
-    else:
-        row = int(np.searchsorted(table.start_time, window_start, side="right")) - 1
-    offset = when - float(table.start_time[row])
-    offset = min(max(offset, 0.0), float(table.duration[row]))
-    return (
-        float(table.start_x[row]) + float(table.vel_x[row]) * offset,
-        float(table.start_y[row]) + float(table.vel_y[row]) * offset,
-    )
+    row = 0 if first_window and window_start <= 0.0 else table.count_boundaries(window_start)
+    start, duration, x, y, vx, vy = table.row(row)
+    offset = min(max(when - start, 0.0), duration)
+    return x + vx * offset, y + vy * offset
 
 
 def _run_rounds(
@@ -169,7 +164,7 @@ def _run_rounds(
     ``(larger_radius, larger_agent)``, two per-instance columns: with it, the
     first hit at the larger radius strictly before any meeting hit freezes
     that agent, which then continues as a one-row
-    :func:`~repro.motion.compiler.constant_table` while its pre-freeze
+    :func:`~repro.motion.compiler.constant_table` view while its pre-freeze
     segment count keeps feeding the combined budget (``extra_segments``).
     Without it, the kernel solves a single radius and nothing ever freezes.
     ``radius_slack`` is added to both columns.
@@ -309,7 +304,7 @@ def _run_rounds(
                 # engine's first-window-wins rule.
                 cols.fold_round_min(pending, solution.group_min, solution.min_time)
 
-            # Round classification: the mask form of RoundEntry.resolves_without_hit.
+            # Round classification (see entry_state_arrays).
             budget_limited, entry_horizon, finish = entry_state_arrays(entries)
             finished_within = finish <= entry_horizon
             unresolved = (
@@ -401,9 +396,8 @@ def _run_rounds(
                 )
 
             # Per-resolved-instance residue (once per instance per batch):
-            # segment-cursor counts up to the stopping point, the frozen
-            # cursor's count, and the event engine's full-length rescan of a
-            # meeting window that was cut at the adaptive horizon.
+            # segment-cursor counts up to the stopping point and the frozen
+            # cursor's count.
             resolved_positions = np.nonzero(met | terminal)[0]
             if resolved_positions.size:
                 met_list = met.tolist()
@@ -411,16 +405,6 @@ def _run_rounds(
                     entry = entries[k]
                     if met_list[k]:
                         segments_until = float(windows.starts[first_hit[k]])
-                        if (
-                            track_min_distance
-                            and first_hit[k] == hi[k] - 1
-                            and not entry.budget_limited
-                        ):
-                            full_window = full_final_window_min(
-                                entry, windows, int(first_hit[k]), max_time
-                            )
-                            if full_window is not None:
-                                cols.improve_min(entry.index, *full_window)
                     else:
                         segments_until = entry.horizon
                     segments_a, segments_b = entry.segments_in_play(segments_until)
@@ -437,7 +421,6 @@ def _run_rounds(
             pending = pending[unresolved | freezes]
 
     trim_builder_cache()
-    trim_compiler_cache()
     elapsed = _time.perf_counter() - wall_start
     logger.debug(
         "batch rounds: %d instances, %d windows over %d rounds, %.3fs",

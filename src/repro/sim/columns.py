@@ -114,12 +114,6 @@ class ResultColumns:
             self.min_distance[rows] = round_min[better]
             self.min_distance_time[rows] = round_time[better]
 
-    def improve_min(self, row: int, distance: float, time: float) -> None:
-        """Scalar closest-approach improvement (horizon-cut final-window rescans)."""
-        if distance < self.min_distance[row]:
-            self.min_distance[row] = distance
-            self.min_distance_time[row] = time
-
     def build_results(
         self,
         instances: Sequence[Instance],

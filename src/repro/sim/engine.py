@@ -143,6 +143,8 @@ class _AgentCursor:
                 duration=math.inf,
                 start_pos=spec.start,
                 velocity=(0.0, 0.0),
+                end_time=None,
+                end_pos=spec.start,
                 kind="idle",
             )
             self.exhausted = True
@@ -160,12 +162,6 @@ class _AgentCursor:
         return segment
 
     # -- time window helpers -------------------------------------------------------
-    def end_time(self):
-        """Absolute end time of the current segment, or ``None`` if unbounded."""
-        if math.isinf(self.current.duration):
-            return None
-        return self.timebase.add(self.current.start_time, self.current.duration)
-
     def state_at(self, when) -> Tuple[Vec2, Vec2]:
         """(position, velocity) of the agent at absolute time ``when``.
 
@@ -183,7 +179,7 @@ class _AgentCursor:
     def advance_past(self, when) -> None:
         """Move to the segment that is active just after absolute time ``when``."""
         while True:
-            end = self.end_time()
+            end = self.current.end_time
             if end is None or end > when:
                 return
             nxt = self._pull()
@@ -194,6 +190,8 @@ class _AgentCursor:
                     duration=math.inf,
                     start_pos=self.current.end_pos,
                     velocity=(0.0, 0.0),
+                    end_time=None,
+                    end_pos=self.current.end_pos,
                     kind="finished",
                 )
                 self.exhausted = True
@@ -213,6 +211,8 @@ def freeze_cursor(cursor: _AgentCursor, when) -> Vec2:
         duration=math.inf,
         start_pos=position,
         velocity=(0.0, 0.0),
+        end_time=None,
+        end_pos=position,
         kind="frozen",
     )
     cursor.stream = iter(())
@@ -303,7 +303,7 @@ def drive_windows(
     while True:
         windows += 1
         window_end, window = window_bounds(
-            current, cursor_a.end_time(), cursor_b.end_time(), horizon, timebase
+            current, cursor_a.current.end_time, cursor_b.current.end_time, horizon, timebase
         )
 
         pos_a, vel_a = cursor_a.state_at(current)

@@ -3,35 +3,35 @@
 The batch driver (:func:`repro.sim.batch._run_rounds`, behind both
 :func:`repro.sim.batch.simulate_batch` and
 :func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`) runs one outer
-loop: compile trajectory prefixes up to an adaptive horizon, stack the merged
+loop: read trajectory prefixes up to an adaptive horizon, stack the merged
 event windows of every unresolved instance into flat arrays, solve all window
 quadratics with one chunked fused-kernel pass, and retry the instances that
 neither met nor terminated with a geometrically grown horizon.  This module
 holds that loop's building blocks:
 
 * :class:`ProgramSource` — serves trajectory tables while consuming each
-  program's column blocks only once (shared builders for universal algorithms)
-  and compiling each trajectory row only once *per process*
-  (:class:`~repro.motion.compiler.IncrementalTableCompiler` per distinct
-  trajectory, extended as the adaptive horizon grows); both the consumed
-  instruction prefixes and the compiled tables persist across engine calls
-  through the bounded LRU caches below (``_BUILDER_CACHE`` /
-  ``_COMPILER_CACHE``), so repeated campaigns recompile nothing;
+  program's column blocks only once (shared builders for universal
+  algorithms, kept across engine calls in the bounded LRU
+  ``_BUILDER_CACHE``); a table is a
+  :class:`~repro.motion.compiler.TrajectoryView` — the shared local rows
+  under one agent's frame — so nothing is compiled per agent;
 * :class:`RoundEntry` — one instance's tables, horizon and budget state for
   one round, including the exact reproduction of the event engine's
   ``max_segments`` stopping rule (:func:`entry_state_arrays` is the column
   form the driver classifies whole rounds with);
 * :func:`build_windows` — the *flat*, sort-free cross-instance window
-  construction: grouped ``searchsorted`` range cuts, gathers of only the
-  table rows a round can touch, a rank merge of every entry's two sorted
-  boundary runs (one ``searchsorted`` per distinct A table places every B
-  boundary, A's fill the rest), active rows written straight from merge
-  positions and one entry-grouped deduplication pass produce window starts,
-  durations and both agents' states as single flat arrays with per-instance
-  offsets — no sort, and Python loops only over distinct tables, never over
-  windows (the first engine generation called ``np.unique``/``states_at``
-  per instance, the second rank-merged each entry in a Python loop, the
-  third ran one stable ``lexsort`` over every event of the round);
+  construction: range cuts grouped per shared local program (each entry
+  searching with its own frame, corrected to the exact materialized cut),
+  one affine mapping of only the table rows a round can touch, a rank merge
+  of every entry's two sorted boundary runs (one ``searchsorted`` per
+  distinct A table places every B boundary, A's fill the rest), active rows
+  written straight from merge positions and one entry-grouped deduplication
+  pass produce window starts, durations and both agents' states as single
+  flat arrays with per-instance offsets — no sort, and Python loops only
+  over source groups and distinct tables, never over windows (the first
+  engine generation called ``np.unique``/``states_at`` per instance, the
+  second rank-merged each entry in a Python loop, the third ran one stable
+  ``lexsort`` over every event of the round);
 * :func:`solve_round` — the chunked fused-kernel pass (one kernel call per
   chunk, serially) with segmented first-hit/minimum reductions, optionally
   solving every window against a *second* per-window radius column in the
@@ -45,8 +45,7 @@ and assembles results into flat columns (:mod:`repro.sim.columns`).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,25 +53,26 @@ from repro.contracts import core as _contracts
 from repro.contracts.invariants import KERNEL_CHUNK_PARITY
 from repro.core.instance import AgentSpec, Instance
 from repro.geometry.closest_approach import (
-    closest_approach_moving_points,
     fused_window_batch,
     fused_window_batch_dual,
 )
 from repro.motion.compiler import (
     IncrementalTableCompiler,
     LocalProgramBuilder,
-    TrajectoryTable,
+    TrajectoryView,
+    absolute_state,
+    exact_counts,
+    stalled_table,
 )
 from repro.obs import core as _obs
 from repro.sim.engine import _resolve_blocks
-from repro.sim.results import TerminationReason
 
 #: Horizon multiplier between rounds.  Scanning resumes at ``scan_from``, so
 #: the dominant waste is not re-scanning but *overshoot*: the resolving round
 #: scans to the first horizon past the meeting time, an expected factor of
 #: ``(g - 1) / ln g`` beyond it for log-uniform meeting times (~3.4 at g = 8,
-#: ~1.8 at g = 3).  The extra rounds a small factor costs are cheap now that
-#: trajectory prefixes compile incrementally (each row once per batch), so 3
+#: ~1.8 at g = 3).  The extra rounds a small factor costs are cheap (a round
+#: only extends the shared builder and maps the rows it touches), so 3
 #: measures ~15-20% faster end-to-end on the stratified campaign than the
 #: original 8, with bit-identical results (the horizon schedule is a pure
 #: performance knob; 2 loses again to per-round overhead).
@@ -98,17 +98,19 @@ def _is_universal(algorithm: Any) -> bool:
 #: single entry whose rows alone exceed the budget is evicted as well.
 _BUILDER_CACHE: Dict[Any, LocalProgramBuilder] = {}
 _BUILDER_CACHE_LIMIT = 8
-_BUILDER_CACHE_ROW_LIMIT = 4_000_000  # x 4 float64 columns ~= 128 MB
+_BUILDER_CACHE_ROW_LIMIT = 2_000_000  # x 8 float64 columns ~= 128 MB
 
 
-def _trim_builder_cache() -> None:
+def trim_builder_cache() -> None:
     """Evict least-recently-used builders until both bounds hold.
 
     Unlike a plain LRU trim, the *last* entry is not exempt: one huge builder
     (user-supplied ``max_segments`` in the tens of millions) exceeding the row
     budget on its own is dropped instead of pinning hundreds of MB for the
     process lifetime.  The engine run that inserted it keeps its direct
-    reference; only the cross-call cache declines to retain it.
+    reference; only the cross-call cache declines to retain it.  Builders
+    keep growing *after* insertion, so the batch driver also calls this once
+    per run, to evict entries that outgrew the budget meanwhile.
     """
     while _BUILDER_CACHE and (
         len(_BUILDER_CACHE) > _BUILDER_CACHE_LIMIT
@@ -116,90 +118,6 @@ def _trim_builder_cache() -> None:
     ):
         del _BUILDER_CACHE[next(iter(_BUILDER_CACHE))]
         _obs.add("builder_cache.evictions")
-
-
-def trim_builder_cache() -> None:
-    """Re-apply the builder-cache bounds after a batch run.
-
-    Builders keep growing *after* insertion (the cache stores them before the
-    adaptive rounds consume the program), so the insertion-time trim cannot
-    see their final size; the batch driver calls this once per run to evict
-    entries that outgrew the budget meanwhile.
-    """
-    _trim_builder_cache()
-
-
-#: Incremental table compilers of universal programs, shared across
-#: batch-engine calls.  Keyed by ``(program_cache_key, spec)`` — the compiled
-#: table is a pure function of the instruction stream (declared identical for
-#: equal cache keys) and the agent spec — so a repeated campaign (BatchRunner
-#: re-runs, sweep grids, CLI experiments) re-uses every trajectory row it
-#: already compiled instead of recompiling from scratch.  Bounds mirror the
-#: builder cache: an entry cap sized for whole campaigns (one entry per
-#: distinct B-side spec), an approximate retained-row budget, LRU eviction
-#: one entry at a time, and a single over-budget entry is evicted rather than
-#: pinned.  Insertions enforce only the entry cap (O(1) amortized — summing
-#: rows per insert would make the hot path O(cache size)); compilers keep
-#: growing after insertion anyway, so the row budget is applied by the
-#: batch driver's once-per-run re-trim (:func:`trim_compiler_cache`).
-_COMPILER_CACHE: Dict[Any, IncrementalTableCompiler] = {}
-_COMPILER_CACHE_LIMIT = 4096
-_COMPILER_CACHE_ROW_LIMIT = 4_000_000  # x 6 float64 columns ~= 192 MB
-
-
-def _trim_compiler_cache() -> None:
-    """Evict least-recently-used compilers until both bounds hold."""
-    while _COMPILER_CACHE and (
-        len(_COMPILER_CACHE) > _COMPILER_CACHE_LIMIT
-        or sum(c.rows_compiled for c in _COMPILER_CACHE.values())
-        > _COMPILER_CACHE_ROW_LIMIT
-    ):
-        del _COMPILER_CACHE[next(iter(_COMPILER_CACHE))]
-        _obs.add("compiler_cache.evictions")
-
-
-def trim_compiler_cache() -> None:
-    """Re-apply the compiler-cache bounds after a batch run.
-
-    Same contract as :func:`trim_builder_cache`: compilers extend their shared
-    buffers while the adaptive rounds run, so only a post-run trim sees their
-    final row counts.
-    """
-    _trim_compiler_cache()
-
-
-def compiler_cache_entry_limit() -> int:
-    """The entry cap of the cross-call compiler cache (read at call time)."""
-    return _COMPILER_CACHE_LIMIT
-
-
-#: Whether ``_COMPILER_CACHE`` currently admits only agent A's compilers.
-#: Direct engine calls admit every universal compiler with a
-#: ``program_cache_key`` (repeated sweeps re-use their B-side rows too);
-#: campaign shards whose B-side specs no later shard asks for again run
-#: under :func:`compiler_cache_admission`, so single-use compilers do not
-#: evict the one entry every shard re-uses.
-_SHARED_ONLY = False
-
-
-@contextmanager
-def compiler_cache_admission() -> Iterator[None]:
-    """Admit only agent A's compiler to the cross-call cache, for one scope.
-
-    Inside the scope :class:`ProgramSource` bypasses ``_COMPILER_CACHE`` for
-    every spec except agent A's (``spec.name == "A"``), the canonical
-    reference spec every instance of every campaign shares; B-side compilers
-    stay local to their run.  Results never depend on it — only which rows
-    are *recompiled* across calls does.  The previous setting is restored on
-    exit, so nested scopes compose.
-    """
-    global _SHARED_ONLY
-    previous = _SHARED_ONLY
-    _SHARED_ONLY = True
-    try:
-        yield
-    finally:
-        _SHARED_ONLY = previous
 
 
 class ProgramSource:
@@ -225,23 +143,18 @@ class ProgramSource:
         )
         self._shared: Optional[LocalProgramBuilder] = None
         self._builders: Dict[Tuple[int, str], LocalProgramBuilder] = {}
-        # One incremental compiler per distinct trajectory: every adaptive
-        # round re-requests a longer prefix of the same agent's table, and
-        # the compiler extends in place instead of recompiling from scratch.
-        # A universal program's table is a pure function of the agent spec,
-        # so its compilers key by spec — agent A (the canonical reference
-        # with one spec across *all* instances) collapses onto a single
-        # compiler whose per-(rows, complete) memoization also preserves
-        # table identity for the flat window construction's dedup — and,
-        # when the algorithm declares a ``program_cache_key``, persist in the
-        # cross-call ``_COMPILER_CACHE`` so repeated campaigns skip
-        # recompilation entirely.  Non-universal programs key per (instance,
-        # role) and never outlive the run.
+        # One table compiler per distinct trajectory, memoizing one view per
+        # prefix: a universal program's table is a pure function of the
+        # agent spec, so its compilers key by spec — agent A (the canonical
+        # reference with one spec across *all* instances) collapses onto a
+        # single compiler, which keeps table identity for the flat window
+        # construction's dedup.  Non-universal programs key per (instance,
+        # role).
         self._compilers: Dict[Any, IncrementalTableCompiler] = {}
 
     def table_for(
         self, index: int, instance: Instance, spec: AgentSpec, role: str, horizon: float
-    ) -> TrajectoryTable:
+    ) -> TrajectoryView:
         units = spec.units
         local_budget = max((horizon - units.wake_time) / units.clock_rate, 0.0)
         if self._universal:
@@ -256,7 +169,7 @@ class ProgramSource:
                 if cache_key is not None:
                     # (Re-)insert at the back: dict order is the LRU order.
                     _BUILDER_CACHE[cache_key] = self._shared
-                    _trim_builder_cache()
+                    trim_builder_cache()
             builder = self._shared
         else:
             key = (index, role)
@@ -270,32 +183,7 @@ class ProgramSource:
         compiler_key: Any = spec if self._universal else (index, role)
         compiler = self._compilers.get(compiler_key)
         if compiler is None:
-            # Inside a compiler_cache_admission() scope, only agent A's spec —
-            # the canonical reference shared by every instance — may consult
-            # or populate the cross-call cache; per-instance B specs compile
-            # locally and die with the run instead of churning the LRU.
-            admitted = not _SHARED_ONLY or spec.name == "A"
-            if self._universal and self._cache_key is not None and admitted:
-                global_key = (self._cache_key, spec)
-                compiler = _COMPILER_CACHE.pop(global_key, None)
-                if compiler is None:
-                    _obs.add("compiler_cache.misses")
-                    compiler = IncrementalTableCompiler(spec)
-                else:
-                    _obs.add("compiler_cache.hits")
-                # (Re-)insert at the back: dict order is the LRU order.  The
-                # run keeps its direct reference either way; eviction only
-                # means the cross-call cache declines to retain the entry.
-                # Only the entry cap is enforced here (O(1) amortized in the
-                # hot path); the row budget is meaningless at insertion time
-                # anyway — compilers grow *after* insertion — and is applied
-                # by the batch driver's post-run trim_compiler_cache().
-                _COMPILER_CACHE[global_key] = compiler
-                while len(_COMPILER_CACHE) > _COMPILER_CACHE_LIMIT:
-                    del _COMPILER_CACHE[next(iter(_COMPILER_CACHE))]
-                    _obs.add("compiler_cache.evictions")
-            else:
-                compiler = IncrementalTableCompiler(spec)
+            compiler = IncrementalTableCompiler(spec)
             self._compilers[compiler_key] = compiler
         return compiler.table(local)
 
@@ -307,9 +195,9 @@ def default_initial_horizon(instance: Instance, max_time: float) -> float:
     combined top speed could close the gap.  The universal algorithm pays an
     enumeration overhead of well over an order of magnitude on top of that
     lower bound, so start generously above it (a too-small first horizon costs
-    a whole extra round of compilation; a too-large one only some extra
+    a whole extra round; a too-large one only some extra
     windows).  Snapping to powers of the growth factor keeps the set of
-    distinct horizons per round small, which feeds the shared-table cache.
+    distinct horizons per round small, so instances share table views.
     """
     closing_speed = 1.0 + max(instance.v, 0.0)
     lower_bound = max(instance.initial_distance - instance.r, 0.0) / closing_speed
@@ -369,36 +257,39 @@ def stall_arrays(
 class StallTransform:
     """Memoized columnar stall transform for one batch-driver call.
 
-    :meth:`ProgramSource.table_for` returns cached table objects (one per
-    compiler growth state), so keying the splice on the table's identity both
-    avoids re-splicing per round and preserves table sharing — instances with
-    an identical source table and identical stall parameters keep receiving
-    one shared stalled table, which the window merge's identity-based dedup
-    (:func:`_dedup_tables`) relies on.
+    :meth:`ProgramSource.table_for` returns memoized views (one per prefix),
+    so keying the splice on the table's identity both avoids re-splicing per
+    round and preserves table sharing — instances with an identical source
+    table and identical stall parameters keep receiving one shared stalled
+    table, which the window merge's identity-based dedup
+    (:func:`_dedup_tables`) relies on.  The memo holds the source table too,
+    so an identity it keys on is never recycled while the memo lives.
     """
 
     __slots__ = ("_memo",)
 
     def __init__(self) -> None:
-        self._memo: Dict[Tuple[int, int, float, float], TrajectoryTable] = {}
+        self._memo: Dict[Tuple[int, float, float], Tuple[Any, Any]] = {}
 
-    def apply(self, table: TrajectoryTable, onset: float, duration: float) -> TrajectoryTable:
-        from repro.motion.compiler import stalled_table  # local: avoids re-export churn
-
-        key = (id(table), len(table), float(onset), float(duration))
+    def apply(self, table: Any, onset: float, duration: float) -> Any:
+        key = (id(table), float(onset), float(duration))
         cached = self._memo.get(key)
         if cached is None:
-            cached = stalled_table(table, float(onset), float(duration))
+            cached = (table, stalled_table(table, float(onset), float(duration)))
             self._memo[key] = cached
-        return cached
+        return cached[1]
 
 
 class RoundEntry:
     """One instance's tables, horizon and budget state for one round.
 
+    Tables are :class:`~repro.motion.compiler.TrajectoryView` s or explicit
+    :class:`~repro.motion.compiler.TrajectoryTable` s; every row lookup goes
+    through their shared methods (``count_boundaries``, ``start_times``, ``end_time``).
     ``extra_segments`` counts trajectory segments that the event engine's
     cursors have already pulled but that are *not* rows of the tables handed
-    in — the driver passes a frozen agent's pre-freeze segment count here (its synthetic table has ``segments == 0``), so the combined
+    in — the driver passes a frozen agent's pre-freeze segment count here
+    (its synthetic table has ``segments == 0``), so the combined
     ``max_segments`` stopping rule keeps matching the event loop exactly.
     """
 
@@ -411,14 +302,15 @@ class RoundEntry:
         "budget_limited",
         "scan_from",
         "extra_segments",
+        "limit",
     )
 
     def __init__(
         self,
         index: int,
         instance: Instance,
-        table_a: TrajectoryTable,
-        table_b: TrajectoryTable,
+        table_a: Any,
+        table_b: Any,
         horizon: float,
         scan_from: float,
         max_segments: int,
@@ -443,8 +335,8 @@ class RoundEntry:
         if table_a.segments + table_b.segments + extra_segments > max_segments:
             merged_starts = np.concatenate(
                 (
-                    table_a.start_time[: table_a.segments],
-                    table_b.start_time[: table_b.segments],
+                    table_a.start_times(table_a.segments),
+                    table_b.start_times(table_b.segments),
                 )
             )
             kth = max(max_segments - extra_segments, 0)
@@ -470,63 +362,16 @@ class RoundEntry:
                 horizon = end
                 self.budget_limited = True
         self.horizon = max(horizon, 0.0)
-
-    def true_window_end(self, start: float, max_time: float) -> float:
-        """Where the event engine's window beginning at ``start`` really ends.
-
-        The last window of a round is cut at the adaptive horizon, which is
-        not a segment boundary; the event engine's window runs to the next
-        boundary of either agent (capped at ``max_time``).
-        """
-        end = max_time
-        for table in (self.table_a, self.table_b):
-            idx = int(np.searchsorted(table.start_time, start, side="right")) - 1
-            idx = min(max(idx, 0), len(table) - 1)
-            row_end = float(table.start_time[idx] + table.duration[idx])
-            if row_end < end:
-                end = row_end
-        return end
+        # How far the event engine could scan past the horizon inside the
+        # round's final window: to ``max_time``, or not past a budget stop.
+        self.limit = self.horizon if self.budget_limited else max_time
 
     def segments_in_play(self, until: float) -> Tuple[int, int]:
         """Per-agent counts of segments starting by ``until`` (event-cursor analogue)."""
         return (
-            int(
-                self.table_a.start_time[: self.table_a.segments].searchsorted(
-                    until, side="right"
-                )
-            ),
-            int(
-                self.table_b.start_time[: self.table_b.segments].searchsorted(
-                    until, side="right"
-                )
-            ),
+            min(self.table_a.count_boundaries(until) + 1, self.table_a.segments),
+            min(self.table_b.count_boundaries(until) + 1, self.table_b.segments),
         )
-
-    def resolves_without_hit(self, max_time: float) -> Optional[TerminationReason]:
-        """Termination reason if no window of this round contains a hit.
-
-        ``None`` means the instance is unresolved at this horizon and must be
-        retried with a larger one.  The batch driver applies the same rule
-        in bulk over :func:`entry_state_arrays` columns; this scalar
-        form is the readable reference (and serves unit tests).
-        """
-        if self.budget_limited:
-            return TerminationReason.MAX_SEGMENTS
-        finish_a = self.table_a.finish_time
-        finish_b = self.table_b.finish_time
-        if (
-            finish_a is not None
-            and finish_b is not None
-            and max(finish_a, finish_b) <= self.horizon
-        ):
-            # Both programs ended within the scanned range and the agents did
-            # not meet: they are stationary forever, nothing can change.
-            if max(finish_a, finish_b) < max_time:
-                return TerminationReason.PROGRAMS_FINISHED
-            return TerminationReason.MAX_TIME
-        if self.horizon >= max_time:
-            return TerminationReason.MAX_TIME
-        return None
 
 
 def entry_state_arrays(
@@ -534,12 +379,15 @@ def entry_state_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(budget_limited, horizon, finish)`` columns over one round's entries.
 
-    The array form of the per-entry state that
-    :meth:`RoundEntry.resolves_without_hit` consults, letting the driver
-    classify a whole round's misses with masks: ``budget_limited`` and the
-    (possibly budget-capped) effective ``horizon`` per entry, and ``finish``
-    — the absolute time at which *both* programs have ended (``inf`` when
-    either is still running or not fully represented).
+    The per-entry state the driver classifies a whole round's misses with,
+    as masks: ``budget_limited`` and the (possibly budget-capped) effective
+    ``horizon`` per entry, and ``finish`` — the absolute time at which *both*
+    programs have ended (``inf`` when either is still running or not fully
+    represented).  A miss is a ``max_segments`` stop when budget-limited; a
+    ``programs-finished`` stop (``max-time`` from ``max_time`` on) when both
+    programs ended within the horizon, since the agents stand still forever;
+    a ``max-time`` stop when the horizon reached ``max_time``; and otherwise
+    unresolved, retried with a grown horizon.
     """
     n = len(entries)
     budget_limited = np.empty(n, dtype=bool)
@@ -565,10 +413,14 @@ class RoundWindows:
     entries; entry ``k`` owns the range ``[offsets[k], offsets[k + 1])`` of
     ``counts[k]`` windows.  ``states`` holds the eight per-window state
     columns ``(pax, pay, vax, vay, pbx, pby, vbx, vby)``: both agents'
-    positions and velocities at each window start.
+    positions and velocities at each window start.  An entry's final window
+    is cut at the round's horizon, which is not a segment boundary;
+    ``final_durations[k]`` is how long that window really lasts — to the
+    next boundary of either agent, capped at the entry's ``limit`` — over
+    which :func:`solve_round` tracks its closest approach (``None``: as cut).
     """
 
-    __slots__ = ("starts", "durations", "states", "offsets", "counts")
+    __slots__ = ("starts", "durations", "states", "offsets", "counts", "final_durations")
 
     def __init__(
         self,
@@ -577,19 +429,17 @@ class RoundWindows:
         states: Tuple[np.ndarray, ...],
         offsets: np.ndarray,
         counts: np.ndarray,
+        final_durations: Optional[np.ndarray] = None,
     ) -> None:
         self.starts = starts
         self.durations = durations
         self.states = states
         self.offsets = offsets
         self.counts = counts
+        self.final_durations = final_durations
 
     def __len__(self) -> int:
         return int(self.starts.shape[0])
-
-    def state_at(self, window: int) -> Tuple[float, ...]:
-        """The eight state scalars of one (global) window index."""
-        return tuple(float(column[window]) for column in self.states)
 
 
 #: Shared consecutive-integer buffer for segmented index arithmetic; grows on
@@ -605,15 +455,15 @@ def _consecutive(count: int) -> np.ndarray:
     return _CONSECUTIVE[:count]
 
 
-def _dedup_tables(tables: Sequence[TrajectoryTable]):
+def _dedup_tables(tables: Sequence[Any]):
     """Deduplicate tables by identity: distinct list, member lists, slot column.
 
     Universal campaigns share one A-side table across every instance of a
     round; deduplicating once serves both the grouped range cuts and the
-    concatenated column gathers.
+    row mapping.
     """
     slots: Dict[int, int] = {}
-    distinct: List[TrajectoryTable] = []
+    distinct: List[Any] = []
     members: List[List[int]] = []
     table_of_entry = np.empty(len(tables), dtype=np.int64)
     for k, table in enumerate(tables):
@@ -629,9 +479,23 @@ def _dedup_tables(tables: Sequence[TrajectoryTable]):
     return distinct, members, table_of_entry
 
 
+def _source_groups(distinct: Sequence[Any]) -> List[List[int]]:
+    """Distinct tables grouped by the source whose rows they read.
+
+    Every view of one builder — all agents of a universal program, whatever
+    their frames and prefixes — forms one group; an explicit table is its
+    own source.  Groups keep first-seen order, and so do tables inside them.
+    """
+    groups: Dict[int, List[int]] = {}
+    for t, table in enumerate(distinct):
+        groups.setdefault(id(table.source), []).append(t)
+    return list(groups.values())
+
+
 def _range_cuts(
-    distinct: Sequence[TrajectoryTable],
+    distinct: Sequence[Any],
     members: Sequence[Sequence[int]],
+    groups: Sequence[Sequence[int]],
     scan_froms: np.ndarray,
     horizons: np.ndarray,
     n: int,
@@ -640,35 +504,115 @@ def _range_cuts(
 
     ``low`` counts the boundaries at or before the entry's ``scan_from``
     (doubling as the base row count there), ``high`` those strictly before
-    its horizon.  Entries sharing a table *by identity* — every instance of a
-    universal campaign shares the A-side table of its horizon — are cut with
-    one vectorized ``searchsorted`` per distinct table instead of two scalar
-    calls per entry.
+    its horizon; boundaries are the start times of every row but the first.
+    One vectorized search serves every entry of a source group, with each
+    entry's own frame: a view's cut searches the shared local times at
+    ``(h - wake) / rate`` and is then corrected against the absolute times
+    (:func:`~repro.motion.compiler.exact_counts`), so it equals the cut on
+    the materialized column exactly.  An explicit table cuts its own
+    boundaries, and a lone entry asks its table's scalar
+    ``count_boundaries``.  ``scan_from == 0.0`` keeps the base at 0 even when
+    boundaries sit at time 0 (zero-duration first segments).
     """
     low = np.zeros(n, dtype=np.int64)
     high = np.empty(n, dtype=np.int64)
-    for table, group in zip(distinct, members):
-        bounds = table.boundaries()
-        if len(group) == 1:
-            k = group[0]
-            high[k] = bounds.searchsorted(horizons[k], side="left")
-            if scan_froms[k] > 0.0:
-                low[k] = bounds.searchsorted(scan_froms[k], side="right")
-        else:
-            sel = np.array(group, dtype=np.int64)
+    for group in groups:
+        sel = np.concatenate([members[t] for t in group]).astype(np.int64)
+        froms = scan_froms[sel]
+        first = distinct[group[0]]
+        if len(sel) == 1:
+            k = int(sel[0])
+            high[k] = first.count_boundaries(horizons[k], strict=True)
+            if froms[0] > 0.0:
+                low[k] = first.count_boundaries(scan_froms[k])
+            continue
+        if first.frame is None:
+            bounds = first.boundaries()
             high[sel] = bounds.searchsorted(horizons[sel], side="left")
-            froms = scan_froms[sel]
-            # scan_from == 0.0 keeps the base at 0 even when boundaries sit
-            # at time 0 (zero-duration first segments), exactly like the
-            # scalar formulation's guarded cut.
-            low[sel] = np.where(
-                froms > 0.0, bounds.searchsorted(froms, side="right"), 0
+            low[sel] = np.where(froms > 0.0, bounds.searchsorted(froms, side="right"), 0)
+            continue
+        tables = [distinct[t] for t in group]
+        which = np.repeat(
+            np.arange(len(group)), [len(members[t]) for t in group]
+        )
+        wake, rate = np.array([table.frame[:2] for table in tables]).T[:, which]
+        rows = np.array([table.rows for table in tables], dtype=np.int64)[which]
+        # Without a pre-wake row, local row 0 is the table's first row: no
+        # boundary.
+        lead = np.array([1 - table.pre for table in tables], dtype=np.int64)[which]
+        time = first.source.state_columns()[0]
+        cut = exact_counts(time, rows, wake, rate, horizons[sel], strict=True)
+        high[sel] = np.maximum(cut - lead, 0)
+        later = np.flatnonzero(froms > 0.0)
+        if later.size:
+            cut = exact_counts(
+                time, rows[later], wake[later], rate[later], froms[later], strict=False
             )
+            low[sel[later]] = np.maximum(cut - lead[later], 0)
     return low, high
 
 
 #: The table columns a window's state is gathered from.
-_STATE_COLUMNS = ("start_time", "start_x", "start_y", "vel_x", "vel_y")
+_STATE_COLUMNS = 5
+
+#: A view whose touched rows number at least this many is mapped on its own,
+#: through its frame's scalars; shorter ranges share one call with per-row
+#: frames, which copy every frame value once per row.  Each path is the
+#: faster one where this sends it (measured in docs/ARCHITECTURE.md).
+_LONG_RANGE = 256
+
+
+def _group_rows(
+    tables: Sequence[Any], low: np.ndarray, top: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Absolute ``(time, x, y, vx, vy)`` of rows ``[low[i], top[i])`` of each table.
+
+    ``tables`` share one source.  An explicit table's rows are slices of its
+    own columns.  A view's table row ``r`` is local row ``r - pre``, mapped
+    through the view's frame by :func:`~repro.motion.compiler.absolute_state`
+    (one call per long range, one call with per-row frames for all the short
+    ones); pre-wake rows are written directly.
+    """
+    first = tables[0]
+    state = first.source.state_columns()
+    if first.frame is None:
+        lo, hi = int(low[0]), int(top[0])
+        return tuple(column[lo:hi] for column in state)
+    spans = top - low
+    begin = np.cumsum(spans) - spans
+    pre = np.array([table.pre for table in tables], dtype=np.int64)
+    mapped = tuple(np.empty(int(spans.sum())) for _ in range(_STATE_COLUMNS))
+    # Each range's first local row, and where it lands in ``mapped``.
+    first_local = np.maximum(low - pre, 0)
+    start = begin + first_local - (low - pre)
+    long = spans >= _LONG_RANGE
+    for i in np.flatnonzero(long).tolist():
+        rows = slice(int(first_local[i]), int(top[i] - pre[i]))
+        at = slice(int(start[i]), int(begin[i] + spans[i]))
+        values = absolute_state(tables[i].frame, *(column[rows] for column in state))
+        for column, value in zip(mapped, values):
+            column[at] = value
+    short = np.flatnonzero(~long)
+    if short.size:
+        counts = top[short] - pre[short] - first_local[short]
+        at = _consecutive(int(counts.sum())) + np.repeat(
+            start[short] - (np.cumsum(counts) - counts), counts
+        )
+        local = at + np.repeat(first_local[short] - start[short], counts)
+        frame = tuple(
+            np.repeat(np.array(values), counts)
+            for values in zip(*(tables[i].frame for i in short.tolist()))
+        )
+        values = absolute_state(frame, *(column[local] for column in state))
+        for column, value in zip(mapped, values):
+            column[at] = value
+    woke = np.flatnonzero((pre == 1) & (low == 0))
+    if woke.size:
+        at = begin[woke]
+        start = np.array([tables[i].frame[2:4] for i in woke.tolist()])
+        for column, value in zip(mapped, (0.0, start[:, 0], start[:, 1], 0.0, 0.0)):
+            column[at] = value
+    return mapped
 
 
 class _SideRuns:
@@ -678,30 +622,30 @@ class _SideRuns:
     ``scan_from`` and its number of in-range boundaries; ``offsets[k]`` is
     where that run starts in the flat, entry-grouped ``values`` (boundary
     times) and ``rows`` (the row each boundary opens).  Rows are indices
-    into ``columns``, the side's gather source: a side with a single distinct
-    table gathers from that table's own columns; otherwise ``columns``
-    concatenate, per distinct table, only the rows its entries can touch —
-    from the lowest member ``base`` to the highest opened row.  Table row
-    ``r`` of distinct table ``t`` is column index ``r + shift[t]``
-    (``entry_shift`` is the same per entry), and ``[low[t], top[t])`` is the
-    row range present.
+    into ``columns``, the side's absolute ``(time, x, y, vx, vy)`` rows: per
+    distinct table, only the rows its entries can touch — from the lowest
+    member ``base`` to the highest opened row — mapped once
+    (:func:`_group_rows`), source group by source group.  Table row ``r`` of
+    distinct table ``t`` is column index ``r + shift[t]`` (``entry_shift`` is
+    the same per entry), and ``[low[t], top[t])`` is the row range present.
     """
 
     __slots__ = (
         "members", "slot", "base", "counts", "offsets", "columns",
-        "shift", "entry_shift", "low", "top", "rows", "values",
+        "shift", "entry_shift", "low", "top", "rows", "values", "row_ends",
     )
 
     def __init__(
         self,
-        tables: Sequence[TrajectoryTable],
+        tables: Sequence[Any],
         scan_froms: np.ndarray,
         horizons: np.ndarray,
     ) -> None:
         n_entries = len(tables)
         distinct, self.members, self.slot = _dedup_tables(tables)
+        groups = _source_groups(distinct)
         base, high = _range_cuts(
-            distinct, self.members, scan_froms, horizons, n_entries
+            distinct, self.members, groups, scan_froms, horizons, n_entries
         )
         # A budget-capped horizon can fall at or before scan_from; the
         # in-range run is then empty (the raw ``base`` stays the active-row
@@ -717,20 +661,27 @@ class _SideRuns:
         np.maximum.at(top, self.slot, base + counts + 1)
         self.low = low
         self.top = top
-        if len(distinct) == 1:
-            table = distinct[0]
-            self.columns = tuple(getattr(table, name) for name in _STATE_COLUMNS)
-            self.shift = np.zeros(1, dtype=np.int64)
-        else:
-            spans = top - low
-            self.shift = np.cumsum(spans) - spans - low
-            bounds = list(zip(distinct, low.tolist(), top.tolist()))
-            self.columns = tuple(
-                np.concatenate(
-                    [getattr(table, name)[lo:hi] for table, lo, hi in bounds]
-                )
-                for name in _STATE_COLUMNS
+        # One row more where the table has it: its start ends the last
+        # window's row.  Rows are laid out source group by source group.
+        lengths = np.array([len(table) for table in distinct], dtype=np.int64)
+        reach = np.minimum(top + 1, lengths)
+        order = np.array([t for group in groups for t in group], dtype=np.int64)
+        spans = (reach - low)[order]
+        start = np.empty(len(distinct), dtype=np.int64)
+        start[order] = np.cumsum(spans) - spans
+        self.shift = start - low
+        parts = [
+            _group_rows([distinct[t] for t in group], low[group], reach[group])
+            for group in groups
+        ]
+        self.columns = (
+            parts[0]
+            if len(parts) == 1
+            else tuple(
+                np.concatenate([part[c] for part in parts])
+                for c in range(_STATE_COLUMNS)
             )
+        )
         self.entry_shift = self.shift[self.slot]
 
         # Boundary ``j`` of entry ``k``'s run is the start time of table row
@@ -740,6 +691,13 @@ class _SideRuns:
         first_row = base + 1 + self.entry_shift
         self.rows = _consecutive(total) + np.repeat(first_row - self.offsets, counts)
         self.values = self.columns[0][self.rows]
+        # Where each entry's last active row (``base + counts``) ends: the
+        # next row's start, or the table's own end past its last row.
+        after = base + counts + 1
+        inside = after < lengths[self.slot]
+        ends = np.array([table.end_time for table in distinct])[self.slot]
+        next_start = self.columns[0][np.where(inside, after, after - 1) + self.entry_shift]
+        self.row_ends = np.where(inside, next_start, ends)
 
 
 def _a_rows_at_b(side_a: _SideRuns, side_b: _SideRuns) -> np.ndarray:
@@ -819,10 +777,11 @@ def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     rounds have none and skip the compress copies), and both agents' states
     come from one gather per column.  Python loops run over distinct tables
     only; a universal program's A side has one to three per symmetric round.
-    Produces bit-identical windows and states to the per-instance
-    formulation: the merge order, every comparison and every float value are
-    the same (the earlier engine generations called ``np.unique`` per
-    instance, then one stable ``lexsort`` over all events).
+    Views are mapped row by row before any of this (:class:`_SideRuns`), so
+    the windows and states are bit-identical to the per-instance formulation
+    on the materialized tables: the merge order, every comparison and every
+    float value are the same (the earlier engine generations called
+    ``np.unique`` per instance, then one stable ``lexsort`` over all events).
     """
     n_entries = len(entries)
     entry_ids = np.arange(n_entries)
@@ -896,11 +855,16 @@ def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     np.subtract(starts[1:], starts[:-1], out=durations[:-1])
     durations[last] = np.maximum(horizons, scan_froms) - starts[last]
     np.maximum(durations, 0.0, out=durations)
+    # Every agent's active row at the final window's start is ``base +
+    # counts``; the window really ends where the first of those rows does.
+    limits = np.array([entry.limit for entry in entries])
+    final_end = np.minimum(np.minimum(side_a.row_ends, side_b.row_ends), limits)
+    final_durations = np.maximum(final_end - starts[last], durations[last])
 
     states = _window_states(side_a.columns, gather_a, starts) + _window_states(
         side_b.columns, gather_b, starts
     )
-    return RoundWindows(starts, durations, states, offsets, counts)
+    return RoundWindows(starts, durations, states, offsets, counts, final_durations)
 
 
 class RoundSolution:
@@ -939,6 +903,20 @@ def _first_hits(hit, index, local_offsets, local_total):
     """Segmented first-hit reduction: per-group first window index with a hit."""
     masked = np.where(~np.isnan(hit), index, local_total)
     return np.minimum.reduceat(masked, local_offsets)
+
+
+def _clamp_tracking(window_min, window_t_star, at, limit, rel_x, rel_y, rvel_x, rvel_y):
+    """Re-track windows ``at`` over ``[0, limit]``: their motion stops there.
+
+    The clamped ``t*`` is the unconstrained optimum clipped into the
+    shortened window — the same arithmetic the event engine runs on its
+    clamped window.
+    """
+    t_star = np.minimum(window_t_star[at], limit)
+    at_x = rel_x[at] + t_star * rvel_x[at]
+    at_y = rel_y[at] + t_star * rvel_y[at]
+    window_min[at] = np.sqrt(at_x * at_x + at_y * at_y)
+    window_t_star[at] = t_star
 
 
 #: Chunk-parity contract sampling: every ``2**_PARITY_SAMPLE_SHIFT``-th
@@ -1027,6 +1005,32 @@ def solve_round(
         local_offsets = offsets[chunk_start:chunk_end] - lo
         local_total = hi - lo
         index = _consecutive(local_total)
+        if track_min_distance and windows.final_durations is not None:
+            # Hits stop at the horizon (the next round rescans the cut
+            # window), but the closest approach of each final window is
+            # tracked to its real end, as the event engine's window runs —
+            # or to a freeze past the horizon, which ends the motion there.
+            # Otherwise the horizon's cut point would become a result.
+            last = local_offsets + local_counts - 1
+            final = (rel_x[last], rel_y[last], rvel_x[last], rvel_y[last])
+            final_durations = windows.final_durations[chunk_start:chunk_end]
+            if dual:
+                end_hit, end_hit2, window_min[last], window_t_star[last] = (
+                    fused_window_batch_dual(
+                        *final, radius[lo:hi][last], second_radius[lo:hi][last],
+                        final_durations,
+                    )
+                )
+                if clamp_at_second_hit:
+                    frozen = end_hit2 < np.where(np.isnan(end_hit), math.inf, end_hit)
+                    _clamp_tracking(
+                        window_min, window_t_star, last[frozen], end_hit2[frozen],
+                        rel_x, rel_y, rvel_x, rvel_y,
+                    )
+            else:
+                _, window_min[last], window_t_star[last] = fused_window_batch(
+                    *final, radius[lo:hi][last], final_durations
+                )
 
         local_first = _first_hits(hit, index, local_offsets, local_total)
         has_hit = local_first < local_total
@@ -1054,10 +1058,8 @@ def solve_round(
                 # Freeze semantics: where the second-radius hit strictly
                 # precedes the first-radius one (earlier window, or same
                 # window at a smaller offset), the window's motion past the
-                # hit never happens.  Re-derive that one window's tracked
-                # minimum over [0, hit2]: the clamped t* is the unconstrained
-                # optimum clipped into the shortened window — the same
-                # arithmetic the event engine runs on its clamped window.
+                # hit never happens: re-derive that one window's tracked
+                # minimum over [0, hit2].
                 second_wins = has_hit2 & (
                     (local_first2 < local_first)
                     | (
@@ -1065,14 +1067,11 @@ def solve_round(
                         & (hit2[bounded2] < hit[bounded2])
                     )
                 )
-                if np.any(second_wins):
-                    at = bounded2[second_wins]
-                    limit = hit2[at]
-                    t_star = np.minimum(window_t_star[at], limit)
-                    at_x = rel_x[at] + t_star * rvel_x[at]
-                    at_y = rel_y[at] + t_star * rvel_y[at]
-                    window_min[at] = np.sqrt(at_x * at_x + at_y * at_y)
-                    window_t_star[at] = t_star
+                at = bounded2[second_wins]
+                _clamp_tracking(
+                    window_min, window_t_star, at, hit2[at],
+                    rel_x, rel_y, rvel_x, rvel_y,
+                )
 
         if track_min_distance:
             # Only windows up to (and including) the stopping window count,
@@ -1139,29 +1138,3 @@ def solve_round(
             )
 
     return solution
-
-
-def full_final_window_min(
-    entry: RoundEntry,
-    windows: RoundWindows,
-    hit_index: int,
-    max_time: float,
-) -> Optional[Tuple[float, float]]:
-    """Closest approach of a horizon-cut stopping window, re-scanned full-length.
-
-    When the meeting (or freeze) falls into a round's final window — which is
-    cut at the adaptive horizon rather than at a segment boundary — the event
-    engine scans that window to its real end (even past the hit).  Returns
-    ``(min_distance, absolute_time)`` of the full-length closest approach
-    when the true end extends past the horizon, ``None`` when the cut was
-    already a real boundary.
-    """
-    start = float(windows.starts[hit_index])
-    true_end = entry.true_window_end(start, max_time)
-    if true_end <= entry.horizon:
-        return None
-    pax, pay, vax, vay, pbx, pby, vbx, vby = windows.state_at(hit_index)
-    approach = closest_approach_moving_points(
-        (pax, pay), (vax, vay), (pbx, pby), (vbx, vby), true_end - start
-    )
-    return approach.min_distance, start + approach.time_offset

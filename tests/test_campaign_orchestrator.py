@@ -1,10 +1,9 @@
-"""Campaign orchestration: crash/resume, recompute counters, cache policy.
+"""Campaign orchestration: crash/resume, recompute counters, repeated runs.
 
 The acceptance contract of the campaign subsystem, pinned end to end: kill a
 campaign partway (simulated via a shard-failure injection hook and via
 ``max_shards``), resume it, and (1) **zero** completed shards recompute —
-observable through the run stats counters and through
-``motion.compiler.rows_compiled_total`` — while (2) the final stored columns
+observable through the run stats counters — while (2) the final stored columns
 are *bit-identical* to a single uninterrupted run.  A freeze-heavy cell under
 both the float (vectorized) and exact (event fallback) timebases doubles as
 the ROADMAP's asymmetric exact cross-check: the same instances, two
@@ -22,7 +21,6 @@ from repro.campaign import (
     plan_shards,
     run_campaign,
 )
-from repro.campaign.shards import shard_cache_scope
 from repro.sim import rounds
 
 
@@ -176,16 +174,13 @@ class TestRunAndResume:
             run_campaign(directory, make_spec(seed=99))
 
 
-class TestCachePolicy:
-    @pytest.fixture
-    def fresh_caches(self, monkeypatch):
-        monkeypatch.setattr(rounds, "_BUILDER_CACHE", {})
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE", {})
+class TestRepeatedCampaigns:
+    """A campaign re-run in one process — warm builder cache, same instance
+    stream in every arm — stores exactly what a fresh run stores."""
 
     @staticmethod
     def two_arm_spec():
-        # Two arms of one algorithm simulate the same instance stream, so
-        # the second asks for every B-side compiler the first one built.
+        # Two arms of one algorithm simulate the same instance stream.
         return make_spec(
             arms=(
                 CampaignArm(algorithm="almost-universal-compact", label="first"),
@@ -193,94 +188,26 @@ class TestCachePolicy:
             )
         )
 
-    def test_single_arm_campaign_admits_only_a_side(self, tmp_path, fresh_caches):
-        # No later arm asks for a B-side spec again: only agent A's
-        # compiler, shared by every instance, enters the cross-call cache.
-        stats = run_campaign(str(tmp_path / "camp"), make_spec())
-        assert stats.complete
-        assert "cache_policy" not in stats.as_dict()
-        assert rounds._COMPILER_CACHE
-        assert all(spec_key.name == "A" for _, spec_key in rounds._COMPILER_CACHE)
-        assert rounds._SHARED_ONLY is False  # the scope ends with the shard
-
-    def test_repeated_algorithm_reuses_b_side_compilers(self, tmp_path, fresh_caches):
-        from repro.motion import compiler as motion_compiler
-
-        directory, spec = str(tmp_path / "camp"), self.two_arm_spec()
-        first_arm = sum(1 for shard in plan_shards(spec) if shard.arm_index == 0)
-        run_campaign(directory, spec, max_shards=first_arm)
-        assert any(spec_key.name == "B" for _, spec_key in rounds._COMPILER_CACHE)
-        before = motion_compiler.rows_compiled_total()
-        assert run_campaign(directory).complete
-        assert motion_compiler.rows_compiled_total() == before
-
-    def test_b_side_beyond_the_entry_cap_is_not_admitted(
-        self, tmp_path, fresh_caches, monkeypatch
-    ):
-        # 2 classes x 8 instances + agent A = 17 compilers; a 16-entry cache
-        # could not keep them until the second arm, so only A is admitted.
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 16)
-        assert run_campaign(str(tmp_path / "camp"), self.two_arm_spec()).complete
-        assert rounds._COMPILER_CACHE
-        assert all(spec_key.name == "A" for _, spec_key in rounds._COMPILER_CACHE)
-
-    @pytest.mark.parametrize(
-        "algorithms, limit, shared_only",
-        [
-            # One arm: no later shard asks for a B-side spec again.
-            (("almost-universal-compact",), 4096, True),
-            # A repeated algorithm re-uses its 2 x 8 + 1 = 17 compilers.
-            (("almost-universal-compact",) * 2, 4096, False),
-            (("almost-universal-compact",) * 2, 17, False),
-            (("almost-universal-compact",) * 2, 16, True),
-            # Distinct algorithms never share a compiler.
-            (("almost-universal-compact", "almost-universal"), 4096, True),
-            # Between the repeats the other algorithm's 17 entries arrive too.
-            (("almost-universal-compact", "almost-universal") * 2, 34, False),
-            (("almost-universal-compact", "almost-universal") * 2, 33, True),
-        ],
-    )
-    def test_scope_follows_from_the_spec(self, monkeypatch, algorithms, limit, shared_only):
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", limit)
-        arms = tuple(
-            CampaignArm(algorithm=name, label=f"arm-{index}")
-            for index, name in enumerate(algorithms)
-        )
-        with shard_cache_scope(make_spec(arms=arms)):
-            assert rounds._SHARED_ONLY is shared_only
-        assert rounds._SHARED_ONLY is False
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_admission_does_not_change_stored_results(
-        self, tmp_path, monkeypatch, workers
-    ):
-        admitted, restricted = str(tmp_path / "admitted"), str(tmp_path / "restricted")
-        run_campaign(admitted, self.two_arm_spec(), workers=workers)
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 16)
-        run_campaign(restricted, self.two_arm_spec(), workers=workers)
-        identical_stores(admitted, restricted)
-
-    @pytest.mark.parametrize("family", ["section5", "stalling"])
-    def test_experiment_campaigns_match_across_admission(
-        self, tmp_path, monkeypatch, fresh_caches, family
-    ):
+    @pytest.mark.parametrize("family", ["two-arm", "section5", "stalling"])
+    def test_repeated_campaign_is_bit_identical(self, tmp_path, monkeypatch, family):
         # The ratio grid freezes on shared B-side tables and the stalling
-        # sweep stalls them; neither may alter a cached table for later arms.
+        # sweep stalls them; neither may alter a table a later arm reads.
         from repro.experiments.scenarios import stalling_campaign_spec
         from repro.experiments.section5 import asymmetric_campaign_spec
 
-        build = asymmetric_campaign_spec if family == "section5" else stalling_campaign_spec
-        spec = build(samples_per_type=3, seed=5, max_segments=20_000, shard_size=2)
-        admitted, restricted = str(tmp_path / "admitted"), str(tmp_path / "restricted")
-        with shard_cache_scope(spec):
-            assert rounds._SHARED_ONLY is False
-        run_campaign(admitted, spec)
-        assert any(spec_key.name == "B" for _, spec_key in rounds._COMPILER_CACHE)
-        rounds._COMPILER_CACHE.clear()
-        rounds._BUILDER_CACHE.clear()
-        monkeypatch.setattr(rounds, "_COMPILER_CACHE_LIMIT", 1)
-        run_campaign(restricted, spec)
-        identical_stores(admitted, restricted)
+        if family == "two-arm":
+            spec = self.two_arm_spec()
+        else:
+            build = (
+                asymmetric_campaign_spec if family == "section5" else stalling_campaign_spec
+            )
+            spec = build(samples_per_type=3, seed=5, max_segments=20_000, shard_size=2)
+        monkeypatch.setattr(rounds, "_BUILDER_CACHE", {})
+        fresh, repeated = str(tmp_path / "fresh"), str(tmp_path / "repeated")
+        run_campaign(fresh, spec)
+        assert rounds._BUILDER_CACHE  # the repeat starts warm
+        run_campaign(repeated, spec)
+        identical_stores(fresh, repeated)
 
 
 class TestFreezeHeavyExactCrossCheck:

@@ -1,10 +1,10 @@
 """Tests for the bulk (columnar) mode of the motion compiler.
 
-The contract under test: a :class:`TrajectoryTable` from the
-:class:`IncrementalTableCompiler` is exactly the materialization of the lazy
+The contract under test: the :class:`TrajectoryView` an
+:class:`IncrementalTableCompiler` hands out materializes to exactly the lazy
 :func:`compile_trajectory` stream -- the same rows, to the last bit, however
 the program is partitioned into blocks and however the prefix grows -- plus a
-synthetic trailing stationary row for finite programs.
+trailing stationary row for finite programs.
 """
 
 import math
@@ -63,7 +63,7 @@ def _local(program, chunk=1024):
 
 
 def _table(spec, program, chunk=1024):
-    return IncrementalTableCompiler(spec).table(_local(program, chunk))
+    return IncrementalTableCompiler(spec).table(_local(program, chunk)).materialize()
 
 
 def _agent(instance, role):
@@ -179,8 +179,8 @@ class TestBuilderBlocks:
 
 class TestTrailingRow:
     """The trailing row of a finite program starts where the event engine's
-    cursor parks the finished agent: the last segment's start time plus its
-    duration, at its end position."""
+    cursor parks the finished agent: where the last segment ends, at the
+    local totals mapped through the agent's frame."""
 
     INSTANCE = Instance(r=0.5, x=3.0, y=1.0, phi=0.7, tau=1.3, v=0.9, t=2.5, chi=1)
 
@@ -206,10 +206,8 @@ class TestTrailingRow:
         table = _table(spec, program)
         assert table.exhausted and math.isinf(table.duration[-1])
         assert (table.start_time[-1], table.start_x[-1], table.start_y[-1]) == expected
-        last = len(table) - 2
-        span = table.duration[last]
-        assert table.start_time[-1] == table.start_time[last] + span
-        assert table.start_x[-1] == table.start_x[last] + table.vel_x[last] * span
+        last = list(compile_trajectory(spec, instruction_blocks(program)))[-1]
+        assert (last.end_time, *last.end_pos) == expected
 
     def test_empty_program_holds_the_start_from_wake_up(self):
         spec = self.INSTANCE.agent_b()
@@ -239,8 +237,11 @@ class TestTableParity:
         assert math.isinf(table.duration[-1])
         assert table.vel_x[-1] == 0.0 and table.vel_y[-1] == 0.0
         if lazy:
-            end = lazy[-1]
-            assert table.finish_time == end.start_time + end.duration
+            assert table.finish_time == lazy[-1].end_time
+        # Each segment ends exactly where the next one starts.
+        for segment, following in zip(lazy, lazy[1:]):
+            assert segment.end_time == following.start_time
+            assert segment.end_pos == following.start_pos
 
     @STANDARD_SETTINGS
     @given(instance_specs, st.sampled_from(["A", "B"]), st.integers(1, 2))
@@ -252,7 +253,7 @@ class TestTableParity:
         algorithm = AlmostUniversalRV(CompactSchedule())
         lazy = list(compile_trajectory(spec, algorithm.phase_blocks(phase)))
         local = LocalProgramBuilder(algorithm.phase_blocks(phase)).snapshot(math.inf)
-        table = IncrementalTableCompiler(spec).table(local)
+        table = IncrementalTableCompiler(spec).table(local).materialize()
         assert table.segments == len(lazy) > 0
         assert _rows(table, len(lazy)) == _segment_rows(lazy)
 
@@ -271,7 +272,7 @@ class TestTableParity:
         grown = IncrementalTableCompiler(spec)
         for rows in range(step, len(full), step):
             grown.table(builder.snapshot(math.inf, max_steps=rows))
-        table = grown.table(full)
+        table = grown.table(full).materialize()
         assert _rows(table, len(table)) == _rows(_table(spec, program), len(table))
 
     @STANDARD_SETTINGS

@@ -22,6 +22,7 @@ from repro.algorithms.registry import available_algorithms, get_algorithm
 from repro.analysis.sampler import InstanceSampler
 from repro.core.classification import InstanceClass
 from repro.core.instance import Instance
+from repro.motion import compiler as motion_compiler
 from repro.motion.compiler import LocalProgramBuilder
 from repro.motion.program import instruction_blocks
 from repro.motion.instructions import Move
@@ -451,6 +452,25 @@ class TestFreezeSemantics:
         )
         assert _result_fields(event.result) == _result_fields(batch.result)
 
+    @pytest.mark.parametrize("initial_horizon", [None, 64.0, 81.0])
+    def test_freeze_past_the_horizon_ends_the_tracked_window(self, initial_horizon):
+        # The default first horizon (81) cuts the window [80, 82] that A
+        # freezes in, at 81.147: the cut window's closest approach is tracked
+        # to its real end, but A's motion stops at the freeze, so the motion
+        # past it (down to distance 0.143 at 81.65) must not count.
+        instance = Instance(
+            r=0.7202121823490419, x=-3.7475537766160123, y=1.3876675505670577,
+            t=6.157332676227713,
+        )
+        algorithm = get_algorithm("almost-universal-compact")
+        kwargs = dict(radius_a=instance.r, radius_b=instance.r * 0.5, max_time=1e4)
+        event = simulate_asymmetric(instance, algorithm, engine="event", **kwargs)
+        batch = simulate_batch_asymmetric(
+            [instance], algorithm, initial_horizon=initial_horizon, **kwargs
+        )[0]
+        assert event.freeze_time == batch.freeze_time < 82.0
+        assert _result_fields(event.result) == _result_fields(batch.result)
+
     def test_reports_radii_in_algorithm_name(self):
         instance = Instance(r=0.5, x=2.0, y=0.0, t=3.0)
         outcome = simulate_batch_asymmetric(
@@ -603,14 +623,14 @@ class TestBuilderCacheBound:
         monkeypatch.setattr(rounds, "_BUILDER_CACHE", {})
         monkeypatch.setattr(rounds, "_BUILDER_CACHE_ROW_LIMIT", 8)
         rounds._BUILDER_CACHE["huge"] = _builder_with_rows(20)
-        rounds._trim_builder_cache()
+        rounds.trim_builder_cache()
         assert rounds._BUILDER_CACHE == {}  # not pinned for the process lifetime
 
     def test_single_entry_within_budget_is_retained(self, monkeypatch):
         monkeypatch.setattr(rounds, "_BUILDER_CACHE", {})
         monkeypatch.setattr(rounds, "_BUILDER_CACHE_ROW_LIMIT", 8)
         rounds._BUILDER_CACHE["small"] = _builder_with_rows(5)
-        rounds._trim_builder_cache()
+        rounds.trim_builder_cache()
         assert set(rounds._BUILDER_CACHE) == {"small"}
 
     def test_lru_eviction_stops_once_within_budget(self, monkeypatch):
@@ -618,7 +638,7 @@ class TestBuilderCacheBound:
         monkeypatch.setattr(rounds, "_BUILDER_CACHE_ROW_LIMIT", 8)
         rounds._BUILDER_CACHE["old"] = _builder_with_rows(5)
         rounds._BUILDER_CACHE["new"] = _builder_with_rows(5)
-        rounds._trim_builder_cache()
+        rounds.trim_builder_cache()
         assert set(rounds._BUILDER_CACHE) == {"new"}  # LRU order: oldest first
 
     def test_end_to_end_oversized_builder_not_pinned(self, monkeypatch):
@@ -631,6 +651,84 @@ class TestBuilderCacheBound:
         )
         assert results[0].met  # the run itself is unaffected by the eviction
         assert rounds._BUILDER_CACHE == {}
+
+
+def _outcome_fields(result):
+    """Every outcome scalar, compared *exactly*."""
+    return (
+        result.met,
+        result.meeting_time,
+        result.termination,
+        result.min_distance,
+        result.min_distance_time,
+        result.simulated_time,
+        result.segments_a,
+        result.segments_b,
+        result.windows_processed,
+    )
+
+
+class TestRepeatedRuns:
+    """Repeated engine calls in one process (a warm builder cache) return
+    bit-identical results and materialize no table rows."""
+
+    @pytest.fixture(autouse=True)
+    def cold_builders(self, monkeypatch):
+        monkeypatch.setattr(rounds, "_BUILDER_CACHE", {})
+
+    @pytest.mark.parametrize("ratio", [None, 0.5, 0.25])
+    def test_repeated_run_is_bit_identical_to_a_fresh_run(self, ratio):
+        instances = InstanceSampler(seed=5).batch_of_class(InstanceClass.TYPE_2, 4)
+        algorithm = get_algorithm("almost-universal-compact")
+        kwargs = dict(max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
+
+        def run():
+            if ratio is None:
+                return [
+                    (result, None, None)
+                    for result in simulate_batch(instances, algorithm, **kwargs)
+                ]
+            outcomes = simulate_batch_asymmetric(
+                instances, algorithm,
+                radius_b=[instance.r * ratio for instance in instances], **kwargs,
+            )
+            return [
+                (outcome.result, outcome.frozen_agent, outcome.freeze_time)
+                for outcome in outcomes
+            ]
+
+        before = motion_compiler.rows_compiled_total()
+        fresh, repeated = run(), run()
+        assert motion_compiler.rows_compiled_total() == before
+        for (f, *f_freeze), (r, *r_freeze) in zip(fresh, repeated):
+            assert _outcome_fields(f) == _outcome_fields(r)
+            assert f_freeze == r_freeze
+
+    def test_a_warm_builder_serves_shorter_prefixes(self):
+        # A smaller follow-up batch requests *shorter* prefixes than the
+        # cached builder already holds; results must equal a cold run's.
+        instances = InstanceSampler(seed=9).batch_of_class(InstanceClass.TYPE_2, 4)
+        algorithm = get_algorithm("almost-universal-compact")
+        kwargs = dict(max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
+        reference = simulate_batch(instances[:2], algorithm, **kwargs)
+        simulate_batch(instances, algorithm, **kwargs)
+        replay = simulate_batch(instances[:2], algorithm, **kwargs)
+        for r, p in zip(reference, replay):
+            assert _outcome_fields(r) == _outcome_fields(p)
+
+    def test_programs_without_a_cache_key_stay_out_of_the_builder_cache(self):
+        def bespoke(instance, spec, role):  # bare callable: not universal
+            return [Move(5.0, 0.0)]
+
+        class Keyless(UniversalAlgorithm):
+            name = "keyless-walk"
+
+            def program(self):
+                yield Move(20.0, 0.0)
+
+        for algorithm, horizon in ((bespoke, 10.0), (Keyless(), 50.0)):
+            simulate_batch([Instance(r=0.5, x=2.0, y=0.0)], algorithm, max_time=horizon)
+            assert rounds._BUILDER_CACHE == {}
 
 
 class StatefulOptedInWitness(UniversalAlgorithm):

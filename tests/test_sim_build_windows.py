@@ -12,19 +12,30 @@ at time 0 under ``scan_from == 0``, equal A/B boundary times and duplicate
 boundaries inside one table.  Boundaries at time 0 may be drawn as ``-0.0``:
 equal times collapse onto one window, and only the A-before-B tie order
 decides which of two equal but differently signed zeros that window starts
-at.
+at.  Entries may also hold views of one shared local program under drawn
+agent frames (:mod:`view_strategies`), as the batch engine does; the oracle
+gets their materialized tables.
 """
 
+import copy
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import build_windows_oracle
 from repro.core.instance import Instance
-from repro.motion.compiler import TrajectoryTable, constant_table
+from repro.motion.compiler import (
+    IncrementalTableCompiler,
+    LocalProgramBuilder,
+    TrajectoryTable,
+    constant_table,
+)
+from repro.sim import rounds
 from repro.sim.rounds import RoundEntry, build_windows
+from view_strategies import agent_specs, local_programs
 
 #: One instance serves every entry: the construction never reads it.
 _INSTANCE = Instance(r=0.5, x=1.0, y=0.0)
@@ -58,6 +69,7 @@ def _table(start_time, seed, exhausted=True):
         vel_y=rng.uniform(-1.0, 1.0, rows),
         exhausted=exhausted,
         segments=rows,
+        end_time=float(start_time[-1] + last),
     )
 
 
@@ -89,28 +101,49 @@ def _prefix_views(draw, max_rows=24):
             vel_y=full.vel_y[:m],
             exhausted=m == len(full),
             segments=m,
+            end_time=float(full.start_time[m]) if m < len(full) else full.end_time,
         )
         for m in lengths
     ]
 
 
 @st.composite
+def _trajectory_views(draw):
+    """Views of one shared local program: prefixes under a few agent frames."""
+    builder = LocalProgramBuilder(draw(local_programs(max_rows=24)))
+    full = builder.snapshot(math.inf)
+    compilers = [IncrementalTableCompiler(draw(agent_specs())) for _ in range(2)]
+    views = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, max(len(full), 1)))
+        local = full if rows >= len(full) else builder.snapshot(math.inf, max_steps=rows)
+        views.append(draw(st.sampled_from(compilers)).table(local))
+    return views
+
+
+@st.composite
 def _entries(draw):
     shared_a = draw(_prefix_views())
     shared_b = draw(_prefix_views())
+    views = draw(_trajectory_views())
     seed = draw(st.integers(0, 2**32 - 1))
     count = draw(st.integers(1, 40))
     entries = []
     for index in range(count):
-        kind_a = draw(st.sampled_from(("shared", "own", "frozen")))
+        kind_a = draw(st.sampled_from(("shared", "own", "frozen", "view")))
         if kind_a == "shared":
             table_a = draw(st.sampled_from(shared_a))
         elif kind_a == "own":
             table_a = _table(draw(_start_times(12)), seed + 2 * index)
+        elif kind_a == "view":
+            table_a = draw(st.sampled_from(views))
         else:
             table_a = constant_table((float(index), -1.0))
-        if draw(st.booleans()):
+        kind_b = draw(st.sampled_from(("shared", "own", "view")))
+        if kind_b == "shared":
             table_b = draw(st.sampled_from(shared_b))
+        elif kind_b == "view":
+            table_b = draw(st.sampled_from(views))
         else:
             table_b = _table(draw(_start_times(12)), seed + 2 * index + 1)
         scan_from = draw(st.one_of(st.just(0.0), _TIMES))
@@ -138,6 +171,28 @@ def _arrays(windows):
     }
 
 
+def _oracle_windows(entries):
+    """The oracle's windows, fed every entry's materialized tables.
+
+    Each distinct table is materialized once, so tables shared by identity
+    stay shared.
+    """
+    explicit = {}
+
+    def table(view):
+        if id(view) not in explicit:
+            explicit[id(view)] = view.materialize()
+        return explicit[id(view)]
+
+    materialized = []
+    for entry in entries:
+        twin = copy.copy(entry)
+        twin.table_a = table(entry.table_a)
+        twin.table_b = table(entry.table_b)
+        materialized.append(twin)
+    return build_windows_oracle.build_windows(materialized)
+
+
 def assert_same_windows(mine, reference):
     theirs = _arrays(reference)
     for name, array in _arrays(mine).items():
@@ -148,11 +203,14 @@ def assert_same_windows(mine, reference):
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_entries())
-def test_rank_merge_matches_lexsort_oracle(entries):
-    assert_same_windows(
-        build_windows(entries), build_windows_oracle.build_windows(entries)
-    )
+@given(_entries(), st.sampled_from((1, 3, rounds._LONG_RANGE)))
+def test_rank_merge_matches_lexsort_oracle(entries, long_range):
+    # Views map long row ranges on their own and short ones together; a
+    # drawn threshold sends the drawn (short) views down both paths.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rounds, "_LONG_RANGE", long_range)
+        windows = build_windows(entries)
+    assert_same_windows(windows, _oracle_windows(entries))
 
 
 def _entry(table_a, table_b, scan_from, horizon):

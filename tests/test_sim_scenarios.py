@@ -255,11 +255,12 @@ class TestStallLowering:
         return IncrementalTableCompiler(spec_a).table(local)
 
     def test_table_splice_structure(self):
-        table = self._table()
+        view = self._table()
+        table = view.materialize()
         count = table.segments
         onset = float(table.start_time[min(2, count - 1)]) - 1e-9
         duration = 3.5
-        stalled = stalled_table(table, onset, duration)
+        stalled = stalled_table(view, onset, duration)
         assert stalled.segments == count + 1
         insert = int(np.searchsorted(table.start_time[:count], onset, side="left"))
         # The stall row: starts at the boundary, zero velocity, holds position.

@@ -66,7 +66,7 @@ class TestRecorder:
     def segment(self, start, end, t0=0.0):
         duration = 1.0
         velocity = ((end[0] - start[0]) / duration, (end[1] - start[1]) / duration)
-        return TrajectorySegment(t0, duration, start, velocity)
+        return TrajectorySegment(t0, duration, start, velocity, t0 + duration, end)
 
     def test_records_endpoints(self):
         recorder = TrajectoryRecorder((0.0, 0.0))
