@@ -7,8 +7,8 @@ checks themselves run at the seams:
 
 - kernel contracts — inside
   :func:`~repro.geometry.closest_approach.solve_windows`, the fused kernel's
-  one implementation, and inside ``solve_round``'s sampled
-  chunked-vs-unchunked re-solve;
+  one implementation, and inside ``solve_round``'s sampled re-solve under
+  another tile size;
 - the program contract — inside ``LocalProgramBuilder``, which re-derives a
   sample of natively generated column blocks through the instruction objects;
 - engine contracts — at the four engine exits (event/batch × symmetric/
@@ -68,8 +68,7 @@ KERNEL_HIT_WITHIN_WINDOW = declare(
 )
 KERNEL_CHUNK_PARITY = declare(
     "kernel.chunk_parity",
-    "solve_round produces bit-identical solutions under any chunk "
-    "partitioning of the window table",
+    "solve_round produces bit-identical solutions under any tile size",
 )
 
 # -- program seams ---------------------------------------------------------------

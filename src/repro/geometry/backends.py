@@ -2,7 +2,7 @@
 
 The fused window kernel has one implementation, plain numpy
 (:func:`repro.geometry.closest_approach.solve_windows`), dispatched serially
-one chunk at a time by :func:`repro.sim.rounds.solve_round`.  Benchmark and
+one tile at a time by :func:`repro.sim.rounds.solve_round`.  Benchmark and
 snapshot reports still record which kernel and how many kernel threads a
 measurement ran with; the two accessors here answer that without any
 selection: neither reads an environment variable or takes a choice.
@@ -37,7 +37,7 @@ def get_backend(backend: None = None) -> SimpleNamespace:
 
 
 def resolve_kernel_threads(value: None = None) -> int:
-    """The kernel's thread count: always 1, chunks are solved serially.
+    """The kernel's thread count: always 1, tiles are solved serially.
 
     ``perfbench/common.py``, ``scripts/bench_snapshot.py`` and
     ``benchmarks/bench_asymmetric.py`` read it into their environment

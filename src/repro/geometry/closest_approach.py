@@ -19,12 +19,15 @@ Two flavours of the kernel exist:
   :func:`first_hit_and_closest_approach` which answers both questions of one
   window (first hit? closest approach?) from a single set of dot products;
 * the batch kernels (:func:`first_time_within_batch`,
-  :func:`closest_approach_batch`, :func:`fused_window_batch`) used by the
-  vectorized batch engine, which solve the quadratics of *all* windows of a
-  simulation — or of many stacked simulations — in single array operations.
-  Their element-wise math is plain numpy (:func:`solve_windows`), which
-  mirrors the scalar kernels operation for operation; with contract checking
-  enabled every call also runs the declared kernel contracts.
+  :func:`closest_approach_batch`, :func:`fused_window_batch`), which solve
+  the quadratics of many windows in single array operations.  Their
+  element-wise math is plain numpy (:func:`solve_windows`), which mirrors
+  the scalar kernels operation for operation; with contract checking
+  enabled every call also runs the declared kernel contracts.  The
+  vectorized batch engine calls :func:`solve_windows` directly, one
+  cache-sized tile of a round's stacked windows at a time
+  (:func:`repro.sim.rounds.solve_round`), after checking the round's radii
+  and durations once.
 """
 
 from __future__ import annotations
@@ -298,8 +301,11 @@ def solve_windows(
     reaches it; ``second_hit`` answers the same for ``second_radius``
     (``None`` when no second column was given); ``min_distance``/``t_star``
     are the per-window closest approach (``None`` when untracked).  Inputs
-    are assumed validated by the public entry points below: non-negative
-    radii and durations, same-length columns.  With contract checking
+    are assumed validated — by the public entry points below, or once per
+    round by :func:`repro.sim.rounds.solve_round`, which calls this per
+    tile: non-negative radii and durations, same-length columns.  Every
+    window is solved on its own, so splitting the columns changes no value.
+    With contract checking
     enabled, the kernel contracts (``kernel.min_distance_nonneg``,
     ``kernel.min_leq_endpoints``, ``kernel.hit_within_window``) run on every
     call.

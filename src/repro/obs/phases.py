@@ -41,7 +41,7 @@ ENGINE_BUILD_WINDOWS = declare_span(
 )
 ENGINE_KERNEL_SOLVE = declare_span(
     "engine.kernel_solve",
-    "chunked fused-kernel window solve (solve_round)",
+    "tiled fused-kernel window solve (solve_round)",
 )
 ENGINE_ASSEMBLE = declare_span(
     "engine.assemble",

@@ -7,7 +7,7 @@ campaigns: it reads both agents' trajectories as
 under each agent's affine frame), stacks the merged
 event windows of *every instance of the batch* into flat arrays
 (:func:`repro.sim.rounds.build_windows`), and solves all window quadratics
-with chunked fused-kernel calls (:func:`repro.sim.rounds.solve_round`).
+one cache-sized tile at a time (:func:`repro.sim.rounds.solve_round`).
 
 One private round driver, :func:`_run_rounds`, serves both public entry
 points: :func:`simulate_batch` (shared radius) and
@@ -31,7 +31,7 @@ Scope and guarantees:
 * float timebase only — the event engine stays authoritative for exact-
   timebase runs (S1/S2 boundary experiments, astronomically long waits);
 * results are deterministic and independent of the horizon schedule and
-  the kernel chunking;
+  the kernel's tile size;
 * per instance, the outcome (``met``, meeting time, termination reason,
   closest-approach *distance*) matches the event engine up to float
   associativity — the parity suites pin this to 1e-9 relative.
@@ -380,9 +380,7 @@ def _run_rounds(
                 hit_index = first_hit[met]
                 offset = solution.hit_offset[met]
                 meeting_time = windows.starts[hit_index] + offset
-                pax, pay, vax, vay, pbx, pby, vbx, vby = (
-                    column[hit_index] for column in windows.states
-                )
+                pax, pay, vax, vay, pbx, pby, vbx, vby = windows.states_at(hit_index)
                 cols.met[rows] = True
                 cols.termination[rows] = _CODE_RENDEZVOUS
                 cols.meeting_time[rows] = meeting_time

@@ -5,7 +5,7 @@ The batch driver (:func:`repro.sim.batch._run_rounds`, behind both
 :func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`) runs one outer
 loop: read trajectory prefixes up to an adaptive horizon, stack the merged
 event windows of every unresolved instance into flat arrays, solve all window
-quadratics with one chunked fused-kernel pass, and retry the instances that
+quadratics one cache-sized tile at a time, and retry the instances that
 neither met nor terminated with a geometrically grown horizon.  This module
 holds that loop's building blocks:
 
@@ -26,16 +26,17 @@ holds that loop's building blocks:
   of every entry's two sorted boundary runs (one ``searchsorted`` per
   distinct A table places every B boundary, A's fill the rest), active rows
   written straight from merge positions and one entry-grouped deduplication
-  pass produce window starts, durations and both agents' states as single
-  flat arrays with per-instance offsets — no sort, and Python loops only
+  pass produce window starts, durations and both agents' active rows as
+  single flat arrays with per-instance offsets — no sort, and Python loops only
   over source groups and distinct tables, never over windows (the first
   engine generation called ``np.unique``/``states_at`` per instance, the
   second rank-merged each entry in a Python loop, the third ran one stable
   ``lexsort`` over every event of the round);
-* :func:`solve_round` — the chunked fused-kernel pass (one kernel call per
-  chunk, serially) with segmented first-hit/minimum reductions, optionally
-  solving every window against a *second* per-window radius column in the
-  same pass (the Section 5 freeze radius).
+* :func:`solve_round` — the tiled fused-kernel pass: per tile of
+  ``KERNEL_CHUNK_WINDOWS`` windows, both agents' states are gathered from
+  their active rows and solved by one kernel call, optionally against a
+  *second* per-window radius column (the Section 5 freeze radius); the
+  segmented first-hit and minimum reductions then run once per round.
 
 Nothing in here depends on the meeting semantics: the driver interprets the
 per-entry first-hit indices (meeting, and with per-agent radii also freeze)
@@ -52,10 +53,7 @@ import numpy as np
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import KERNEL_CHUNK_PARITY
 from repro.core.instance import AgentSpec, Instance
-from repro.geometry.closest_approach import (
-    fused_window_batch,
-    fused_window_batch_dual,
-)
+from repro.geometry.closest_approach import solve_windows
 from repro.motion.compiler import (
     IncrementalTableCompiler,
     LocalProgramBuilder,
@@ -78,10 +76,12 @@ from repro.sim.engine import _resolve_blocks
 #: performance knob; 2 loses again to per-round overhead).
 GROWTH_FACTOR = 3.0
 
-#: Upper bound on the number of stacked windows handed to one kernel call.
-#: Chunks cap peak memory (each window carries ~10 float64 columns) without
-#: changing any result — segmented reductions never cross instances.
-KERNEL_CHUNK_WINDOWS = 1 << 21
+#: Windows per tile of :func:`solve_round`: each tile forms its windows'
+#: relative motion and solves it with one kernel call, so the kernel's
+#: temporaries (about 20 float64 columns) stay cache-sized.  Tiles need not
+#: line up with entries and change no result.  ``1 << 14`` was the fastest
+#: of 8K/16K/32K/64K in place on the section5-sweep passes.
+KERNEL_CHUNK_WINDOWS = 1 << 14
 
 
 def _is_universal(algorithm: Any) -> bool:
@@ -411,35 +411,76 @@ class RoundWindows:
 
     ``starts``/``durations`` are parallel over the concatenated windows of all
     entries; entry ``k`` owns the range ``[offsets[k], offsets[k + 1])`` of
-    ``counts[k]`` windows.  ``states`` holds the eight per-window state
-    columns ``(pax, pay, vax, vay, pbx, pby, vbx, vby)``: both agents'
-    positions and velocities at each window start.  An entry's final window
+    ``counts[k]`` windows.  Agent states are not stored per window:
+    ``gather_a``/``gather_b`` hold each window's active row as an index into
+    that agent's mapped rows ``columns_a``/``columns_b`` (absolute ``(time,
+    x, y, vx, vy)``), and :meth:`relative_motion` and :meth:`states_at` form
+    the states of any slice or index set of windows on demand —
+    :func:`solve_round` does so one tile at a time.  An entry's final window
     is cut at the round's horizon, which is not a segment boundary;
     ``final_durations[k]`` is how long that window really lasts — to the
     next boundary of either agent, capped at the entry's ``limit`` — over
     which :func:`solve_round` tracks its closest approach (``None``: as cut).
     """
 
-    __slots__ = ("starts", "durations", "states", "offsets", "counts", "final_durations")
+    __slots__ = (
+        "starts", "durations", "offsets", "counts", "final_durations",
+        "gather_a", "gather_b", "columns_a", "columns_b",
+    )
 
     def __init__(
         self,
         starts: np.ndarray,
         durations: np.ndarray,
-        states: Tuple[np.ndarray, ...],
         offsets: np.ndarray,
         counts: np.ndarray,
-        final_durations: Optional[np.ndarray] = None,
+        final_durations: Optional[np.ndarray],
+        gather_a: np.ndarray,
+        gather_b: np.ndarray,
+        columns_a: Tuple[np.ndarray, ...],
+        columns_b: Tuple[np.ndarray, ...],
     ) -> None:
         self.starts = starts
         self.durations = durations
-        self.states = states
         self.offsets = offsets
         self.counts = counts
         self.final_durations = final_durations
+        self.gather_a = gather_a
+        self.gather_b = gather_b
+        self.columns_a = columns_a
+        self.columns_b = columns_b
 
     def __len__(self) -> int:
         return int(self.starts.shape[0])
+
+    def states_at(self, at: Any) -> Tuple[np.ndarray, ...]:
+        """``(pax, pay, vax, vay, pbx, pby, vbx, vby)`` at the windows ``at``.
+
+        ``at`` is a slice or an index array; both agents' positions and
+        velocities at those window starts.
+        """
+        starts = self.starts[at]
+        return _window_states(
+            self.columns_a, self.gather_a[at], starts
+        ) + _window_states(self.columns_b, self.gather_b[at], starts)
+
+    @property
+    def states(self) -> Tuple[np.ndarray, ...]:
+        """The eight state columns over every window (tests and oracles only)."""
+        return self.states_at(slice(None))
+
+    def relative_motion(self, at: Any) -> Tuple[np.ndarray, ...]:
+        """B's position and velocity relative to A's at the windows ``at``.
+
+        The same values as subtracting :meth:`states_at`'s columns, with the
+        differences formed in place.
+        """
+        pax, pay, vax, vay, rel_x, rel_y, rvel_x, rvel_y = self.states_at(at)
+        rel_x -= pax
+        rel_y -= pay
+        rvel_x -= vax
+        rvel_y -= vay
+        return rel_x, rel_y, rvel_x, rvel_y
 
 
 #: Shared consecutive-integer buffer for segmented index arithmetic; grows on
@@ -744,7 +785,7 @@ def _a_rows_at_b(side_a: _SideRuns, side_b: _SideRuns) -> np.ndarray:
 def _window_states(
     columns: Tuple[np.ndarray, ...], gather: np.ndarray, starts: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
-    """One agent's ``(px, py, vx, vy)`` at every window start.
+    """One agent's ``(px, py, vx, vy)`` at the starts of the windows gathered.
 
     Each position is formed in place as ``p = v * offset; p += s`` — IEEE
     addition commutes, so this equals ``s + v * offset`` bit for bit.
@@ -774,8 +815,10 @@ def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     at its rank, an A boundary opens A row ``base + i + 1`` with B at the
     number of B boundaries placed before it — with no cumulative sums.  Equal
     times inside an entry collapse onto the last window of the run (most
-    rounds have none and skip the compress copies), and both agents' states
-    come from one gather per column.  Python loops run over distinct tables
+    rounds have none and skip the compress copies).  States are not formed
+    here: each window keeps both agents' active rows as gather indices into
+    the mapped rows, and :func:`solve_round` forms states tile by tile.
+    Python loops run over distinct tables
     only; a universal program's A side has one to three per symmetric round.
     Views are mapped row by row before any of this (:class:`_SideRuns`), so
     the windows and states are bit-identical to the per-instance formulation
@@ -860,11 +903,10 @@ def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     limits = np.array([entry.limit for entry in entries])
     final_end = np.minimum(np.minimum(side_a.row_ends, side_b.row_ends), limits)
     final_durations = np.maximum(final_end - starts[last], durations[last])
-
-    states = _window_states(side_a.columns, gather_a, starts) + _window_states(
-        side_b.columns, gather_b, starts
+    return RoundWindows(
+        starts, durations, offsets, counts, final_durations,
+        gather_a, gather_b, side_a.columns, side_b.columns,
     )
-    return RoundWindows(starts, durations, states, offsets, counts, final_durations)
 
 
 class RoundSolution:
@@ -899,29 +941,36 @@ class RoundSolution:
         self.min_time = np.empty(size, dtype=float) if track else None
 
 
-def _first_hits(hit, index, local_offsets, local_total):
-    """Segmented first-hit reduction: per-group first window index with a hit."""
-    masked = np.where(~np.isnan(hit), index, local_total)
-    return np.minimum.reduceat(masked, local_offsets)
+def _first_true(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per entry, the first window index where ``mask`` holds, else its end.
+
+    Entry ``k`` owns windows ``[offsets[k], offsets[k + 1])``; an entry
+    without a true window gets ``offsets[k + 1]``, one past its range.
+    """
+    found = np.flatnonzero(mask)
+    first = np.append(found, offsets[-1])[found.searchsorted(offsets[:-1])]
+    return np.minimum(first, offsets[1:])
 
 
-def _clamp_tracking(window_min, window_t_star, at, limit, rel_x, rel_y, rvel_x, rvel_y):
+def _clamp_tracking(window_min, window_t_star, at, limit, relative):
     """Re-track windows ``at`` over ``[0, limit]``: their motion stops there.
 
-    The clamped ``t*`` is the unconstrained optimum clipped into the
-    shortened window — the same arithmetic the event engine runs on its
-    clamped window.
+    ``relative`` is the windows' ``(rel_x, rel_y, rvel_x, rvel_y)``.  The
+    clamped ``t*`` is the unconstrained optimum clipped into the shortened
+    window — the same arithmetic the event engine runs on its clamped
+    window.
     """
+    rel_x, rel_y, rvel_x, rvel_y = relative
     t_star = np.minimum(window_t_star[at], limit)
-    at_x = rel_x[at] + t_star * rvel_x[at]
-    at_y = rel_y[at] + t_star * rvel_y[at]
+    at_x = rel_x + t_star * rvel_x
+    at_y = rel_y + t_star * rvel_y
     window_min[at] = np.sqrt(at_x * at_x + at_y * at_y)
     window_t_star[at] = t_star
 
 
-#: Chunk-parity contract sampling: every ``2**_PARITY_SAMPLE_SHIFT``-th
+#: Tile-parity contract sampling: every ``2**_PARITY_SAMPLE_SHIFT``-th
 #: eligible ``solve_round`` call (plus the very first) re-solves under an
-#: alternative chunk partition and bit-compares — enough to exercise the
+#: alternative tile size and bit-compares — enough to exercise the
 #: invariant continuously without doubling test-mode kernel time.
 _PARITY_SAMPLE_SHIFT = 4
 #: Rounds larger than this many windows are never parity-resampled (the
@@ -937,16 +986,20 @@ def solve_round(
     track_min_distance: bool,
     second_radius: Optional[np.ndarray] = None,
     clamp_at_second_hit: bool = False,
-    _chunk_target: Optional[int] = None,
+    _tile_size: Optional[int] = None,
     _parity_recheck: bool = True,
 ) -> RoundSolution:
-    """Solve all windows of a round with the fused batch kernel, chunked.
+    """Solve all windows of a round with the fused batch kernel, tile by tile.
 
     ``radius`` (and the optional ``second_radius``) are per-window columns —
     windows of different instances carry different radii, which is how
-    per-agent visibility radii flow through the shared pipeline.  Chunking
-    caps peak kernel memory without changing any result: segmented
-    reductions never cross instances, and each chunk is one kernel call.
+    per-agent visibility radii flow through the shared pipeline.  The
+    windows are cut into tiles of ``KERNEL_CHUNK_WINDOWS``, which need not
+    line up with entries: each tile forms both agents' relative motion
+    (:meth:`RoundWindows.relative_motion`), solves it with one kernel call
+    and writes its hits and closest approaches into round-length columns,
+    and the per-entry reductions run once over those columns.  Every window
+    is solved on its own, so the tile size changes no result.
 
     ``clamp_at_second_hit`` is the Section 5 freeze semantics: a
     second-radius hit that strictly precedes any first-radius hit cancels the
@@ -963,133 +1016,106 @@ def solve_round(
         return solution
 
     total = int(offsets[-1])
-    target = KERNEL_CHUNK_WINDOWS
-    if _chunk_target is not None:
-        # Private hook of the chunk-parity contract: re-solve the same round
-        # under a different partition of the window table.
-        target = _chunk_target
-    bounds = [0]
-    while bounds[-1] < n_entries:
-        start = bounds[-1]
-        end = int(np.searchsorted(offsets, offsets[start] + target, side="right")) - 1
-        bounds.append(min(max(end, start + 1), n_entries))
-    chunks = list(zip(bounds[:-1], bounds[1:]))
+    durations = windows.durations
+    # The public kernels' input checks, once per round rather than per tile.
+    if np.any(radius < 0.0) or (dual and np.any(second_radius < 0.0)):
+        raise ValueError("radius must be non-negative")
+    if np.any(durations < 0.0):
+        raise ValueError("durations must be non-negative")
+    tile = KERNEL_CHUNK_WINDOWS
+    if _tile_size is not None:
+        # Private hook of the tile-parity contract: re-solve the same round
+        # under a different tile size.
+        tile = _tile_size
 
-    for chunk_start, chunk_end in chunks:
-        lo = int(offsets[chunk_start])
-        hi = int(offsets[chunk_end])
-        starts = windows.starts[lo:hi]
-        durations = windows.durations[lo:hi]
-        pax, pay, vax, vay, pbx, pby, vbx, vby = (
-            column[lo:hi] for column in windows.states
+    hit = np.empty(total)
+    hit2 = np.empty(total) if dual else None
+    window_min = np.empty(total) if track_min_distance else None
+    window_t_star = np.empty(total) if track_min_distance else None
+    outputs = (hit, hit2, window_min, window_t_star)
+    for lo in range(0, total, tile):
+        at = slice(lo, lo + tile)
+        solved = solve_windows(
+            *windows.relative_motion(at),
+            radius[at], second_radius[at] if dual else None, durations[at],
+            track_min_distance,
         )
-        rel_x = pbx - pax
-        rel_y = pby - pay
-        rvel_x = vbx - vax
-        rvel_y = vby - vay
+        for column, values in zip(outputs, solved):
+            if column is not None:
+                column[at] = values
 
-        if dual:
-            hit, hit2, window_min, window_t_star = fused_window_batch_dual(
-                rel_x, rel_y, rvel_x, rvel_y,
-                radius[lo:hi], second_radius[lo:hi], durations,
-                track_closest=track_min_distance,
-            )
-        else:
-            hit, window_min, window_t_star = fused_window_batch(
-                rel_x, rel_y, rvel_x, rvel_y, radius[lo:hi], durations,
-                track_closest=track_min_distance,
-            )
-            hit2 = None
-
-        local_counts = counts[chunk_start:chunk_end]
-        local_offsets = offsets[chunk_start:chunk_end] - lo
-        local_total = hi - lo
-        index = _consecutive(local_total)
-        if track_min_distance and windows.final_durations is not None:
-            # Hits stop at the horizon (the next round rescans the cut
-            # window), but the closest approach of each final window is
-            # tracked to its real end, as the event engine's window runs —
-            # or to a freeze past the horizon, which ends the motion there.
-            # Otherwise the horizon's cut point would become a result.
-            last = local_offsets + local_counts - 1
-            final = (rel_x[last], rel_y[last], rvel_x[last], rvel_y[last])
-            final_durations = windows.final_durations[chunk_start:chunk_end]
-            if dual:
-                end_hit, end_hit2, window_min[last], window_t_star[last] = (
-                    fused_window_batch_dual(
-                        *final, radius[lo:hi][last], second_radius[lo:hi][last],
-                        final_durations,
-                    )
-                )
-                if clamp_at_second_hit:
-                    frozen = end_hit2 < np.where(np.isnan(end_hit), math.inf, end_hit)
-                    _clamp_tracking(
-                        window_min, window_t_star, last[frozen], end_hit2[frozen],
-                        rel_x, rel_y, rvel_x, rvel_y,
-                    )
-            else:
-                _, window_min[last], window_t_star[last] = fused_window_batch(
-                    *final, radius[lo:hi][last], final_durations
-                )
-
-        local_first = _first_hits(hit, index, local_offsets, local_total)
-        has_hit = local_first < local_total
-        bounded_first = np.where(has_hit, local_first, 0)
-        solution.first_hit[chunk_start:chunk_end] = np.where(
-            has_hit, local_first + lo, offsets[chunk_start + 1 : chunk_end + 1]
+    if track_min_distance and windows.final_durations is not None:
+        # Hits stop at the horizon (the next round rescans the cut window),
+        # but the closest approach of each final window is tracked to its
+        # real end, as the event engine's window runs — or to a freeze past
+        # the horizon, which ends the motion there.  Otherwise the horizon's
+        # cut point would become a result.
+        last = offsets[1:] - 1
+        final = windows.relative_motion(last)
+        end_hit, end_hit2, window_min[last], window_t_star[last] = solve_windows(
+            *final, radius[last], second_radius[last] if dual else None,
+            windows.final_durations, True,
         )
-        solution.hit_offset[chunk_start:chunk_end] = np.where(
-            has_hit, hit[bounded_first], np.nan
-        )
-        scan_limit = local_first
-        if dual:
-            local_first2 = _first_hits(hit2, index, local_offsets, local_total)
-            has_hit2 = local_first2 < local_total
-            bounded2 = np.where(has_hit2, local_first2, 0)
-            solution.first_hit2[chunk_start:chunk_end] = np.where(
-                has_hit2, local_first2 + lo, offsets[chunk_start + 1 : chunk_end + 1]
+        if dual and clamp_at_second_hit:
+            frozen = end_hit2 < np.where(np.isnan(end_hit), math.inf, end_hit)
+            _clamp_tracking(
+                window_min, window_t_star, last[frozen], end_hit2[frozen],
+                tuple(column[frozen] for column in final),
             )
-            solution.hit_offset2[chunk_start:chunk_end] = np.where(
-                has_hit2, hit2[bounded2], np.nan
-            )
-            # The scan stops at the earliest event of either radius.
-            scan_limit = np.minimum(scan_limit, local_first2)
-            if clamp_at_second_hit and track_min_distance:
-                # Freeze semantics: where the second-radius hit strictly
-                # precedes the first-radius one (earlier window, or same
-                # window at a smaller offset), the window's motion past the
-                # hit never happens: re-derive that one window's tracked
-                # minimum over [0, hit2].
-                second_wins = has_hit2 & (
-                    (local_first2 < local_first)
-                    | (
-                        (local_first2 == local_first)
-                        & (hit2[bounded2] < hit[bounded2])
-                    )
-                )
-                at = bounded2[second_wins]
-                _clamp_tracking(
-                    window_min, window_t_star, at, hit2[at],
-                    rel_x, rel_y, rvel_x, rvel_y,
-                )
 
-        if track_min_distance:
-            # Only windows up to (and including) the stopping window count,
-            # mirroring the event engine, which stops at the meeting (or
-            # freeze) window.
-            in_prefix = index <= np.repeat(scan_limit, local_counts)
-            masked_min = np.where(in_prefix, window_min, math.inf)
-            chunk_min = np.minimum.reduceat(masked_min, local_offsets)
-            is_chunk_min = masked_min == np.repeat(chunk_min, local_counts)
-            chunk_min_index = np.minimum.reduceat(
-                np.where(is_chunk_min, index, local_total), local_offsets
+    ends = offsets[1:]
+    first = _first_true(~np.isnan(hit), offsets)
+    has_hit = first < ends
+    bounded_first = np.where(has_hit, first, 0)
+    solution.first_hit[:] = first
+    solution.hit_offset[:] = np.where(has_hit, hit[bounded_first], np.nan)
+    scan_limit = first
+    if dual:
+        first2 = _first_true(~np.isnan(hit2), offsets)
+        has_hit2 = first2 < ends
+        bounded2 = np.where(has_hit2, first2, 0)
+        solution.first_hit2[:] = first2
+        solution.hit_offset2[:] = np.where(has_hit2, hit2[bounded2], np.nan)
+        # The scan stops at the earliest event of either radius.
+        scan_limit = np.minimum(scan_limit, first2)
+        if clamp_at_second_hit and track_min_distance:
+            # Freeze semantics: where the second-radius hit strictly
+            # precedes the first-radius one (earlier window, or same window
+            # at a smaller offset), the window's motion past the hit never
+            # happens: re-derive that one window's tracked minimum over
+            # [0, hit2].
+            second_wins = has_hit2 & (
+                (first2 < first)
+                | ((first2 == first) & (hit2[bounded2] < hit[bounded2]))
             )
-            solution.group_min[chunk_start:chunk_end] = chunk_min
-            has_min = chunk_min_index < local_total
-            bounded_min = np.where(has_min, chunk_min_index, 0)
-            solution.min_time[chunk_start:chunk_end] = np.where(
-                has_min, starts[bounded_min] + window_t_star[bounded_min], np.nan
+            at = bounded2[second_wins]
+            _clamp_tracking(
+                window_min, window_t_star, at, hit2[at], windows.relative_motion(at)
             )
+    # The hit columns are read; free them before the minimum's temporaries.
+    del hit, hit2, outputs
+
+    if track_min_distance:
+        # Only windows up to (and including) the stopping window count,
+        # mirroring the event engine, which stops at the meeting (or freeze)
+        # window: each entry's minimum runs over its windows
+        # ``[offsets[k], min(scan_limit[k] + 1, offsets[k + 1]))``, the even
+        # slots of one interleaved ``reduceat`` (a cut at the round's end is
+        # left out: the last slot runs to the end anyway).
+        cuts = np.column_stack((offsets[:-1], np.minimum(scan_limit + 1, ends))).ravel()
+        if cuts[-1] == total:
+            cuts = cuts[:-1]
+        group_min = np.minimum.reduceat(window_min, cuts)[::2]
+        # The first window attaining the minimum lies inside the prefix.
+        min_index = _first_true(window_min == np.repeat(group_min, counts), offsets)
+        solution.group_min[:] = group_min
+        has_min = min_index < ends
+        bounded_min = np.where(has_min, min_index, 0)
+        solution.min_time[:] = np.where(
+            has_min,
+            windows.starts[bounded_min] + window_t_star[bounded_min],
+            np.nan,
+        )
 
     if (
         _parity_recheck
@@ -1101,16 +1127,16 @@ def solve_round(
         sample = _parity_calls % (1 << _PARITY_SAMPLE_SHIFT) == 0
         _parity_calls += 1
         if sample:
-            # Re-solve under a different chunk partition (single-chunk when
-            # this pass was chunked, roughly-halved otherwise) and require a
+            # Re-solve under a different tile size (one tile when this pass
+            # was tiled, roughly halves otherwise) and require a
             # bit-identical solution — the declared contract behind the
-            # memory-capped chunking.
+            # tiling.
             alternative = solve_round(
                 windows, radius,
                 track_min_distance=track_min_distance,
                 second_radius=second_radius,
                 clamp_at_second_hit=clamp_at_second_hit,
-                _chunk_target=(total if len(chunks) > 1 else max(1, total // 2)),
+                _tile_size=(total if total > tile else max(1, total // 2)),
                 _parity_recheck=False,
             )
             same = np.array_equal(solution.first_hit, alternative.first_hit)
@@ -1134,7 +1160,7 @@ def solve_round(
             KERNEL_CHUNK_PARITY.check(
                 same,
                 f"{total} windows / {n_entries} entries diverged across "
-                "chunk partitions",
+                "tile sizes",
             )
 
     return solution

@@ -5,16 +5,30 @@ sort-free rank merge: every entry's two boundary runs are concatenated and
 merged with one stable ``np.lexsort`` over (entry, time), and every distinct
 table is concatenated in full.  ``tests/test_sim_build_windows.py`` requires
 the production merge to reproduce every array it returns byte for byte.
+Only its container changed: the production ``RoundWindows`` forms states on
+demand, so the oracle returns its own tuple of the same arrays.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.motion.compiler import TrajectoryTable
-from repro.sim.rounds import RoundEntry, RoundWindows
+from repro.sim.rounds import RoundEntry
+
+
+class RoundWindows(NamedTuple):
+    """The oracle's windows: the arrays the production construction returns,
+    with the eight state columns stored rather than formed on demand."""
+
+    starts: np.ndarray
+    durations: np.ndarray
+    states: Tuple[np.ndarray, ...]
+    offsets: np.ndarray
+    counts: np.ndarray
+
 
 #: Shared consecutive-integer buffer for segmented index arithmetic; grows on
 #: demand and is only ever read through slices, so earlier slices stay valid.

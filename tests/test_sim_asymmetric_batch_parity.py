@@ -234,10 +234,11 @@ class TestDegenerateCasesAndErrors:
 
     @pytest.mark.parametrize("ratio", [None, 0.4])
     def test_multi_chunk_rounds_match_default_chunking(self, ratio, monkeypatch):
-        # Chunk boundaries cap kernel memory and must never change a result:
-        # with a 256-window cap every round splits into many kernel calls,
-        # and both entry points must reproduce the single-chunk run bit for
-        # bit (freeze events included when the radii differ).
+        # Kernel tiles keep kernel memory cache-sized and must never change
+        # a result: with 256-window tiles every round splits into many
+        # kernel calls, and both entry points must reproduce the
+        # default-tile run bit for bit (freeze events included when the
+        # radii differ).
         sampler = InstanceSampler(seed=7)
         instances = []
         for cls in (InstanceClass.TYPE_1, InstanceClass.TYPE_2,

@@ -1,13 +1,16 @@
-"""Fuzzed result invariance of the batch engine's performance knobs.
+"""Fuzzed result invariance of the batch engine's performance knobs and modes.
 
 The adaptive-horizon schedule (``initial_horizon``, ``GROWTH_FACTOR``) and
-the kernel chunk size (``KERNEL_CHUNK_WINDOWS``) are documented as pure
+the kernel tile size (``KERNEL_CHUNK_WINDOWS``) are documented as pure
 performance knobs: they decide how much trajectory each round maps and how
-many windows one kernel call solves, never a result.  Drawn here over small
-sampled workloads, for ``simulate_batch`` and for
-``simulate_batch_asymmetric`` at ``r_b / r_a = 0.5``, every result field
-must be bit-identical to the default run's, with or without a stalling
-agent (whose tables are explicit, not views).  The first horizon is biased
+many windows one kernel call solves, never a result.  The observability
+mode (``REPRO_OBS``) and the contract mode (``REPRO_CONTRACTS``) only add
+spans and checks.  Drawn here over small sampled workloads, for
+``simulate_batch`` and for ``simulate_batch_asymmetric`` at
+``r_b / r_a = 0.5``, with closest-approach tracking on or off, every result
+field must be bit-identical to the default run's under the same tracking
+flag, with or without a stalling agent (whose tables are explicit, not
+views).  The first horizon is biased
 toward dyadic values and toward a segment boundary of agent B and its
 neighbouring floats — where a horizon round trip once slipped by one ulp,
 and where the exact range cuts of the views have to hold.
@@ -22,8 +25,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.sampler import InstanceSampler
+from repro.contracts import core as contracts_core
 from repro.core.classification import InstanceClass
 from repro.motion.compiler import compile_trajectory
+from repro.obs import core as obs_core
 from repro.sim import batch, rounds
 from repro.sim.batch import simulate_batch
 from repro.sim.batch_asymmetric import simulate_batch_asymmetric
@@ -113,7 +118,12 @@ def _workloads(draw):
             ),
         )
     )
-    return instances, horizon, growth, chunk, stall
+    modes = {
+        "obs": draw(st.sampled_from(obs_core.MODES)),
+        "contracts": draw(st.sampled_from(("off", "check"))),
+        "track_min_distance": draw(st.booleans()),
+    }
+    return instances, horizon, growth, chunk, stall, modes
 
 
 def _knobs(monkeypatch, growth, chunk):
@@ -125,16 +135,18 @@ def _knobs(monkeypatch, growth, chunk):
 @PROPERTY_SETTINGS
 @given(_workloads())
 def test_results_do_not_depend_on_the_schedule_or_chunking(workload):
-    instances, horizon, growth, chunk, stall = workload
+    instances, horizon, growth, chunk, stall, modes = workload
     radius_b = [instance.r * 0.5 for instance in instances]
-    options = dict(BUDGETS, **stall)
+    options = dict(BUDGETS, track_min_distance=modes["track_min_distance"], **stall)
     with pytest.MonkeyPatch.context() as default:
         default.setattr(rounds, "_BUILDER_CACHE", {})
         reference = simulate_batch(instances, ALGORITHM, **options)
         reference_asym = simulate_batch_asymmetric(
             instances, ALGORITHM, radius_b=radius_b, **options
         )
-    with pytest.MonkeyPatch.context() as varied:
+    with pytest.MonkeyPatch.context() as varied, obs_core._override_mode(
+        modes["obs"]
+    ), contracts_core._override_mode(modes["contracts"]):
         _knobs(varied, growth, chunk)
         results = simulate_batch(instances, ALGORITHM, initial_horizon=horizon, **options)
         outcomes = simulate_batch_asymmetric(
