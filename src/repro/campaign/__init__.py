@@ -13,12 +13,13 @@ larger-than-RAM workloads:
 * :mod:`repro.campaign.leases` — atomic shard leases (exclusive-create claim,
   heartbeat mtime, stale takeover) partitioning work between concurrent
   runners;
-* :mod:`repro.campaign.executor` — the fault-tolerant process pool: retry
-  with exponential backoff, per-shard timeouts, worker-death recovery and
-  quarantine instead of aborting;
-* :mod:`repro.campaign.orchestrator` — the shard loop: skip finished work,
-  claim leases, execute the rest (inline or pooled), checkpoint atomically,
-  stop cleanly on SIGINT/SIGTERM.
+* :mod:`repro.campaign.executor` — the one shard scheduler, with an
+  in-process slot (``workers=1``) or spawned worker processes: lease
+  claiming, retry with exponential backoff, quarantine instead of aborting,
+  atomic commits, and (spawned) per-shard timeouts and worker-death
+  recovery;
+* :mod:`repro.campaign.orchestrator` — the entry point: plan, skip finished
+  work, hand the rest to the scheduler, stop cleanly on SIGINT/SIGTERM.
 
 ``repro campaign run | resume | status | report | doctor`` is the CLI
 surface.

@@ -1,32 +1,43 @@
-"""Fault-tolerant parallel shard execution for campaigns.
+"""The campaign shard scheduler: one loop, an in-process or spawned slot.
 
-:class:`ShardExecutor` dispatches pending shards over a pool of spawned
-worker processes and survives every failure mode short of losing the store:
+:class:`ShardExecutor` is the only shard scheduler.  With ``workers == 1`` it
+drives one *in-process slot* that computes and commits each shard
+synchronously; with ``workers >= 2`` it drives spawned worker processes over
+pipes.  Everything else runs once for both slot kinds:
 
-* **worker death** (SIGKILL, OOM, segfault) — detected by liveness polling;
-  the dead worker's shard re-queues with its attempt count bumped and a
-  replacement worker spawns (the pool is *rebuilt around* the loss, the
-  custom-pool equivalent of catching ``BrokenProcessPool``);
-* **shard hang** — a per-shard ``shard_timeout`` deadline; an overdue worker
-  is terminated, replaced, and its shard re-queued;
-* **shard failure** (an exception inside the worker) — re-queued with
-  exponential backoff plus jitter, up to ``max_attempts`` total attempts;
+* **ready queue with backoff** — a failed shard re-queues with exponential
+  backoff plus jitter, up to ``max_attempts`` total attempts;
 * **poison shards** — after ``max_attempts`` the shard is *quarantined*:
   its captured traceback lands in the store's ``failed/`` ledger and the
   campaign continues, degrading to a partial-but-valid store instead of
   aborting (``repro campaign doctor --repair`` clears the ledger so a later
   ``resume`` retries exactly those shards);
 * **concurrent runners** — every dispatch first claims the shard's lease
-  (:mod:`repro.campaign.leases`); a fresh foreign lease parks the shard on a
-  watch list that polls for the peer's completion (or takes over its stale
-  lease if the peer dies), so N processes pointed at one store partition the
-  campaign between them with zero duplicated computations.
+  (:mod:`repro.campaign.leases`) and re-checks that no peer committed it; a
+  fresh foreign lease parks the shard on a watch list that polls for the
+  peer's completion (or takes over its stale lease if the peer dies), so N
+  processes pointed at one store partition the campaign between them with
+  zero duplicated computations;
+* **commit** — the scheduler alone writes the store, one shard at a time.  A
+  failed commit is a store fault, not a shard fault: it propagates out of
+  :func:`~repro.campaign.orchestrator.run_campaign` for every worker count
+  (everything committed before it stays valid);
+* heartbeats for held leases, ``max_shards`` and the stop request.
+
+Spawned slots add what only a separate process can survive:
+
+* **worker death** (SIGKILL, OOM, segfault) — detected by liveness polling;
+  the dead worker's shard re-queues with its attempt count bumped and a
+  replacement worker spawns (the pool is *rebuilt around* the loss, the
+  custom-pool equivalent of catching ``BrokenProcessPool``);
+* **shard hang** — a per-shard ``shard_timeout`` deadline; an overdue worker
+  is terminated, replaced, and its shard re-queued.
 
 None of this can change stored bytes: shards are deterministic in isolation
 (position-spawned seeds) and the export concatenates in plan order, so *any*
-execution order, retry history or worker count yields a byte-identical
-store — the Bobpp property (deterministic partitioning, free execution
-order) that makes fault recovery safe.
+execution order, retry history, slot kind or worker count yields a
+byte-identical store — the Bobpp property (deterministic partitioning, free
+execution order) that lets one scheduler serve every worker count.
 
 The pool is deliberately hand-rolled over ``multiprocessing.Process`` pipes
 instead of ``concurrent.futures.ProcessPoolExecutor``: a hung shard must be
@@ -35,7 +46,7 @@ future where this pool loses only the dead worker's shard.
 
 Fault injection rides the orchestrator's existing ``shard_hook``: a hook
 that raises :class:`FaultInjection` marks that one dispatch to fail, die or
-hang *inside the worker*; any other exception from the hook still propagates
+hang *inside the slot*; any other exception from the hook still propagates
 (the historical "simulated crash between checkpoints" contract).
 """
 
@@ -66,7 +77,8 @@ logger = get_logger("campaign.executor")
 
 __all__ = ["FaultInjection", "ShardExecutor", "retry_delay"]
 
-#: Parent poll granularity (seconds): result pipes, deadlines, liveness.
+#: Parent poll granularity (seconds) of spawned slots: result pipes,
+#: deadlines, liveness.  The in-process slot sleeps only when idle.
 _POLL_INTERVAL = 0.02
 
 #: How often (seconds) the watch list re-reads the manifest for shards a
@@ -77,16 +89,16 @@ _FOREIGN_POLL_INTERVAL = 0.2
 class FaultInjection(Exception):
     """Raised by a ``shard_hook`` to inject a fault into one shard dispatch.
 
-    ``kind`` selects the failure mode, executed *inside the worker* so the
+    ``kind`` selects the failure mode, executed *inside the slot* so the
     recovery machinery sees exactly what production would:
 
-    * ``"fail"`` — the worker raises (exercises retry/backoff/quarantine);
+    * ``"fail"`` — the shard raises (exercises retry/backoff/quarantine);
     * ``"kill"`` — the worker SIGKILLs itself (exercises death detection
       and pool rebuild);
     * ``"hang"`` — the worker sleeps forever (exercises ``shard_timeout``).
 
-    ``"kill"`` and ``"hang"`` need ``workers >= 2``'s process pool; the
-    inline path has no worker to kill and refuses them.
+    ``"kill"`` and ``"hang"`` need ``workers >= 2``'s spawned slots; the
+    in-process slot has no worker to kill and refuses them.
     """
 
     KINDS = ("fail", "kill", "hang")
@@ -118,8 +130,32 @@ def _apply_fault(kind: Optional[str]) -> None:
         raise RuntimeError("injected shard fault")
 
 
+def _compute_shard(
+    spec: CampaignSpec, shard: Shard, runner
+) -> Tuple[Dict[str, Any], float, Optional[Dict[str, float]]]:
+    """The shard body both slot kinds run: sample, compute, collate.
+
+    Returns ``(columns, wall, phases)``: the shard's result columns, its
+    wall seconds (the commit excluded) and the leaf-phase seconds collected
+    while it ran — ``None`` with observability off, which
+    :meth:`~repro.campaign.store.CampaignStore.write_shard` takes as "no
+    phases".  The umbrella ``campaign.shard`` span sits *outside* the
+    collector window, so only leaf phases land in the manifest.
+    """
+    started = time.perf_counter()
+    with _obs.span("campaign.shard", shard=shard.shard_id):
+        with _obs.collect() as phases:
+            with _obs.span("campaign.sample"):
+                instances = shard_instances(spec, shard)
+                tasks = shard_tasks(spec, shard, instances)
+            records = runner.run(tasks)
+            with _obs.span("campaign.collate"):
+                columns = records_to_columns(shard, records)
+    return columns, time.perf_counter() - started, phases
+
+
 def _worker_main(spec: CampaignSpec, conn) -> None:
-    """Worker process: compute shards from the pipe until told to stop.
+    """Spawned slot: compute shards from the pipe until told to stop.
 
     Workers compute *columns* and ship them back; the parent alone writes
     the store, so manifest appends are serialized per runner process.  Each
@@ -128,15 +164,15 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
     in-process (the parallelism is already shard-granular).
 
     Wire protocol: with observability off (the default) each shard answers
-    with one ``("ok", shard_id, columns, wall)`` tuple, byte-identical to the
-    historical format.  With observability on, the result arrives as *two*
-    messages — the bulk ``("columns", shard_id, columns)`` payload, whose
-    pickling and pipe write are themselves timed (``ipc.serialize`` /
-    ``ipc.pipe_send``, plus the payload byte count), followed by a small
-    ``("ok2", shard_id, wall, phases)`` meta record carrying those IPC
-    measurements.  The IPC cost of a message cannot ride the message it
-    times; the trailing meta record can.  The parent dispatches on the
-    message tag, never on its own mode, so mixed configurations stay safe.
+    with one ``("ok", shard_id, columns, wall)`` tuple.  With observability
+    on, the result arrives as *two* messages — the bulk ``("columns",
+    shard_id, columns)`` payload, whose pickling and pipe write are
+    themselves timed (``ipc.serialize`` / ``ipc.pipe_send``, plus the payload
+    byte count), followed by a small ``("ok2", shard_id, wall, phases)`` meta
+    record carrying those IPC measurements.  The IPC cost of a message cannot
+    ride the message it times; the trailing meta record can.  The parent
+    dispatches on the message tag, never on its own mode, so mixed
+    configurations stay safe.
     """
     # Workers must not receive the terminal's Ctrl-C: the parent handles
     # SIGINT, releases leases and shuts the pool down cleanly.
@@ -151,39 +187,25 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
             shard, fault = message[1], message[2]
             try:
                 _apply_fault(fault)
-                started = time.perf_counter()
-                if not _obs.enabled():
-                    instances = shard_instances(spec, shard)
-                    tasks = shard_tasks(spec, shard, instances)
-                    records = runner.run(tasks)
-                    columns = records_to_columns(shard, records)
-                    conn.send(
-                        ("ok", shard.shard_id, columns, time.perf_counter() - started)
-                    )
-                else:
-                    with _obs.span("campaign.shard", shard=shard.shard_id):
-                        with _obs.collect() as phases:
-                            with _obs.span("campaign.sample"):
-                                instances = shard_instances(spec, shard)
-                                tasks = shard_tasks(spec, shard, instances)
-                            records = runner.run(tasks)
-                            with _obs.span("campaign.collate"):
-                                columns = records_to_columns(shard, records)
-                            # Wall excludes IPC, matching the off-mode format.
-                            wall = time.perf_counter() - started
-                            with _obs.span("ipc.serialize"):
-                                payload = pickle.dumps(
-                                    ("columns", shard.shard_id, columns),
-                                    protocol=pickle.HIGHEST_PROTOCOL,
-                                )
-                            _obs.add("ipc.bytes", len(payload))
-                            phases[_phases.IPC_BYTES_KEY] = float(len(payload))
-                            with _obs.span("ipc.pipe_send"):
-                                conn.send_bytes(payload)
-                        conn.send(("ok2", shard.shard_id, wall, dict(phases)))
-                    # Per-shard segment flush: a later terminated worker loses
-                    # at most the shard in flight, not its whole timeline.
-                    _trace.flush()
+                columns, wall, phases = _compute_shard(spec, shard, runner)
+                if phases is None:
+                    conn.send(("ok", shard.shard_id, columns, wall))
+                    continue
+                with _obs.collect() as ipc:
+                    with _obs.span("ipc.serialize"):
+                        payload = pickle.dumps(
+                            ("columns", shard.shard_id, columns),
+                            protocol=pickle.HIGHEST_PROTOCOL,
+                        )
+                    _obs.add("ipc.bytes", len(payload))
+                    with _obs.span("ipc.pipe_send"):
+                        conn.send_bytes(payload)
+                phases.update(ipc)
+                phases[_phases.IPC_BYTES_KEY] = float(len(payload))
+                conn.send(("ok2", shard.shard_id, wall, phases))
+                # Per-shard segment flush: a later terminated worker loses
+                # at most the shard in flight, not its whole timeline.
+                _trace.flush()
             except BaseException:
                 conn.send(("error", shard.shard_id, traceback.format_exc()))
 
@@ -197,18 +219,33 @@ class _Assignment:
 
 @dataclass
 class _Worker:
+    """A spawned slot: a worker process and its pipe."""
+
     process: Any
     conn: Any
     current: Optional[_Assignment] = None
 
 
 @dataclass
+class _InProcessSlot:
+    """The ``workers == 1`` slot: computes and commits in this process.
+
+    ``current`` stays ``None``: a shard is never in flight across loop turns.
+    """
+
+    runner: Any
+    current: Optional[_Assignment] = None
+
+
+@dataclass
 class ShardExecutor:
-    """Drives one campaign's pending shards to completion over worker processes.
+    """Drives one campaign's pending shards to completion.
 
     Built and torn down inside :func:`repro.campaign.orchestrator.run_campaign`
-    (one executor per call); mutates the call's ``stats`` in place and emits
-    the same progress lines as the sequential path.
+    (one executor per call); mutates the call's ``stats`` in place.  ``workers``
+    picks the slot kind: ``1`` computes in this process through ``runner``
+    (``None`` makes a :class:`~repro.parallel.runner.BatchRunner` for the
+    run), ``>= 2`` spawns that many worker processes.
     """
 
     store: CampaignStore
@@ -224,11 +261,11 @@ class ShardExecutor:
     max_shards: Optional[int] = None
     shard_hook: Optional[Callable[[Shard], None]] = None
     should_stop: Callable[[], bool] = lambda: False
-    _pool: List[_Worker] = field(default_factory=list, init=False, repr=False)
+    runner: Any = None
+    _slots: List[Any] = field(default_factory=list, init=False, repr=False)
     _mp = None
 
     def run(self, pending: List[Shard]) -> None:
-        self._mp = get_context("spawn")
         ready: Deque[Tuple[Shard, int, float]] = collections.deque(
             (shard, 1, 0.0) for shard in pending
         )
@@ -236,13 +273,13 @@ class ShardExecutor:
         next_foreign_poll = 0.0
         next_heartbeat = time.monotonic() + self.leases.stale_after / 4.0
         try:
-            for _ in range(self.workers):
-                self._pool.append(self._spawn())
+            self._open_slots()
             while ready or foreign or self._in_flight():
                 if self.should_stop():
                     self.stats.interrupted = True
                     self.emit("stop requested: abandoning in-flight shards, releasing leases")
                     return
+                progressed = False
                 if self._budget_exhausted():
                     if not self._in_flight():
                         self.stats.interrupted = True
@@ -251,23 +288,62 @@ class ShardExecutor:
                         )
                         return
                 else:
-                    self._dispatch(ready, foreign)
+                    progressed = self._dispatch(ready, foreign)
                 self._poll(ready)
                 now = time.monotonic()
                 if foreign and now >= next_foreign_poll:
                     next_foreign_poll = now + _FOREIGN_POLL_INTERVAL
-                    self._poll_foreign(ready, foreign)
+                    progressed = self._poll_foreign(ready, foreign) or progressed
                 if now >= next_heartbeat:
                     next_heartbeat = now + self.leases.stale_after / 4.0
                     self.leases.heartbeat()
-                time.sleep(_POLL_INTERVAL)
+                # Spawned slots keep the poll cadence; the in-process slot
+                # only waits when nothing it could run is ready.
+                if self.workers > 1 or not progressed:
+                    time.sleep(_POLL_INTERVAL)
         finally:
-            self._shutdown()
+            self._close_slots()
             self.leases.release_all()
             self.stats.lease_takeovers = self.leases.takeovers
             self.stats.lease_conflicts = self.leases.conflicts
 
-    # -- pool machinery ----------------------------------------------------------
+    # -- slots -------------------------------------------------------------------
+    def _open_slots(self) -> None:
+        if self.workers == 1:
+            runner = self.runner
+            if runner is None:
+                from repro.parallel.runner import BatchRunner
+
+                runner = BatchRunner()
+            self._slots.append(_InProcessSlot(runner=runner))
+            return
+        self._mp = get_context("spawn")
+        for _ in range(self.workers):
+            self._slots.append(self._spawn())
+
+    def _close_slots(self) -> None:
+        spawned = []
+        for slot in self._slots:
+            if isinstance(slot, _Worker):
+                spawned.append(slot)
+            elif slot.runner is not self.runner:
+                slot.runner.close()
+        for worker in spawned:
+            if worker.current is None and worker.process.is_alive():
+                try:
+                    worker.conn.send(("stop",))
+                except (BrokenPipeError, OSError):
+                    pass
+        for worker in spawned:
+            if worker.current is not None:
+                worker.process.terminate()
+            worker.process.join(timeout=10.0)
+            if worker.process.is_alive():  # pragma: no cover
+                worker.process.kill()
+                worker.process.join(timeout=10.0)
+            worker.conn.close()
+        self._slots.clear()
+
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._mp.Pipe()
         process = self._mp.Process(
@@ -288,47 +364,32 @@ class ShardExecutor:
             worker.process.kill()
             worker.process.join(timeout=10.0)
         worker.conn.close()
-        self._pool.remove(worker)
-        self._pool.append(self._spawn())
+        self._slots.remove(worker)
+        self._slots.append(self._spawn())
         self.stats.worker_restarts += 1
 
-    def _shutdown(self) -> None:
-        for worker in self._pool:
-            if worker.current is None and worker.process.is_alive():
-                try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker in self._pool:
-            if worker.current is not None:
-                worker.process.terminate()
-            worker.process.join(timeout=10.0)
-            if worker.process.is_alive():  # pragma: no cover
-                worker.process.kill()
-                worker.process.join(timeout=10.0)
-            worker.conn.close()
-        self._pool.clear()
-
     def _in_flight(self) -> bool:
-        return any(worker.current is not None for worker in self._pool)
+        return any(slot.current is not None for slot in self._slots)
 
     def _budget_exhausted(self) -> bool:
         if self.max_shards is None:
             return False
         dispatched = self.stats.shards_executed + sum(
-            1 for worker in self._pool if worker.current is not None
+            1 for slot in self._slots if slot.current is not None
         )
         return dispatched >= self.max_shards
 
     # -- dispatch ----------------------------------------------------------------
-    def _dispatch(self, ready, foreign) -> None:
+    def _dispatch(self, ready, foreign) -> bool:
+        """Hand ready shards to idle slots; whether any shard was started."""
         now = time.monotonic()
-        for worker in self._pool:
-            if worker.current is not None:
+        started = False
+        for slot in list(self._slots):
+            if slot.current is not None:
                 continue
             assignment = self._next_ready(ready, foreign, now)
             if assignment is None:
-                return
+                break
             shard, attempt = assignment
             fault = None
             if self.shard_hook is not None:
@@ -343,20 +404,42 @@ class ShardExecutor:
             deadline = (
                 now + self.shard_timeout if self.shard_timeout is not None else float("inf")
             )
-            try:
-                worker.conn.send(("run", shard, fault))
-            except (BrokenPipeError, OSError):
-                # The idle worker died before taking the shard: rebuild and
-                # put the shard back without charging it an attempt.
-                ready.append((shard, attempt, now))
-                self._replace(worker)
-                continue
-            worker.current = _Assignment(shard=shard, attempt=attempt, deadline=deadline)
+            assignment = _Assignment(shard=shard, attempt=attempt, deadline=deadline)
+            if isinstance(slot, _InProcessSlot):
+                self._run_in_process(slot, assignment, fault, ready)
+            else:
+                try:
+                    slot.conn.send(("run", shard, fault))
+                except (BrokenPipeError, OSError):
+                    # The idle worker died before taking the shard: rebuild
+                    # and put the shard back without charging it an attempt.
+                    ready.append((shard, attempt, now))
+                    self._replace(slot)
+                    continue
+                slot.current = assignment
             self.stats.shard_attempts += 1
             if attempt > 1:
                 self.stats.shards_retried += 1
+            started = True
             if self._budget_exhausted():
-                return
+                break
+        return started
+
+    def _run_in_process(
+        self, slot: _InProcessSlot, assignment: _Assignment, fault, ready
+    ) -> None:
+        """Compute one shard in this process and commit it (or fail it)."""
+        if fault in ("kill", "hang"):
+            raise CampaignError(
+                f"fault kind {fault!r} needs the worker pool; run with workers >= 2"
+            )
+        try:
+            _apply_fault(fault)
+            columns, wall, phases = _compute_shard(self.spec, assignment.shard, slot.runner)
+        except Exception:
+            self._failed(assignment, ready, traceback.format_exc())
+            return
+        self._commit(assignment, columns=columns, wall=wall, phases=phases)
 
     def _next_ready(self, ready, foreign, now) -> Optional[Tuple[Shard, int]]:
         """Pop the next dispatchable shard: backoff elapsed, lease claimed."""
@@ -390,15 +473,18 @@ class ShardExecutor:
         if not os.path.exists(self.store.shard_path(shard.shard_id)):
             return False
         if shard.shard_id in self.store.completed():
-            self.stats.shards_completed_elsewhere += 1
-            self.emit(f"  {shard.describe(self.spec)}: completed by a concurrent runner")
+            self._note_completed_elsewhere(shard)
             return True
         return False
+
+    def _note_completed_elsewhere(self, shard: Shard) -> None:
+        self.stats.shards_completed_elsewhere += 1
+        self.emit(f"  {shard.describe(self.spec)}: completed by a concurrent runner")
 
     # -- result handling ---------------------------------------------------------
     def _poll(self, ready) -> None:
         now = time.monotonic()
-        for worker in list(self._pool):
+        for worker in list(self._slots):
             assignment = worker.current
             if assignment is None:
                 continue
@@ -445,6 +531,8 @@ class ShardExecutor:
     def _commit(
         self, assignment: _Assignment, *, columns, wall: float, phases=None
     ) -> None:
+        # Deliberately outside any retry: a store that cannot take a write is
+        # not a shard fault, so the error propagates out of run_campaign.
         shard = assignment.shard
         with _obs.span("campaign.store_write"):
             self.store.write_shard(shard, columns, wall_seconds=wall, phases=phases)
@@ -490,21 +578,23 @@ class ShardExecutor:
         self._failed(assignment, ready, f"{reason}\n(no traceback: the worker was lost)")
 
     # -- foreign leases ----------------------------------------------------------
-    def _poll_foreign(self, ready, foreign: Dict[str, Shard]) -> None:
+    def _poll_foreign(self, ready, foreign: Dict[str, Shard]) -> bool:
         """Re-check shards whose lease a concurrent runner holds.
 
         A peer-completed shard leaves the campaign; a still-leased one stays
         parked; a released or stale lease re-enters the ready queue (the
         acquire inside ``_next_ready`` performs the actual takeover).
+        Returns whether any shard left the watch list.
         """
+        parked = len(foreign)
         done = self.store.completed()
         for shard_id, shard in list(foreign.items()):
             if shard_id in done:
                 del foreign[shard_id]
-                self.stats.shards_completed_elsewhere += 1
-                self.emit(f"  {shard.describe(self.spec)}: completed by a concurrent runner")
+                self._note_completed_elsewhere(shard)
             elif self.leases.owner_of(shard_id) is None or shard_id in set(
                 self.leases.stale_leases()
             ):
                 del foreign[shard_id]
                 ready.append((shard, 1, 0.0))
+        return len(foreign) < parked

@@ -1,18 +1,19 @@
-"""Campaign execution: shard loop, crash-safe checkpointing, resume.
+"""Campaign execution: plan, skip, schedule, crash-safe checkpointing, resume.
 
 :func:`run_campaign` is the one entry point: given a directory (and, on first
 run, a spec) it plans the shards, skips every shard the manifest already
-records (and every quarantined one), claims each remaining shard's lease, and
-executes — sequentially through a persistent
-:class:`~repro.parallel.runner.BatchRunner` (``workers=1``, vectorizable
-shards one inline batch-engine call each), or with ``workers >= 2`` over the
-fault-tolerant process pool of
-:class:`~repro.campaign.executor.ShardExecutor` (retry with backoff,
-per-shard timeouts, worker-death recovery, poison-shard quarantine).  Each
-finished shard is committed atomically
-(:meth:`~repro.campaign.store.CampaignStore.write_shard`) before the next one
-starts, so a crash loses at most the shards in flight and ``resume``
-recomputes **zero** finished shards; by the spawned-seeding contract of
+records (and every quarantined one), and hands the rest to the one shard
+scheduler, :class:`~repro.campaign.executor.ShardExecutor`.  ``workers``
+picks its slot kind — ``1`` computes each shard in this process through a
+persistent :class:`~repro.parallel.runner.BatchRunner` (vectorizable shards
+one inline batch-engine call each), ``>= 2`` spawns worker processes that
+survive death and hangs — while lease claiming, retry with backoff,
+poison-shard quarantine and commits run the same for both.  Each finished
+shard is committed atomically
+(:meth:`~repro.campaign.store.CampaignStore.write_shard`) before the next
+result is taken, so a crash loses at most the shards in flight and
+``resume`` recomputes **zero** finished shards; a commit that fails
+propagates, for every worker count.  By the spawned-seeding contract of
 :mod:`repro.campaign.shards` the resumed store is bit-identical to an
 uninterrupted run's — for every worker count, retry history and interleaving
 of concurrent runners (the lease protocol of :mod:`repro.campaign.leases`
@@ -21,27 +22,19 @@ keeps those from duplicating work).
 
 from __future__ import annotations
 
-import collections
-import os
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.campaign.executor import FaultInjection, ShardExecutor, retry_delay
+from repro.campaign.executor import ShardExecutor
 from repro.campaign.leases import DEFAULT_STALE_AFTER, LeaseManager
-from repro.campaign.shards import (
-    Shard,
-    plan_shards,
-    shard_instances,
-    shard_tasks,
-)
+from repro.campaign.shards import Shard, plan_shards
 from repro.campaign.spec import CampaignError, CampaignSpec
-from repro.campaign.store import CampaignStore, records_to_columns
+from repro.campaign.store import CampaignStore
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import CAMPAIGN_RESUME_NO_RECOMPUTE
-from repro.obs import core as _obs
 from repro.obs import trace as _trace
 from repro.util.logging import get_logger
 
@@ -187,10 +180,11 @@ def run_campaign(
         The campaign to run.  ``None`` loads the spec from the directory —
         that is a *resume*, and requires the directory to exist.
     runner:
-        A :class:`~repro.parallel.runner.BatchRunner` to execute shards
-        through.  ``None`` creates one for the call (and closes it after);
-        pass a long-lived runner to share its persistent worker pool across
-        campaigns.
+        A :class:`~repro.parallel.runner.BatchRunner` the in-process slot
+        (``workers=1``) executes shards through.  ``None`` creates one for
+        the call (and closes it after); pass a long-lived runner to share its
+        persistent worker pool across campaigns.  Spawned slots hold their
+        own runners.
     max_shards:
         Execute at most this many shards, then stop with
         ``stats.interrupted = True`` — the controlled form of "kill it
@@ -200,22 +194,24 @@ def run_campaign(
         Called with each :class:`Shard` immediately before it executes (on
         every dispatch, including retries).  Exists for fault injection — a
         hook raising :class:`~repro.campaign.executor.FaultInjection` makes
-        that one dispatch fail, die or hang *inside the worker*; any other
+        that one dispatch fail, die or hang *inside the slot* (die and hang
+        need ``workers >= 2``); any other
         exception simulates a crash between checkpoints and propagates
         (everything already written stays valid) — and for external progress
         tracking.
     workers:
-        ``1`` (default) runs shards sequentially in-process, exactly the
-        historical behavior.  ``>= 2`` dispatches whole shards over a
-        fault-tolerant pool of spawned worker processes
-        (:class:`~repro.campaign.executor.ShardExecutor`): worker death and
-        hangs are survived, the pool is rebuilt, and the lost shard re-runs.
-        Stored bytes are identical for every value.
+        The slot kind of the one shard scheduler
+        (:class:`~repro.campaign.executor.ShardExecutor`).  ``1`` (default)
+        computes and commits shards one at a time in this process.  ``>= 2``
+        dispatches whole shards to that many spawned worker processes: worker
+        death and hangs are survived, the pool is rebuilt, and the lost shard
+        re-runs.  Leases, retries, quarantine and commits behave the same for
+        every value, and so do the stored bytes.
     shard_timeout:
         Seconds a single shard attempt may run before its worker is killed
         and the shard re-queued (counts as a failed attempt).  ``None``
         disables the deadline.  Requires ``workers >= 2`` to be enforceable —
-        the sequential path cannot kill itself — and is ignored inline.
+        the in-process slot cannot kill itself — and is ignored there.
     max_attempts:
         Total attempts a shard gets (failures, lost workers and timeouts all
         count) before it is *quarantined* to the store's ``failed/`` ledger
@@ -292,43 +288,23 @@ def run_campaign(
         else:
             stop_requested = lambda: guard.stop or bool(should_stop())  # noqa: E731
         try:
-            if workers > 1:
-                executor = ShardExecutor(
-                    store=store,
-                    spec=spec,
-                    leases=leases,
-                    stats=stats,
-                    emit=emit,
-                    workers=workers,
-                    plan_size=len(plan),
-                    shard_timeout=shard_timeout,
-                    max_attempts=max_attempts,
-                    retry_backoff=retry_backoff,
-                    max_shards=max_shards,
-                    shard_hook=shard_hook,
-                    should_stop=stop_requested,
-                )
-                executor.run(pending)
-            else:
-                _run_inline(
-                    store=store,
-                    spec=spec,
-                    leases=leases,
-                    stats=stats,
-                    emit=emit,
-                    plan_size=len(plan),
-                    pending=pending,
-                    runner=runner,
-                    max_shards=max_shards,
-                    max_attempts=max_attempts,
-                    retry_backoff=retry_backoff,
-                    shard_hook=shard_hook,
-                    stop_requested=stop_requested,
-                )
+            ShardExecutor(
+                store=store,
+                spec=spec,
+                leases=leases,
+                stats=stats,
+                emit=emit,
+                workers=workers,
+                plan_size=len(plan),
+                shard_timeout=shard_timeout,
+                max_attempts=max_attempts,
+                retry_backoff=retry_backoff,
+                max_shards=max_shards,
+                shard_hook=shard_hook,
+                should_stop=stop_requested,
+                runner=runner,
+            ).run(pending)
         finally:
-            leases.release_all()
-            stats.lease_takeovers = leases.takeovers
-            stats.lease_conflicts = leases.conflicts
             stats.wall_seconds = time.perf_counter() - start
         if stop_requested():
             stats.interrupted = True
@@ -355,176 +331,6 @@ def run_campaign(
         if merged is not None:
             emit(f"trace written: {merged}")
     return stats
-
-
-def _run_inline(
-    *,
-    store: CampaignStore,
-    spec: CampaignSpec,
-    leases: LeaseManager,
-    stats: CampaignRunStats,
-    emit: Callable[[str], None],
-    plan_size: int,
-    pending: Sequence[Shard],
-    runner,
-    max_shards: Optional[int],
-    max_attempts: int,
-    retry_backoff: float,
-    shard_hook: Optional[Callable[[Shard], None]],
-    stop_requested: Callable[[], bool],
-) -> None:
-    """The sequential (``workers=1``) shard loop, with the same failure model.
-
-    Retry/backoff, quarantine and lease claiming match the pooled executor;
-    only ``shard_timeout`` and the ``"kill"``/``"hang"`` fault kinds need a
-    worker process and are out of scope here.  Shards whose lease a
-    concurrent runner holds are parked and re-checked until the peer commits
-    them (or its lease goes stale and is taken over).
-    """
-    own_runner = runner is None
-    if own_runner:
-        from repro.parallel.runner import BatchRunner
-
-        runner = BatchRunner()
-    ready = collections.deque((shard, 1, 0.0) for shard in pending)
-    foreign: Dict[str, Shard] = {}
-    try:
-        while ready or foreign:
-            if stop_requested():
-                return
-            progressed = False
-            for _ in range(len(ready)):
-                if stop_requested():
-                    return
-                if max_shards is not None and stats.shards_executed >= max_shards:
-                    stats.interrupted = True
-                    emit(f"stopping after {stats.shards_executed} shards (--max-shards)")
-                    return
-                shard, attempt, not_before = ready.popleft()
-                if time.monotonic() < not_before:
-                    ready.append((shard, attempt, not_before))
-                    continue
-                if _completed_elsewhere(store, spec, shard, stats, emit):
-                    progressed = True
-                    continue
-                with _obs.span("campaign.lease"):
-                    acquired = leases.acquire(shard.shard_id)
-                if not acquired:
-                    foreign[shard.shard_id] = shard
-                    continue
-                if _completed_elsewhere(store, spec, shard, stats, emit):
-                    leases.release(shard.shard_id)
-                    progressed = True
-                    continue
-                progressed = True
-                fault = None
-                if shard_hook is not None:
-                    try:
-                        shard_hook(shard)
-                    except FaultInjection as injected:
-                        if injected.kind != "fail":
-                            leases.release(shard.shard_id)
-                            raise CampaignError(
-                                f"fault kind {injected.kind!r} needs the worker pool; "
-                                "run with workers >= 2"
-                            )
-                        fault = injected.kind
-                stats.shard_attempts += 1
-                if attempt > 1:
-                    stats.shards_retried += 1
-                shard_start = time.perf_counter()
-                try:
-                    if fault is not None:
-                        raise RuntimeError("injected shard fault")
-                    # The umbrella span sits *outside* the collector window so
-                    # only leaf phases land in the manifest's phases dict.
-                    with _obs.span("campaign.shard", shard=shard.shard_id):
-                        with _obs.collect() as phases:
-                            with _obs.span("campaign.sample"):
-                                instances = shard_instances(spec, shard)
-                                tasks = shard_tasks(spec, shard, instances)
-                            records = runner.run(tasks)
-                            with _obs.span("campaign.collate"):
-                                columns = records_to_columns(shard, records)
-                        # Matches the worker loop: wall excludes the commit.
-                        wall = time.perf_counter() - shard_start
-                        with _obs.span("campaign.store_write"):
-                            store.write_shard(
-                                shard, columns, wall_seconds=wall, phases=phases
-                            )
-                except Exception as error:
-                    if attempt >= max_attempts:
-                        import traceback as traceback_module
-
-                        store.quarantine(
-                            shard,
-                            error=traceback_module.format_exc(),
-                            attempts=attempt,
-                        )
-                        leases.release(shard.shard_id)
-                        stats.shards_quarantined += 1
-                        emit(
-                            f"  {shard.describe(spec)}: QUARANTINED after {attempt} "
-                            f"attempts ({error!r}; see "
-                            f"{store.FAILED_DIR}/{shard.shard_id}.json)"
-                        )
-                    else:
-                        delay = retry_delay(attempt, retry_backoff)
-                        # Keep the lease across the backoff so concurrent
-                        # runners don't pile onto a failing shard.
-                        ready.append((shard, attempt + 1, time.monotonic() + delay))
-                        emit(
-                            f"  {shard.describe(spec)}: attempt {attempt} failed "
-                            f"({error!r}), retrying in {delay:.2f}s"
-                        )
-                    continue
-                leases.release(shard.shard_id)
-                stats.shards_executed += 1
-                stats.rows_computed += shard.count
-                stats.executed_shard_ids.append(shard.shard_id)
-                retry_note = f" (attempt {attempt})" if attempt > 1 else ""
-                emit(
-                    f"  {shard.describe(spec)}: {shard.count} rows in "
-                    f"{time.perf_counter() - shard_start:.2f}s{retry_note} "
-                    f"[{stats.shards_skipped + stats.shards_executed}/{plan_size}]"
-                )
-            if foreign:
-                done = store.completed()
-                for shard_id, shard in list(foreign.items()):
-                    if shard_id in done:
-                        del foreign[shard_id]
-                        stats.shards_completed_elsewhere += 1
-                        emit(f"  {shard.describe(spec)}: completed by a concurrent runner")
-                        progressed = True
-                    elif leases.owner_of(shard_id) is None or shard_id in set(
-                        leases.stale_leases()
-                    ):
-                        del foreign[shard_id]
-                        ready.append((shard, 1, 0.0))
-                        progressed = True
-            if not progressed:
-                leases.heartbeat()
-                time.sleep(0.05)
-    finally:
-        if own_runner:
-            runner.close()
-
-
-def _completed_elsewhere(
-    store: CampaignStore,
-    spec: CampaignSpec,
-    shard: Shard,
-    stats: CampaignRunStats,
-    emit: Callable[[str], None],
-) -> bool:
-    """Concurrent-runner completion check (file stat screen, then manifest)."""
-    if not os.path.exists(store.shard_path(shard.shard_id)):
-        return False
-    if shard.shard_id in store.completed():
-        stats.shards_completed_elsewhere += 1
-        emit(f"  {shard.describe(spec)}: completed by a concurrent runner")
-        return True
-    return False
 
 
 def status_rows(

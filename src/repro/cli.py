@@ -853,10 +853,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for non-vectorizable (e.g. exact-"
                               "timebase) shards; vectorized shards never use workers")
         sub.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="shard-granular worker processes (>= 2 enables the "
-                              "fault-tolerant pool: retries, per-shard timeouts, "
-                              "worker-death recovery; results are byte-identical "
-                              "for every value)")
+                         help="shard slots: 1 computes shards in-process, >= 2 "
+                              "spawns that many worker processes (adding per-shard "
+                              "timeouts and worker-death recovery); retries, "
+                              "quarantine and leases work for every value, and "
+                              "results are byte-identical for every value")
         sub.add_argument("--shard-timeout", type=float, default=None, metavar="SEC",
                          help="kill and retry a shard attempt running longer than "
                               "SEC seconds (needs --workers >= 2)")

@@ -253,26 +253,19 @@ def _run_rounds(
         with _obs.span("engine.build_windows"):
             windows = build_windows(entries)
             entry_radius = meet_radius[pending]
-            dual = {}
+            entry_large = None
             if freeze is not None:
                 # After the freeze only the meeting radius is live; feeding it
-                # as the freeze column too keeps the scan limit (and therefore
+                # as the freeze radius too keeps the scan limit (and therefore
                 # the closest-approach prefix) at the meeting window.
                 pending_frozen = frozen_rows[pending]
                 entry_large = np.where(pending_frozen, entry_radius, freeze_radius[pending])
-                dual = {
-                    "second_radius": np.repeat(entry_large, windows.counts),
-                    # Motion past a freeze never happens: clamp the closest-
-                    # approach tracking of a freezing window at the freeze.
-                    "clamp_at_second_hit": True,
-                }
-            window_radius = np.repeat(entry_radius, windows.counts)
         with _obs.span("engine.kernel_solve"):
             solution = solve_round(
                 windows,
-                window_radius,
+                entry_radius,
                 track_min_distance=track_min_distance,
-                **dual,
+                second_radius=entry_large,
             )
         total_windows += len(windows)
 

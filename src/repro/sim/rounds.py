@@ -34,9 +34,10 @@ holds that loop's building blocks:
   ``lexsort`` over every event of the round);
 * :func:`solve_round` — the tiled fused-kernel pass: per tile of
   ``KERNEL_CHUNK_WINDOWS`` windows, both agents' states are gathered from
-  their active rows and solved by one kernel call, optionally against a
-  *second* per-window radius column (the Section 5 freeze radius); the
-  segmented first-hit and minimum reductions then run once per round.
+  their active rows and solved by one kernel call against the per-entry
+  radius expanded over the tile, optionally with a *second* per-entry radius
+  (the Section 5 freeze radius); the segmented first-hit and minimum
+  reductions then run once per round.
 
 Nothing in here depends on the meeting semantics: the driver interprets the
 per-entry first-hit indices (meeting, and with per-agent radii also freeze)
@@ -952,6 +953,24 @@ def _first_true(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum(first, offsets[1:])
 
 
+def _entry_column_at(
+    column: np.ndarray, offsets: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """A per-entry column expanded over windows ``[lo, hi)``.
+
+    The same values as ``np.repeat(column, counts)[lo:hi]`` without the
+    round-length repeat: only the entries overlapping the tile are expanded,
+    each over its windows inside the tile (entries own at least one window,
+    so ``offsets`` is strictly increasing).
+    """
+    first = int(np.searchsorted(offsets, lo, side="right")) - 1
+    stop = int(np.searchsorted(offsets, hi, side="left"))
+    spans = np.minimum(offsets[first + 1:stop + 1], hi) - np.maximum(
+        offsets[first:stop], lo
+    )
+    return np.repeat(column[first:stop], spans)
+
+
 def _clamp_tracking(window_min, window_t_star, at, limit, relative):
     """Re-track windows ``at`` over ``[0, limit]``: their motion stops there.
 
@@ -985,23 +1004,23 @@ def solve_round(
     *,
     track_min_distance: bool,
     second_radius: Optional[np.ndarray] = None,
-    clamp_at_second_hit: bool = False,
     _tile_size: Optional[int] = None,
     _parity_recheck: bool = True,
 ) -> RoundSolution:
     """Solve all windows of a round with the fused batch kernel, tile by tile.
 
-    ``radius`` (and the optional ``second_radius``) are per-window columns —
-    windows of different instances carry different radii, which is how
+    ``radius`` (and the optional ``second_radius``) are per-entry columns —
+    entries of different instances carry different radii, which is how
     per-agent visibility radii flow through the shared pipeline.  The
     windows are cut into tiles of ``KERNEL_CHUNK_WINDOWS``, which need not
-    line up with entries: each tile forms both agents' relative motion
-    (:meth:`RoundWindows.relative_motion`), solves it with one kernel call
-    and writes its hits and closest approaches into round-length columns,
-    and the per-entry reductions run once over those columns.  Every window
-    is solved on its own, so the tile size changes no result.
+    line up with entries: each tile expands the radii over its windows,
+    forms both agents' relative motion (:meth:`RoundWindows.relative_motion`),
+    solves it with one kernel call and writes its hits and closest
+    approaches into round-length columns, and the per-entry reductions run
+    once over those columns.  Every window is solved on its own, so the tile
+    size changes no result.
 
-    ``clamp_at_second_hit`` is the Section 5 freeze semantics: a
+    A ``second_radius`` carries the Section 5 freeze semantics: a
     second-radius hit that strictly precedes any first-radius hit cancels the
     rest of that window's motion (the larger-radius agent freezes), so the
     closest-approach tracking of that window is clamped to the hit offset —
@@ -1034,10 +1053,13 @@ def solve_round(
     window_t_star = np.empty(total) if track_min_distance else None
     outputs = (hit, hit2, window_min, window_t_star)
     for lo in range(0, total, tile):
-        at = slice(lo, lo + tile)
+        hi = min(lo + tile, total)
+        at = slice(lo, hi)
         solved = solve_windows(
             *windows.relative_motion(at),
-            radius[at], second_radius[at] if dual else None, durations[at],
+            _entry_column_at(radius, offsets, lo, hi),
+            _entry_column_at(second_radius, offsets, lo, hi) if dual else None,
+            durations[at],
             track_min_distance,
         )
         for column, values in zip(outputs, solved):
@@ -1052,11 +1074,11 @@ def solve_round(
         # cut point would become a result.
         last = offsets[1:] - 1
         final = windows.relative_motion(last)
+        # Every entry has at least one window, so ``last`` is one per entry.
         end_hit, end_hit2, window_min[last], window_t_star[last] = solve_windows(
-            *final, radius[last], second_radius[last] if dual else None,
-            windows.final_durations, True,
+            *final, radius, second_radius, windows.final_durations, True,
         )
-        if dual and clamp_at_second_hit:
+        if dual:
             frozen = end_hit2 < np.where(np.isnan(end_hit), math.inf, end_hit)
             _clamp_tracking(
                 window_min, window_t_star, last[frozen], end_hit2[frozen],
@@ -1078,7 +1100,7 @@ def solve_round(
         solution.hit_offset2[:] = np.where(has_hit2, hit2[bounded2], np.nan)
         # The scan stops at the earliest event of either radius.
         scan_limit = np.minimum(scan_limit, first2)
-        if clamp_at_second_hit and track_min_distance:
+        if track_min_distance:
             # Freeze semantics: where the second-radius hit strictly
             # precedes the first-radius one (earlier window, or same window
             # at a smaller offset), the window's motion past the hit never
@@ -1135,7 +1157,6 @@ def solve_round(
                 windows, radius,
                 track_min_distance=track_min_distance,
                 second_radius=second_radius,
-                clamp_at_second_hit=clamp_at_second_hit,
                 _tile_size=(total if total > tile else max(1, total // 2)),
                 _parity_recheck=False,
             )

@@ -320,6 +320,29 @@ class TestWorkerPool:
         identical_stores(directory, sequential_reference)
 
 
+class TestCommitFailure:
+    """A store that refuses a write is a store fault, not a shard fault."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_commit_propagates_for_every_worker_count(
+        self, tmp_path, monkeypatch, workers
+    ):
+        def refuse(self, shard, columns, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(CampaignStore, "write_shard", refuse)
+        directory = tmp_path / "camp"
+        with pytest.raises(OSError, match="disk full"):
+            run_campaign(
+                str(directory), make_spec(), workers=workers, retry_backoff=0.01
+            )
+        store = CampaignStore(str(directory))
+        # Neither retried into quarantine nor recorded; every lease released.
+        assert store.failed_shards() == {}
+        assert store.completed() == {}
+        assert not os.path.isdir(store.lease_dir) or not os.listdir(store.lease_dir)
+
+
 CONCURRENT_DRIVER = """\
 import json, sys
 sys.path.insert(0, {src!r})

@@ -1,0 +1,86 @@
+"""Property: shard size, worker count and interruption leave the store unchanged.
+
+Shards are position-seeded and the export concatenates them in plan order,
+so the stored columns cannot depend on how a campaign was cut or run.  Each
+draw picks a shard size, the worker count of a first run and, optionally, a
+``max_shards`` interruption followed by a resume under its own worker count;
+the exported columns must be byte-identical to one uninterrupted
+``workers=1`` run with a shard size outside the drawn set, and no call may
+recompute a row.  Every ``workers=2`` leg spawns worker processes, so the
+example budget is pinned small here (and the property stays out of the deep
+profile's CI leg).
+"""
+
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.campaign import (
+    CampaignArm,
+    CampaignSpec,
+    CampaignStore,
+    plan_shards,
+    run_campaign,
+)
+
+INSTANCES_PER_CELL = 8
+
+
+def make_spec(shard_size):
+    return CampaignSpec(
+        name="knob-invariance",
+        arms=(CampaignArm(algorithm="almost-universal-compact"),),
+        classes=("type-1", "type-2"),
+        instances_per_cell=INSTANCES_PER_CELL,
+        seed=29,
+        simulator={"max_time": 1e6, "max_segments": 30_000},
+        shard_size=shard_size,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_columns(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("knob-reference") / "camp"
+    stats = run_campaign(str(directory), make_spec(4))
+    assert stats.complete
+    return CampaignStore(str(directory)).export_columns()
+
+
+@st.composite
+def _runs(draw):
+    shard_size = draw(st.sampled_from((3, 5, 8, 16)))
+    planned = len(plan_shards(make_spec(shard_size)))
+    max_shards = draw(st.none() | st.integers(1, planned - 1))
+    workers = draw(st.sampled_from((1, 2)))
+    resume_workers = None if max_shards is None else draw(st.sampled_from((1, 2)))
+    return shard_size, workers, max_shards, resume_workers
+
+
+@settings(
+    max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(drawn=_runs())
+def test_store_bytes_ignore_shard_size_workers_and_interruption(
+    reference_columns, drawn
+):
+    shard_size, workers, max_shards, resume_workers = drawn
+    with tempfile.TemporaryDirectory() as root:
+        directory = f"{root}/camp"
+        first = run_campaign(
+            directory, make_spec(shard_size), workers=workers, max_shards=max_shards
+        )
+        assert first.rows_recomputed == 0
+        if max_shards is not None:
+            assert first.interrupted and not first.complete
+            resumed = run_campaign(directory, workers=resume_workers)
+            assert resumed.complete
+            assert resumed.shards_skipped == first.shards_executed
+            assert resumed.rows_recomputed == 0
+        else:
+            assert first.complete
+        columns = CampaignStore(directory).export_columns()
+    assert set(columns) == set(reference_columns)
+    for name, column in reference_columns.items():
+        assert columns[name].tobytes() == column.tobytes(), name

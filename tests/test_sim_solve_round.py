@@ -9,8 +9,9 @@ construction's strategies (:mod:`test_sim_build_windows`) every field of the
 two solutions must agree bit for bit.  The draws aim at the reductions' edge
 cases: radii a few ulps around a window's closest approach, its start
 distance or the closest approach over an entry's extended final window
-(grazing hits, the inside-at-start branch and the final-window freeze), one or two radius
-columns with the freeze clamp on or off, closest-approach tracking on or
+(grazing hits, the inside-at-start branch and the final-window freeze), one
+per-entry radius or two (the second one clamps at the freeze; the oracle
+takes them repeated over each entry's windows), closest-approach tracking on or
 off, the final-window extension present or not, and tile sizes of 1, 3, 64,
 the round's length and the default.  A memory guard bounds the solve's
 peak allocation per window, so round-length state columns cannot come back.
@@ -43,7 +44,7 @@ def _nudged(value, steps):
 
 @st.composite
 def _radii(draw, windows, distances):
-    """One radius per entry, repeated over its windows; mostly near grazing."""
+    """One radius per entry; mostly near grazing."""
     radius = np.empty(len(windows.counts))
     for k, (lo, hi) in enumerate(zip(windows.offsets[:-1], windows.offsets[1:])):
         kind = draw(st.sampled_from(("free", "closest", "start", "final")))
@@ -55,7 +56,7 @@ def _radii(draw, windows, distances):
         else:
             value = distances[kind][draw(st.integers(int(lo), int(hi) - 1))]
         radius[k] = _nudged(float(value), draw(st.integers(-2, 2)))
-    return np.repeat(radius, windows.counts)
+    return radius
 
 
 @st.composite
@@ -83,28 +84,37 @@ def _rounds(draw):
         "drawn": draw(_radii(windows, distances)) if second == "drawn" else None,
         "same": radius,
     }[second]
-    clamp = second_radius is not None and draw(st.booleans())
     track = draw(st.booleans())
     if draw(st.booleans()):
         windows.final_durations = None
     tile = draw(st.sampled_from((1, 3, 64, len(windows), rounds.KERNEL_CHUNK_WINDOWS)))
-    return windows, radius, second_radius, clamp, track, tile
+    return windows, radius, second_radius, track, tile
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_rounds())
 def test_tiled_solve_matches_the_chunked_oracle(drawn):
-    windows, radius, second_radius, clamp, track, tile = drawn
-    options = dict(
-        track_min_distance=track,
-        second_radius=second_radius,
-        clamp_at_second_hit=clamp,
+    windows, radius, second_radius, track, tile = drawn
+    # The oracle takes per-window columns: repeat each entry's radii over
+    # its windows (one array for both when the second radius is the first).
+    window_radius = np.repeat(radius, windows.counts)
+    window_second = (
+        None if second_radius is None
+        else window_radius if second_radius is radius
+        else np.repeat(second_radius, windows.counts)
+    )
+    expected = solve_round_oracle.solve_round(
+        windows, window_radius, track_min_distance=track,
+        second_radius=window_second,
+        clamp_at_second_hit=second_radius is not None,
         _parity_recheck=False,
     )
-    expected = solve_round_oracle.solve_round(windows, radius, **options)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rounds, "KERNEL_CHUNK_WINDOWS", tile)
-        solution = solve_round(windows, radius, **options)
+        solution = solve_round(
+            windows, radius, track_min_distance=track,
+            second_radius=second_radius, _parity_recheck=False,
+        )
     for name in _FIELDS:
         mine, theirs = getattr(solution, name), getattr(expected, name)
         if theirs is None:
@@ -118,13 +128,13 @@ def test_tiled_solve_matches_the_chunked_oracle(drawn):
 def test_negative_radii_are_rejected():
     table = _table(np.array([0.0, 1.0, 2.0, 3.0]), 5)
     windows = build_windows([_entry(table, table, 0.0, 4.0), _entry(table, table, 0.5, 2.5)])
-    radius = np.ones(len(windows))
+    radius = np.ones(len(windows.counts))
     radius[-1] = -1.0
     with pytest.raises(ValueError, match="radius"):
         solve_round(windows, radius, track_min_distance=False)
     with pytest.raises(ValueError, match="radius"):
         solve_round(
-            windows, np.ones(len(windows)), track_min_distance=False,
+            windows, np.ones(len(windows.counts)), track_min_distance=False,
             second_radius=radius,
         )
 
@@ -145,8 +155,8 @@ def test_peak_memory_stays_within_the_tile_budget():
     windows = build_windows(entries)
     total = len(windows)
     assert total >= 200_000
-    radius = np.full(total, 0.5)
-    second_radius = np.full(total, 2.0)
+    radius = np.full(len(entries), 0.5)
+    second_radius = np.full(len(entries), 2.0)
     tile = 1 << 12
     tracemalloc.start()
     try:
@@ -154,8 +164,7 @@ def test_peak_memory_stays_within_the_tile_budget():
             patch.setattr(rounds, "KERNEL_CHUNK_WINDOWS", tile)
             solve_round(
                 windows, radius, track_min_distance=True,
-                second_radius=second_radius, clamp_at_second_hit=True,
-                _parity_recheck=False,
+                second_radius=second_radius, _parity_recheck=False,
             )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
