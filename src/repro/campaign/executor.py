@@ -534,11 +534,20 @@ class ShardExecutor:
         # Deliberately outside any retry: a store that cannot take a write is
         # not a shard fault, so the error propagates out of run_campaign.
         shard = assignment.shard
+        # Recomputed work: a shard the manifest already records complete (a
+        # peer committed it after our lease claim).  The data-file stat keeps
+        # the manifest re-read off the ordinary commit path.
+        recomputed = (
+            os.path.exists(self.store.shard_path(shard.shard_id))
+            and shard.shard_id in self.store.completed()
+        )
         with _obs.span("campaign.store_write"):
             self.store.write_shard(shard, columns, wall_seconds=wall, phases=phases)
         self.leases.release(shard.shard_id)
         self.stats.shards_executed += 1
         self.stats.rows_computed += shard.count
+        if recomputed:
+            self.stats.rows_recomputed += shard.count
         self.stats.executed_shard_ids.append(shard.shard_id)
         done = self.stats.shards_skipped + self.stats.shards_executed
         retry_note = f" (attempt {assignment.attempt})" if assignment.attempt > 1 else ""

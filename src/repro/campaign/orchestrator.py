@@ -48,10 +48,11 @@ class CampaignRunStats:
     """What one :func:`run_campaign` call did (the resume counters live here).
 
     ``shards_skipped`` counts finished shards the manifest let the call skip;
-    ``rows_recomputed`` counts rows executed for shards that were *already*
-    recorded complete — by construction always 0, and pinned at 0 by the
-    crash/resume suite: it is the observable form of the "resume recomputes
-    nothing" contract.
+    ``rows_recomputed`` counts rows committed for shards the manifest
+    *already* recorded complete at commit time (a peer finished the shard
+    after this call's lease claim).  Resume skips complete shards, so it
+    stays 0 and the crash/resume suite pins it there: it is the observable
+    form of the "resume recomputes nothing" contract.
     """
 
     spec_digest: str

@@ -50,8 +50,7 @@ from repro.algorithms.registry import available_algorithms, get_algorithm
 from repro.core.classification import classify
 from repro.core.feasibility import feasibility_clause, is_covered_by_universal, is_feasible
 from repro.core.instance import Instance
-from repro.sim.asymmetric import simulate_asymmetric
-from repro.sim.engine import simulate
+from repro.sim.engine import RendezvousSimulator
 from repro.sim.scenarios import registered_scenarios, validate_scenario_options
 from repro.util.errors import ReproError
 
@@ -99,61 +98,35 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for key in ("stall_agent", "stall_time", "stall_duration"):
         if getattr(args, key) is not None:
             declared[key] = getattr(args, key)
+    simulator = RendezvousSimulator(
+        max_time=args.max_time,
+        max_segments=args.max_segments,
+        timebase=args.timebase,
+        record_trajectories=args.render,
+        engine=args.engine,
+        radius_a=args.radius_a,
+        radius_b=args.radius_b,
+        speed_a=args.speed_a,
+        speed_b=args.speed_b,
+        stall_agent=args.stall_agent,
+        stall_time=args.stall_time,
+        stall_duration=args.stall_duration,
+    )
     try:
         validate_scenario_options(declared, "command line", error=ValueError)
+        outcome = simulator._run(instance, algorithm)
     except ValueError as error:
+        # Bad option combinations (an exact timebase or --render on the
+        # vectorized engine, --render with per-agent radii) are the library's
+        # to refuse; they are usage errors here.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    scenario_options = {
-        "speed_a": args.speed_a,
-        "speed_b": args.speed_b,
-        "stall_agent": args.stall_agent,
-        "stall_time": args.stall_time,
-        "stall_duration": args.stall_duration,
-    }
-    if args.radius_a is not None or args.radius_b is not None:
-        if args.engine == "vectorized" and args.timebase != "float":
-            print(
-                "error: --engine vectorized requires --timebase float "
-                "(the event engine stays authoritative for exact runs)",
-                file=sys.stderr,
-            )
-            return 2
-        outcome = simulate_asymmetric(
-            instance,
-            algorithm,
-            radius_a=args.radius_a,
-            radius_b=args.radius_b,
-            max_time=args.max_time,
-            max_segments=args.max_segments,
-            timebase=args.timebase,
-            engine=args.engine,
-            **scenario_options,
+    if outcome.frozen_agent is not None:
+        print(
+            f"agent {outcome.frozen_agent} froze at t={outcome.freeze_time:.6g} "
+            f"(distance {outcome.freeze_distance:.6g})"
         )
-        result = outcome.result
-        if outcome.frozen_agent is not None:
-            print(
-                f"agent {outcome.frozen_agent} froze at t={outcome.freeze_time:.6g} "
-                f"(distance {outcome.freeze_distance:.6g})"
-            )
-    else:
-        if args.engine == "vectorized" and (args.timebase != "float" or args.render):
-            print(
-                "error: --engine vectorized requires --timebase float and no --render "
-                "(the event engine stays authoritative for exact runs and recordings)",
-                file=sys.stderr,
-            )
-            return 2
-        result = simulate(
-            instance,
-            algorithm,
-            max_time=args.max_time,
-            max_segments=args.max_segments,
-            timebase=args.timebase,
-            record_trajectories=args.render,
-            engine=args.engine,
-            **scenario_options,
-        )
+    result = outcome.result
     print(result.summary())
     if args.render:
         from repro.viz.ascii_canvas import render_simulation
@@ -339,6 +312,16 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import run_campaign
     from repro.parallel.runner import BatchRunner
 
+    if args.workers >= 2 and args.processes is not None:
+        # Spawned worker slots compute their shards without a per-task pool,
+        # so the pool size would silently apply to nothing.
+        print(
+            "error: --processes applies only to --workers 1 (spawned workers "
+            "run their shards without a process pool); drop --processes or "
+            "--workers",
+            file=sys.stderr,
+        )
+        return 2
     spec = _campaign_spec_from_args(args) if args.campaign_command == "run" else None
     with BatchRunner(processes=args.processes) as runner:
         stats = run_campaign(
@@ -851,7 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stop after N shards (exit code 3; resume later)")
         sub.add_argument("--processes", type=int, default=None, metavar="N",
                          help="worker processes for non-vectorizable (e.g. exact-"
-                              "timebase) shards; vectorized shards never use workers")
+                              "timebase) shards; vectorized shards never use workers "
+                              "(needs --workers 1)")
         sub.add_argument("--workers", type=int, default=1, metavar="N",
                          help="shard slots: 1 computes shards in-process, >= 2 "
                               "spawns that many worker processes (adding per-shard "

@@ -32,9 +32,9 @@ from repro.contracts import core as _contracts
 from repro.contracts.invariants import check_outcome
 from repro.core.instance import Instance
 from repro.obs import core as _obs
-from repro.sim.asymmetric import AsymmetricOutcome
 from repro.sim.batch import _run_rounds
 from repro.sim.engine import _algorithm_name
+from repro.sim.results import AsymmetricOutcome
 from repro.sim.rounds import per_instance_option
 
 __all__ = ["simulate_batch_asymmetric"]

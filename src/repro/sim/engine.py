@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.contracts import core as _contracts
-from repro.contracts.invariants import check_result
+from repro.contracts.invariants import check_outcome
 from repro.core.instance import AgentSpec, Instance
 from repro.geometry.closest_approach import (
     closest_approach_moving_points,
@@ -37,8 +37,8 @@ from repro.motion.instructions import Instruction
 from repro.motion.program import ColumnBlock, instruction_blocks
 from repro.sim.events import FREEZE, EventKind
 from repro.sim.recorder import TrajectoryRecorder
-from repro.sim.results import SimulationResult, TerminationReason
-from repro.sim.scenarios import scaled_agents, stall_schedule
+from repro.sim.results import AsymmetricOutcome, SimulationResult, TerminationReason
+from repro.sim.scenarios import scaled_agents, stall_schedule, validate_scenario_options
 from repro.sim.timebase import Timebase, get_timebase
 from repro.util.errors import SimulationBudgetExceeded
 from repro.util.logging import get_logger
@@ -413,6 +413,16 @@ def drive_windows(
 class RendezvousSimulator:
     """Simulates one algorithm on one instance until rendezvous or budget end.
 
+    Every single run goes through one body: it validates the options, lowers
+    the speed and stall scenarios, builds the two agent cursors and calls
+    :func:`drive_windows` once, with a :class:`FreezeRule` only when
+    per-agent radii are set.  The same body hands ``engine="vectorized"``
+    runs to :func:`~repro.sim.batch.simulate_batch` or, with radii, to
+    :func:`~repro.sim.batch_asymmetric.simulate_batch_asymmetric`.
+    :meth:`run` returns its :class:`SimulationResult`;
+    :func:`repro.sim.asymmetric.simulate_asymmetric` returns the result with
+    the freeze event.
+
     Parameters
     ----------
     max_time:
@@ -447,11 +457,11 @@ class RendezvousSimulator:
     radius_a, radius_b:
         Per-agent visibility radii (Section 5 extension).  Leaving both
         ``None`` (default) runs the symmetric semantics with the instance's
-        own ``r``; setting either routes the run through
-        :func:`repro.sim.asymmetric.simulate_asymmetric` (or its vectorized
-        counterpart under ``engine="vectorized"``), with the unset radius
-        defaulting to ``instance.r``.  Asymmetric runs do not record
-        trajectories.
+        own ``r``.  Setting either switches on the Section 5 semantics, with
+        the unset radius defaulting to ``instance.r``: the meeting is
+        declared at the smaller radius, the larger-radius agent freezes on
+        sight, and the algorithm name gains an ``[r_a=…, r_b=…]`` suffix.
+        Asymmetric runs do not record trajectories.
     speed_a, speed_b:
         Per-agent speed factors (the ``heterogeneous-speed`` scenario family
         of :mod:`repro.sim.scenarios`).  Each agent's ``units.speed`` is
@@ -496,126 +506,149 @@ class RendezvousSimulator:
 
     def run(self, instance: Instance, algorithm: Any) -> SimulationResult:
         """Simulate ``algorithm`` on ``instance`` and return the outcome."""
+        return self._run(instance, algorithm).result
+
+    def _run(self, instance: Instance, algorithm: Any) -> AsymmetricOutcome:
+        """The one single-run body: the result together with its freeze event.
+
+        :meth:`run`, :func:`repro.sim.asymmetric.simulate_asymmetric` and
+        ``repro simulate`` all come here.  Without per-agent radii the freeze
+        fields stay ``None`` and both radii read ``instance.r``.
+        """
         if self.engine not in ("event", "vectorized"):
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected 'event' or 'vectorized'"
             )
+        asymmetric = self.radius_a is not None or self.radius_b is not None
+        validate_scenario_options(
+            {"radius_a": self.radius_a, "radius_b": self.radius_b}, "simulate_asymmetric"
+        )
         if not (math.isfinite(self.radius_slack) and self.radius_slack >= 0.0):
             raise ValueError("radius_slack must be non-negative and finite")
-        if self.radius_a is not None or self.radius_b is not None:
-            return self._run_asymmetric(instance, algorithm)
-        if self.engine == "vectorized":
-            return self._run_vectorized(instance, algorithm)
         if not (math.isfinite(self.max_time) and self.max_time > 0.0):
             raise ValueError("max_time must be positive and finite")
         if self.max_segments <= 0:
             raise ValueError("max_segments must be positive")
-
-        timebase = get_timebase(self.timebase)
-        wall_start = _time.perf_counter()
-
-        spec_a, spec_b = scaled_agents(instance, self.speed_a, self.speed_b)
-        recorder_a = (
-            TrajectoryRecorder(spec_a.start, self.record_limit)
-            if self.record_trajectories
-            else None
-        )
-        recorder_b = (
-            TrajectoryRecorder(spec_b.start, self.record_limit)
-            if self.record_trajectories
-            else None
-        )
-
-        transform_a, transform_b = self._stall_transforms(timebase)
-        cursor_a = _AgentCursor(
-            spec_a, _resolve_blocks(algorithm, instance, spec_a, "A"), timebase,
-            recorder_a, stream_transform=transform_a,
-        )
-        cursor_b = _AgentCursor(
-            spec_b, _resolve_blocks(algorithm, instance, spec_b, "B"), timebase,
-            recorder_b, stream_transform=transform_b,
-        )
-
-        radius = instance.r + self.radius_slack
-
-        loop = drive_windows(
-            cursor_a,
-            cursor_b,
-            timebase,
-            max_time=self.max_time,
-            max_segments=self.max_segments,
-            radius=radius,
-            track_min_distance=self.track_min_distance,
-            recorder_a=recorder_a,
-            recorder_b=recorder_b,
-        )
-
-        elapsed = _time.perf_counter() - wall_start
-
-        if not loop.met and self.raise_on_budget and loop.termination in (
-            TerminationReason.MAX_TIME,
-            TerminationReason.MAX_SEGMENTS,
-        ):
-            raise SimulationBudgetExceeded(
-                f"simulation budget exhausted ({loop.termination.value}) after "
-                f"{cursor_a.segments_consumed + cursor_b.segments_consumed} segments"
-            )
-
-        result = SimulationResult(
-            instance=instance,
-            algorithm_name=_algorithm_name(algorithm),
-            met=loop.met,
-            termination=loop.termination,
-            meeting_time=(
-                timebase.to_float(loop.meeting_time_exact) if loop.met else None
-            ),
-            meeting_point_a=(loop.meeting_pos_a if loop.met else None),
-            meeting_point_b=(loop.meeting_pos_b if loop.met else None),
-            min_distance=loop.min_distance,
-            min_distance_time=loop.min_distance_time,
-            simulated_time=timebase.to_float(
-                loop.current if not loop.met else loop.meeting_time_exact
-            ),
-            segments_a=cursor_a.segments_consumed,
-            segments_b=cursor_b.segments_consumed,
-            windows_processed=loop.windows,
-            elapsed_wall_seconds=elapsed,
-            timebase_name=timebase.name,
-            trace_a=(recorder_a.as_polyline() if recorder_a is not None else None),
-            trace_b=(recorder_b.as_polyline() if recorder_b is not None else None),
-            meeting_time_exact=loop.meeting_time_exact,
-        )
-        if _contracts.enabled():
-            check_result(result, max_time=self.max_time)
-        logger.debug("%s", result.summary())
-        return result
-
-    def _run_asymmetric(self, instance: Instance, algorithm: Any) -> SimulationResult:
-        """Route a run with per-agent radii through the Section 5 semantics."""
-        from repro.sim.asymmetric import simulate_asymmetric  # local: avoids a cycle
-
-        if self.record_trajectories:
+        if asymmetric and self.record_trajectories:
             raise ValueError(
                 "asymmetric-radius runs do not record trajectories; drop "
                 "radius_a/radius_b or record_trajectories"
             )
-        outcome = simulate_asymmetric(
-            instance,
-            algorithm,
-            radius_a=self.radius_a,
-            radius_b=self.radius_b,
-            max_time=self.max_time,
-            max_segments=self.max_segments,
-            timebase=self.timebase,
-            radius_slack=self.radius_slack,
-            track_min_distance=self.track_min_distance,
-            engine=self.engine,
-            speed_a=self.speed_a,
-            speed_b=self.speed_b,
-            stall_agent=self.stall_agent,
-            stall_time=self.stall_time,
-            stall_duration=self.stall_duration,
-        )
+        timebase = get_timebase(self.timebase)
+        r_a = instance.r if self.radius_a is None else float(self.radius_a)
+        r_b = instance.r if self.radius_b is None else float(self.radius_b)
+
+        if self.engine == "vectorized":
+            if timebase.name != "float":
+                raise ValueError(
+                    "engine='vectorized' supports only the float timebase; the event "
+                    "engine stays authoritative for exact-timebase runs"
+                )
+            if self.record_trajectories:
+                raise ValueError(
+                    "engine='vectorized' does not record trajectories; use engine='event'"
+                )
+            # Local import: the batch driver imports this module.
+            from repro.sim.batch import simulate_batch
+            from repro.sim.batch_asymmetric import simulate_batch_asymmetric
+
+            options = dict(
+                max_time=self.max_time,
+                max_segments=self.max_segments,
+                radius_slack=self.radius_slack,
+                track_min_distance=self.track_min_distance,
+                speed_a=self.speed_a,
+                speed_b=self.speed_b,
+                stall_agent=self.stall_agent,
+                stall_time=self.stall_time,
+                stall_duration=self.stall_duration,
+            )
+            if asymmetric:
+                outcome = simulate_batch_asymmetric(
+                    [instance], algorithm, radius_a=[r_a], radius_b=[r_b], **options
+                )[0]
+            else:
+                outcome = AsymmetricOutcome(
+                    simulate_batch([instance], algorithm, **options)[0], r_a, r_b
+                )
+        else:
+            wall_start = _time.perf_counter()
+            specs = scaled_agents(instance, self.speed_a, self.speed_b)
+            recorder_a, recorder_b = (
+                TrajectoryRecorder(spec.start, self.record_limit)
+                if self.record_trajectories
+                else None
+                for spec in specs
+            )
+            cursor_a, cursor_b = (
+                _AgentCursor(
+                    spec, _resolve_blocks(algorithm, instance, spec, role), timebase,
+                    recorder, stream_transform=transform,
+                )
+                for spec, role, recorder, transform in zip(
+                    specs, "AB", (recorder_a, recorder_b), self._stall_transforms(timebase)
+                )
+            )
+            # Meetings are declared at the smaller radius; with per-agent
+            # radii the larger-radius agent freezes on sight (Section 5).
+            loop = drive_windows(
+                cursor_a,
+                cursor_b,
+                timebase,
+                max_time=self.max_time,
+                max_segments=self.max_segments,
+                radius=min(r_a, r_b) + self.radius_slack,
+                track_min_distance=self.track_min_distance,
+                freeze=(
+                    FreezeRule(
+                        radius=max(r_a, r_b) + self.radius_slack,
+                        agent="A" if r_a >= r_b else "B",
+                    )
+                    if asymmetric
+                    else None
+                ),
+                recorder_a=recorder_a,
+                recorder_b=recorder_b,
+            )
+            name = _algorithm_name(algorithm)
+            if asymmetric:
+                name += f"[r_a={r_a:g}, r_b={r_b:g}]"
+            result = SimulationResult(
+                instance=instance,
+                algorithm_name=name,
+                met=loop.met,
+                termination=loop.termination,
+                meeting_time=(
+                    timebase.to_float(loop.meeting_time_exact) if loop.met else None
+                ),
+                meeting_point_a=loop.meeting_pos_a,
+                meeting_point_b=loop.meeting_pos_b,
+                min_distance=loop.min_distance,
+                min_distance_time=loop.min_distance_time,
+                simulated_time=timebase.to_float(
+                    loop.meeting_time_exact if loop.met else loop.current
+                ),
+                segments_a=cursor_a.segments_consumed,
+                segments_b=cursor_b.segments_consumed,
+                windows_processed=loop.windows,
+                elapsed_wall_seconds=_time.perf_counter() - wall_start,
+                timebase_name=timebase.name,
+                trace_a=(recorder_a.as_polyline() if recorder_a is not None else None),
+                trace_b=(recorder_b.as_polyline() if recorder_b is not None else None),
+                meeting_time_exact=loop.meeting_time_exact,
+            )
+            outcome = AsymmetricOutcome(
+                result=result,
+                radius_a=r_a,
+                radius_b=r_b,
+                frozen_agent=loop.frozen_agent,
+                freeze_time=loop.freeze_time,
+                freeze_distance=loop.freeze_distance,
+            )
+            if _contracts.enabled():
+                check_outcome(outcome, max_time=self.max_time)
+            logger.debug("%s", result.summary())
+
         result = outcome.result
         if not result.met and self.raise_on_budget and result.termination in (
             TerminationReason.MAX_TIME,
@@ -625,43 +658,7 @@ class RendezvousSimulator:
                 f"simulation budget exhausted ({result.termination.value}) after "
                 f"{result.segments_total} segments"
             )
-        return result
-
-    def _run_vectorized(self, instance: Instance, algorithm: Any) -> SimulationResult:
-        """Delegate one run to the columnar batch engine of :mod:`repro.sim.batch`."""
-        from repro.sim.batch import simulate_batch  # local import: avoids a cycle
-
-        if get_timebase(self.timebase).name != "float":
-            raise ValueError(
-                "engine='vectorized' supports only the float timebase; the event "
-                "engine stays authoritative for exact-timebase runs"
-            )
-        if self.record_trajectories:
-            raise ValueError(
-                "engine='vectorized' does not record trajectories; use engine='event'"
-            )
-        result = simulate_batch(
-            [instance],
-            algorithm,
-            max_time=self.max_time,
-            max_segments=self.max_segments,
-            radius_slack=self.radius_slack,
-            track_min_distance=self.track_min_distance,
-            speed_a=self.speed_a,
-            speed_b=self.speed_b,
-            stall_agent=self.stall_agent,
-            stall_time=self.stall_time,
-            stall_duration=self.stall_duration,
-        )[0]
-        if not result.met and self.raise_on_budget and result.termination in (
-            TerminationReason.MAX_TIME,
-            TerminationReason.MAX_SEGMENTS,
-        ):
-            raise SimulationBudgetExceeded(
-                f"simulation budget exhausted ({result.termination.value}) after "
-                f"{result.segments_total} segments"
-            )
-        return result
+        return outcome
 
 
 def simulate(

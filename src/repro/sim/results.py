@@ -108,3 +108,29 @@ class SimulationResult:
         }
         record.update({f"instance_{k}": v for k, v in self.instance.as_dict().items()})
         return record
+
+
+@dataclass
+class AsymmetricOutcome:
+    """A :class:`SimulationResult` together with the run's freeze event.
+
+    Under per-agent visibility radii (Section 5) ``result.met`` means the
+    distance reached the smaller radius, and the freeze fields record the
+    larger-radius agent stopping on sight; they stay ``None`` when no freeze
+    happened (always so for equal radii).
+    """
+
+    result: SimulationResult
+    radius_a: float
+    radius_b: float
+    frozen_agent: Optional[str] = None
+    freeze_time: Optional[float] = None
+    freeze_distance: Optional[float] = None
+
+    @property
+    def met(self) -> bool:
+        return self.result.met
+
+    @property
+    def meeting_time(self) -> Optional[float]:
+        return self.result.meeting_time

@@ -27,6 +27,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.executor import retry_delay
+from repro.contracts.core import ContractViolation, _override_mode
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -434,6 +435,40 @@ class TestConcurrentRunners:
         # ...yet the campaign finished, byte-identical to the reference.
         assert stats.complete
         identical_stores(directory, sequential_reference)
+
+
+class TestRecomputeAccounting:
+    """``rows_recomputed`` counts rows committed over a shard already on record."""
+
+    def _run_with_peer_commit(self, directory, reference):
+        # The hook runs after this run claimed the shard's lease and checked
+        # the manifest: committing the reference bytes there plays a peer
+        # that finished the shard behind our back, so our commit recomputes it.
+        spec = make_spec()
+        target = plan_shards(spec)[1]
+        store = CampaignStore(str(directory))
+
+        def peer_commit(shard):
+            if shard.shard_id == target.shard_id and shard.shard_id not in store.completed():
+                columns = CampaignStore(str(reference)).read_shard(shard.shard_id)
+                store.write_shard(shard, columns)
+
+        return target, run_campaign(str(directory), spec, shard_hook=peer_commit)
+
+    def test_recommitted_shard_counts_its_rows(self, tmp_path, sequential_reference):
+        directory = tmp_path / "camp"
+        with _override_mode("off"):
+            target, stats = self._run_with_peer_commit(directory, sequential_reference)
+        assert target.shard_id in stats.executed_shard_ids
+        assert stats.rows_recomputed == target.count
+        assert stats.complete
+        identical_stores(directory, sequential_reference)
+
+    def test_recompute_contract_fires(self, tmp_path, sequential_reference):
+        with _override_mode("raise"), pytest.raises(
+            ContractViolation, match="campaign.resume_no_recompute"
+        ):
+            self._run_with_peer_commit(tmp_path / "camp", sequential_reference)
 
 
 class TestWorkerPhaseObservability:

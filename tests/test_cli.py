@@ -76,6 +76,33 @@ class TestSimulateCommand:
         assert "froze at" in out
         assert "rendezvous at" in out
 
+    def test_asymmetric_radii_refuse_render(self, capsys):
+        # Per-agent radii runs record no trajectory, so --render would draw
+        # an empty canvas: the library refuses and the CLI reports a usage
+        # error instead of exiting 0.
+        code = main(
+            ["simulate", "--r", "1", "--x", "3", "--y", "0", "--tau", "2",
+             "--algorithm", "almost-universal-compact", "--max-time", "1e5",
+             "--radius-a", "2", "--radius-b", "1", "--render"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "asymmetric-radius runs do not record trajectories" in captured.err
+        assert "+--" not in captured.out
+
+    @pytest.mark.parametrize("extra", [
+        ["--engine", "vectorized"],
+        ["--engine", "vectorized", "--timebase", "float", "--render"],
+        ["--engine", "vectorized", "--radius-b", "0.3"],
+    ])
+    def test_vectorized_usage_errors_exit_2(self, extra, capsys):
+        code = main(
+            ["simulate", "--r", "0.5", "--x", "1", "--y", "1",
+             "--algorithm", "stay-put", "--allow-miss", *extra]
+        )
+        assert code == 2
+        assert "error: engine='vectorized'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [
         ["--kernel-backend", "numpy"],
         ["--kernel-threads", "2"],
@@ -285,6 +312,22 @@ class TestCampaignDoctorAndFaultFlags:
         assert code == 0
         assert "workers: 2" in out
         assert main(["campaign", "report", "--campaign-dir", str(directory), "--check"]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_processes_with_worker_pool_is_a_usage_error(self, command, tmp_path, capsys):
+        # Spawned worker slots run without a per-task pool, so --processes
+        # would be silently ignored: refuse before any shard is planned.
+        directory = tmp_path / "camp"
+        argv = (
+            self._run_args(directory)
+            if command == "run"
+            else ["campaign", "resume", "--campaign-dir", str(directory)]
+        )
+        code = main(argv + ["--workers", "2", "--processes", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--processes" in err and "--workers" in err
+        assert not directory.exists()
 
     def test_invalid_workers_reports_clean_error(self, tmp_path, capsys):
         code = main(self._run_args(tmp_path / "camp", ["--workers", "0"]))

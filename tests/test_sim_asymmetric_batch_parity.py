@@ -13,6 +13,7 @@ single-entry eviction bound, and the ``batch_interchangeable`` grouping
 opt-in.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -33,7 +34,7 @@ from repro.sim.batch import batch_group_key, simulate_batch
 from repro.sim.batch_asymmetric import simulate_batch_asymmetric
 from repro.sim.engine import RendezvousSimulator, simulate
 from repro.sim.results import TerminationReason
-from repro.util.errors import KnowledgeError
+from repro.util.errors import KnowledgeError, SimulationBudgetExceeded
 
 MAX_TIME = 1e5
 MAX_SEGMENTS = 30_000
@@ -188,6 +189,15 @@ class TestAsymmetricParityAcrossClasses:
         assert batch.result.simulated_time == pytest.approx(
             event.result.simulated_time, rel=1e-9
         )
+
+
+def _all_fields(result):
+    """Every field of a result but the wall time, the name included."""
+    return {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+        if field.name != "elapsed_wall_seconds"
+    }
 
 
 def _result_fields(result):
@@ -508,16 +518,45 @@ class TestEngineSelector:
             )
 
     def test_simulator_routes_radius_fields(self, type4_instance):
-        event = RendezvousSimulator(
-            max_time=MAX_TIME, radius_b=type4_instance.r * 0.5
-        ).run(type4_instance, get_algorithm("almost-universal-compact"))
-        vectorized = RendezvousSimulator(
-            max_time=MAX_TIME, radius_b=type4_instance.r * 0.5,
-            engine="vectorized",
-        ).run(type4_instance, get_algorithm("almost-universal-compact"))
+        # The simulator, ``simulate`` and ``simulate_asymmetric`` share one
+        # run body: with radii, a speed factor and a stall they return the
+        # same result on each engine, field for field (wall time aside).
+        algorithm = get_algorithm("almost-universal-compact")
+        radius_b = type4_instance.r * 0.5
+        scenario = dict(speed_b=1.5, stall_agent="B", stall_time=1.0,
+                        stall_duration=2.0)
+        results = {}
+        for engine in ("event", "vectorized"):
+            options = dict(max_time=MAX_TIME, engine=engine, **scenario)
+            via_simulator = RendezvousSimulator(radius_b=radius_b, **options).run(
+                type4_instance, algorithm
+            )
+            via_simulate = simulate(
+                type4_instance, algorithm, radius_a=type4_instance.r,
+                radius_b=radius_b, **options,
+            )
+            via_asymmetric = simulate_asymmetric(
+                type4_instance, algorithm, radius_b=radius_b, **options
+            ).result
+            assert (
+                _all_fields(via_simulator)
+                == _all_fields(via_simulate)
+                == _all_fields(via_asymmetric)
+            )
+            results[engine] = via_simulator
+        event, vectorized = results["event"], results["vectorized"]
         assert "r_a=" in event.algorithm_name
         assert vectorized.met == event.met
         assert vectorized.meeting_time == pytest.approx(event.meeting_time, rel=1e-9)
+
+    @pytest.mark.parametrize("engine", ["event", "vectorized"])
+    def test_radii_honour_raise_on_budget(self, type4_instance, engine):
+        simulator = RendezvousSimulator(
+            max_time=1.0, radius_b=type4_instance.r * 0.5, raise_on_budget=True,
+            engine=engine,
+        )
+        with pytest.raises(SimulationBudgetExceeded, match="max-time"):
+            simulator.run(type4_instance, get_algorithm("almost-universal-compact"))
 
     def test_simulate_wrapper_accepts_radii(self, type4_instance):
         result = simulate(

@@ -8,6 +8,7 @@ selection, ``None`` as "unbounded", and the clamp of rounding-negative
 durations at zero.
 """
 
+import pathlib
 from fractions import Fraction
 
 from repro.sim.engine import window_bounds
@@ -68,10 +69,21 @@ class TestWindowBounds:
         assert window == float(Fraction(1, 3))
 
     def test_single_implementation(self):
-        # The refactor's point: exactly one window-end clamp in the codebase.
-        # The asymmetric module must not grow its own loop again.
+        # The refactor's point: exactly one window-end clamp in the codebase,
+        # inside one window loop with one caller (the simulator's run body).
+        # The asymmetric module must not grow its own loop or run body again.
+        import repro
         import repro.sim.asymmetric as asymmetric
         import repro.sim.engine as engine
 
-        assert asymmetric.drive_windows is engine.drive_windows
+        assert asymmetric.RendezvousSimulator is engine.RendezvousSimulator
         assert not hasattr(asymmetric, "_freeze")
+        assert not hasattr(asymmetric, "drive_windows")
+        root = pathlib.Path(repro.__file__).parent
+        calls = [
+            (path.name, line)
+            for path in sorted(root.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if "drive_windows(" in line and "def drive_windows(" not in line
+        ]
+        assert len(calls) == 1, calls
