@@ -1,14 +1,15 @@
-"""Campaign example: sweep a parameter over many instances, in parallel.
+"""Campaign example: sweep a parameter over many instances.
 
-Uses the stratified sampler and the process-pool batch runner to measure how
-the meeting time of ``AlmostUniversalRV`` and of the dedicated witnesses
-behaves across a population of type-1 and type-4 instances, then writes the
-aggregate table and the raw records under ``results/``.
+Uses the stratified sampler and the batch runner to measure how the meeting
+time of ``AlmostUniversalRV`` and of the dedicated witnesses behaves across
+a population of type-1 and type-4 instances on the exact timebase, then
+writes the aggregate table and the raw records under ``results/``.  The
+runner works in this process; for parallel runs, express the sweep as a
+campaign and use ``repro campaign run --workers N``.
 
 Run with::
 
-    python examples/parameter_sweep.py            # uses all cores but one
-    REPRO_SWEEP_PROCESSES=1 python examples/parameter_sweep.py   # force inline
+    PYTHONPATH=src python examples/parameter_sweep.py
 """
 
 import os
@@ -46,11 +47,9 @@ def build_tasks():
 
 
 def main() -> None:
-    processes = os.environ.get("REPRO_SWEEP_PROCESSES")
-    runner = BatchRunner(processes=int(processes) if processes else None)
     tasks = build_tasks()
-    print(f"Running {len(tasks)} simulations on {runner.resolved_processes()} processes...")
-    records = runner.run(tasks)
+    print(f"Running {len(tasks)} simulations...")
+    records = BatchRunner().run(tasks)
 
     grouped = defaultdict(list)
     for record in records:

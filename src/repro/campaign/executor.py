@@ -40,7 +40,7 @@ byte-identical store — the Bobpp property (deterministic partitioning, free
 execution order) that lets one scheduler serve every worker count.
 
 The pool is deliberately hand-rolled over ``multiprocessing.Process`` pipes
-instead of ``concurrent.futures.ProcessPoolExecutor``: a hung shard must be
+instead of a ``concurrent.futures`` executor: a hung shard must be
 killed *individually*, and a ``BrokenProcessPool`` condemns every in-flight
 future where this pool loses only the dead worker's shard.
 
@@ -159,9 +159,9 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
 
     Workers compute *columns* and ship them back; the parent alone writes
     the store, so manifest appends are serialized per runner process.  Each
-    worker holds its own inline :class:`BatchRunner` — vectorized shards are
-    one batch-engine call, exact-timebase shards run the event engine
-    in-process (the parallelism is already shard-granular).
+    worker holds its own :class:`BatchRunner` — vectorized shards are one
+    batch-engine call, exact-timebase shards run the event engine task by
+    task in the worker (the parallelism is shard-granular).
 
     Wire protocol: with observability off (the default) each shard answers
     with one ``("ok", shard_id, columns, wall)`` tuple.  With observability
@@ -179,35 +179,35 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.parallel.runner import BatchRunner
 
-    with BatchRunner(processes=1) as runner:
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                return
-            shard, fault = message[1], message[2]
-            try:
-                _apply_fault(fault)
-                columns, wall, phases = _compute_shard(spec, shard, runner)
-                if phases is None:
-                    conn.send(("ok", shard.shard_id, columns, wall))
-                    continue
-                with _obs.collect() as ipc:
-                    with _obs.span("ipc.serialize"):
-                        payload = pickle.dumps(
-                            ("columns", shard.shard_id, columns),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    _obs.add("ipc.bytes", len(payload))
-                    with _obs.span("ipc.pipe_send"):
-                        conn.send_bytes(payload)
-                phases.update(ipc)
-                phases[_phases.IPC_BYTES_KEY] = float(len(payload))
-                conn.send(("ok2", shard.shard_id, wall, phases))
-                # Per-shard segment flush: a later terminated worker loses
-                # at most the shard in flight, not its whole timeline.
-                _trace.flush()
-            except BaseException:
-                conn.send(("error", shard.shard_id, traceback.format_exc()))
+    runner = BatchRunner()
+    while True:
+        message = conn.recv()
+        if message[0] == "stop":
+            return
+        shard, fault = message[1], message[2]
+        try:
+            _apply_fault(fault)
+            columns, wall, phases = _compute_shard(spec, shard, runner)
+            if phases is None:
+                conn.send(("ok", shard.shard_id, columns, wall))
+                continue
+            with _obs.collect() as ipc:
+                with _obs.span("ipc.serialize"):
+                    payload = pickle.dumps(
+                        ("columns", shard.shard_id, columns),
+                        protocol=pickle.HIGHEST_PROTOCOL,
+                    )
+                _obs.add("ipc.bytes", len(payload))
+                with _obs.span("ipc.pipe_send"):
+                    conn.send_bytes(payload)
+            phases.update(ipc)
+            phases[_phases.IPC_BYTES_KEY] = float(len(payload))
+            conn.send(("ok2", shard.shard_id, wall, phases))
+            # Per-shard segment flush: a later terminated worker loses
+            # at most the shard in flight, not its whole timeline.
+            _trace.flush()
+        except BaseException:
+            conn.send(("error", shard.shard_id, traceback.format_exc()))
 
 
 @dataclass
@@ -243,9 +243,9 @@ class ShardExecutor:
 
     Built and torn down inside :func:`repro.campaign.orchestrator.run_campaign`
     (one executor per call); mutates the call's ``stats`` in place.  ``workers``
-    picks the slot kind: ``1`` computes in this process through ``runner``
-    (``None`` makes a :class:`~repro.parallel.runner.BatchRunner` for the
-    run), ``>= 2`` spawns that many worker processes.
+    picks the slot kind: ``1`` computes in this process through its own
+    :class:`~repro.parallel.runner.BatchRunner`, ``>= 2`` spawns that many
+    worker processes.
     """
 
     store: CampaignStore
@@ -261,7 +261,6 @@ class ShardExecutor:
     max_shards: Optional[int] = None
     shard_hook: Optional[Callable[[Shard], None]] = None
     should_stop: Callable[[], bool] = lambda: False
-    runner: Any = None
     _slots: List[Any] = field(default_factory=list, init=False, repr=False)
     _mp = None
 
@@ -310,24 +309,16 @@ class ShardExecutor:
     # -- slots -------------------------------------------------------------------
     def _open_slots(self) -> None:
         if self.workers == 1:
-            runner = self.runner
-            if runner is None:
-                from repro.parallel.runner import BatchRunner
+            from repro.parallel.runner import BatchRunner
 
-                runner = BatchRunner()
-            self._slots.append(_InProcessSlot(runner=runner))
+            self._slots.append(_InProcessSlot(runner=BatchRunner()))
             return
         self._mp = get_context("spawn")
         for _ in range(self.workers):
             self._slots.append(self._spawn())
 
     def _close_slots(self) -> None:
-        spawned = []
-        for slot in self._slots:
-            if isinstance(slot, _Worker):
-                spawned.append(slot)
-            elif slot.runner is not self.runner:
-                slot.runner.close()
+        spawned = [slot for slot in self._slots if isinstance(slot, _Worker)]
         for worker in spawned:
             if worker.current is None and worker.process.is_alive():
                 try:

@@ -5,11 +5,12 @@ run, a spec) it plans the shards, skips every shard the manifest already
 records (and every quarantined one), and hands the rest to the one shard
 scheduler, :class:`~repro.campaign.executor.ShardExecutor`.  ``workers``
 picks its slot kind — ``1`` computes each shard in this process through a
-persistent :class:`~repro.parallel.runner.BatchRunner` (vectorizable shards
-one inline batch-engine call each), ``>= 2`` spawns worker processes that
-survive death and hangs — while lease claiming, retry with backoff,
-poison-shard quarantine and commits run the same for both.  Each finished
-shard is committed atomically
+:class:`~repro.parallel.runner.BatchRunner` (vectorizable shards one
+batch-engine call each), ``>= 2`` spawns worker processes that survive death
+and hangs — while lease claiming, retry with backoff, poison-shard
+quarantine and commits run the same for both.  Spawned slots are the only
+process pool: exact-timebase campaigns, too, parallelize by whole shards.
+Each finished shard is committed atomically
 (:meth:`~repro.campaign.store.CampaignStore.write_shard`) before the next
 result is taken, so a crash loses at most the shards in flight and
 ``resume`` recomputes **zero** finished shards; a commit that fails
@@ -47,12 +48,16 @@ __all__ = ["CampaignRunStats", "run_campaign", "status_rows"]
 class CampaignRunStats:
     """What one :func:`run_campaign` call did (the resume counters live here).
 
-    ``shards_skipped`` counts finished shards the manifest let the call skip;
-    ``rows_recomputed`` counts rows committed for shards the manifest
-    *already* recorded complete at commit time (a peer finished the shard
-    after this call's lease claim).  Resume skips complete shards, so it
-    stays 0 and the crash/resume suite pins it there: it is the observable
-    form of the "resume recomputes nothing" contract.
+    ``shards_skipped`` counts finished shards the manifest let the call skip.
+    ``rows_recomputed`` counts *takeover recommits*: rows committed for
+    shards the manifest already recorded complete at commit time, because a
+    peer finished the shard after this call's lease claim (typically by
+    taking over the lease once this call stalled past ``lease_timeout``).
+    The store's last-record-wins rule makes such a recommit harmless: the
+    shard is deterministic, so its bytes are the same.  A crash-free resume
+    has no peer, so the crash/resume suite pins it at 0.  The
+    ``campaign.resume_no_recompute`` contract checks ``executed_shard_ids``
+    instead: no shard recorded complete when the call began is executed.
     """
 
     spec_digest: str
@@ -157,7 +162,6 @@ def run_campaign(
     directory: str,
     spec: Optional[CampaignSpec] = None,
     *,
-    runner=None,
     max_shards: Optional[int] = None,
     shard_hook: Optional[Callable[[Shard], None]] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -180,12 +184,6 @@ def run_campaign(
     spec:
         The campaign to run.  ``None`` loads the spec from the directory —
         that is a *resume*, and requires the directory to exist.
-    runner:
-        A :class:`~repro.parallel.runner.BatchRunner` the in-process slot
-        (``workers=1``) executes shards through.  ``None`` creates one for
-        the call (and closes it after); pass a long-lived runner to share its
-        persistent worker pool across campaigns.  Spawned slots hold their
-        own runners.
     max_shards:
         Execute at most this many shards, then stop with
         ``stats.interrupted = True`` — the controlled form of "kill it
@@ -303,7 +301,6 @@ def run_campaign(
                 max_shards=max_shards,
                 shard_hook=shard_hook,
                 should_stop=stop_requested,
-                runner=runner,
             ).run(pending)
         finally:
             stats.wall_seconds = time.perf_counter() - start
@@ -321,9 +318,10 @@ def run_campaign(
             f"(see {store.FAILED_DIR}/), the rest of the store is valid"
         )
     if _contracts.enabled():
+        rerun = sorted(set(stats.executed_shard_ids).intersection(done))
         CAMPAIGN_RESUME_NO_RECOMPUTE.check(
-            stats.rows_recomputed == 0,
-            f"{stats.rows_recomputed} rows recomputed for already-complete shards",
+            not rerun,
+            f"shards recorded complete before the call were executed: {rerun}",
         )
     if _trace.active():
         # The pool is down by now, so worker segments are final; fold them

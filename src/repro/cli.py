@@ -114,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     try:
         validate_scenario_options(declared, "command line", error=ValueError)
-        outcome = simulator._run(instance, algorithm)
+        outcome = simulator._run(instance, algorithm, "repro simulate")
     except ValueError as error:
         # Bad option combinations (an exact timebase or --render on the
         # vectorized engine, --render with per-agent radii) are the library's
@@ -310,31 +310,18 @@ def _campaign_spec_from_args(args: argparse.Namespace):
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import run_campaign
-    from repro.parallel.runner import BatchRunner
 
-    if args.workers >= 2 and args.processes is not None:
-        # Spawned worker slots compute their shards without a per-task pool,
-        # so the pool size would silently apply to nothing.
-        print(
-            "error: --processes applies only to --workers 1 (spawned workers "
-            "run their shards without a process pool); drop --processes or "
-            "--workers",
-            file=sys.stderr,
-        )
-        return 2
     spec = _campaign_spec_from_args(args) if args.campaign_command == "run" else None
-    with BatchRunner(processes=args.processes) as runner:
-        stats = run_campaign(
-            args.campaign_dir,
-            spec,
-            runner=runner,
-            max_shards=args.max_shards,
-            progress=print,
-            workers=args.workers,
-            shard_timeout=args.shard_timeout,
-            max_attempts=args.max_attempts,
-            lease_timeout=args.lease_timeout,
-        )
+    stats = run_campaign(
+        args.campaign_dir,
+        spec,
+        max_shards=args.max_shards,
+        progress=print,
+        workers=args.workers,
+        shard_timeout=args.shard_timeout,
+        max_attempts=args.max_attempts,
+        lease_timeout=args.lease_timeout,
+    )
     if stats.interrupted:
         print(f"interrupted: resume with `repro campaign resume --campaign-dir {args.campaign_dir}`")
         return 3
@@ -820,10 +807,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "continues one from its stored spec, `status`/`report` summarize "
                     "the on-disk columns by streaming them (exit code 3 = incomplete), "
                     "`doctor` verifies (and with --repair, fixes) store integrity. "
-                    "Execution is fault-tolerant: `--workers N` fans shards out over "
-                    "a process pool that survives worker death, hangs and poison "
-                    "shards, and lease files make concurrent runners on one store "
-                    "safe.",
+                    "Execution is fault-tolerant: `--workers N` fans whole shards out "
+                    "over N spawned worker processes that survive worker death, "
+                    "hangs and poison shards (the only way to run a campaign, "
+                    "exact timebase included, in parallel), and lease files make "
+                    "concurrent runners on one store safe.",
     )
     campaign_sub = campaign_parser.add_subparsers(dest="campaign_command", required=True)
 
@@ -832,10 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="campaign directory (spec + manifest + shard columns)")
         sub.add_argument("--max-shards", type=int, default=None, metavar="N",
                          help="stop after N shards (exit code 3; resume later)")
-        sub.add_argument("--processes", type=int, default=None, metavar="N",
-                         help="worker processes for non-vectorizable (e.g. exact-"
-                              "timebase) shards; vectorized shards never use workers "
-                              "(needs --workers 1)")
         sub.add_argument("--workers", type=int, default=1, metavar="N",
                          help="shard slots: 1 computes shards in-process, >= 2 "
                               "spawns that many worker processes (adding per-shard "

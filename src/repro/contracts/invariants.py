@@ -141,8 +141,8 @@ STORE_SHARD_ROUNDTRIP = declare(
 )
 CAMPAIGN_RESUME_NO_RECOMPUTE = declare(
     "campaign.resume_no_recompute",
-    "a campaign run never recomputes a shard the manifest already records as "
-    "complete",
+    "a campaign run never executes a shard the manifest recorded as complete "
+    "when the run began",
 )
 LEASE_RELEASE_OWN_ONLY = declare(
     "lease.release_own_only",

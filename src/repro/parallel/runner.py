@@ -1,4 +1,4 @@
-"""Batch runner for simulation campaigns: vectorized inline, pooled fallback.
+"""Batch runner for simulation campaigns: vectorized groups, event-engine rest.
 
 The Monte-Carlo experiments (Theorem 3.1 / 3.2 characterization sweeps,
 scaling studies) simulate hundreds of independent instances.  Since the
@@ -6,30 +6,23 @@ vectorized batch engine (:mod:`repro.sim.batch`, one round driver behind
 two entry points) solves whole campaigns as array code, the runner's default
 mode groups compatible tasks by (algorithm, options) and dispatches each
 group to :func:`repro.sim.batch.simulate_batch` (or its asymmetric-radius
-counterpart for tasks with per-agent radii) *inline* — no worker processes,
-and therefore results that are bit-identical regardless of any worker count.
-Tasks the vectorized engine cannot take (exact timebase — authoritative for
-the S1/S2 boundary runs — trajectory recording, ``raise_on_budget``) fall
-back to the per-task event engine, optionally across a process pool.
+counterpart for tasks with per-agent radii).  Tasks the vectorized engine
+cannot take (exact timebase — authoritative for the S1/S2 boundary runs —
+trajectory recording, ``raise_on_budget``) run through the per-task event
+engine.  Everything runs in the calling process: parallelism is
+shard-granular (``repro campaign run --workers N``, see
+:mod:`repro.campaign.executor`), so results never depend on which process
+computed them.
 
-Design notes, following the hpc-parallel guides:
-
-* tasks are *descriptions* (instance dict + algorithm name + simulator
-  options), not live objects, so they pickle cheaply and deterministically;
-* the worker re-instantiates the algorithm from the registry by name;
-* results come back as flat records (dicts of scalars), not
-  :class:`SimulationResult` objects, so the driver can assemble a numpy /
-  CSV table without shipping trajectories between processes;
-* ``processes=1`` (or batches smaller than ``min_parallel``) bypasses the pool
-  entirely, which keeps unit tests fast and stack traces readable.
+Tasks are *descriptions* (instance dict + algorithm name + simulator
+options), not live objects, and results come back as flat records (dicts of
+scalars), not :class:`SimulationResult` objects, so a campaign shard can be
+shipped to a worker and its table assembled without trajectories.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.registry import get_algorithm
@@ -67,7 +60,7 @@ class BatchTask:
 
 
 def _execute_task(task: BatchTask) -> Dict[str, Any]:
-    """Worker entry point: run one task and return a flat result record."""
+    """Run one task through the event engine and return a flat result record."""
     instance = Instance.from_dict(task.instance)
     algorithm = get_algorithm(task.algorithm)
     simulator = RendezvousSimulator(**task.simulator_options)
@@ -196,7 +189,7 @@ def _execute_vectorized_group(tasks: Sequence[BatchTask]) -> List[Dict[str, Any]
 
 @dataclass
 class BatchRunner:
-    """Runs batches of :class:`BatchTask`: vectorized inline, pooled fallback.
+    """Runs batches of :class:`BatchTask`: vectorized groups, event-engine rest.
 
     Parameters
     ----------
@@ -206,49 +199,16 @@ class BatchRunner:
         :func:`repro.sim.batch.simulate_batch` — or, for tasks carrying
         per-agent ``radius_a``/``radius_b``, through
         :func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric` —
-        inline, and the rest through the per-task event engine; ``"event"``
-        forces the per-task path for everything; ``"vectorized"`` requires
-        every task to be vectorizable (raises ``ValueError`` otherwise).
-    processes:
-        Worker processes for the per-task fallback.  ``None`` uses
-        ``os.cpu_count() - 1`` (at least 1); ``1`` runs everything inline.
-        The vectorized path never uses workers: results are identical for
-        every ``processes`` value.
-    min_parallel:
-        Fallback batches smaller than this run inline even when
-        ``processes > 1`` — the pool start-up cost would dominate.
-    chunksize:
-        Tasks handed to a worker at a time (``None`` lets the runner pick
-        roughly ``len(tasks) / (4 * processes)``).
+        and the rest through the per-task event engine; ``"event"`` forces
+        the per-task path for everything; ``"vectorized"`` requires every
+        task to be vectorizable (raises ``ValueError`` otherwise).
 
-    The fallback's worker pool is a persistent
-    :class:`concurrent.futures.ProcessPoolExecutor`, created lazily on the
-    first pooled run and reused across ``run()`` calls, so repeated campaigns
-    pay the spawn cost once.  Call :meth:`close` (or use the runner as a
-    context manager) to release it; a closed runner stays usable and simply
-    respawns on demand.
-
-    This is also the campaign orchestrator's shard dispatcher
-    (:func:`repro.campaign.orchestrator.run_campaign`): one runner spans the
-    whole campaign and takes one ``run()`` call per shard, so vectorizable
-    shards execute as single inline batch-engine calls while exact-timebase
-    shards amortize the worker pool's spawn cost across every shard of the
-    campaign.
+    This is also the campaign shard body's dispatcher
+    (:mod:`repro.campaign.executor`): every shard slot, in-process or
+    spawned, takes one ``run()`` call per shard.
     """
 
     engine: str = "auto"
-    processes: Optional[int] = None
-    min_parallel: int = 8
-    chunksize: Optional[int] = None
-    _executor: Optional[ProcessPoolExecutor] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _executor_workers: int = field(default=0, init=False, repr=False, compare=False)
-
-    def resolved_processes(self) -> int:
-        if self.processes is not None:
-            return max(1, int(self.processes))
-        return max(1, (os.cpu_count() or 2) - 1)
 
     def run(self, tasks: Sequence[BatchTask]) -> List[Dict[str, Any]]:
         """Execute all tasks and return their result records, input order preserved."""
@@ -258,7 +218,7 @@ class BatchRunner:
                 f"unknown engine {self.engine!r}; expected 'auto', 'vectorized' or 'event'"
             )
         if self.engine == "event":
-            return self._run_event(tasks)
+            return [_execute_task(task) for task in tasks]
 
         vector_indices = [i for i, task in enumerate(tasks) if _vectorizable(task)]
         if self.engine == "vectorized" and len(vector_indices) < len(tasks):
@@ -269,11 +229,11 @@ class BatchRunner:
             )
 
         records: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-        # Group vectorizable tasks: each group is one inline batch-engine
-        # call, deterministic and worker-free.  Per-agent radii are *column*
-        # options — they stack into per-instance arrays instead of splitting
-        # the group — so the key is (algorithm, asymmetric?, remaining
-        # options): a whole radius-ratio sweep lands in one call.
+        # Group vectorizable tasks: each group is one batch-engine call.
+        # Per-agent radii are *column* options — they stack into per-instance
+        # arrays instead of splitting the group — so the key is (algorithm,
+        # asymmetric?, remaining options): a whole radius-ratio sweep lands
+        # in one call.
         groups: Dict[Tuple, List[int]] = {}
         for i in vector_indices:
             task = tasks[i]
@@ -291,65 +251,16 @@ class BatchRunner:
             for i, record in zip(indices, group_records):
                 records[i] = record
 
-        fallback = [i for i in range(len(tasks)) if records[i] is None]
-        if fallback:
-            fallback_records = self._run_event([tasks[i] for i in fallback])
-            for i, record in zip(fallback, fallback_records):
-                records[i] = record
+        for i, record in enumerate(records):
+            if record is None:
+                records[i] = _execute_task(tasks[i])
         return records  # type: ignore[return-value]
-
-    def _run_event(self, tasks: Sequence[BatchTask]) -> List[Dict[str, Any]]:
-        """The per-task event-engine path, pooled when the batch warrants it."""
-        workers = self.resolved_processes()
-        if workers <= 1 or len(tasks) < self.min_parallel:
-            return [_execute_task(task) for task in tasks]
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = max(1, len(tasks) // (4 * workers))
-        executor = self._ensure_executor(workers)
-        return list(executor.map(_execute_task, list(tasks), chunksize=chunksize))
-
-    def _ensure_executor(self, workers: int) -> ProcessPoolExecutor:
-        """The lazily created, reusable worker pool of the event fallback.
-
-        Spawn cost is paid once per runner (not once per ``run()`` call) and
-        amortized across repeated campaigns; workers are spawned — not forked
-        — for determinism and platform parity.  A changed ``processes``
-        setting rebuilds the pool on the next use.
-        """
-        if self._executor is not None and self._executor_workers != workers:
-            self.close()
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=get_context("spawn")
-            )
-            self._executor_workers = workers
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool, if one was ever created.
-
-        Idempotent; the runner remains usable afterwards (a new pool is
-        spawned on the next pooled run).  Prefer using the runner as a
-        context manager for scoped lifetimes.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_workers = 0
-
-    def __enter__(self) -> "BatchRunner":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
 
 
 def run_batch(
     instances: Iterable[Instance],
     algorithm: str,
     *,
-    processes: Optional[int] = 1,
     tag: str = "",
     engine: str = "auto",
     **simulator_options: Any,
@@ -359,7 +270,4 @@ def run_batch(
         BatchTask.make(instance, algorithm, tag=tag, **simulator_options)
         for instance in instances
     ]
-    # Scope the runner so any worker pool the fallback spawned is shut down
-    # deterministically instead of lingering until garbage collection.
-    with BatchRunner(engine=engine, processes=processes) as runner:
-        return runner.run(tasks)
+    return BatchRunner(engine=engine).run(tasks)

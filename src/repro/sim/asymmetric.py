@@ -99,4 +99,4 @@ def simulate_asymmetric(
         stall_agent=stall_agent,
         stall_time=stall_time,
         stall_duration=stall_duration,
-    )._run(instance, algorithm)
+    )._run(instance, algorithm, "simulate_asymmetric")

@@ -506,14 +506,17 @@ class RendezvousSimulator:
 
     def run(self, instance: Instance, algorithm: Any) -> SimulationResult:
         """Simulate ``algorithm`` on ``instance`` and return the outcome."""
-        return self._run(instance, algorithm).result
+        return self._run(instance, algorithm, "RendezvousSimulator.run").result
 
-    def _run(self, instance: Instance, algorithm: Any) -> AsymmetricOutcome:
+    def _run(self, instance: Instance, algorithm: Any, caller: str) -> AsymmetricOutcome:
         """The one single-run body: the result together with its freeze event.
 
-        :meth:`run`, :func:`repro.sim.asymmetric.simulate_asymmetric` and
-        ``repro simulate`` all come here.  Without per-agent radii the freeze
-        fields stay ``None`` and both radii read ``instance.r``.
+        :meth:`run`, :func:`simulate`,
+        :func:`repro.sim.asymmetric.simulate_asymmetric` and ``repro
+        simulate`` all come here, each naming itself as ``caller``
+        so option errors point at the entry point that was used.  Without
+        per-agent radii the freeze fields stay ``None`` and both radii read
+        ``instance.r``.
         """
         if self.engine not in ("event", "vectorized"):
             raise ValueError(
@@ -521,7 +524,7 @@ class RendezvousSimulator:
             )
         asymmetric = self.radius_a is not None or self.radius_b is not None
         validate_scenario_options(
-            {"radius_a": self.radius_a, "radius_b": self.radius_b}, "simulate_asymmetric"
+            {"radius_a": self.radius_a, "radius_b": self.radius_b}, caller
         )
         if not (math.isfinite(self.radius_slack) and self.radius_slack >= 0.0):
             raise ValueError("radius_slack must be non-negative and finite")
@@ -708,4 +711,4 @@ def simulate(
         stall_time=stall_time,
         stall_duration=stall_duration,
     )
-    return simulator.run(instance, algorithm)
+    return simulator._run(instance, algorithm, "simulate").result

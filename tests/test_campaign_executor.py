@@ -417,8 +417,7 @@ class TestConcurrentRunners:
         def commit_as_peer():
             time.sleep(0.6)
             instances = shard_instances(spec, held)
-            with BatchRunner(processes=1) as runner:
-                records = runner.run(shard_tasks(spec, held, instances))
+            records = BatchRunner().run(shard_tasks(spec, held, instances))
             store.write_shard(held, records_to_columns(held, records))
             peer.release(held.shard_id)
 
@@ -464,11 +463,65 @@ class TestRecomputeAccounting:
         assert stats.complete
         identical_stores(directory, sequential_reference)
 
-    def test_recompute_contract_fires(self, tmp_path, sequential_reference):
+    def test_takeover_recommit_keeps_the_contract(self, tmp_path, sequential_reference):
+        # This run claims the target's lease, then stalls in the hook past
+        # lease_timeout without a heartbeat; a peer takes the stale lease
+        # over and commits the shard first.  The run's own commit of the same
+        # shard is a takeover recommit: counted, byte-identical, and no
+        # breach of "never execute a shard recorded complete at the start".
+        from repro.campaign.leases import LeaseManager
+
+        directory = tmp_path / "camp"
+        spec = make_spec()
+        target = plan_shards(spec)[1]
+        store = CampaignStore(str(directory))
+        lease_timeout = 0.3
+        peer = LeaseManager(store.lease_dir, owner="peer", stale_after=lease_timeout)
+
+        def stall_then_peer_takes_over(shard):
+            if shard.shard_id != target.shard_id or shard.shard_id in store.completed():
+                return
+            time.sleep(lease_timeout * 2)
+            assert peer.acquire(shard.shard_id)
+            columns = CampaignStore(str(sequential_reference)).read_shard(shard.shard_id)
+            store.write_shard(shard, columns)
+            peer.release(shard.shard_id)
+
+        with _override_mode("raise"):
+            stats = run_campaign(
+                str(directory),
+                spec,
+                shard_hook=stall_then_peer_takes_over,
+                lease_timeout=lease_timeout,
+            )
+        assert peer.takeovers == 1
+        assert stats.executed_shard_ids.count(target.shard_id) == 1
+        assert stats.rows_recomputed == target.count
+        assert stats.complete
+        identical_stores(directory, sequential_reference)
+
+    def test_contract_fires_when_a_recorded_shard_runs_again(
+        self, tmp_path, monkeypatch
+    ):
+        # A scheduler that executed a shard the manifest recorded before the
+        # call began is what the contract exists to catch.
+        from repro.campaign import orchestrator
+
+        directory = tmp_path / "camp"
+        spec = make_spec()
+        run_campaign(str(directory), spec, max_shards=1)
+        first = plan_shards(spec)[0]
+        real_run = orchestrator.ShardExecutor.run
+
+        def rerun_first(executor, pending):
+            real_run(executor, pending)
+            executor.stats.executed_shard_ids.append(first.shard_id)
+
+        monkeypatch.setattr(orchestrator.ShardExecutor, "run", rerun_first)
         with _override_mode("raise"), pytest.raises(
             ContractViolation, match="campaign.resume_no_recompute"
         ):
-            self._run_with_peer_commit(tmp_path / "camp", sequential_reference)
+            run_campaign(str(directory))
 
 
 class TestWorkerPhaseObservability:

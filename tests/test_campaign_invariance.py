@@ -2,13 +2,16 @@
 
 Shards are position-seeded and the export concatenates them in plan order,
 so the stored columns cannot depend on how a campaign was cut or run.  Each
-draw picks a shard size, the worker count of a first run and, optionally, a
-``max_shards`` interruption followed by a resume under its own worker count;
-the exported columns must be byte-identical to one uninterrupted
-``workers=1`` run with a shard size outside the drawn set, and no call may
-recompute a row.  Every ``workers=2`` leg spawns worker processes, so the
-example budget is pinned small here (and the property stays out of the deep
-profile's CI leg).
+draw picks a timebase, a shard size, the worker count of a first run and,
+optionally, a ``max_shards`` interruption followed by a resume under its own
+worker count; the exported columns must be byte-identical to one
+uninterrupted ``workers=1`` run of that timebase with a shard size outside
+the drawn set, and no call may recompute a row.  The exact timebase routes
+every shard through the per-task event engine, so both shard bodies — one
+batch-engine call, or the event engine task by task — are covered across
+in-process and spawned slots (the only process pool).  Every ``workers=2``
+leg spawns worker processes, so the example budget is pinned small here
+(and the property stays out of the deep profile's CI leg).
 """
 
 import tempfile
@@ -27,35 +30,45 @@ from repro.campaign import (
 
 INSTANCES_PER_CELL = 8
 
+#: Simulator options per timebase; the event engine gets a smaller budget.
+SIMULATOR = {
+    "float": {"max_time": 1e6, "max_segments": 30_000},
+    "exact": {"max_time": 1e6, "max_segments": 10_000, "timebase": "exact"},
+}
 
-def make_spec(shard_size):
+
+def make_spec(shard_size, timebase="float"):
     return CampaignSpec(
         name="knob-invariance",
         arms=(CampaignArm(algorithm="almost-universal-compact"),),
         classes=("type-1", "type-2"),
         instances_per_cell=INSTANCES_PER_CELL,
         seed=29,
-        simulator={"max_time": 1e6, "max_segments": 30_000},
+        simulator=SIMULATOR[timebase],
         shard_size=shard_size,
     )
 
 
 @pytest.fixture(scope="module")
 def reference_columns(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("knob-reference") / "camp"
-    stats = run_campaign(str(directory), make_spec(4))
-    assert stats.complete
-    return CampaignStore(str(directory)).export_columns()
+    references = {}
+    for timebase in SIMULATOR:
+        directory = tmp_path_factory.mktemp(f"knob-reference-{timebase}") / "camp"
+        stats = run_campaign(str(directory), make_spec(4, timebase))
+        assert stats.complete
+        references[timebase] = CampaignStore(str(directory)).export_columns()
+    return references
 
 
 @st.composite
 def _runs(draw):
+    timebase = draw(st.sampled_from(sorted(SIMULATOR)))
     shard_size = draw(st.sampled_from((3, 5, 8, 16)))
     planned = len(plan_shards(make_spec(shard_size)))
     max_shards = draw(st.none() | st.integers(1, planned - 1))
     workers = draw(st.sampled_from((1, 2)))
     resume_workers = None if max_shards is None else draw(st.sampled_from((1, 2)))
-    return shard_size, workers, max_shards, resume_workers
+    return timebase, shard_size, workers, max_shards, resume_workers
 
 
 @settings(
@@ -65,11 +78,14 @@ def _runs(draw):
 def test_store_bytes_ignore_shard_size_workers_and_interruption(
     reference_columns, drawn
 ):
-    shard_size, workers, max_shards, resume_workers = drawn
+    timebase, shard_size, workers, max_shards, resume_workers = drawn
     with tempfile.TemporaryDirectory() as root:
         directory = f"{root}/camp"
         first = run_campaign(
-            directory, make_spec(shard_size), workers=workers, max_shards=max_shards
+            directory,
+            make_spec(shard_size, timebase),
+            workers=workers,
+            max_shards=max_shards,
         )
         assert first.rows_recomputed == 0
         if max_shards is not None:
@@ -81,6 +97,7 @@ def test_store_bytes_ignore_shard_size_workers_and_interruption(
         else:
             assert first.complete
         columns = CampaignStore(directory).export_columns()
-    assert set(columns) == set(reference_columns)
-    for name, column in reference_columns.items():
+    reference = reference_columns[timebase]
+    assert set(columns) == set(reference)
+    for name, column in reference.items():
         assert columns[name].tobytes() == column.tobytes(), name

@@ -107,14 +107,16 @@ class TestSimulateCommand:
         ["--kernel-backend", "numpy"],
         ["--kernel-threads", "2"],
         ["--cache-policy", "all"],
+        ["--processes", "2"],
     ])
     @pytest.mark.parametrize("command", ["simulate", "experiment", "campaign run",
                                          "campaign resume"])
     def test_removed_execution_flags_are_usage_errors(self, command, flag,
                                                       tmp_path, capsys):
-        # The kernel has one implementation, chunks are solved serially and
-        # campaign shards always admit only agent A's compiler: the flags
-        # that once selected among those are gone, and argparse says so.
+        # The kernel has one implementation, chunks are solved serially,
+        # campaign shards always admit only agent A's compiler and whole
+        # shards over --workers are the one process pool: the flags that
+        # once selected among those are gone, and argparse says so.
         argv = {
             "simulate": ["simulate", "--r", "0.5", "--x", "1", "--y", "1",
                          "--algorithm", "stay-put", "--timebase", "float",
@@ -312,22 +314,6 @@ class TestCampaignDoctorAndFaultFlags:
         assert code == 0
         assert "workers: 2" in out
         assert main(["campaign", "report", "--campaign-dir", str(directory), "--check"]) == 0
-
-    @pytest.mark.parametrize("command", ["run", "resume"])
-    def test_processes_with_worker_pool_is_a_usage_error(self, command, tmp_path, capsys):
-        # Spawned worker slots run without a per-task pool, so --processes
-        # would be silently ignored: refuse before any shard is planned.
-        directory = tmp_path / "camp"
-        argv = (
-            self._run_args(directory)
-            if command == "run"
-            else ["campaign", "resume", "--campaign-dir", str(directory)]
-        )
-        code = main(argv + ["--workers", "2", "--processes", "3"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "--processes" in err and "--workers" in err
-        assert not directory.exists()
 
     def test_invalid_workers_reports_clean_error(self, tmp_path, capsys):
         code = main(self._run_args(tmp_path / "camp", ["--workers", "0"]))

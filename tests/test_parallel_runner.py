@@ -1,4 +1,4 @@
-"""Tests for the process-pool batch runner."""
+"""Tests for the batch runner: vectorized groups, per-task event engine."""
 
 import math
 
@@ -28,104 +28,27 @@ class TestInlineExecution:
             Instance(r=0.5, x=1.0, y=1.0, phi=math.pi / 2.0),
             Instance(r=0.5, x=-1.0, y=0.5, phi=1.0),
         ]
-        records = run_batch(instances, "linear-probe", processes=1, max_time=1e4, tag="t")
+        records = run_batch(instances, "linear-probe", max_time=1e4, tag="t")
         assert len(records) == 2
         assert all(record["met"] for record in records)
         assert all(record["algorithm"] == "dedicated-linear-probe" for record in records)
         assert all(record["tag"] == "t" for record in records)
         assert records[0]["instance_x"] == 1.0
 
-    def test_small_batches_stay_inline_even_with_many_processes(self):
-        runner = BatchRunner(processes=8, min_parallel=100)
-        tasks = [
-            BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put", max_time=10.0)
-            for _ in range(3)
-        ]
-        records = runner.run(tasks)
-        assert len(records) == 3 and all(r["met"] for r in records)
-
-    def test_resolved_processes(self):
-        assert BatchRunner(processes=3).resolved_processes() == 3
-        assert BatchRunner(processes=0).resolved_processes() == 1
-        assert BatchRunner(processes=None).resolved_processes() >= 1
-
-
-class TestParallelExecution:
-    def test_pool_execution_matches_inline(self):
-        sampler = InstanceSampler(seed=3)
-        instances = sampler.batch_of_class(InstanceClass.TYPE_4, 10)
-        inline = run_batch(instances, "dedicated", processes=1, max_time=1e6, max_segments=50_000)
-        pooled = run_batch(instances, "dedicated", processes=2, max_time=1e6, max_segments=50_000)
-        assert len(pooled) == len(inline) == 10
-        for a, b in zip(inline, pooled):
-            assert a["met"] == b["met"]
-            assert a["meeting_time"] == pytest.approx(b["meeting_time"])
-            assert a["instance_x"] == b["instance_x"]
-
     def test_order_is_preserved(self):
+        # Alternate the timebase so vectorized groups and event-engine tasks
+        # interleave: records still come back in input order.
         instances = [Instance(r=2.0, x=float(k % 3 + 1) * 0.1, y=0.0) for k in range(12)]
-        records = run_batch(instances, "stay-put", processes=2, max_time=10.0)
+        tasks = [
+            BatchTask.make(
+                instance, "stay-put", tag=str(k), max_time=10.0,
+                timebase="exact" if k % 2 else "float",
+            )
+            for k, instance in enumerate(instances)
+        ]
+        records = BatchRunner().run(tasks)
+        assert [rec["tag"] for rec in records] == [str(k) for k in range(12)]
         assert [rec["instance_x"] for rec in records] == [inst.x for inst in instances]
-
-
-class TestPersistentPool:
-    def test_executor_is_reused_across_runs(self):
-        runner = BatchRunner(engine="event", processes=2, min_parallel=2)
-        tasks = [
-            BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put", max_time=10.0)
-            for _ in range(4)
-        ]
-        try:
-            first = runner.run(tasks)
-            executor = runner._executor
-            assert executor is not None
-            second = runner.run(tasks)
-            assert runner._executor is executor  # same pool, no respawn
-            assert [r["met"] for r in first] == [r["met"] for r in second]
-        finally:
-            runner.close()
-        assert runner._executor is None
-
-    def test_close_is_idempotent_and_runner_stays_usable(self):
-        runner = BatchRunner(engine="event", processes=2, min_parallel=2)
-        runner.close()  # nothing created yet
-        tasks = [
-            BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put", max_time=10.0)
-            for _ in range(4)
-        ]
-        records = runner.run(tasks)
-        runner.close()
-        runner.close()
-        assert all(r["met"] for r in records)
-        # Usable again after close: a fresh pool spawns on demand.
-        assert all(r["met"] for r in runner.run(tasks))
-        runner.close()
-
-    def test_context_manager_closes_pool(self):
-        tasks = [
-            BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put", max_time=10.0)
-            for _ in range(4)
-        ]
-        with BatchRunner(engine="event", processes=2, min_parallel=2) as runner:
-            runner.run(tasks)
-            assert runner._executor is not None
-        assert runner._executor is None
-
-    def test_changed_process_count_rebuilds_pool(self):
-        runner = BatchRunner(engine="event", processes=2, min_parallel=2)
-        tasks = [
-            BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put", max_time=10.0)
-            for _ in range(4)
-        ]
-        try:
-            runner.run(tasks)
-            first_pool = runner._executor
-            runner.processes = 3
-            runner.run(tasks)
-            assert runner._executor is not first_pool
-            assert runner._executor_workers == 3
-        finally:
-            runner.close()
 
 
 class TestPerTaskRadiusColumns:
@@ -158,7 +81,7 @@ class TestPerTaskRadiusColumns:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner_module, "simulate_batch_asymmetric", spy)
-        records = BatchRunner(processes=1).run(tasks)
+        records = BatchRunner().run(tasks)
         # Distinct per-task radii stack into per-instance columns of a
         # single vectorized call instead of one group per radius pair.
         assert len(calls) == 1
@@ -167,7 +90,7 @@ class TestPerTaskRadiusColumns:
 
     def test_mixed_ratio_sweep_matches_per_task_event_runs(self):
         instances, tasks = self._ratio_sweep_tasks()
-        records = BatchRunner(processes=1).run(tasks)
+        records = BatchRunner().run(tasks)
         assert [rec["tag"] for rec in records] == [str(k) for k in range(len(tasks))]
         for task, instance, record in zip(tasks, instances, records):
             outcome = simulate_asymmetric(
@@ -191,7 +114,7 @@ class TestPerTaskRadiusColumns:
             BatchTask.make(instance, "almost-universal-compact",
                            max_time=1e4, radius_b=0.25),
         ]
-        record = BatchRunner(processes=1).run(tasks)[0]
+        record = BatchRunner().run(tasks)[0]
         outcome = simulate_asymmetric(
             instance,
             runner_module.get_algorithm("almost-universal-compact"),
@@ -223,6 +146,6 @@ class TestPerTaskRadiusColumns:
             runner_module, "simulate_batch_asymmetric",
             lambda *a, **k: asymmetric_calls.append(k) or real_asym(*a, **k),
         )
-        records = BatchRunner(processes=1).run(tasks)
+        records = BatchRunner().run(tasks)
         assert len(symmetric_calls) == 1 and len(asymmetric_calls) == 1
         assert len(records) == 2 and all(rec["met"] for rec in records)

@@ -12,7 +12,7 @@ from repro.motion.instructions import Move
 from repro.sim.asymmetric import AsymmetricOutcome, simulate_asymmetric
 from repro.sim.batch import simulate_batch
 from repro.sim.batch_asymmetric import simulate_batch_asymmetric
-from repro.sim.engine import simulate
+from repro.sim.engine import RendezvousSimulator, simulate
 from repro.sim.results import TerminationReason
 
 
@@ -41,6 +41,33 @@ class TestBasicSemantics:
             simulate_asymmetric(instance, WalkEast(), radius_a=0.0)
         with pytest.raises(ValueError):
             simulate_asymmetric(instance, WalkEast(), max_time=math.inf)
+
+    @pytest.mark.parametrize("key", ["radius_a", "radius_b"])
+    @pytest.mark.parametrize(
+        "caller",
+        ["RendezvousSimulator.run", "simulate", "simulate_asymmetric", "repro simulate"],
+    )
+    def test_radius_errors_name_their_entry_point(self, caller, key, capsys):
+        # Every entry point shares one validating body; each error must
+        # still name the entry point the caller actually used.
+        expected = f"{caller}: {key} must be positive and finite, got 0.0"
+        if caller == "repro simulate":
+            from repro.cli import main
+
+            code = main(["simulate", "--r", "0.5", "--x", "3", "--y", "0",
+                         "--algorithm", "stay-put", f"--{key.replace('_', '-')}", "0"])
+            assert code == 2
+            assert f"error: {expected}" in capsys.readouterr().err
+            return
+        instance = Instance(r=0.5, x=3.0, y=0.0)
+        with pytest.raises(ValueError) as excinfo:
+            if caller == "simulate_asymmetric":
+                simulate_asymmetric(instance, WalkEast(), **{key: 0.0})
+            elif caller == "simulate":
+                simulate(instance, WalkEast(), **{key: 0.0})
+            else:
+                RendezvousSimulator(**{key: 0.0}).run(instance, WalkEast())
+        assert str(excinfo.value) == expected
 
     def test_larger_radius_agent_freezes_first(self):
         # B sleeps 10 time units; A walks east towards B.  A (radius 2) sees B

@@ -601,7 +601,7 @@ class TestBatchRunnerAsymmetric:
                 max_time=10.0, timebase="exact", radius_a=2.0, radius_b=1.5,
             )
         ]
-        records = BatchRunner(processes=1).run(tasks)
+        records = BatchRunner().run(tasks)
         assert records[0]["met"] and records[0]["timebase"] == "exact"
 
     def test_strict_vectorized_accepts_asymmetric_float_tasks(self):

@@ -233,7 +233,7 @@ class TestBatchRunnerVectorized:
             BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put",
                            max_time=10.0, timebase="exact")
         ]
-        records = BatchRunner(processes=1).run(tasks)
+        records = BatchRunner().run(tasks)
         assert records[0]["met"] and records[0]["timebase"] == "exact"
 
     def test_mixed_batch_preserves_order(self):
@@ -244,7 +244,7 @@ class TestBatchRunnerVectorized:
             if k % 2:
                 options["timebase"] = "exact"  # event fallback
             tasks.append(BatchTask.make(instance, "stay-put", tag=str(k), **options))
-        records = BatchRunner(processes=1).run(tasks)
+        records = BatchRunner().run(tasks)
         assert [rec["tag"] for rec in records] == [str(k) for k in range(9)]
         assert [rec["instance_x"] for rec in records] == [i.x for i in instances]
 
