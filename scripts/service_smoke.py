@@ -4,17 +4,21 @@
 The whole durable-service story, end to end against real processes and real
 sockets, in under a minute:
 
-1. start ``repro serve`` on an ephemeral port (daemon.json discovery);
+1. start ``repro serve --workers 2`` on an ephemeral port (daemon.json
+   discovery);
 2. submit one spec **twice** over HTTP — the second submission must
    deduplicate (HTTP 200, same digest, one store directory);
-3. ``kill -9`` the daemon mid-campaign — no drain, no shutdown record;
+3. ``kill -9`` the daemon mid-campaign — no drain, no shutdown record — and
+   every worker process it had must exit within 10 s;
 4. restart the daemon: ``/readyz`` must flip to 200 only after journal
    replay + ``doctor(repair=True)`` recovery, and the orphaned job must
    resume and complete **without recomputing any finished shard**
-   (``rows_recomputed == 0`` in the journaled stats);
+   (``rows_recomputed == 0`` in the journaled stats); a second job in the
+   same session must run on the first job's warm workers (``slots_spawned
+   == 0``), and the SIGTERM drain must leave no worker running;
 5. ``repro campaign report --check`` on the store must pass (checksums),
-   and the exported columns must be byte-identical to an uninterrupted
-   reference run of the same spec.
+   and the exported columns of both jobs must be byte-identical to
+   uninterrupted reference runs of the same specs.
 
 Usage:
     PYTHONPATH=src python scripts/service_smoke.py [--keep DIR]
@@ -65,7 +69,7 @@ def start_daemon(service_dir, env):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--service-dir", service_dir, "--log-level", "debug",
+            "--service-dir", service_dir, "--workers", "2", "--log-level", "debug",
         ],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
@@ -87,6 +91,39 @@ def start_daemon(service_dir, env):
 
     info = wait_for(discovered, 60, "daemon.json")
     return process, f"http://{info['host']}:{info['port']}"
+
+
+def child_pids(pid):
+    """The live child processes of ``pid`` (its shard workers)."""
+    children = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                children.update(int(child) for child in handle.read().split())
+        except OSError:
+            continue
+    return children
+
+
+def running(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def assert_exited(pids, what):
+    wait_for(lambda: not any(running(pid) for pid in pids), 10, what)
+
+
+def wait_complete(url, digest, timeout):
+    def completed():
+        _, current = http_json(f"{url}/campaigns/{digest}/status")
+        return current["job"]["state"] == "complete" and current
+    return wait_for(completed, timeout, f"job {digest[:12]} to complete")
 
 
 def ready(url):
@@ -118,6 +155,16 @@ def main() -> None:
         shard_size=4,
     )
     body = spec.to_json().encode()
+    # The second job of the restarted session: another seed, warm workers.
+    second_spec = CampaignSpec(
+        name="service-smoke-second",
+        arms=spec.arms,
+        classes=spec.classes,
+        instances_per_cell=8,
+        seed=43,
+        simulator=spec.simulator,
+        shard_size=spec.shard_size,
+    )
 
     root = args.keep or tempfile.mkdtemp(prefix="service-smoke-")
     service_dir = os.path.join(root, "service")
@@ -161,10 +208,14 @@ def main() -> None:
             campaign = status.get("campaign")
             return campaign and campaign["shards_complete"] >= 1
         wait_for(progress, 120, "one committed shard")
+        workers = child_pids(process.pid)
+        if not workers:
+            fail("a --workers 2 daemon mid-campaign should have worker processes")
         os.kill(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
         if process.returncode != -signal.SIGKILL:
             fail(f"daemon exit code {process.returncode}, expected SIGKILL")
+        assert_exited(workers, "workers to exit after the daemon's kill -9")
         if not os.path.exists(os.path.join(service_dir, "daemon.json")):
             fail("kill -9 should leave daemon.json behind (no drain ran)")
 
@@ -175,21 +226,30 @@ def main() -> None:
         if status["job"]["state"] not in ("running", "complete"):
             fail(f"crash-orphaned job replayed as {status['job']['state']}")
 
-        def completed():
-            _, current = http_json(f"{url}/campaigns/{digest}/status")
-            return current["job"]["state"] == "complete" and current
-        status = wait_for(completed, 300, "job completion after recovery")
+        status = wait_complete(url, digest, 300)
         stats = status["job"]["stats"]
         if stats["rows_recomputed"] != 0:
             fail(f"resume recomputed {stats['rows_recomputed']} rows, expected 0")
         if status["campaign"]["shards_complete"] != status["campaign"]["shards_total"]:
             fail("campaign incomplete after recovery")
+        code, second = http_json(f"{url}/campaigns", data=second_spec.to_json().encode())
+        if code != 201:
+            fail(f"second job: expected fresh 201, got {code} {second}")
+        second_stats = wait_complete(url, second["digest"], 120)["job"]["stats"]
+        if second_stats["slots_spawned"] != 0:
+            fail(
+                f"second job spawned {second_stats['slots_spawned']} worker(s); "
+                "it should have borrowed the session's warm ones"
+            )
 
-        # Graceful drain this time: clean shutdown record, daemon.json gone.
+        # Graceful drain this time: clean shutdown record, daemon.json gone,
+        # no worker left behind.
+        workers = child_pids(process.pid)
         process.send_signal(signal.SIGTERM)
         process.wait(timeout=60)
         if process.returncode != 0:
             fail(f"drained daemon exited {process.returncode}")
+        assert_exited(workers, "workers to exit after the drain")
         if os.path.exists(os.path.join(service_dir, "daemon.json")):
             fail("graceful drain should remove daemon.json")
 
@@ -198,18 +258,22 @@ def main() -> None:
         code = cli_main(["campaign", "report", "--campaign-dir", store_dir, "--check"])
         if code != 0:
             fail(f"report --check exited {code}")
-        reference_dir = os.path.join(root, "reference")
-        reference = run_campaign(reference_dir, spec)
-        if not reference.complete:
-            fail("reference run did not complete")
-        a = CampaignStore(reference_dir).export_columns()
-        b = CampaignStore(store_dir).export_columns()
-        for name in a:
-            if a[name].tobytes() != b[name].tobytes():
-                fail(f"column {name!r} differs from the uninterrupted reference")
+        for label, job_spec, job_digest in (
+            ("first", spec, digest),
+            ("second", second_spec, second["digest"]),
+        ):
+            reference_dir = os.path.join(root, f"reference-{label}")
+            reference = run_campaign(reference_dir, job_spec)
+            if not reference.complete:
+                fail(f"{label} reference run did not complete")
+            a = CampaignStore(reference_dir).export_columns()
+            b = CampaignStore(os.path.join(service_dir, "stores", job_digest)).export_columns()
+            for name in a:
+                if a[name].tobytes() != b[name].tobytes():
+                    fail(f"{label} job: column {name!r} differs from the reference")
         print(
             "[service-smoke] OK: dedup held, kill -9 recovered losslessly, "
-            "zero recomputed rows, bytes identical"
+            "zero recomputed rows, workers gone, warm second job, bytes identical"
         )
     finally:
         if process is not None and process.poll() is None:

@@ -2,8 +2,9 @@
 
 :class:`ShardExecutor` is the only shard scheduler.  With ``workers == 1`` it
 drives one *in-process slot* that computes and commits each shard
-synchronously; with ``workers >= 2`` it drives spawned worker processes over
-pipes.  Everything else runs once for both slot kinds:
+synchronously; with ``workers >= 2`` it borrows spawned worker processes from
+a :class:`SlotPool` and drives them over pipes.  Everything else runs once
+for both slot kinds:
 
 * **ready queue with backoff** — a failed shard re-queues with exponential
   backoff plus jitter, up to ``max_attempts`` total attempts;
@@ -26,17 +27,26 @@ pipes.  Everything else runs once for both slot kinds:
 
 Spawned slots add what only a separate process can survive:
 
-* **worker death** (SIGKILL, OOM, segfault) — detected by liveness polling;
-  the dead worker's shard re-queues with its attempt count bumped and a
-  replacement worker spawns (the pool is *rebuilt around* the loss, the
-  custom-pool equivalent of catching ``BrokenProcessPool``);
+* **worker death** (SIGKILL, OOM, segfault) — detected through the worker's
+  process sentinel; the dead worker's shard re-queues with its attempt count
+  bumped and a replacement worker spawns (the pool is *rebuilt around* the
+  loss, the custom-pool equivalent of catching ``BrokenProcessPool``);
 * **shard hang** — a per-shard ``shard_timeout`` deadline; an overdue worker
   is terminated, replaced, and its shard re-queued.
 
+Spawned slots outlive the run that borrowed them.  A :class:`SlotPool` keeps
+idle workers between runs: the service scheduler owns one for the daemon's
+lifetime, so only a session's first job pays the interpreter spawn, while
+every other caller of :func:`~repro.campaign.orchestrator.run_campaign`
+gets a private pool that is closed when the call returns.  A worker binds
+no spec: each assignment carries its own, and the process-wide caches a
+worker keeps from job to job (the builder cache of
+:mod:`repro.sim.rounds`) are result-neutral.
+
 None of this can change stored bytes: shards are deterministic in isolation
 (position-spawned seeds) and the export concatenates in plan order, so *any*
-execution order, retry history, slot kind or worker count yields a
-byte-identical store — the Bobpp property (deterministic partitioning, free
+execution order, retry history, slot kind, worker count or slot reuse yields
+a byte-identical store — the Bobpp property (deterministic partitioning, free
 execution order) that lets one scheduler serve every worker count.
 
 The pool is deliberately hand-rolled over ``multiprocessing.Process`` pipes
@@ -57,12 +67,13 @@ import os
 import pickle
 import random
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
-
 from multiprocessing import get_context
+from multiprocessing.connection import wait
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.campaign.leases import LeaseManager
 from repro.campaign.shards import Shard, shard_instances, shard_tasks
@@ -75,10 +86,11 @@ from repro.util.logging import get_logger
 
 logger = get_logger("campaign.executor")
 
-__all__ = ["FaultInjection", "ShardExecutor", "retry_delay"]
+__all__ = ["FaultInjection", "ShardExecutor", "SlotPool", "retry_delay"]
 
-#: Parent poll granularity (seconds) of spawned slots: result pipes,
-#: deadlines, liveness.  The in-process slot sleeps only when idle.
+#: Longest the loop blocks between turns (seconds), so a stop request is seen
+#: promptly.  Spawned slots wake earlier on a result, a worker death or the
+#: next timed event; the in-process slot sleeps only when idle.
 _POLL_INTERVAL = 0.02
 
 #: How often (seconds) the watch list re-reads the manifest for shards a
@@ -154,14 +166,17 @@ def _compute_shard(
     return columns, time.perf_counter() - started, phases
 
 
-def _worker_main(spec: CampaignSpec, conn) -> None:
+def _worker_main(conn) -> None:
     """Spawned slot: compute shards from the pipe until told to stop.
 
     Workers compute *columns* and ship them back; the parent alone writes
     the store, so manifest appends are serialized per runner process.  Each
     worker holds its own :class:`BatchRunner` — vectorized shards are one
     batch-engine call, exact-timebase shards run the event engine task by
-    task in the worker (the parallelism is shard-granular).
+    task in the worker (the parallelism is shard-granular).  A worker binds
+    no campaign: every ``("run", spec, shard, fault)`` assignment names its
+    own spec, so one warm worker serves job after job.  A closed pipe means
+    the parent is gone, and the worker returns quietly.
 
     Wire protocol: with observability off (the default) each shard answers
     with one ``("ok", shard_id, columns, wall)`` tuple.  With observability
@@ -181,10 +196,13 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
 
     runner = BatchRunner()
     while True:
-        message = conn.recv()
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
         if message[0] == "stop":
             return
-        shard, fault = message[1], message[2]
+        _, spec, shard, fault = message
         try:
             _apply_fault(fault)
             columns, wall, phases = _compute_shard(spec, shard, runner)
@@ -202,12 +220,16 @@ def _worker_main(spec: CampaignSpec, conn) -> None:
                     conn.send_bytes(payload)
             phases.update(ipc)
             phases[_phases.IPC_BYTES_KEY] = float(len(payload))
-            conn.send(("ok2", shard.shard_id, wall, phases))
-            # Per-shard segment flush: a later terminated worker loses
-            # at most the shard in flight, not its whole timeline.
+            # Per-shard segment flush, before the meta record: a terminated
+            # worker loses at most the shard in flight, and a merge the
+            # parent runs after its last commit already sees this shard.
             _trace.flush()
+            conn.send(("ok2", shard.shard_id, wall, phases))
         except BaseException:
-            conn.send(("error", shard.shard_id, traceback.format_exc()))
+            try:
+                conn.send(("error", shard.shard_id, traceback.format_exc()))
+            except OSError:
+                return
 
 
 @dataclass
@@ -226,6 +248,80 @@ class _Worker:
     current: Optional[_Assignment] = None
 
 
+def _retire(workers: List[_Worker]) -> None:
+    """Stop and join spawned slots: idle ones by message, busy ones by SIGTERM."""
+    for worker in workers:
+        if not worker.process.is_alive():
+            continue
+        if worker.current is None:
+            try:
+                worker.conn.send(("stop",))
+                continue
+            except OSError:
+                pass
+        worker.process.terminate()
+    for worker in workers:
+        worker.process.join(timeout=10.0)
+        if worker.process.is_alive():  # pragma: no cover - stop/terminate sufficing
+            worker.process.kill()
+            worker.process.join(timeout=10.0)
+        worker.conn.close()
+
+
+class SlotPool:
+    """Idle spawned slots, kept alive between :class:`ShardExecutor` runs.
+
+    :meth:`borrow` hands out live idle slots and spawns any that are missing;
+    :meth:`give_back` keeps the live idle ones and terminates any still
+    holding a shard; :meth:`close` stops and joins the idle ones.  A borrowed
+    slot belongs to one executor until it is given back, so concurrent runs
+    sharing a pool never share a worker.  Slots given back after
+    :meth:`close` are stopped instead of kept.
+    """
+
+    def __init__(self) -> None:
+        self._mp = get_context("spawn")
+        self._lock = threading.Lock()
+        self._idle: List[_Worker] = []
+        self._closed = False
+
+    def spawn(self) -> _Worker:
+        parent_conn, child_conn = self._mp.Pipe()
+        process = self._mp.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        process.start()
+        child_conn.close()
+        return _Worker(process=process, conn=parent_conn)
+
+    def borrow(self, count: int) -> Tuple[List[_Worker], int]:
+        """``count`` live idle slots, and how many of them had to be spawned."""
+        slots: List[_Worker] = []
+        dead: List[_Worker] = []
+        with self._lock:
+            while self._idle and len(slots) < count:
+                worker = self._idle.pop()
+                (slots if worker.process.is_alive() else dead).append(worker)
+        _retire(dead)
+        spawned = count - len(slots)
+        slots.extend(self.spawn() for _ in range(spawned))
+        return slots, spawned
+
+    def give_back(self, slots: List[_Worker]) -> None:
+        retired: List[_Worker] = []
+        with self._lock:
+            for worker in slots:
+                if self._closed or worker.current is not None or not worker.process.is_alive():
+                    retired.append(worker)
+                else:
+                    self._idle.append(worker)
+        _retire(retired)
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        _retire(idle)
+
+
 @dataclass
 class _InProcessSlot:
     """The ``workers == 1`` slot: computes and commits in this process.
@@ -241,11 +337,13 @@ class _InProcessSlot:
 class ShardExecutor:
     """Drives one campaign's pending shards to completion.
 
-    Built and torn down inside :func:`repro.campaign.orchestrator.run_campaign`
-    (one executor per call); mutates the call's ``stats`` in place.  ``workers``
-    picks the slot kind: ``1`` computes in this process through its own
-    :class:`~repro.parallel.runner.BatchRunner`, ``>= 2`` spawns that many
-    worker processes.
+    One executor per :func:`repro.campaign.orchestrator.run_campaign` call;
+    mutates the call's ``stats`` in place.  ``workers`` picks the slot kind:
+    ``1`` computes in this process through its own
+    :class:`~repro.parallel.runner.BatchRunner`, ``>= 2`` borrows that many
+    spawned workers from ``pool`` for the run and gives the live idle ones
+    back when it ends — to the daemon's pool, which keeps them warm for the
+    next job, or to the call's private pool, which closes right after.
     """
 
     store: CampaignStore
@@ -254,6 +352,7 @@ class ShardExecutor:
     stats: Any  # CampaignRunStats (avoids a circular import)
     emit: Callable[[str], None]
     workers: int
+    pool: SlotPool
     plan_size: int
     shard_timeout: Optional[float] = None
     max_attempts: int = 3
@@ -262,7 +361,6 @@ class ShardExecutor:
     shard_hook: Optional[Callable[[Shard], None]] = None
     should_stop: Callable[[], bool] = lambda: False
     _slots: List[Any] = field(default_factory=list, init=False, repr=False)
-    _mp = None
 
     def run(self, pending: List[Shard]) -> None:
         ready: Deque[Tuple[Shard, int, float]] = collections.deque(
@@ -296,15 +394,35 @@ class ShardExecutor:
                 if now >= next_heartbeat:
                     next_heartbeat = now + self.leases.stale_after / 4.0
                     self.leases.heartbeat()
-                # Spawned slots keep the poll cadence; the in-process slot
-                # only waits when nothing it could run is ready.
-                if self.workers > 1 or not progressed:
+                if self.workers > 1:
+                    wakeups = [next_heartbeat] + ([next_foreign_poll] if foreign else [])
+                    self._wait(ready, wakeups)
+                elif not progressed:
+                    # The in-process slot only waits when nothing it could
+                    # run is ready.
                     time.sleep(_POLL_INTERVAL)
         finally:
             self._close_slots()
             self.leases.release_all()
             self.stats.lease_takeovers = self.leases.takeovers
             self.stats.lease_conflicts = self.leases.conflicts
+
+    def _wait(self, ready, wakeups: List[float]) -> None:
+        """Block until a busy slot answers or dies, or the next timed event.
+
+        The timed events are shard deadlines, backoff expiries and the
+        ``wakeups`` (heartbeat, foreign poll); the wait never exceeds
+        ``_POLL_INTERVAL``, so a stop request is still seen promptly.
+        """
+        now = time.monotonic()
+        busy = [slot for slot in self._slots if slot.current is not None]
+        moments = [slot.current.deadline for slot in busy] + wakeups
+        moments += [not_before for _, _, not_before in ready if not_before > now]
+        timeout = max(0.0, min([now + _POLL_INTERVAL] + moments) - now)
+        if busy:
+            wait([slot.conn for slot in busy] + [slot.process.sentinel for slot in busy], timeout)
+        else:
+            time.sleep(timeout)
 
     # -- slots -------------------------------------------------------------------
     def _open_slots(self) -> None:
@@ -313,51 +431,22 @@ class ShardExecutor:
 
             self._slots.append(_InProcessSlot(runner=BatchRunner()))
             return
-        self._mp = get_context("spawn")
-        for _ in range(self.workers):
-            self._slots.append(self._spawn())
+        slots, spawned = self.pool.borrow(self.workers)
+        self._slots.extend(slots)
+        self.stats.slots_spawned += spawned
 
     def _close_slots(self) -> None:
         spawned = [slot for slot in self._slots if isinstance(slot, _Worker)]
-        for worker in spawned:
-            if worker.current is None and worker.process.is_alive():
-                try:
-                    worker.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker in spawned:
-            if worker.current is not None:
-                worker.process.terminate()
-            worker.process.join(timeout=10.0)
-            if worker.process.is_alive():  # pragma: no cover
-                worker.process.kill()
-                worker.process.join(timeout=10.0)
-            worker.conn.close()
         self._slots.clear()
-
-    def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._mp.Pipe()
-        process = self._mp.Process(
-            target=_worker_main,
-            args=(self.spec, child_conn),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
+        self.pool.give_back(spawned)
 
     def _replace(self, worker: _Worker) -> None:
         """Rebuild the pool around a dead or hung worker."""
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=10.0)
-        if worker.process.is_alive():  # pragma: no cover - terminate() sufficing
-            worker.process.kill()
-            worker.process.join(timeout=10.0)
-        worker.conn.close()
+        _retire([worker])
         self._slots.remove(worker)
-        self._slots.append(self._spawn())
+        self._slots.append(self.pool.spawn())
         self.stats.worker_restarts += 1
+        self.stats.slots_spawned += 1
 
     def _in_flight(self) -> bool:
         return any(slot.current is not None for slot in self._slots)
@@ -400,7 +489,7 @@ class ShardExecutor:
                 self._run_in_process(slot, assignment, fault, ready)
             else:
                 try:
-                    slot.conn.send(("run", shard, fault))
+                    slot.conn.send(("run", self.spec, shard, fault))
                 except (BrokenPipeError, OSError):
                     # The idle worker died before taking the shard: rebuild
                     # and put the shard back without charging it an attempt.
@@ -571,10 +660,7 @@ class ShardExecutor:
     def _lost(self, worker: _Worker, ready, reason: str) -> None:
         """A worker died or hung: rebuild the pool, re-queue its shard."""
         assignment = worker.current
-        worker.current = None
-        self._replace(worker)
-        if assignment is None:  # pragma: no cover - defensive
-            return
+        self._replace(worker)  # still holding the shard, so terminated
         self._failed(assignment, ready, f"{reason}\n(no traceback: the worker was lost)")
 
     # -- foreign leases ----------------------------------------------------------

@@ -6,10 +6,12 @@ records (and every quarantined one), and hands the rest to the one shard
 scheduler, :class:`~repro.campaign.executor.ShardExecutor`.  ``workers``
 picks its slot kind — ``1`` computes each shard in this process through a
 :class:`~repro.parallel.runner.BatchRunner` (vectorizable shards one
-batch-engine call each), ``>= 2`` spawns worker processes that survive death
-and hangs — while lease claiming, retry with backoff, poison-shard
+batch-engine call each), ``>= 2`` runs spawned worker processes that survive
+death and hangs — while lease claiming, retry with backoff, poison-shard
 quarantine and commits run the same for both.  Spawned slots are the only
 process pool: exact-timebase campaigns, too, parallelize by whole shards.
+They come from a :class:`~repro.campaign.executor.SlotPool`: the service
+daemon's, kept warm across its jobs, or a private one per call.
 Each finished shard is committed atomically
 (:meth:`~repro.campaign.store.CampaignStore.write_shard`) before the next
 result is taken, so a crash loses at most the shards in flight and
@@ -29,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.campaign.executor import ShardExecutor
+from repro.campaign.executor import ShardExecutor, SlotPool
 from repro.campaign.leases import DEFAULT_STALE_AFTER, LeaseManager
 from repro.campaign.shards import Shard, plan_shards
 from repro.campaign.spec import CampaignError, CampaignSpec
@@ -76,6 +78,9 @@ class CampaignRunStats:
     shards_quarantined: int = 0
     shards_completed_elsewhere: int = 0
     worker_restarts: int = 0
+    # Worker processes this call spawned (replacements included); 0 when a
+    # warm pool lent it every slot.
+    slots_spawned: int = 0
     lease_takeovers: int = 0
     lease_conflicts: int = 0
     interrupted: bool = False
@@ -109,6 +114,7 @@ class CampaignRunStats:
             "shards_quarantined": self.shards_quarantined,
             "shards_completed_elsewhere": self.shards_completed_elsewhere,
             "worker_restarts": self.worker_restarts,
+            "slots_spawned": self.slots_spawned,
             "lease_takeovers": self.lease_takeovers,
             "lease_conflicts": self.lease_conflicts,
             "interrupted": self.interrupted,
@@ -172,6 +178,7 @@ def run_campaign(
     lease_timeout: float = DEFAULT_STALE_AFTER,
     owner: Optional[str] = None,
     should_stop: Optional[Callable[[], bool]] = None,
+    pool: Optional[SlotPool] = None,
 ) -> CampaignRunStats:
     """Run (or resume) a campaign in ``directory`` until complete or interrupted.
 
@@ -202,10 +209,11 @@ def run_campaign(
         The slot kind of the one shard scheduler
         (:class:`~repro.campaign.executor.ShardExecutor`).  ``1`` (default)
         computes and commits shards one at a time in this process.  ``>= 2``
-        dispatches whole shards to that many spawned worker processes: worker
-        death and hangs are survived, the pool is rebuilt, and the lost shard
-        re-runs.  Leases, retries, quarantine and commits behave the same for
-        every value, and so do the stored bytes.
+        dispatches whole shards to that many spawned worker processes,
+        borrowed from ``pool``: worker death and hangs are survived, the
+        slot is replaced, and the lost shard re-runs.  Leases, retries,
+        quarantine and commits behave the same for every value, and so do
+        the stored bytes.
     shard_timeout:
         Seconds a single shard attempt may run before its worker is killed
         and the shard re-queued (counts as a failed attempt).  ``None``
@@ -233,6 +241,12 @@ def run_campaign(
         this instead: the shard in flight finishes or is abandoned, leases
         release, and the call returns with ``stats.interrupted = True`` —
         identical semantics to a SIGTERM of a foreground run.
+    pool:
+        Where ``workers >= 2`` borrows its spawned slots.  The service
+        scheduler passes the one pool it keeps for the daemon's lifetime, so
+        later jobs find their workers already running.  ``None`` (every
+        other caller) gives the call a private pool, closed before it
+        returns.  Which process computes a shard never changes its bytes.
     """
     _require_positive("max_shards", max_shards)
     _require_positive("workers", workers, optional=False)
@@ -280,6 +294,7 @@ def run_campaign(
         )
 
     leases = LeaseManager(store.lease_dir, owner=owner, stale_after=lease_timeout)
+    slot_pool = pool if pool is not None else SlotPool()
     start = time.perf_counter()
     with _SignalGuard() as guard:
         if should_stop is None:
@@ -294,6 +309,7 @@ def run_campaign(
                 stats=stats,
                 emit=emit,
                 workers=workers,
+                pool=slot_pool,
                 plan_size=len(plan),
                 shard_timeout=shard_timeout,
                 max_attempts=max_attempts,
@@ -303,6 +319,8 @@ def run_campaign(
                 should_stop=stop_requested,
             ).run(pending)
         finally:
+            if pool is None:
+                slot_pool.close()
             stats.wall_seconds = time.perf_counter() - start
         if stop_requested():
             stats.interrupted = True
@@ -324,8 +342,10 @@ def run_campaign(
             f"shards recorded complete before the call were executed: {rerun}",
         )
     if _trace.active():
-        # The pool is down by now, so worker segments are final; fold them
-        # (plus this process's buffer) into the one Perfetto-loadable file.
+        # Fold every worker segment (plus this process's buffer) into the one
+        # Perfetto-loadable file.  A worker flushes before it reports a shard,
+        # so this run's shards are all in; segments of workers still alive
+        # (a daemon's warm slots) stay on disk for later merges.
         merged = _trace.merge()
         if merged is not None:
             emit(f"trace written: {merged}")

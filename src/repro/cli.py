@@ -939,7 +939,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--max-attempts", type=int, default=3, metavar="N",
                               help="dispatches per job before it is quarantined")
     serve_parser.add_argument("--workers", type=int, default=1, metavar="N",
-                              help="shard workers per campaign run")
+                              help="shard workers per campaign run; >= 2 spawns "
+                                   "them at the first job and keeps them for later jobs")
     serve_parser.add_argument("--shard-timeout", type=float, default=None, metavar="SEC",
                               help="per-shard deadline (needs --workers >= 2)")
     serve_parser.add_argument("--lease-timeout", type=float, default=60.0, metavar="SEC",

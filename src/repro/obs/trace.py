@@ -4,11 +4,13 @@
 turns every closed span into one complete (``"ph": "X"``) trace event keyed
 by pid/tid.  Each process buffers its own events and flushes them to a
 *segment* file next to the target path (``<path>.seg-<pid>.json``) — at
-interpreter exit, and explicitly after IPC-heavy steps so terminated pool
-workers lose at most the shard in flight.  The orchestrator merges all
-segments into ``<path>`` on campaign completion
-(:func:`merge`), producing one Perfetto-loadable JSON object whose timeline
-shows the pool workers side by side.
+interpreter exit, and explicitly after every shard so terminated pool
+workers lose at most the shard in flight.  A segment always holds its
+process's whole buffer, so a warm worker serving job after job keeps one
+growing segment.  The orchestrator merges all segments into ``<path>`` on
+campaign completion (:func:`merge`), and the service daemon once more after
+its pool is joined, producing one Perfetto-loadable JSON object whose
+timeline shows the pool workers side by side.
 
 Timestamps are wall-clock microseconds (``time.time()``), the one clock the
 parent and its spawned workers share; durations come from each span's
@@ -36,6 +38,9 @@ _EVENTS: List[Dict[str, Any]] = []
 _LOCK = threading.Lock()
 _FLUSH_REGISTERED = False
 _MERGED = False
+#: Events of segments an earlier merge consumed (their writers had exited).
+_ABSORBED: List[Dict[str, Any]] = []
+_MERGE_LOCK = threading.Lock()
 
 
 def active() -> bool:
@@ -107,47 +112,73 @@ def flush() -> Optional[str]:
     return path
 
 
+def _exited(pid: int) -> bool:
+    """Whether process ``pid`` is gone (exited and reaped)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False
+    return False
+
+
 def merge() -> Optional[str]:
     """Merge every segment (this process's buffer included) into ``_PATH``.
 
-    Called by the orchestrator once the pool is down, so worker segments are
-    final.  Consumed segments are deleted; the merging process stops flushing
-    its own segment afterwards (its events are in the merged file).  Unknown
-    or torn segment files are skipped, never fatal.
+    Called by the orchestrator after each campaign run and by the service
+    daemon after its pool is joined.  A segment whose writer has exited is
+    final: it is consumed (deleted) and its events are kept in memory for
+    every later merge of this process.  A live writer's segment — a warm
+    worker's — stays on disk and is read whole again next time, since the
+    worker rewrites it with its full buffer.  So repeated merges hold every
+    event exactly once.  The merging process stops flushing its own segment
+    afterwards (its events are in the merged file).  Unknown or torn segment
+    files are skipped, never fatal.
     """
     if _PATH is None:
         return None
     global _MERGED
-    events: List[Dict[str, Any]] = []
     directory = os.path.dirname(os.path.abspath(_PATH)) or "."
     prefix = os.path.basename(_PATH) + ".seg-"
     own_segment = os.path.basename(_segment_path(os.getpid()))
-    for entry in sorted(os.listdir(directory)):
-        if not (entry.startswith(prefix) and entry.endswith(".json")):
-            continue
-        segment = os.path.join(directory, entry)
-        if entry == own_segment:
-            # This process's live buffer (merged below) supersedes any
-            # segment it flushed earlier — reading both would double-count.
-            os.unlink(segment)
-            continue
-        try:
-            with open(segment) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(data, list):
-            events.extend(event for event in data if isinstance(event, dict))
-        os.unlink(segment)
-    with _LOCK:
-        events.extend(_EVENTS)
-        _MERGED = True
-    events.sort(key=lambda event: (event.get("pid", 0), event.get("tid", 0), event.get("ts", 0.0)))
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    tmp = f"{_PATH}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp, _PATH)
+    with _MERGE_LOCK:
+        events: List[Dict[str, Any]] = []
+        for entry in sorted(os.listdir(directory)):
+            if not (entry.startswith(prefix) and entry.endswith(".json")):
+                continue
+            segment = os.path.join(directory, entry)
+            if entry == own_segment:
+                # This process's live buffer (merged below) supersedes any
+                # segment it flushed earlier — reading both would double-count.
+                os.unlink(segment)
+                continue
+            try:
+                pid = int(entry[len(prefix):-len(".json")])
+                with open(segment) as handle:
+                    data = json.load(handle)
+            except (ValueError, OSError):
+                continue
+            if not isinstance(data, list):
+                data = []
+            found = [event for event in data if isinstance(event, dict)]
+            if _exited(pid):
+                _ABSORBED.extend(found)
+                os.unlink(segment)
+            else:
+                events.extend(found)
+        with _LOCK:
+            events.extend(_ABSORBED)
+            events.extend(_EVENTS)
+            _MERGED = True
+        events.sort(
+            key=lambda event: (event.get("pid", 0), event.get("tid", 0), event.get("ts", 0.0))
+        )
+        payload = {"traceEvents": events, "displayTimeUnit": "ms"}
+        tmp = f"{_PATH}.tmp"
+        with open(tmp, "w") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp, _PATH)
     return _PATH
 
 

@@ -23,8 +23,10 @@ Graceful drain (SIGTERM / SIGINT, or :meth:`ServiceDaemon.stop`): flip
 *draining* (``/readyz`` goes 503, new submissions get 503), stop the HTTP
 server, stop the scheduler — in-flight campaign runs see the stop through
 their ``should_stop`` hook, finish or abandon the shard in flight, release
-their leases, and their jobs stay ``running`` for the next session — then
-journal ``daemon-shutdown`` and remove ``daemon.json``.  A ``kill -9``
+their leases, and their jobs stay ``running`` for the next session; the
+scheduler's warm worker processes are stopped and joined — then journal
+``daemon-shutdown``, write the final merged trace (with
+``REPRO_TRACE_FILE`` set) and remove ``daemon.json``.  A ``kill -9``
 skips all of that by definition; the journal replay plus step 2 make that
 loss-free anyway.
 """
@@ -42,6 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.campaign.orchestrator import status_rows
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
+from repro.obs import trace as _trace
 from repro.service.api import NotReady, make_server
 from repro.service.queue import Job, JobQueue, ServiceError
 from repro.service.scheduler import Scheduler
@@ -310,6 +313,10 @@ class ServiceDaemon:
             self._server.server_close()
         self.scheduler.stop(timeout=timeout)
         self.queue.record_daemon_shutdown()
+        if _trace.active():
+            # Every worker is joined now: this merge consumes their segments
+            # and adds the spans that closed after the last job's merge.
+            _trace.merge()
         try:
             os.unlink(os.path.join(self.directory, DAEMON_FILE))
         except FileNotFoundError:

@@ -5,7 +5,11 @@ the :class:`~repro.service.queue.JobQueue` (``submitted`` work and crash- or
 retry-orphaned ``running`` work) and executes each as a campaign run in its
 own worker thread, at most ``max_concurrent`` at a time — campaigns
 themselves fan out over shards (``workers``), so job-level concurrency stays
-deliberately small.
+deliberately small.  The scheduler owns one
+:class:`~repro.campaign.executor.SlotPool` for its lifetime and lends it to
+every run: a job borrows its spawned workers and gives them back warm, so
+only the first job of a session pays the interpreter spawn, and the slots
+of concurrent jobs never overlap.
 
 The failure model mirrors the shard executor one level up: a job whose
 campaign run *raises* is retried with exponential backoff
@@ -21,7 +25,7 @@ Graceful drain: :meth:`Scheduler.stop` flips the stop event that every
 in-flight ``run_campaign`` polls (its ``should_stop`` hook), so shards in
 flight finish or abandon cleanly, leases release, and the interrupted jobs
 stay ``running`` in the journal — the next daemon session resumes them with
-zero recomputed shards.
+zero recomputed shards.  Once the runs have returned, the slot pool closes.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, Optional
 
-from repro.campaign.executor import retry_delay
+from repro.campaign.executor import SlotPool, retry_delay
 from repro.campaign.orchestrator import run_campaign
 from repro.obs import core as _obs
 from repro.service.queue import Job, JobQueue, ServiceError
@@ -78,6 +82,9 @@ class Scheduler:
         #: (``workers``, ``shard_timeout``, ``lease_timeout``, and — in the
         #: fault-injection tests — ``shard_hook``).
         self.campaign_options = dict(campaign_options or {})
+        #: The spawned slots every run borrows (``workers >= 2``); closed by
+        #: :meth:`stop`.
+        self.pool = SlotPool()
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._inflight: Dict[str, threading.Thread] = {}
@@ -166,13 +173,16 @@ class Scheduler:
 
         In-flight campaigns see the stop through their ``should_stop`` hook,
         abandon cleanly (leases released, every committed shard kept) and
-        leave their jobs ``running`` for the next session to resume.
+        leave their jobs ``running`` for the next session to resume.  Then
+        the slot pool stops and joins its idle workers; a run still going
+        after ``timeout`` stops its own when it gives them back.
         """
         self._stop.set()
         with self._lock:
             threads = list(self._inflight.values())
         for thread in threads:
             thread.join(timeout)
+        self.pool.close()
 
     # -- one job -----------------------------------------------------------------
     def _run_job(self, job: Job) -> None:
@@ -191,6 +201,7 @@ class Scheduler:
                     job.spec(),
                     progress=self._progress(digest, attempt),
                     should_stop=self._stop.is_set,
+                    pool=self.pool,
                     **self.campaign_options,
                 )
             self._accumulate_session(stats)

@@ -26,7 +26,7 @@ from repro.campaign import (
     plan_shards,
     run_campaign,
 )
-from repro.campaign.executor import retry_delay
+from repro.campaign.executor import SlotPool, retry_delay
 from repro.contracts.core import ContractViolation, _override_mode
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -319,6 +319,69 @@ class TestWorkerPool:
         assert resumed.complete
         assert resumed.rows_recomputed == 0
         identical_stores(directory, sequential_reference)
+
+
+class TestWarmSlots:
+    """One slot pool lent to several runs, as the service daemon lends its own."""
+
+    def test_reused_slots_match_fresh_slots_across_specs(
+        self, tmp_path, sequential_reference
+    ):
+        exact = make_spec(
+            name="executor-exact",
+            arms=(CampaignArm(algorithm="cgkk"),),
+            simulator={"max_time": 1e6, "max_segments": 10_000, "timebase": "exact"},
+        )
+        fresh = run_campaign(str(tmp_path / "fresh-exact"), exact, workers=2)
+        assert fresh.complete and fresh.slots_spawned == 2
+        pool = SlotPool()
+        try:
+            runs = [
+                run_campaign(str(tmp_path / name), spec, workers=2, pool=pool)
+                for name, spec in (
+                    ("warm-float", make_spec()),
+                    ("warm-exact", exact),
+                    ("warm-float-again", make_spec()),
+                )
+            ]
+        finally:
+            pool.close()
+        assert [stats.slots_spawned for stats in runs] == [2, 0, 0]
+        assert all(stats.complete and stats.worker_restarts == 0 for stats in runs)
+        identical_stores(tmp_path / "warm-float", sequential_reference)
+        identical_stores(tmp_path / "warm-exact", tmp_path / "fresh-exact")
+        identical_stores(tmp_path / "warm-float-again", sequential_reference)
+
+    def test_idle_slot_killed_between_jobs_is_replaced_on_borrow(
+        self, tmp_path, sequential_reference
+    ):
+        pool = SlotPool()
+        try:
+            run_campaign(str(tmp_path / "first"), make_spec(seed=5), workers=2, pool=pool)
+            victim = pool._idle[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            stats = run_campaign(str(tmp_path / "second"), make_spec(), workers=2, pool=pool)
+        finally:
+            pool.close()
+        assert stats.complete
+        assert stats.slots_spawned == 1
+        # Replaced before any dispatch: no shard was charged an attempt.
+        assert stats.worker_restarts == 0
+        assert stats.shards_retried == 0
+        assert stats.shard_attempts == stats.shards_executed
+        identical_stores(tmp_path / "second", sequential_reference)
+
+    def test_worker_exits_quietly_when_its_parent_goes(self, capfd):
+        pool = SlotPool()
+        (worker,), spawned = pool.borrow(1)
+        assert spawned == 1
+        # The parent's end of the pipe closing is all a worker sees of a
+        # parent killed with SIGKILL.
+        worker.conn.close()
+        worker.process.join(timeout=60)
+        assert worker.process.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestCommitFailure:

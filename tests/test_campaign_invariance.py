@@ -1,17 +1,19 @@
-"""Property: shard size, worker count and interruption leave the store unchanged.
+"""Property: shard size, workers, slot reuse and interruption leave the store unchanged.
 
 Shards are position-seeded and the export concatenates them in plan order,
 so the stored columns cannot depend on how a campaign was cut or run.  Each
-draw picks a timebase, a shard size, the worker count of a first run and,
-optionally, a ``max_shards`` interruption followed by a resume under its own
-worker count; the exported columns must be byte-identical to one
-uninterrupted ``workers=1`` run of that timebase with a shard size outside
-the drawn set, and no call may recompute a row.  The exact timebase routes
-every shard through the per-task event engine, so both shard bodies — one
-batch-engine call, or the event engine task by task — are covered across
-in-process and spawned slots (the only process pool).  Every ``workers=2``
-leg spawns worker processes, so the example budget is pinned small here
-(and the property stays out of the deep profile's CI leg).
+draw picks a timebase, a shard size, the worker count of a first run, whether
+spawned slots come fresh or from a warm pool whose workers already served
+earlier jobs with other specs, and, optionally, a ``max_shards``
+interruption followed by a resume under its own worker count; the exported
+columns must be byte-identical to one uninterrupted ``workers=1`` run of
+that timebase with a shard size outside the drawn set, and no call may
+recompute a row.  The exact timebase routes every shard through the per-task
+event engine, so both shard bodies — one batch-engine call, or the event
+engine task by task — are covered across in-process and spawned slots (the
+only process pool).  Every fresh ``workers=2`` leg spawns worker processes,
+so the example budget is pinned small here (and the property stays out of
+the deep profile's CI leg).
 """
 
 import tempfile
@@ -27,6 +29,7 @@ from repro.campaign import (
     plan_shards,
     run_campaign,
 )
+from repro.campaign.executor import SlotPool
 
 INSTANCES_PER_CELL = 8
 
@@ -37,10 +40,10 @@ SIMULATOR = {
 }
 
 
-def make_spec(shard_size, timebase="float"):
+def make_spec(shard_size, timebase="float", algorithm="almost-universal-compact"):
     return CampaignSpec(
         name="knob-invariance",
-        arms=(CampaignArm(algorithm="almost-universal-compact"),),
+        arms=(CampaignArm(algorithm=algorithm),),
         classes=("type-1", "type-2"),
         instances_per_cell=INSTANCES_PER_CELL,
         seed=29,
@@ -60,6 +63,17 @@ def reference_columns(tmp_path_factory):
     return references
 
 
+@pytest.fixture(scope="module")
+def warm_pool(tmp_path_factory):
+    """Spawned slots that already served a job with another algorithm."""
+    pool = SlotPool()
+    directory = tmp_path_factory.mktemp("knob-warm-up") / "camp"
+    stats = run_campaign(str(directory), make_spec(4, "exact", "cgkk"), workers=2, pool=pool)
+    assert stats.complete
+    yield pool
+    pool.close()
+
+
 @st.composite
 def _runs(draw):
     timebase = draw(st.sampled_from(sorted(SIMULATOR)))
@@ -68,7 +82,8 @@ def _runs(draw):
     max_shards = draw(st.none() | st.integers(1, planned - 1))
     workers = draw(st.sampled_from((1, 2)))
     resume_workers = None if max_shards is None else draw(st.sampled_from((1, 2)))
-    return timebase, shard_size, workers, max_shards, resume_workers
+    warm = draw(st.booleans())
+    return timebase, shard_size, workers, max_shards, resume_workers, warm
 
 
 @settings(
@@ -76,9 +91,10 @@ def _runs(draw):
 )
 @given(drawn=_runs())
 def test_store_bytes_ignore_shard_size_workers_and_interruption(
-    reference_columns, drawn
+    reference_columns, warm_pool, drawn
 ):
-    timebase, shard_size, workers, max_shards, resume_workers = drawn
+    timebase, shard_size, workers, max_shards, resume_workers, warm = drawn
+    pool = warm_pool if warm else None
     with tempfile.TemporaryDirectory() as root:
         directory = f"{root}/camp"
         first = run_campaign(
@@ -86,11 +102,12 @@ def test_store_bytes_ignore_shard_size_workers_and_interruption(
             make_spec(shard_size, timebase),
             workers=workers,
             max_shards=max_shards,
+            pool=pool,
         )
         assert first.rows_recomputed == 0
         if max_shards is not None:
             assert first.interrupted and not first.complete
-            resumed = run_campaign(directory, workers=resume_workers)
+            resumed = run_campaign(directory, workers=resume_workers, pool=pool)
             assert resumed.complete
             assert resumed.shards_skipped == first.shards_executed
             assert resumed.rows_recomputed == 0

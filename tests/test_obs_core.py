@@ -34,6 +34,7 @@ def scratch_trace(tmp_path, monkeypatch, obs_on):
     monkeypatch.setattr(trace, "_PATH", path)
     monkeypatch.setattr(trace, "_EVENTS", [])
     monkeypatch.setattr(trace, "_MERGED", False)
+    monkeypatch.setattr(trace, "_ABSORBED", [])
     monkeypatch.setattr(trace, "_FLUSH_REGISTERED", True)  # no atexit litter
     return path
 

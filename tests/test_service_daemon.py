@@ -259,3 +259,41 @@ class TestDaemonFile:
         assert read_daemon_file(tmp_path) is None
         (tmp_path / DAEMON_FILE).write_text(json.dumps([1]))
         assert read_daemon_file(tmp_path) is None
+
+
+class TestTrace:
+    def test_two_job_session_keeps_every_worker_span_once(self, tmp_path, monkeypatch):
+        from repro.obs import trace
+        from repro.obs.core import _override_mode
+
+        path = str(tmp_path / "trace.json")
+        # Spawned workers resolve the trace sink from the environment; this
+        # process's sink is pointed at the same file with a fresh buffer.
+        monkeypatch.setenv(trace.TRACE_ENV, path)
+        monkeypatch.setenv("REPRO_OBS", "on")
+        monkeypatch.setattr(trace, "_PATH", path)
+        monkeypatch.setattr(trace, "_EVENTS", [])
+        monkeypatch.setattr(trace, "_ABSORBED", [])
+        monkeypatch.setattr(trace, "_MERGED", False)
+        monkeypatch.setattr(trace, "_FLUSH_REGISTERED", True)  # no atexit litter
+        daemon = ServiceDaemon(tmp_path / "service", campaign_options={"workers": 2})
+        with _override_mode("on"):
+            daemon.start()
+            try:
+                for seed in (1, 2):
+                    job, _ = daemon.submit(make_spec(seed=seed, instances_per_cell=4))
+                    assert wait_for(
+                        lambda: daemon.queue.job(job.digest).state == "complete"
+                    ), daemon.queue.job(job.digest).as_dict()
+            finally:
+                daemon.stop(timeout=60)
+        events = json.load(open(path))["traceEvents"]
+        shards = [
+            event for event in events
+            if event["name"] == "campaign.shard" and event["pid"] != os.getpid()
+        ]
+        assert len(shards) == 4  # two jobs of two shards, both jobs kept
+        keys = [(event["name"], event["pid"], event["tid"], event["ts"]) for event in events]
+        assert len(keys) == len(set(keys))
+        assert trace.validate(path) == len(events)
+        assert not [name for name in os.listdir(tmp_path) if ".seg-" in name]

@@ -6,6 +6,7 @@ campaign layer's own fault seam) and through specs whose algorithm arm is
 made to fail.
 """
 
+import os
 import threading
 import time
 
@@ -13,7 +14,7 @@ import pytest
 
 from repro.campaign import CampaignArm, CampaignSpec, CampaignStore
 from repro.campaign.executor import FaultInjection
-from repro.service import JobQueue, Scheduler, ServiceError
+from repro.service import JobQueue, Scheduler, ServiceDaemon, ServiceError
 
 
 def make_spec(**overrides):
@@ -141,3 +142,64 @@ class TestDrain:
         assert done.state == "complete"
         assert done.stats["rows_recomputed"] == 0
         assert done.attempts == 2
+
+
+class TestWarmPool:
+    """The scheduler's one slot pool: lent to every run, closed at drain."""
+
+    def test_concurrent_jobs_never_share_a_worker(self, tmp_path):
+        borrowed = {}
+        first_dispatch = set()
+        both_running = threading.Barrier(2, timeout=120)
+
+        def meet(shard):
+            # Each job's first dispatch waits for the other's, so both jobs
+            # hold their borrowed slots at the same time.
+            name = threading.current_thread().name
+            if name not in first_dispatch:
+                first_dispatch.add(name)
+                both_running.wait()
+
+        queue = JobQueue(tmp_path)
+        for seed in (1, 2):
+            queue.submit(make_spec(seed=seed))
+        scheduler = Scheduler(
+            queue, max_concurrent=2, campaign_options={"workers": 2, "shard_hook": meet}
+        )
+        borrow = scheduler.pool.borrow
+
+        def recording_borrow(count):
+            slots, spawned = borrow(count)
+            borrowed[threading.current_thread().name] = {s.process.pid for s in slots}
+            return slots, spawned
+
+        scheduler.pool.borrow = recording_borrow
+        try:
+            scheduler.run_until_idle(timeout=240)
+        finally:
+            scheduler.stop(timeout=60)
+        assert scheduler.jobs_completed == 2
+        first, second = borrowed.values()
+        assert len(first) == len(second) == 2
+        assert not first & second
+
+    def test_later_jobs_reuse_slots_and_drain_leaves_no_child(self, tmp_path):
+        daemon = ServiceDaemon(tmp_path, campaign_options={"workers": 2})
+        daemon.start()
+        try:
+            jobs = []
+            for seed in (1, 2):
+                job, _ = daemon.submit(make_spec(seed=seed))
+                deadline = time.monotonic() + 120
+                while daemon.queue.job(job.digest).state != "complete":
+                    assert time.monotonic() < deadline, daemon.queue.job(job.digest).as_dict()
+                    time.sleep(0.05)
+                jobs.append(daemon.queue.job(job.digest))
+            pids = {worker.process.pid for worker in daemon.scheduler.pool._idle}
+        finally:
+            daemon.stop(timeout=60)
+        assert [job.stats["slots_spawned"] for job in jobs] == [2, 0]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
