@@ -674,13 +674,13 @@ class ShardExecutor:
         """
         parked = len(foreign)
         done = self.store.completed()
+        # One listing of the lease directory per poll, not one per shard.
+        stale = set(self.leases.stale_leases())
         for shard_id, shard in list(foreign.items()):
             if shard_id in done:
                 del foreign[shard_id]
                 self._note_completed_elsewhere(shard)
-            elif self.leases.owner_of(shard_id) is None or shard_id in set(
-                self.leases.stale_leases()
-            ):
+            elif self.leases.owner_of(shard_id) is None or shard_id in stale:
                 del foreign[shard_id]
                 ready.append((shard, 1, 0.0))
         return len(foreign) < parked

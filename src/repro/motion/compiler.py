@@ -297,6 +297,19 @@ class LocalProgramTable:
         """Total local time covered by the rows."""
         return float(self.cumulative[-1]) if len(self) else 0.0
 
+    def prefix(self, count: int) -> "LocalProgramTable":
+        """The first ``count`` rows: ``complete`` only if that is all of them."""
+        if count == len(self):
+            return self
+        return LocalProgramTable(
+            dx=self.dx[:count],
+            dy=self.dy[:count],
+            duration=self.duration[:count],
+            cumulative=self.cumulative[:count],
+            complete=False,
+            source=self.source,
+        )
+
 
 class LocalProgramBuilder:
     """Incrementally consumes a stream of column blocks into columnar arrays.
@@ -750,10 +763,11 @@ class IncrementalTableCompiler:
     the flat window construction dedupes by.
     """
 
-    __slots__ = ("_frame", "_tables")
+    __slots__ = ("frame", "_tables")
 
     def __init__(self, spec: AgentSpec) -> None:
-        self._frame = agent_frame(spec)
+        #: The agent's :func:`agent_frame`, shared by every view handed out.
+        self.frame = agent_frame(spec)
         self._tables: dict = {}
 
     def table(self, local: LocalProgramTable) -> TrajectoryView:
@@ -761,7 +775,7 @@ class IncrementalTableCompiler:
         key = (local.source, len(local), local.complete)
         table = self._tables.get(key)
         if table is None:
-            table = TrajectoryView(local, self._frame)
+            table = TrajectoryView(local, self.frame)
             self._tables[key] = table
         return table
 

@@ -33,7 +33,7 @@ __all__ = ["IPC_BYTES_KEY", "IPC_PHASES", "WALL_PHASES"]
 ENGINE_COMPILE = declare_span(
     "engine.compile",
     "program resolution and trajectory-table compilation (batch prelude plus "
-    "per-round table_for/stall transforms)",
+    "per-round whole-side table serving, stall transforms and round bounds)",
 )
 ENGINE_BUILD_WINDOWS = declare_span(
     "engine.build_windows",

@@ -20,11 +20,11 @@ scanned in time order, so a hit found within a horizon is the global first
 one; the horizon schedule never changes a result, it only bounds how much
 trajectory is mapped and how many windows are solved.
 
-Each round is classified at once with numpy masks (met / freeze / grow /
-terminal) over the carried per-instance columns of
-:class:`~repro.sim.columns.ResultColumns`; per-instance Python runs only at a
-freeze and once per instance at resolution (segment-cursor counts, the
-horizon-cut final-window rescan).
+A round is columns over the pending instance rows plus one table list per
+agent, classified at once with numpy masks (met / freeze / grow / terminal)
+into the carried columns of :class:`~repro.sim.columns.ResultColumns`;
+per-instance Python runs only at a freeze and once per instance at
+resolution (segment-cursor counts).
 
 Scope and guarantees:
 
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,12 +74,11 @@ from repro.sim.rounds import (
     GROWTH_FACTOR,
     KERNEL_CHUNK_WINDOWS,
     ProgramSource,
-    RoundEntry,
     StallTransform,
     build_windows,
     default_initial_horizon,
-    entry_state_arrays,
     per_instance_option,
+    round_bounds,
     solve_round,
     stall_arrays,
     trim_builder_cache,
@@ -113,16 +112,6 @@ def batch_group_key(algorithm: Any) -> Any:
     return id(algorithm)
 
 
-class _FreezeEvent(NamedTuple):
-    """Where and when the larger-radius agent froze, for one instance."""
-
-    agent: str
-    time: float
-    position: Tuple[float, float]
-    distance: float
-    segments: int
-
-
 def _row_position(
     table: Any, window_start: float, first_window: bool, when: float
 ) -> Tuple[float, float]:
@@ -141,6 +130,11 @@ def _row_position(
     return x + vx * offset, y + vy * offset
 
 
+def _segments_in_play(table: Any, until: float) -> int:
+    """Segments of ``table`` starting by ``until`` (the event cursor's count)."""
+    return min(table.count_boundaries(until) + 1, table.segments)
+
+
 def _run_rounds(
     instances: List[Instance],
     algorithm: Any,
@@ -157,7 +151,7 @@ def _run_rounds(
     stall_agent: Optional[str],
     stall_time: Any,
     stall_duration: Any,
-) -> Tuple[ResultColumns, Dict[int, _FreezeEvent], float]:
+) -> Tuple[ResultColumns, float]:
     """The adaptive-horizon round loop behind both public batch entry points.
 
     ``radius`` is the per-instance meeting radius column.  ``freeze`` is
@@ -165,12 +159,12 @@ def _run_rounds(
     first hit at the larger radius strictly before any meeting hit freezes
     that agent, which then continues as a one-row
     :func:`~repro.motion.compiler.constant_table` view while its pre-freeze
-    segment count keeps feeding the combined budget (``extra_segments``).
-    Without it, the kernel solves a single radius and nothing ever freezes.
-    ``radius_slack`` is added to both columns.
+    segment count keeps feeding the combined budget.  Without it, the kernel
+    solves a single radius and nothing ever freezes.  ``radius_slack`` is
+    added to both columns.
 
     Validates every option, also for an empty batch, then returns the filled
-    result columns, the freeze events by instance row, and the wall seconds.
+    result columns (freeze columns included) and the wall seconds.
     """
     if not (math.isfinite(max_time) and max_time > 0.0):
         raise ValueError("max_time must be positive and finite")
@@ -184,18 +178,17 @@ def _run_rounds(
     speeds_a = per_instance_option(speed_a, count, "speed_a")
     speeds_b = per_instance_option(speed_b, count, "speed_b")
     stall = stall_arrays(stall_agent, stall_time, stall_duration, count)
-    frozen: Dict[int, _FreezeEvent] = {}
     cols = ResultColumns(count)
     if not instances:
-        return cols, frozen, 0.0
+        return cols, 0.0
 
     wall_start = _time.perf_counter()
     with _obs.span("engine.compile"):
-        source = ProgramSource(algorithm, max_segments)
         specs = [
             scaled_agents(instance, sa, sb)
             for instance, sa, sb in zip(instances, speeds_a.tolist(), speeds_b.tolist())
         ]
+        source = ProgramSource(algorithm, max_segments, instances, specs)
         stall_memo = StallTransform() if stall is not None else None
         meet_radius = radius + radius_slack
         if freeze is not None:
@@ -208,57 +201,48 @@ def _run_rounds(
         else:
             cols.horizon[:] = min(initial_horizon, max_time)
     pending = np.arange(count, dtype=np.int64)
-    frozen_rows = np.zeros(count, dtype=bool)
+    # The frozen agent's stationary table, built once at the freeze, by row.
+    frozen_tables: Dict[int, Any] = {}
     total_windows = 0
     round_number = 0
 
-    def agent_table(idx: int, agent: str, horizon: float, frozen_state):
+    def side_tables(role: str, frozen_agent: np.ndarray) -> List[Any]:
         # The frozen agent's stationary table replaces all remaining motion,
         # pending stall included (the event engine clears the frozen cursor's
         # stream); the other agent keeps its stall.
-        if frozen_state is not None and frozen_state.agent == agent:
-            return constant_table(frozen_state.position)
-        spec = specs[idx][0 if agent == "A" else 1]
-        table = source.table_for(idx, instances[idx], spec, agent, horizon)
-        if stall is not None and stall[0] == agent:
-            table = stall_memo.apply(table, stall[1][idx], stall[2][idx])
-        return table
+        rows = pending[frozen_agent != role]
+        tables = source.round_tables(role, rows, cols.horizon[rows])
+        if stall is not None and stall[0] == role:
+            onsets, durations = stall[1][rows].tolist(), stall[2][rows].tolist()
+            tables = list(map(stall_memo.apply, tables, onsets, durations))
+        if rows.size < pending.size:
+            served = iter(tables)
+            tables = [
+                frozen_tables[row] if agent == role else next(served)
+                for row, agent in zip(pending.tolist(), frozen_agent.tolist())
+            ]
+        return tables
 
     while pending.size:
         round_number += 1
         with _obs.span("engine.compile"):
-            # Plain-float views of the pending rows: scalar numpy indexing
-            # inside the construction loop would pay boxing overhead per entry.
-            entries = []
-            for idx, horizon, scan_from in zip(
-                pending.tolist(), cols.horizon[pending].tolist(),
-                cols.scan_from[pending].tolist(),
-            ):
-                frozen_state = frozen.get(idx)
-                entries.append(
-                    RoundEntry(
-                        idx,
-                        instances[idx],
-                        agent_table(idx, "A", horizon, frozen_state),
-                        agent_table(idx, "B", horizon, frozen_state),
-                        horizon,
-                        scan_from,
-                        max_segments,
-                        max_time,
-                        extra_segments=(
-                            0 if frozen_state is None else frozen_state.segments
-                        ),
-                    )
-                )
+            frozen_agent = cols.frozen_agent[pending]
+            tables_a = side_tables("A", frozen_agent)
+            tables_b = side_tables("B", frozen_agent)
+            scan_from = cols.scan_from[pending]
+            horizon, budget_limited, limit, finish = round_bounds(
+                tables_a, tables_b, cols.horizon[pending],
+                cols.freeze_segments[pending], max_segments, max_time,
+            )
         with _obs.span("engine.build_windows"):
-            windows = build_windows(entries)
+            windows = build_windows(tables_a, tables_b, scan_from, horizon, limit)
             entry_radius = meet_radius[pending]
             entry_large = None
             if freeze is not None:
                 # After the freeze only the meeting radius is live; feeding it
                 # as the freeze radius too keeps the scan limit (and therefore
                 # the closest-approach prefix) at the meeting window.
-                pending_frozen = frozen_rows[pending]
+                pending_frozen = frozen_agent != ""
                 entry_large = np.where(pending_frozen, entry_radius, freeze_radius[pending])
         with _obs.span("engine.kernel_solve"):
             solution = solve_round(
@@ -297,47 +281,53 @@ def _run_rounds(
                 # engine's first-window-wins rule.
                 cols.fold_round_min(pending, solution.group_min, solution.min_time)
 
-            # Round classification (see entry_state_arrays).
-            budget_limited, entry_horizon, finish = entry_state_arrays(entries)
-            finished_within = finish <= entry_horizon
+            # Round classification (see round_bounds).
+            finished_within = finish <= horizon
             unresolved = (
                 ~met
                 & ~freezes
                 & ~budget_limited
                 & ~finished_within
-                & (entry_horizon < max_time)
+                & (horizon < max_time)
             )
             terminal = ~met & ~freezes & ~unresolved
 
             if np.any(freezes):
                 # A small per-freeze Python pass (at most one per instance
                 # per run).
-                rows = pending[freezes]
-                hit_index = freeze_hit[freezes]
-                freeze_time = windows.starts[hit_index] + solution.hit_offset2[freezes]
+                positions = np.flatnonzero(freezes)
+                rows = pending[positions]
+                hit_index = freeze_hit[positions]
+                window_start = windows.starts[hit_index]
+                freeze_time = window_start + solution.hit_offset2[positions]
                 agents = larger_agent[rows]
-                for j, k in enumerate(np.nonzero(freezes)[0].tolist()):
-                    entry = entries[k]
-                    agent = str(agents[j])
-                    when = float(freeze_time[j])
-                    window_start = float(windows.starts[hit_index[j]])
-                    first_window = bool(hit_index[j] == lo[k])
-                    pos_a = _row_position(entry.table_a, window_start, first_window, when)
-                    pos_b = _row_position(entry.table_b, window_start, first_window, when)
-                    segments_a, segments_b = entry.segments_in_play(when)
-                    frozen[entry.index] = _FreezeEvent(
-                        agent=agent,
-                        time=when,
-                        position=pos_a if agent == "A" else pos_b,
-                        distance=math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1]),
-                        segments=segments_a if agent == "A" else segments_b,
+                distances = []
+                segments = []
+                for k, row, agent, when, start, first_window in zip(
+                    positions.tolist(),
+                    rows.tolist(),
+                    agents.tolist(),
+                    freeze_time.tolist(),
+                    window_start.tolist(),
+                    (hit_index == lo[positions]).tolist(),
+                ):
+                    pos_a = _row_position(tables_a[k], start, first_window, when)
+                    pos_b = _row_position(tables_b[k], start, first_window, when)
+                    distances.append(math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1]))
+                    table, position = (
+                        (tables_a[k], pos_a) if agent == "A" else (tables_b[k], pos_b)
                     )
-                frozen_rows[rows] = True
+                    segments.append(_segments_in_play(table, when))
+                    frozen_tables[row] = constant_table(position)
+                cols.frozen_agent[rows] = agents
+                cols.freeze_time[rows] = freeze_time
+                cols.freeze_distance[rows] = distances
+                cols.freeze_segments[rows] = segments
                 # Resume scanning at the freeze time with the frozen agent
                 # stationary; same horizon.  The freeze window's tracking was
                 # clamped at the freeze, so it needs no full-length rescan.
                 cols.scan_from[rows] = freeze_time
-                cols.windows_before[rows] += (hit_index - lo[freezes]) + 1
+                cols.windows_before[rows] += (hit_index - lo[positions]) + 1
 
             if np.any(unresolved):
                 grow = pending[unresolved]
@@ -365,7 +355,7 @@ def _run_rounds(
                 # The event loop reports the capped horizon on a budget stop
                 # and the full time budget otherwise.
                 cols.simulated_time[rows] = np.where(
-                    budget_limited[terminal], entry_horizon[terminal], max_time
+                    budget_limited[terminal], horizon[terminal], max_time
                 )
 
             if np.any(met):
@@ -387,27 +377,20 @@ def _run_rounds(
                 )
 
             # Per-resolved-instance residue (once per instance per batch):
-            # segment-cursor counts up to the stopping point and the frozen
-            # cursor's count.
-            resolved_positions = np.nonzero(met | terminal)[0]
-            if resolved_positions.size:
-                met_list = met.tolist()
-                for k in resolved_positions.tolist():
-                    entry = entries[k]
-                    if met_list[k]:
-                        segments_until = float(windows.starts[first_hit[k]])
-                    else:
-                        segments_until = entry.horizon
-                    segments_a, segments_b = entry.segments_in_play(segments_until)
-                    frozen_state = frozen.get(entry.index)
-                    if frozen_state is not None:
-                        # The frozen cursor stopped pulling at the freeze time.
-                        if frozen_state.agent == "A":
-                            segments_a = frozen_state.segments
-                        else:
-                            segments_b = frozen_state.segments
-                    cols.segments_a[entry.index] = segments_a
-                    cols.segments_b[entry.index] = segments_b
+            # segment-cursor counts up to the stopping point, where a frozen
+            # cursor stopped pulling at the freeze time.
+            resolved = np.flatnonzero(met | terminal)
+            if resolved.size:
+                rows = pending[resolved]
+                hit_start = windows.starts[np.where(met, first_hit, 0)]
+                until = np.where(met, hit_start, horizon).tolist()
+                for role, tables, column in (
+                    ("A", tables_a, cols.segments_a), ("B", tables_b, cols.segments_b)
+                ):
+                    counted = [_segments_in_play(tables[k], until[k]) for k in resolved.tolist()]
+                    column[rows] = np.where(
+                        frozen_agent[resolved] == role, cols.freeze_segments[rows], counted
+                    )
 
             pending = pending[unresolved | freezes]
 
@@ -420,7 +403,7 @@ def _run_rounds(
         round_number,
         elapsed,
     )
-    return cols, frozen, elapsed
+    return cols, elapsed
 
 
 def simulate_batch(
@@ -485,7 +468,7 @@ def simulate_batch(
     validated, also for an empty batch.
     """
     instances = list(instances)
-    cols, _, elapsed = _run_rounds(
+    cols, elapsed = _run_rounds(
         instances,
         algorithm,
         np.array([instance.r for instance in instances], dtype=float),

@@ -97,7 +97,7 @@ def simulate_batch_asymmetric(
     )
     # The smaller radius declares the meeting, the larger one the freeze; the
     # agent holding the larger radius freezes first (ties never freeze).
-    cols, frozen, elapsed = _run_rounds(
+    cols, elapsed = _run_rounds(
         instances,
         algorithm,
         np.minimum(radii_a, radii_b),
@@ -124,21 +124,17 @@ def simulate_batch_asymmetric(
         results = cols.build_results(
             instances, names, elapsed_wall_seconds=elapsed / len(instances)
         )
-        outcomes = []
-        for k, (result, r_a, r_b) in enumerate(
-            zip(results, radii_a.tolist(), radii_b.tolist())
-        ):
-            freeze = frozen.get(k)
-            outcomes.append(
-                AsymmetricOutcome(
-                    result=result,
-                    radius_a=r_a,
-                    radius_b=r_b,
-                    frozen_agent=freeze.agent if freeze is not None else None,
-                    freeze_time=freeze.time if freeze is not None else None,
-                    freeze_distance=freeze.distance if freeze is not None else None,
-                )
+        outcomes = [
+            AsymmetricOutcome(
+                result=result, radius_a=r_a, radius_b=r_b, frozen_agent=agent or None,
+                freeze_time=time if agent else None,
+                freeze_distance=distance if agent else None,
             )
+            for result, r_a, r_b, agent, time, distance in zip(
+                results, radii_a.tolist(), radii_b.tolist(), cols.frozen_agent.tolist(),
+                cols.freeze_time.tolist(), cols.freeze_distance.tolist(),
+            )
+        ]
         if _contracts.enabled():
             for outcome in outcomes:
                 check_outcome(outcome, max_time=max_time)

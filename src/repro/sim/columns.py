@@ -6,8 +6,8 @@ outcome field lives in a preallocated numpy column indexed by instance
 position, written with masked assignments as whole rounds classify at once.  :class:`ResultColumns` is that struct — the columns
 of the eventual :class:`~repro.sim.results.SimulationResult` list plus the
 carried per-instance round state (requested horizon, scan resume point,
-window counts, partial closest approach) that the first engine generation
-kept in dicts.  Only :meth:`ResultColumns.build_results` touches Python
+window counts, partial closest approach, the Section 5 freeze) that the
+first engine generation kept in dicts.  Only :meth:`ResultColumns.build_results` touches Python
 objects, once per batch, after the last round.
 
 Sentinel conventions: ``NaN`` encodes ``None`` in float columns (meeting
@@ -70,6 +70,10 @@ class ResultColumns:
         "horizon",
         "scan_from",
         "windows_before",
+        "frozen_agent",
+        "freeze_time",
+        "freeze_distance",
+        "freeze_segments",
     )
 
     def __init__(self, size: int) -> None:
@@ -87,13 +91,20 @@ class ResultColumns:
         self.segments_b = np.zeros(size, dtype=np.int64)
         self.windows_processed = np.zeros(size, dtype=np.int64)
         # Carried round state (dict-free): the horizon *requested* for the
-        # next round (a RoundEntry may cap its effective horizon below this),
-        # where the next round resumes scanning, and how many windows lie
-        # fully before that point.  min_distance/min_distance_time double as
-        # the carried partial closest approach while an instance is pending.
+        # next round (a budget stop may cap the round's effective horizon
+        # below this), where the next round resumes scanning, and how many
+        # windows lie fully before that point.  min_distance/min_distance_time
+        # double as the carried partial closest approach while an instance is
+        # pending.
         self.horizon = np.zeros(size)
         self.scan_from = np.zeros(size)
         self.windows_before = np.zeros(size, dtype=np.int64)
+        # The Section 5 freeze: the frozen agent ("" while none is), when, at
+        # what distance, and its cursor's segments by then (still budgeted).
+        self.frozen_agent = np.full(size, "", dtype="<U1")
+        self.freeze_time = np.full(size, np.nan)
+        self.freeze_distance = np.full(size, np.nan)
+        self.freeze_segments = np.zeros(size, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self.met.shape[0])

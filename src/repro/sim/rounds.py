@@ -9,16 +9,15 @@ quadratics one cache-sized tile at a time, and retry the instances that
 neither met nor terminated with a geometrically grown horizon.  This module
 holds that loop's building blocks:
 
-* :class:`ProgramSource` — serves trajectory tables while consuming each
-  program's column blocks only once (shared builders for universal
-  algorithms, kept across engine calls in the bounded LRU
+* :class:`ProgramSource` — serves one agent side of a whole round while
+  consuming each program's column blocks only once (shared builders for
+  universal algorithms, kept across engine calls in the bounded LRU
   ``_BUILDER_CACHE``); a table is a
   :class:`~repro.motion.compiler.TrajectoryView` — the shared local rows
   under one agent's frame — so nothing is compiled per agent;
-* :class:`RoundEntry` — one instance's tables, horizon and budget state for
-  one round, including the exact reproduction of the event engine's
-  ``max_segments`` stopping rule (:func:`entry_state_arrays` is the column
-  form the driver classifies whole rounds with);
+* :func:`round_bounds` — a round's budget-capped horizons, budget flags,
+  scan limits and finish times as columns over its entries, including the
+  exact reproduction of the event engine's ``max_segments`` stopping rule;
 * :func:`build_windows` — the *flat*, sort-free cross-instance window
   construction: range cuts grouped per shared local program (each entry
   searching with its own frame, corrected to the exact materialized cut),
@@ -122,7 +121,7 @@ def trim_builder_cache() -> None:
 
 
 class ProgramSource:
-    """Serves trajectory tables, consuming each program only once.
+    """Serves one agent side of a whole round, consuming each program only once.
 
     Every program reaches its builder as column blocks
     (:func:`~repro.sim.engine._resolve_blocks`, the event engine's resolver
@@ -130,9 +129,16 @@ class ProgramSource:
     :class:`LocalProgramBuilder` across every agent of every instance;
     non-universal programs get one builder per (instance, role), created on
     first use and *extended* (never re-created) as the adaptive horizon grows.
+    ``specs`` holds each instance's ``(spec_a, spec_b)``.
     """
 
-    def __init__(self, algorithm: Any, max_segments: Optional[int]) -> None:
+    def __init__(
+        self,
+        algorithm: Any,
+        max_segments: Optional[int],
+        instances: Sequence[Instance],
+        specs: Sequence[Tuple[AgentSpec, AgentSpec]],
+    ) -> None:
         self.algorithm = algorithm
         # ``max_segments`` is the combined budget across both agents (event
         # engine semantics); each builder may overshoot it slightly so the
@@ -142,51 +148,87 @@ class ProgramSource:
         self._cache_key = (
             getattr(algorithm, "program_cache_key", None) if self._universal else None
         )
-        self._shared: Optional[LocalProgramBuilder] = None
-        self._builders: Dict[Tuple[int, str], LocalProgramBuilder] = {}
+        self._instances = instances
+        self._specs = specs
+        # Universal: one builder under the key None; otherwise per (row, role).
+        self._builders: Dict[Any, LocalProgramBuilder] = {}
         # One table compiler per distinct trajectory, memoizing one view per
         # prefix: a universal program's table is a pure function of the
         # agent spec, so its compilers key by spec — agent A (the canonical
         # reference with one spec across *all* instances) collapses onto a
         # single compiler, which keeps table identity for the flat window
-        # construction's dedup.  Non-universal programs key per (instance,
-        # role).
-        self._compilers: Dict[Any, IncrementalTableCompiler] = {}
+        # construction's dedup.  Non-universal programs get one per (row,
+        # role).  Listed per side and row, with each row's (wake, rate) clock.
+        shared: Dict[AgentSpec, IncrementalTableCompiler] = {}
 
-    def table_for(
-        self, index: int, instance: Instance, spec: AgentSpec, role: str, horizon: float
-    ) -> TrajectoryView:
-        units = spec.units
-        local_budget = max((horizon - units.wake_time) / units.clock_rate, 0.0)
-        if self._universal:
-            if self._shared is None:
-                cache_key = self._cache_key
-                if cache_key is not None:
-                    self._shared = _BUILDER_CACHE.pop(cache_key, None)
-                if self._shared is None:
-                    self._shared = LocalProgramBuilder(
-                        _resolve_blocks(self.algorithm, instance, spec, role)
-                    )
-                if cache_key is not None:
-                    # (Re-)insert at the back: dict order is the LRU order.
-                    _BUILDER_CACHE[cache_key] = self._shared
-                    trim_builder_cache()
-            builder = self._shared
-        else:
-            key = (index, role)
-            builder = self._builders.get(key)
+        def compiler(spec: AgentSpec) -> IncrementalTableCompiler:
+            if not self._universal:
+                return IncrementalTableCompiler(spec)
+            if spec not in shared:
+                shared[spec] = IncrementalTableCompiler(spec)
+            return shared[spec]
+
+        self._compilers = tuple([compiler(pair[side]) for pair in specs] for side in range(2))
+        self._clocks = tuple(
+            np.array([compiler.frame[:2] for compiler in side]).T for side in self._compilers
+        )
+
+    def _builder(self, row: int, role: str) -> LocalProgramBuilder:
+        key = None if self._universal else (row, role)
+        builder = self._builders.get(key)
+        if builder is None:
+            cache_key = self._cache_key
+            if cache_key is not None:
+                builder = _BUILDER_CACHE.pop(cache_key, None)
             if builder is None:
+                spec = self._specs[row]["AB".index(role)]
                 builder = LocalProgramBuilder(
-                    _resolve_blocks(self.algorithm, instance, spec, role)
+                    _resolve_blocks(self.algorithm, self._instances[row], spec, role)
                 )
-                self._builders[key] = builder
-        local = builder.snapshot(local_budget, max_steps=self.max_steps)
-        compiler_key: Any = spec if self._universal else (index, role)
-        compiler = self._compilers.get(compiler_key)
-        if compiler is None:
-            compiler = IncrementalTableCompiler(spec)
-            self._compilers[compiler_key] = compiler
-        return compiler.table(local)
+            if cache_key is not None:
+                # (Re-)insert at the back: dict order is the LRU order.
+                _BUILDER_CACHE[cache_key] = builder
+                trim_builder_cache()
+            self._builders[key] = builder
+        return builder
+
+    def round_tables(
+        self, role: str, rows: np.ndarray, horizons: np.ndarray
+    ) -> List[TrajectoryView]:
+        """Agent ``role``'s tables of instance ``rows``, covering ``horizons``.
+
+        Each builder takes one ``snapshot``, at the largest local budget of
+        the rows it serves; one ``searchsorted`` then cuts every row's
+        prefix from it — the row count the builder's own snapshot at the
+        row's budget returns, ``max_steps`` and ``complete`` included, since
+        a snapshot's count depends only on rows already read.
+        """
+        rows_list = rows.tolist()
+        if not rows_list:
+            return []
+        side = "AB".index(role)
+        wake, rate = self._clocks[side][:, rows]
+        budgets = np.maximum((horizons - wake) / rate, 0.0)
+        groups = (
+            [(rows_list[0], np.arange(len(rows_list)))]
+            if self._universal
+            else [(row, np.array([k])) for k, row in enumerate(rows_list)]
+        )
+        compilers = self._compilers[side]
+        tables: List[Any] = [None] * len(rows_list)
+        for row, at in groups:
+            wanted = budgets[at]
+            local = self._builder(row, role).snapshot(
+                float(wanted.max()), max_steps=self.max_steps
+            )
+            counts = np.minimum(local.cumulative.searchsorted(wanted) + 1, len(local))
+            prefixes: Dict[int, Any] = {}
+            for k, count in zip(at.tolist(), counts.tolist()):
+                prefix = prefixes.get(count)
+                if prefix is None:
+                    prefix = prefixes[count] = local.prefix(count)
+                tables[k] = compilers[rows_list[k]].table(prefix)
+        return tables
 
 
 def default_initial_horizon(instance: Instance, max_time: float) -> float:
@@ -258,7 +300,7 @@ def stall_arrays(
 class StallTransform:
     """Memoized columnar stall transform for one batch-driver call.
 
-    :meth:`ProgramSource.table_for` returns memoized views (one per prefix),
+    :meth:`ProgramSource.round_tables` returns memoized views (one per prefix),
     so keying the splice on the table's identity both avoids re-splicing per
     round and preserves table sharing — instances with an identical source
     table and identical stall parameters keep receiving one shared stalled
@@ -281,130 +323,80 @@ class StallTransform:
         return cached[1]
 
 
-class RoundEntry:
-    """One instance's tables, horizon and budget state for one round.
+def round_bounds(
+    tables_a: Sequence[Any],
+    tables_b: Sequence[Any],
+    horizon: np.ndarray,
+    extra_segments: np.ndarray,
+    max_segments: int,
+    max_time: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(horizon, budget_limited, limit, finish)`` columns of one round.
 
-    Tables are :class:`~repro.motion.compiler.TrajectoryView` s or explicit
-    :class:`~repro.motion.compiler.TrajectoryTable` s; every row lookup goes
-    through their shared methods (``count_boundaries``, ``start_times``, ``end_time``).
-    ``extra_segments`` counts trajectory segments that the event engine's
-    cursors have already pulled but that are *not* rows of the tables handed
-    in — the driver passes a frozen agent's pre-freeze segment count here
-    (its synthetic table has ``segments == 0``), so the combined
-    ``max_segments`` stopping rule keeps matching the event loop exactly.
+    Entry ``k`` pairs ``tables_a[k]`` with ``tables_b[k]`` under the
+    requested ``horizon[k]``.  ``extra_segments`` are segments the event
+    engine's cursors pulled that are *not* table rows (a frozen agent's
+    pre-freeze count; its one-row table has none).  Returned: the
+    budget-capped horizon, whether a budget capped it, ``limit`` (how far
+    the final window may be scanned past the horizon: ``max_time``, or not
+    past a budget stop) and ``finish``, when *both* programs have ended
+    (``inf`` while either runs or is not fully represented).  A miss is a
+    ``max_segments`` stop when budget-limited, a ``programs-finished`` stop
+    when both programs ended within the horizon, a ``max-time`` stop at
+    ``max_time``, and otherwise retried with a grown horizon.
     """
-
-    __slots__ = (
-        "index",
-        "instance",
-        "table_a",
-        "table_b",
-        "horizon",
-        "budget_limited",
-        "scan_from",
-        "extra_segments",
-        "limit",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        instance: Instance,
-        table_a: Any,
-        table_b: Any,
-        horizon: float,
-        scan_from: float,
-        max_segments: int,
-        max_time: float,
-        *,
-        extra_segments: int = 0,
-    ) -> None:
-        self.index = index
-        self.instance = instance
-        self.table_a = table_a
-        self.table_b = table_b
-        self.scan_from = scan_from
-        self.extra_segments = extra_segments
-
-        # The event engine stops when the *combined* number of segments pulled
-        # by both cursors exceeds ``max_segments``, which happens at the start
-        # time of the (max_segments + 1)-th segment in the merged timeline.
-        # Capping the horizon there reproduces its stopping rule exactly.
-        # (``partition`` extracts that order statistic in linear time; the
-        # value is identical to a full sort's.)
-        self.budget_limited = False
-        if table_a.segments + table_b.segments + extra_segments > max_segments:
-            merged_starts = np.concatenate(
-                (
-                    table_a.start_times(table_a.segments),
-                    table_b.start_times(table_b.segments),
-                )
+    horizon = np.array(horizon, dtype=float)
+    budget_limited = np.zeros(horizon.shape[0], dtype=bool)
+    segments_a = np.array([table.segments for table in tables_a], dtype=np.int64)
+    segments_b = np.array([table.segments for table in tables_b], dtype=np.int64)
+    # The event engine stops when the *combined* number of segments pulled
+    # by both cursors exceeds ``max_segments``, which happens at the start
+    # time of the (max_segments + 1)-th segment in the merged timeline.
+    # Capping the horizon there reproduces its stopping rule exactly.
+    # (``partition`` extracts that order statistic in linear time; the value
+    # is identical to a full sort's.)
+    over = segments_a + segments_b + extra_segments > max_segments
+    for k in np.flatnonzero(over).tolist():
+        table_a, table_b = tables_a[k], tables_b[k]
+        merged_starts = np.concatenate(
+            (
+                table_a.start_times(table_a.segments),
+                table_b.start_times(table_b.segments),
             )
-            kth = max(max_segments - extra_segments, 0)
-            cutoff = float(np.partition(merged_starts, kth)[kth])
-            # A cutoff at exactly max_time still terminates as MAX_TIME: the
-            # event loop checks the time horizon before the segment budget.
-            if cutoff <= horizon and cutoff < max_time:
-                horizon = cutoff
-                self.budget_limited = True
-        # Safety net: coverage falling short of the horizon (a table truncated
-        # by its per-agent overshoot cap) is also a budget stop.  Coverage is
-        # requested in *local* time (horizon / clock_rate) and the table's end
-        # maps back through the same factor, so for clock rates != 1 the end
-        # can land an ulp short of the horizon it fully covers — only a
-        # macroscopic shortfall (at least a whole segment) means truncation.
-        for table in (table_a, table_b):
-            end = table.end_time
-            if (
-                not table.exhausted
-                and end < horizon
-                and not math.isclose(end, horizon, rel_tol=1e-9, abs_tol=1e-9)
-            ):
-                horizon = end
-                self.budget_limited = True
-        self.horizon = max(horizon, 0.0)
-        # How far the event engine could scan past the horizon inside the
-        # round's final window: to ``max_time``, or not past a budget stop.
-        self.limit = self.horizon if self.budget_limited else max_time
-
-    def segments_in_play(self, until: float) -> Tuple[int, int]:
-        """Per-agent counts of segments starting by ``until`` (event-cursor analogue)."""
-        return (
-            min(self.table_a.count_boundaries(until) + 1, self.table_a.segments),
-            min(self.table_b.count_boundaries(until) + 1, self.table_b.segments),
         )
-
-
-def entry_state_arrays(
-    entries: Sequence["RoundEntry"],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(budget_limited, horizon, finish)`` columns over one round's entries.
-
-    The per-entry state the driver classifies a whole round's misses with,
-    as masks: ``budget_limited`` and the (possibly budget-capped) effective
-    ``horizon`` per entry, and ``finish`` — the absolute time at which *both*
-    programs have ended (``inf`` when either is still running or not fully
-    represented).  A miss is a ``max_segments`` stop when budget-limited; a
-    ``programs-finished`` stop (``max-time`` from ``max_time`` on) when both
-    programs ended within the horizon, since the agents stand still forever;
-    a ``max-time`` stop when the horizon reached ``max_time``; and otherwise
-    unresolved, retried with a grown horizon.
-    """
-    n = len(entries)
-    budget_limited = np.empty(n, dtype=bool)
-    horizon = np.empty(n)
-    finish = np.empty(n)
-    for k, entry in enumerate(entries):
-        budget_limited[k] = entry.budget_limited
-        horizon[k] = entry.horizon
-        finish_a = entry.table_a.finish_time
-        finish_b = entry.table_b.finish_time
-        finish[k] = (
-            math.inf
-            if finish_a is None or finish_b is None
-            else max(finish_a, finish_b)
+        kth = max(max_segments - int(extra_segments[k]), 0)
+        cutoff = float(np.partition(merged_starts, kth)[kth])
+        # A cutoff at exactly max_time still terminates as MAX_TIME: the
+        # event loop checks the time horizon before the segment budget.
+        if cutoff <= horizon[k] and cutoff < max_time:
+            horizon[k] = cutoff
+            budget_limited[k] = True
+    # Safety net: coverage falling short of the horizon (a table truncated
+    # by its per-agent overshoot cap) is also a budget stop.  Coverage is
+    # requested in *local* time (horizon / clock_rate) and the table's end
+    # maps back through the same factor, so for clock rates != 1 the end can
+    # land an ulp short of the horizon it fully covers — only a macroscopic
+    # shortfall (at least a whole segment) means truncation.  A's net runs
+    # first and B's sees the horizon it left.
+    for tables in (tables_a, tables_b):
+        end = np.array([table.end_time for table in tables], dtype=float)
+        exhausted = np.array([table.exhausted for table in tables], dtype=bool)
+        for k in np.flatnonzero(~exhausted & (end < horizon)).tolist():
+            if not math.isclose(end[k], horizon[k], rel_tol=1e-9, abs_tol=1e-9):
+                horizon[k] = end[k]
+                budget_limited[k] = True
+    horizon = np.where(horizon < 0.0, 0.0, horizon)
+    limit = np.where(budget_limited, horizon, max_time)
+    finish_a, finish_b = (
+        np.array(
+            [math.inf if table.finish_time is None else table.finish_time for table in tables],
+            dtype=float,
         )
-    return budget_limited, horizon, finish
+        for tables in (tables_a, tables_b)
+    )
+    # ``max(a, b)``'s own rule (``a`` unless ``b > a``), which keeps the sign
+    # of a zero where ``np.maximum`` would not.
+    return horizon, budget_limited, limit, np.where(finish_b > finish_a, finish_b, finish_a)
 
 
 class RoundWindows:
@@ -800,8 +792,18 @@ def _window_states(
     return px, py, vx, vy
 
 
-def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
+def build_windows(
+    tables_a: Sequence[Any],
+    tables_b: Sequence[Any],
+    scan_from: np.ndarray,
+    horizon: np.ndarray,
+    limit: np.ndarray,
+) -> RoundWindows:
     """Stack the merged event windows of every entry into flat arrays.
+
+    Entry ``k`` scans ``tables_a[k]`` against ``tables_b[k]`` from
+    ``scan_from[k]`` to ``horizon[k]``; ``limit[k]`` caps how far its final
+    window's closest approach is tracked (see :func:`round_bounds`).
 
     The flat, sort-free formulation of the per-instance window construction.
     Each side's in-range boundaries are cut with grouped ``searchsorted``
@@ -827,12 +829,10 @@ def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     float value are the same (the earlier engine generations called
     ``np.unique`` per instance, then one stable ``lexsort`` over all events).
     """
-    n_entries = len(entries)
+    n_entries = len(tables_a)
     entry_ids = np.arange(n_entries)
-    horizons = np.array([entry.horizon for entry in entries])
-    scan_froms = np.array([entry.scan_from for entry in entries])
-    side_a = _SideRuns([entry.table_a for entry in entries], scan_froms, horizons)
-    side_b = _SideRuns([entry.table_b for entry in entries], scan_froms, horizons)
+    side_a = _SideRuns(tables_a, scan_from, horizon)
+    side_b = _SideRuns(tables_b, scan_from, horizon)
 
     # Window layout: entry k owns one window starting at its scan_from, at
     # ``first[k]``, then one window per boundary of either agent, in merge
@@ -859,7 +859,7 @@ def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     )
 
     starts = np.empty(total)
-    starts[first] = scan_froms
+    starts[first] = scan_from
     starts[b_windows] = side_b.values
     starts[a_windows] = side_a.values
     gather_a = np.empty(total, dtype=np.int64)
@@ -897,12 +897,11 @@ def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
     last = offsets[1:] - 1
     durations = np.empty(total)
     np.subtract(starts[1:], starts[:-1], out=durations[:-1])
-    durations[last] = np.maximum(horizons, scan_froms) - starts[last]
+    durations[last] = np.maximum(horizon, scan_from) - starts[last]
     np.maximum(durations, 0.0, out=durations)
     # Every agent's active row at the final window's start is ``base +
     # counts``; the window really ends where the first of those rows does.
-    limits = np.array([entry.limit for entry in entries])
-    final_end = np.minimum(np.minimum(side_a.row_ends, side_b.row_ends), limits)
+    final_end = np.minimum(np.minimum(side_a.row_ends, side_b.row_ends), limit)
     final_durations = np.maximum(final_end - starts[last], durations[last])
     return RoundWindows(
         starts, durations, offsets, counts, final_durations,

@@ -11,12 +11,11 @@ demand, so the oracle returns its own tuple of the same arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.motion.compiler import TrajectoryTable
-from repro.sim.rounds import RoundEntry
 
 
 class RoundWindows(NamedTuple):
@@ -153,7 +152,7 @@ def _boundary_values(
     return time_column[gather]
 
 
-def build_windows(entries: Sequence[RoundEntry]) -> RoundWindows:
+def build_windows(entries: Sequence[Any]) -> RoundWindows:
     """Stack the merged event windows of every entry into flat arrays.
 
     The flat formulation of the per-instance window construction: all entries'

@@ -499,6 +499,39 @@ class TestConcurrentRunners:
         identical_stores(directory, sequential_reference)
 
 
+class TestForeignPoll:
+    def test_one_lease_listing_per_poll(self, tmp_path, monkeypatch):
+        # Every shard is parked under a live peer's fresh lease: one poll
+        # keeps them all parked and lists the lease directory once, not once
+        # per shard.
+        import collections
+
+        from repro.campaign.executor import ShardExecutor
+        from repro.campaign.leases import LeaseManager
+
+        store = CampaignStore(str(tmp_path / "camp"))
+        spec = make_spec()
+        store.initialize(spec)
+        shards = plan_shards(spec)
+        peer = LeaseManager(store.lease_dir, owner="peer")
+        assert all(peer.acquire(shard.shard_id) for shard in shards)
+        leases = LeaseManager(store.lease_dir, owner="runner")
+        listings = []
+        stale_leases = leases.stale_leases
+        monkeypatch.setattr(
+            leases, "stale_leases", lambda: listings.append(1) or stale_leases()
+        )
+        executor = ShardExecutor(
+            store=store, spec=spec, leases=leases, stats=None, emit=lambda _: None,
+            workers=1, pool=None, plan_size=len(shards),
+        )
+        foreign = {shard.shard_id: shard for shard in shards}
+        ready = collections.deque()
+        assert not executor._poll_foreign(ready, foreign)
+        assert len(foreign) == len(shards) >= 4 and not ready
+        assert len(listings) == 1
+
+
 class TestRecomputeAccounting:
     """``rows_recomputed`` counts rows committed over a shard already on record."""
 

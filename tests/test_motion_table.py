@@ -300,20 +300,23 @@ class TestTableParity:
 
 
 class TestProgramSourceTables:
-    """The batch driver's horizon-bounded tables (``ProgramSource.table_for``)."""
+    """The batch driver's horizon-bounded tables (``ProgramSource.round_tables``)."""
 
     ALGORITHM = FunctionAlgorithm(lambda *_: planar_cow_walk(3), "walk")
 
+    def _b_table(self, instance, horizon, max_segments):
+        source = ProgramSource(self.ALGORITHM, max_segments, [instance], [instance.agents()])
+        (table,) = source.round_tables("B", np.array([0]), np.array([horizon]))
+        return table
+
     def test_horizon_coverage(self):
         instance = Instance(r=0.5, x=1.0, y=0.0, t=2.0, tau=2.0)
-        source = ProgramSource(self.ALGORITHM, max_segments=None)
-        table = source.table_for(0, instance, instance.agent_b(), "B", 50.0)
+        table = self._b_table(instance, 50.0, max_segments=None)
         assert table.end_time >= 50.0 and not table.exhausted
 
     def test_max_segments_truncates(self):
         instance = Instance(r=0.5, x=1.0, y=0.0)
-        source = ProgramSource(self.ALGORITHM, max_segments=10)
-        table = source.table_for(0, instance, instance.agent_b(), "B", 1e9)
+        table = self._b_table(instance, 1e9, max_segments=10)
         assert not table.exhausted
         # Each agent may read two rows past the combined budget, so the exact
         # cutoff can be computed afterwards.

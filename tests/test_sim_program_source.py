@@ -78,50 +78,56 @@ class TestViewsCompileNothing:
         assert motion_compiler.rows_compiled_total() == before + len(view)
 
 
+def _source(algorithm, instances, max_segments=None):
+    return ProgramSource(
+        algorithm, max_segments, instances, [instance.agents() for instance in instances]
+    )
+
+
+def _tables(source, role, rows, horizon):
+    """One round's ``role`` tables of instance ``rows``, all at ``horizon``."""
+    return source.round_tables(role, np.array(rows), np.full(len(rows), horizon))
+
+
+def _both_roles(source, horizon):
+    """A and B tables of instances 0 and 1, in the order A0, B0, A1, B1."""
+    views_a = _tables(source, "A", [0, 1], horizon)
+    views_b = _tables(source, "B", [0, 1], horizon)
+    return [views_a[0], views_b[0], views_a[1], views_b[1]]
+
+
 class TestProgramSourceIdentity:
     ALGORITHM = get_algorithm("almost-universal-compact")
 
     def test_equal_requests_return_one_view(self):
-        source = ProgramSource(self.ALGORITHM, max_segments=None)
-        spec = _LATE.agent_b()
-        first = source.table_for(0, _LATE, spec, "B", 64.0)
-        assert source.table_for(0, _LATE, spec, "B", 64.0) is first
+        source = _source(self.ALGORITHM, [_LATE])
+        (first,) = _tables(source, "B", [0], 64.0)
+        assert _tables(source, "B", [0], 64.0)[0] is first
 
     def test_agent_a_has_one_view_across_instances(self):
-        source = ProgramSource(self.ALGORITHM, max_segments=None)
-        views = {
-            id(source.table_for(index, instance, instance.agent_a(), "A", 64.0))
-            for index, instance in enumerate((_LATE, _PROMPT))
-        }
+        source = _source(self.ALGORITHM, [_LATE, _PROMPT])
+        views = {id(view) for view in _tables(source, "A", [0, 1], 64.0)}
         assert len(views) == 1
 
     def test_universal_views_share_one_builder(self):
-        source = ProgramSource(self.ALGORITHM, max_segments=None)
-        views = [
-            source.table_for(index, instance, spec, role, 64.0)
-            for index, instance in enumerate((_LATE, _PROMPT))
-            for spec, role in ((instance.agent_a(), "A"), (instance.agent_b(), "B"))
-        ]
+        source = _source(self.ALGORITHM, [_LATE, _PROMPT])
+        views = _both_roles(source, 64.0)
         assert len({id(view.source) for view in views}) == 1
         assert len({id(view) for view in views}) == 3  # A's view is shared
 
     def test_non_universal_builders_are_per_instance_and_role(self):
-        source = ProgramSource(WALK, max_segments=None)
-        views = [
-            source.table_for(index, instance, spec, role, 64.0)
-            for index, instance in enumerate((_LATE, _PROMPT))
-            for spec, role in ((instance.agent_a(), "A"), (instance.agent_b(), "B"))
-        ]
+        source = _source(WALK, [_LATE, _PROMPT])
+        views = _both_roles(source, 64.0)
         assert len({id(view.source) for view in views}) == 4
         # A grown horizon extends the builder rather than re-creating it.
-        longer = source.table_for(0, _LATE, _LATE.agent_b(), "B", 512.0)
+        (longer,) = _tables(source, "B", [0], 512.0)
         assert longer.source is views[1].source and len(longer) > len(views[1])
 
     def test_keyed_builder_is_kept_across_sources(self, fresh_builders):
-        first = ProgramSource(self.ALGORITHM, max_segments=None)
-        view = first.table_for(0, _LATE, _LATE.agent_b(), "B", 64.0)
-        second = ProgramSource(self.ALGORITHM, max_segments=None)
-        again = second.table_for(0, _LATE, _LATE.agent_b(), "B", 64.0)
+        first = _source(self.ALGORITHM, [_LATE])
+        (view,) = _tables(first, "B", [0], 64.0)
+        second = _source(self.ALGORITHM, [_LATE])
+        (again,) = _tables(second, "B", [0], 64.0)
         assert again.source is view.source
 
     def test_views_are_memoized_per_prefix(self):

@@ -29,7 +29,7 @@ import solve_round_oracle
 from repro.geometry.closest_approach import fused_window_batch
 from repro.sim import rounds
 from repro.sim.rounds import build_windows, solve_round
-from test_sim_build_windows import _entries, _entry, _table
+from test_sim_build_windows import _round, _round_inputs, _table
 
 _FIELDS = ("first_hit", "hit_offset", "first_hit2", "hit_offset2", "group_min", "min_time")
 
@@ -61,7 +61,7 @@ def _radii(draw, windows, distances):
 
 @st.composite
 def _rounds(draw):
-    windows = build_windows(draw(_entries()))
+    windows = build_windows(*draw(_round_inputs()))
     rel_x, rel_y, rvel_x, rvel_y = windows.relative_motion(slice(None))
     _, closest, _ = fused_window_batch(
         rel_x, rel_y, rvel_x, rvel_y, 0.0, windows.durations
@@ -127,7 +127,7 @@ def test_tiled_solve_matches_the_chunked_oracle(drawn):
 
 def test_negative_radii_are_rejected():
     table = _table(np.array([0.0, 1.0, 2.0, 3.0]), 5)
-    windows = build_windows([_entry(table, table, 0.0, 4.0), _entry(table, table, 0.5, 2.5)])
+    windows = build_windows(*_round([(table, table, 0.0, 4.0), (table, table, 0.5, 2.5)]))
     radius = np.ones(len(windows.counts))
     radius[-1] = -1.0
     with pytest.raises(ValueError, match="radius"):
@@ -151,12 +151,11 @@ def test_peak_memory_stays_within_the_tile_budget():
         _table(np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 1.0, 104_999)))), seed)
         for seed in (0, 1)
     ]
-    entries = [_entry(*tables, 0.0, 52_000.0)]
-    windows = build_windows(entries)
+    windows = build_windows(*_round([(*tables, 0.0, 52_000.0)]))
     total = len(windows)
     assert total >= 200_000
-    radius = np.full(len(entries), 0.5)
-    second_radius = np.full(len(entries), 2.0)
+    radius = np.full(1, 0.5)
+    second_radius = np.full(1, 2.0)
     tile = 1 << 12
     tracemalloc.start()
     try:
