@@ -28,6 +28,16 @@ Two flavours of the kernel exist:
   cache-sized tile of a round's stacked windows at a time
   (:func:`repro.sim.rounds.solve_round`), after checking the round's radii
   and durations once.
+
+:func:`solve_windows` forms the terms every radius shares once, then marks
+the *candidate* windows — those that start inside the larger radius or
+approach it with a real root — and runs square roots and divisions on those
+alone: on the Section 5 sweeps they are a few percent of all windows.  The
+smaller radius needs no separate scan, because rounding is monotone (see the
+comment in :func:`solve_windows`).  The public wrappers broadcast their
+inputs to one shape and flatten them to columns, so 0-d inputs and scalar
+radii work; the all-window kernel this replaced is kept in
+``tests/kernel_oracle.py``, which the candidate-only one equals bit for bit.
 """
 
 from __future__ import annotations
@@ -237,48 +247,119 @@ def _relative_arrays(pos_a, vel_a, pos_b, vel_b):
     return rel[..., 0], rel[..., 1], rel_vel[..., 0], rel_vel[..., 1]
 
 
-def _first_hit_columns(speed_sq, dot_pv, rel_x, rel_y, radius, durations):
-    """First-hit offsets from precomputed dot products, one radius column.
+def _quadratic_terms(p_sq, b_sq, four_speed_sq, approaching, radius_sq):
+    """The constant term, discriminant and root masks at one squared radius.
 
-    In-place ufuncs reuse temporaries where the value is no longer needed;
-    every element still goes through exactly the scalar kernel's float
-    operations, so verdicts stay bit-identical to the event engine.
+    Returns ``(c, disc, inside, real_root)``: ``c = |p|^2 - r^2`` and
+    ``disc = b^2 - 4|v|^2 c`` in the scalar kernel's operation order,
+    ``inside`` where the window starts within the radius (``c <= 0``) and
+    ``real_root`` where ``approaching`` holds and the discriminant is
+    non-negative.  A window outside the radius hits only where
+    ``real_root`` holds for ``approaching = (|v| > 0) & (b < 0)``; a wider
+    ``approaching`` mask gives a wider ``real_root`` mask.
     """
-    c = rel_x * rel_x
-    c += rel_y * rel_y
-    c -= radius * radius
+    c = p_sq - radius_sq
     inside = c <= 0.0
+    disc = four_speed_sq * c
+    np.subtract(b_sq, disc, out=disc)
+    real_root = disc >= 0.0
+    real_root &= approaching
+    return c, disc, inside, real_root
+
+
+def _radius_hits(p_sq, dot_pv, b_sq, four_speed_sq, radius, durations):
+    """First-hit offsets at one radius column, ``NaN`` where none.
+
+    Windows that start inside the radius hit at ``0.0``.  The square root,
+    the division and the duration test run only on the candidates (outside
+    the radius, approaching, with a real root), where every element goes
+    through exactly the scalar kernel's float operations: the numerically
+    stable smaller root ``2c / (sqrt(disc) - b)``, kept if it is no later
+    than the window's end and raised to at least ``0.0``.
+    """
     b = 2.0 * dot_pv
-    disc = b * b
-    disc -= 4.0 * speed_sq * c
-    approaching = ~inside
-    approaching &= speed_sq > 0.0
-    approaching &= b < 0.0
-    approaching &= disc >= 0.0
-    # Guard the sqrt/division on non-candidate windows; the formula matches
-    # the numerically stable smaller root of the scalar kernel.
-    safe_disc = np.where(approaching, disc, 0.0)
-    np.sqrt(safe_disc, out=safe_disc)
-    safe_disc -= b
-    denominator = np.where(approaching, safe_disc, 1.0)
-    t_hit = 2.0 * c
-    t_hit /= denominator
-    hit = np.where(
-        approaching & (t_hit <= durations), np.maximum(t_hit, 0.0), np.nan
+    # 4|v|^2 > 0 exactly where |v|^2 > 0: scaling by 4 neither reaches 0
+    # nor changes a sign.
+    approaching = b < 0.0
+    approaching &= four_speed_sq > 0.0
+    c, disc, inside, candidate = _quadratic_terms(
+        p_sq, b_sq, four_speed_sq, approaching, radius * radius
     )
-    return np.where(inside, 0.0, hit)
+    candidate &= ~inside
+    hit = np.full(c.shape, np.nan)
+    hit[inside] = 0.0
+    at = np.flatnonzero(candidate)
+    t_hit = 2.0 * c[at]
+    denominator = np.sqrt(disc[at])
+    denominator -= b[at]
+    t_hit /= denominator
+    within = t_hit <= durations[at]
+    hit[at[within]] = np.maximum(t_hit[within], 0.0)
+    return hit
+
+
+def _first_hit_columns(rel_x, rel_y, speed_sq, dot_pv, radii, durations):
+    """First-hit half of the fused kernel: one hit column per radius column.
+
+    ``|p|^2``, ``b^2`` and ``4|v|^2`` are formed once for every radius.  A
+    window can only hit a radius where it starts inside the larger radius or
+    approaches with a real root there — a few percent of the windows of the
+    benchmark sweeps — so the radii are solved on those windows alone, and
+    every other window reports ``NaN`` without a square root or a division.
+    """
+    p_sq = rel_x * rel_x
+    p_sq += rel_y * rel_y
+    b_sq = 2.0 * dot_pv
+    b_sq *= b_sq
+    four_speed_sq = 4.0 * speed_sq
+    # Rounding is monotone: for radii rho <= R, fl(rho^2) <= fl(R^2), so
+    # c_rho = fl(|p|^2 - fl(rho^2)) >= c_R, and on moving windows, where
+    # 4|v|^2 > 0, disc_rho = fl(b^2 - fl(4|v|^2 c_rho)) <= disc_R.  A window
+    # inside rho is inside R, and one with a real root at rho has one at R,
+    # so no radius hits outside the larger radius's inside-or-real-root
+    # windows.  (c_R is NaN only when |p|^2 and R^2 are both infinite, and
+    # then c_rho is infinite or NaN: no hit either.)  ``fmax`` picks the
+    # larger radius per element in either column order and skips a NaN
+    # radius, whose column hits nowhere; the mask leaves out the moving test
+    # (b < 0 is <p, v> < 0), which only admits a few extra windows for the
+    # exact solve below.
+    larger = radii[0] if len(radii) == 1 else np.fmax(*radii)
+    _, _, reach, real_root = _quadratic_terms(
+        p_sq, b_sq, four_speed_sq, dot_pv < 0.0, larger * larger
+    )
+    reach |= real_root
+    at = np.flatnonzero(reach)
+    terms = (p_sq[at], dot_pv[at], b_sq[at], four_speed_sq[at])
+    durations_at = durations[at]
+    hits = []
+    for radius in radii:
+        hit = np.full(rel_x.shape, np.nan)
+        hit[at] = _radius_hits(*terms, radius[at], durations_at)
+        hits.append(hit)
+    return hits
 
 
 def _closest_columns(speed_sq, dot_pv, rel_x, rel_y, rvel_x, rvel_y, durations):
     """Closest-approach half of the fused kernel, from precomputed dots.
+
+    ``t* = -<p, v> / |v|^2`` where the points move and ``0.0`` where they
+    do not, clipped to ``[0, duration]``.  The quotient is formed in place
+    in the buffers of ``speed_sq`` and ``dot_pv``, which the caller must not
+    read afterwards.
 
     ``sqrt(x*x + y*y)`` stands in for ``hypot`` — a couple of ulps apart
     at these (overflow-safe) magnitudes, far inside both the kernel
     suite's 1e-12 and the engines' 1e-9 parity tolerances, and several
     times faster than libm's hypot.
     """
-    safe_speed_sq = np.where(speed_sq > 0.0, speed_sq, 1.0)
-    t_star = np.where(speed_sq > 0.0, -dot_pv / safe_speed_sq, 0.0)
+    static = speed_sq > 0.0
+    np.logical_not(static, out=static)
+    np.putmask(speed_sq, static, 1.0)  # a safe divisor; the quotient is dropped
+    t_star = np.negative(dot_pv, out=dot_pv)
+    t_star /= speed_sq
+    np.putmask(t_star, static, 0.0)
+    # Not in place: numpy's in-place clip can keep a -0.0 that the
+    # out-of-place call raises to 0.0 (seen on one-element columns).
     t_star = np.clip(t_star, 0.0, durations)
     at_x = t_star * rvel_x
     at_x += rel_x
@@ -303,27 +384,31 @@ def solve_windows(
     are the per-window closest approach (``None`` when untracked).  Inputs
     are assumed validated — by the public entry points below, or once per
     round by :func:`repro.sim.rounds.solve_round`, which calls this per
-    tile: non-negative radii and durations, same-length columns.  Every
-    window is solved on its own, so splitting the columns changes no value.
-    With contract checking
+    tile: one-dimensional float columns of one length (the radii
+    included), non-negative radii and durations.  Every window is solved on
+    its own, so splitting the columns changes no value.
+
+    ``|v|^2`` and ``<p, v>`` are formed once for both halves; the first-hit
+    half (:func:`_first_hit_columns`) takes square roots and divisions only
+    on the windows that can reach the larger radius.  With contract checking
     enabled, the kernel contracts (``kernel.min_distance_nonneg``,
     ``kernel.min_leq_endpoints``, ``kernel.hit_within_window``) run on every
     call.
     """
     speed_sq = rvel_x * rvel_x + rvel_y * rvel_y
     dot_pv = rel_x * rvel_x + rel_y * rvel_y
-    hit = _first_hit_columns(speed_sq, dot_pv, rel_x, rel_y, radius, durations)
-    second_hit = None
-    if second_radius is not None:
-        if second_radius is radius or np.array_equal(radius, second_radius):
-            # Equal columns (degenerate equal-radius sweeps, post-freeze
-            # rounds of the asymmetric engine) answer both questions with
-            # one root extraction; the equality check is a cheap pass.
-            second_hit = hit
-        else:
-            second_hit = _first_hit_columns(
-                speed_sq, dot_pv, rel_x, rel_y, second_radius, durations
-            )
+    radii = [radius]
+    if second_radius is not None and not (
+        second_radius is radius or np.array_equal(radius, second_radius)
+    ):
+        radii.append(second_radius)
+    # Equal columns (degenerate equal-radius sweeps, post-freeze rounds of
+    # the asymmetric engine) answer both questions with one root extraction;
+    # the equality check is a cheap pass.
+    hits = _first_hit_columns(rel_x, rel_y, speed_sq, dot_pv, radii, durations)
+    hit = hits[0]
+    second_hit = None if second_radius is None else hits[-1]
+
     min_distance = t_star = None
     if track_closest:
         min_distance, t_star = _closest_columns(
@@ -335,6 +420,22 @@ def solve_windows(
             rel_x, rel_y, rvel_x, rvel_y, durations,
         )
     return hit, second_hit, min_distance, t_star
+
+
+def _window_columns(*inputs):
+    """Broadcast public kernel inputs to one shape, as flat float columns.
+
+    Returns the common shape and one contiguous one-dimensional column per
+    input, so 0-d inputs and scalar radii reach :func:`solve_windows` as
+    columns; :func:`_shaped` gives the outputs that shape back.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(item, dtype=float) for item in inputs))
+    return arrays[0].shape, [np.ravel(array) for array in arrays]
+
+
+def _shaped(shape, outputs):
+    """The kernel's outputs in the inputs' broadcast shape."""
+    return tuple(None if out is None else out.reshape(shape) for out in outputs)
 
 
 def fused_window_batch(
@@ -367,10 +468,6 @@ def fused_window_batch(
     engines' 1e-9 parity tolerance absorbs only the accumulation differences
     upstream of the kernel.
     """
-    rel_x = np.asarray(rel_x, dtype=float)
-    rel_y = np.asarray(rel_y, dtype=float)
-    rvel_x = np.asarray(rvel_x, dtype=float)
-    rvel_y = np.asarray(rvel_y, dtype=float)
     durations = np.asarray(durations, dtype=float)
     radius = np.asarray(radius, dtype=float)
     # Same contract as the scalar kernels: surface sign bugs instead of
@@ -380,10 +477,12 @@ def fused_window_batch(
     if np.any(durations < 0.0):
         raise ValueError("durations must be non-negative")
 
+    shape, columns = _window_columns(rel_x, rel_y, rvel_x, rvel_y, radius, durations)
+    rel_x, rel_y, rvel_x, rvel_y, radius, durations = columns
     hit, _, min_distance, t_star = solve_windows(
         rel_x, rel_y, rvel_x, rvel_y, radius, None, durations, track_closest
     )
-    return hit, min_distance, t_star
+    return _shaped(shape, (hit, min_distance, t_star))
 
 
 def fused_window_batch_dual(
@@ -403,10 +502,11 @@ def fused_window_batch_dual(
     offset at which the distance reaches the smaller (meeting) radius and the
     first offset at which it reaches the larger (freeze) radius.  Both
     quadratics share every dot product — only the constant term differs — so
-    the kernel computes the shared terms once and runs the root extraction
-    twice, with the same operation-for-operation arithmetic as the scalar
-    kernel (verdict parity with the event engine is exact on identical window
-    inputs; the engines' 1e-9 tolerance only absorbs upstream accumulation).
+    the kernel computes the shared terms once and extracts each radius's
+    roots on the windows that can reach the larger radius, with the same
+    operation-for-operation arithmetic as the scalar kernel (verdict parity
+    with the event engine is exact on identical window inputs; the engines'
+    1e-9 tolerance only absorbs upstream accumulation).
 
     ``radius`` and ``second_radius`` are scalars or per-window arrays in
     absolute length units; there is no ordering requirement between them.
@@ -416,10 +516,6 @@ def fused_window_batch_dual(
     pair mirrors :func:`fused_window_batch` (``None`` when ``track_closest``
     is false).
     """
-    rel_x = np.asarray(rel_x, dtype=float)
-    rel_y = np.asarray(rel_y, dtype=float)
-    rvel_x = np.asarray(rvel_x, dtype=float)
-    rvel_y = np.asarray(rvel_y, dtype=float)
     durations = np.asarray(durations, dtype=float)
     radius = np.asarray(radius, dtype=float)
     second_radius = np.asarray(second_radius, dtype=float)
@@ -428,10 +524,10 @@ def fused_window_batch_dual(
     if np.any(durations < 0.0):
         raise ValueError("durations must be non-negative")
 
-    return solve_windows(
-        rel_x, rel_y, rvel_x, rvel_y, radius, second_radius, durations,
-        track_closest,
+    shape, columns = _window_columns(
+        rel_x, rel_y, rvel_x, rvel_y, radius, second_radius, durations
     )
+    return _shaped(shape, solve_windows(*columns, track_closest))
 
 
 def first_time_within_batch(

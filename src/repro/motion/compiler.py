@@ -420,9 +420,13 @@ class LocalProgramBuilder:
     def ensure_time(self, local_time: float, *, max_steps: Optional[int] = None) -> None:
         """Consume until the covered local time reaches ``local_time``.
 
-        Stops early when the program ends or ``max_steps`` rows exist.
+        At least one row is read, so the row in play at ``local_time`` is
+        there even at time 0.  Stops early when the program ends or
+        ``max_steps`` rows exist.
         """
-        while not self.exhausted and self.consumed_local_time < local_time:
+        while not self.exhausted and (
+            self.consumed_local_time < local_time or not self._size
+        ):
             if max_steps is not None and len(self) >= max_steps:
                 return
             self._pull()

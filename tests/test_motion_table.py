@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from profiles import SLOW_SETTINGS, STANDARD_SETTINGS
 from repro.algorithms.almost_universal import AlmostUniversalRV
@@ -123,6 +123,20 @@ class TestLocalProgramBuilder:
         builder = LocalProgramBuilder(instruction_blocks(Wait(1.0) for _ in range(10**6)))
         snap = builder.snapshot(1e18, max_steps=100)
         assert len(snap) == 100 and not snap.complete
+
+    @pytest.mark.parametrize("chunk", [1, 1024])
+    def test_budget_zero_snapshot_is_the_first_row(self, chunk):
+        # The prefix covering local time 0 is the first row, whether or not
+        # an earlier request has read rows into the builder.
+        program = [Wait(0.0), Move(3.0, 4.0), Wait(1.0), Wait(2.0)]
+        fresh = LocalProgramBuilder(instruction_blocks(program, chunk=chunk))
+        filled = LocalProgramBuilder(instruction_blocks(program, chunk=chunk))
+        filled.snapshot(4.0)
+        first, again = fresh.snapshot(0.0), filled.snapshot(0.0)
+        assert len(first) == len(again) == 1
+        assert first.duration.tolist() == again.duration.tolist() == [5.0]
+        assert first.complete == again.complete is False
+        assert len(LocalProgramBuilder(()).snapshot(0.0)) == 0
 
 
 def _sequential_fold(durations):
@@ -277,17 +291,24 @@ class TestTableParity:
 
     @STANDARD_SETTINGS
     @given(instance_specs, st.floats(0.1, 50.0))
+    # Row 2 of this B starts at 1.5 and lasts 1.0000000000000002, which sums
+    # to 2.5, while row 3 starts at 2.5000000000000004: time 2.5 lies in no
+    # row's [start, start + duration).
+    @example(
+        Instance(r=0.5, x=0.0, y=0.0, phi=0.0, tau=0.25000000000000006, v=1.0, t=1.0, chi=-1),
+        2.5,
+    )
     def test_states_at_matches_segment_states(self, instance, when):
         spec = instance.agent_b()
         table = _table(spec, planar_cow_walk(1))
         times = np.array([0.0, when, table.boundaries()[0] if len(table) > 1 else when])
         xs, ys, vxs, vys = table.states_at(times)
         for time, x, y in zip(times, xs, ys):
+            # A row holds the times from its start to the next row's start: a
+            # row's start + duration can end an ulp before the next one starts.
             segment = None
             for k in range(len(table)):
-                start = table.start_time[k]
-                end = start + table.duration[k]
-                if start <= time and (time < end or math.isinf(end)):
+                if table.start_time[k] <= time:
                     segment = k
             assert segment is not None
             offset = time - table.start_time[segment]

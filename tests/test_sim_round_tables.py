@@ -124,11 +124,6 @@ class _Reference:
         units = self.instances[row].agents()[0 if role == "A" else 1].units
         return max((horizon - units.wake_time) / units.clock_rate, 0.0)
 
-    def fresh(self):
-        """Whether the shared (universal) builder has read no row yet."""
-        builder = self.builders.get(None)
-        return builder is None or len(builder) == 0
-
 
 def _rows(view):
     table = view.materialize()
@@ -152,14 +147,6 @@ def test_round_tables_equal_per_instance_snapshots(case):
     served, expected = [], []
     for role, rows, horizons, order in calls:
         mine = source.round_tables(role, np.array(rows), np.array(horizons))
-        order = list(order)
-        if not program.requires_knowledge and reference.fresh():
-            # A fresh builder asked for budget 0 reads no rows at all, so a
-            # per-instance sequence starting there depends on its order.  The
-            # batch driver's first request is agent A at a positive horizon;
-            # start the reference at the round's largest budget likewise.
-            budgets = [reference.budget(rows[k], role, horizons[k]) for k in order]
-            order.insert(0, order.pop(int(np.argmax(budgets))))
         theirs = [None] * len(rows)
         for k in order:
             theirs[k] = reference.table(rows[k], role, horizons[k])
