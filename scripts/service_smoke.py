@@ -13,9 +13,12 @@ sockets, in under a minute:
 4. restart the daemon: ``/readyz`` must flip to 200 only after journal
    replay + ``doctor(repair=True)`` recovery, and the orphaned job must
    resume and complete **without recomputing any finished shard**
-   (``rows_recomputed == 0`` in the journaled stats); a second job in the
-   same session must run on the first job's warm workers (``slots_spawned
-   == 0``), and the SIGTERM drain must leave no worker running;
+   (``rows_recomputed == 0`` in the journaled stats); a second job,
+   submitted while the orphan still runs, must queue behind it (one job at
+   a time), start only when the orphan's run returns — the scheduler's
+   end-of-job wake-up, as the journal's order shows — and run on the
+   orphan's warm workers (``slots_spawned == 0``); the SIGTERM drain must
+   leave no worker running;
 5. ``repro campaign report --check`` on the store must pass (checksums),
    and the exported columns of both jobs must be byte-identical to
    uninterrupted reference runs of the same specs.
@@ -143,6 +146,7 @@ def main() -> None:
 
     from repro.campaign import CampaignArm, CampaignSpec, CampaignStore, run_campaign
     from repro.cli import main as cli_main
+    from repro.service import JobQueue
 
     # Big enough that the kill lands mid-campaign, small enough for CI.
     spec = CampaignSpec(
@@ -225,6 +229,12 @@ def main() -> None:
         _, status = http_json(f"{url}/campaigns/{digest}/status")
         if status["job"]["state"] not in ("running", "complete"):
             fail(f"crash-orphaned job replayed as {status['job']['state']}")
+        # Submitted while the orphan runs: the daemon runs one job at a
+        # time, so this one starts only when the orphan's run wakes the
+        # scheduler on its way out.
+        code, second = http_json(f"{url}/campaigns", data=second_spec.to_json().encode())
+        if code != 201:
+            fail(f"second job: expected fresh 201, got {code} {second}")
 
         status = wait_complete(url, digest, 300)
         stats = status["job"]["stats"]
@@ -232,9 +242,6 @@ def main() -> None:
             fail(f"resume recomputed {stats['rows_recomputed']} rows, expected 0")
         if status["campaign"]["shards_complete"] != status["campaign"]["shards_total"]:
             fail("campaign incomplete after recovery")
-        code, second = http_json(f"{url}/campaigns", data=second_spec.to_json().encode())
-        if code != 201:
-            fail(f"second job: expected fresh 201, got {code} {second}")
         second_stats = wait_complete(url, second["digest"], 120)["job"]["stats"]
         if second_stats["slots_spawned"] != 0:
             fail(
@@ -252,6 +259,16 @@ def main() -> None:
         assert_exited(workers, "workers to exit after the drain")
         if os.path.exists(os.path.join(service_dir, "daemon.json")):
             fail("graceful drain should remove daemon.json")
+        order = [
+            (record["digest"], record["state"])
+            for record in JobQueue(service_dir).journal_records()
+            if record.get("event") == "job"
+        ]
+        orphan_done = order.index((digest, "complete"))
+        if order.index((second["digest"], "submitted")) > orphan_done:
+            fail("the orphan finished before the second job was submitted")
+        if order.index((second["digest"], "running")) < orphan_done:
+            fail("the second job started before the orphan's run returned")
 
         print("[service-smoke] 5/5 report --check + byte-identity reference")
         store_dir = os.path.join(service_dir, "stores", digest)

@@ -89,8 +89,8 @@ logger = get_logger("campaign.executor")
 __all__ = ["FaultInjection", "ShardExecutor", "SlotPool", "retry_delay"]
 
 #: Longest the loop blocks between turns (seconds), so a stop request is seen
-#: promptly.  Spawned slots wake earlier on a result, a worker death or the
-#: next timed event; the in-process slot sleeps only when idle.
+#: promptly.  It wakes earlier on a result, a worker death or the next timed
+#: event; the in-process slot waits only in a turn that started nothing.
 _POLL_INTERVAL = 0.02
 
 #: How often (seconds) the watch list re-reads the manifest for shards a
@@ -376,6 +376,11 @@ class ShardExecutor:
                     self.stats.interrupted = True
                     self.emit("stop requested: abandoning in-flight shards, releasing leases")
                     return
+                # Commit every finished shard before dispatching, so a slot
+                # freed by a result takes its next shard in this same turn.
+                # The commit also comes first for the budget, which counts
+                # committed plus in-flight shards.
+                self._poll(ready)
                 progressed = False
                 if self._budget_exhausted():
                     if not self._in_flight():
@@ -386,7 +391,6 @@ class ShardExecutor:
                         return
                 else:
                     progressed = self._dispatch(ready, foreign)
-                self._poll(ready)
                 now = time.monotonic()
                 if foreign and now >= next_foreign_poll:
                     next_foreign_poll = now + _FOREIGN_POLL_INTERVAL
@@ -394,25 +398,26 @@ class ShardExecutor:
                 if now >= next_heartbeat:
                     next_heartbeat = now + self.leases.stale_after / 4.0
                     self.leases.heartbeat()
-                if self.workers > 1:
+                # Spawned slots wait for their next event; the in-process
+                # slot waits only when it started nothing this turn.
+                if self.workers > 1 or not progressed:
                     wakeups = [next_heartbeat] + ([next_foreign_poll] if foreign else [])
-                    self._wait(ready, wakeups)
-                elif not progressed:
-                    # The in-process slot only waits when nothing it could
-                    # run is ready.
-                    time.sleep(_POLL_INTERVAL)
+                    self._wait(ready, foreign, wakeups)
         finally:
             self._close_slots()
             self.leases.release_all()
             self.stats.lease_takeovers = self.leases.takeovers
             self.stats.lease_conflicts = self.leases.conflicts
 
-    def _wait(self, ready, wakeups: List[float]) -> None:
+    def _wait(self, ready, foreign, wakeups: List[float]) -> None:
         """Block until a busy slot answers or dies, or the next timed event.
 
-        The timed events are shard deadlines, backoff expiries and the
-        ``wakeups`` (heartbeat, foreign poll); the wait never exceeds
-        ``_POLL_INTERVAL``, so a stop request is still seen promptly.
+        Called after the turn's commits and dispatches, so no free slot can
+        take a due shard.  The timed events are shard deadlines, backoff
+        expiries and the ``wakeups`` (heartbeat, foreign poll); the wait
+        never exceeds ``_POLL_INTERVAL``, so a stop request is still seen
+        promptly.  With nothing busy and nothing queued or parked the run is
+        over, and there is nothing to wait for.
         """
         now = time.monotonic()
         busy = [slot for slot in self._slots if slot.current is not None]
@@ -421,7 +426,7 @@ class ShardExecutor:
         timeout = max(0.0, min([now + _POLL_INTERVAL] + moments) - now)
         if busy:
             wait([slot.conn for slot in busy] + [slot.process.sentinel for slot in busy], timeout)
-        else:
+        elif ready or foreign:
             time.sleep(timeout)
 
     # -- slots -------------------------------------------------------------------

@@ -137,7 +137,10 @@ class ServiceDaemon:
             if existing is not None:
                 return existing, False
             raise NotReady(f"daemon is {self.not_ready_reason()}; resubmit later")
-        return self.queue.submit(spec)
+        job, created = self.queue.submit(spec)
+        if created:
+            self.scheduler.wake()
+        return job, created
 
     def jobs(self) -> List[Job]:
         return self.queue.jobs()

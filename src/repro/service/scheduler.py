@@ -21,6 +21,15 @@ poison shards until ``doctor --repair`` clears them.  Backoff state is
 in-memory only: after a daemon restart a parked retry is simply eligible
 again, which errs on the side of progress.
 
+The loop is event-driven: it blocks on one wake-up event between
+scheduling passes, and four things set it — a new submission
+(:meth:`Scheduler.wake`, called by ``ServiceDaemon.submit``), a job run
+returning (its slot is free, or its retry deadline is set),
+:meth:`Scheduler.stop`, and a timeout at the earliest future retry deadline
+the last pass held a job back for.  Each loop clears the event before it
+looks at any state, so a wake-up that lands during a pass ends the wait that
+follows at once instead of being lost.  There is no poll interval.
+
 Graceful drain: :meth:`Scheduler.stop` flips the stop event that every
 in-flight ``run_campaign`` polls (its ``should_stop`` hook), so shards in
 flight finish or abandon cleanly, leases release, and the interrupted jobs
@@ -58,7 +67,6 @@ class Scheduler:
         max_concurrent: int = 1,
         max_attempts: int = 3,
         retry_backoff: float = 1.0,
-        poll_interval: float = 0.05,
         campaign_options: Optional[Dict[str, Any]] = None,
     ) -> None:
         if not isinstance(max_concurrent, int) or isinstance(max_concurrent, bool) \
@@ -77,7 +85,6 @@ class Scheduler:
         self.max_concurrent = max_concurrent
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
-        self.poll_interval = poll_interval
         #: Extra keyword arguments forwarded to every ``run_campaign`` call
         #: (``workers``, ``shard_timeout``, ``lease_timeout``, and — in the
         #: fault-injection tests — ``shard_hook``).
@@ -86,8 +93,10 @@ class Scheduler:
         #: :meth:`stop`.
         self.pool = SlotPool()
         self._stop = threading.Event()
+        self._wake = threading.Event()
         self._lock = threading.Lock()
         self._inflight: Dict[str, threading.Thread] = {}
+        #: Retry deadlines of failed jobs not yet dispatched again.
         self._not_before: Dict[str, float] = {}
         #: Jobs this scheduler finished (any terminal transition), for tests
         #: and the daemon's idle detection.
@@ -123,14 +132,17 @@ class Scheduler:
         return not self.queue.eligible()
 
     # -- the loop ----------------------------------------------------------------
-    def step(self) -> bool:
+    def step(self) -> Optional[float]:
         """One scheduling pass: dispatch eligible jobs into free slots.
 
-        Returns True when anything was dispatched (the loop's busy signal).
+        Returns the earliest retry deadline (``time.monotonic``) this pass
+        held a job back for, or None: the loop's timed wake-up.  A deadline
+        counts only while it is ahead of the pass, and a pass stops looking
+        at the concurrency cap, whose freeing wakes the loop anyway.
         """
         if self._stop.is_set():
-            return False
-        dispatched = False
+            return None
+        retry_at: Optional[float] = None
         now = time.monotonic()
         for job in self.queue.eligible():
             with self._lock:
@@ -138,8 +150,11 @@ class Scheduler:
                     break
                 if job.digest in self._inflight:
                     continue
-                if self._not_before.get(job.digest, 0.0) > now:
+                not_before = self._not_before.get(job.digest, 0.0)
+                if not_before > now:
+                    retry_at = not_before if retry_at is None else min(retry_at, not_before)
                     continue
+                self._not_before.pop(job.digest, None)
                 thread = threading.Thread(
                     target=self._run_job,
                     args=(job,),
@@ -148,25 +163,39 @@ class Scheduler:
                 )
                 self._inflight[job.digest] = thread
             thread.start()
-            dispatched = True
-        return dispatched
+        return retry_at
+
+    def wake(self) -> None:
+        """Ask the loop for a scheduling pass now (a job was submitted)."""
+        self._wake.set()
+
+    def _wait(self, retry_at: Optional[float], limit: Optional[float] = None) -> None:
+        """Block until a wake-up, the retry deadline ``retry_at`` or ``limit`` seconds."""
+        timeout = limit
+        if retry_at is not None:
+            until = max(0.0, retry_at - time.monotonic())
+            timeout = until if limit is None else min(limit, until)
+        self._wake.wait(timeout)
 
     def run_forever(self) -> None:
         """The daemon's scheduler thread body: step until stopped."""
-        while not self._stop.is_set():
-            self.step()
-            time.sleep(self.poll_interval)
+        while True:
+            self._wake.clear()
+            if self._stop.is_set():
+                return
+            self._wait(self.step())
 
     def run_until_idle(self, timeout: float = 60.0) -> None:
         """Drive the loop until every job settled (tests and batch mode)."""
         deadline = time.monotonic() + timeout
-        while not self.idle():
-            if time.monotonic() > deadline:
-                raise ServiceError(f"scheduler not idle after {timeout}s")
-            if self._stop.is_set():
+        while True:
+            self._wake.clear()
+            if self.idle() or self._stop.is_set():
                 return
-            self.step()
-            time.sleep(self.poll_interval)
+            left = deadline - time.monotonic()
+            if left < 0:
+                raise ServiceError(f"scheduler not idle after {timeout}s")
+            self._wait(self.step(), left)
 
     def stop(self, *, timeout: Optional[float] = None) -> None:
         """Graceful drain: stop dispatching, interrupt in-flight runs, join.
@@ -178,6 +207,7 @@ class Scheduler:
         after ``timeout`` stops its own when it gives them back.
         """
         self._stop.set()
+        self._wake.set()
         with self._lock:
             threads = list(self._inflight.values())
         for thread in threads:
@@ -264,6 +294,9 @@ class Scheduler:
         finally:
             with self._lock:
                 self._inflight.pop(digest, None)
+            # A slot is free and a failed job has its retry deadline: the
+            # loop takes another pass either way.
+            self._wake.set()
 
     def _accumulate_session(self, stats) -> None:
         with self._lock:

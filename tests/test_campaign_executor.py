@@ -384,6 +384,33 @@ class TestWarmSlots:
         assert "Traceback" not in capfd.readouterr().err
 
 
+class TestEventDrivenDispatch:
+    def test_no_wait_while_a_free_slot_could_take_a_ready_shard(
+        self, tmp_path, sequential_reference, monkeypatch
+    ):
+        # Each turn commits finished shards before it dispatches, so a slot
+        # freed by a result takes the next due shard before the loop blocks.
+        from repro.campaign.executor import ShardExecutor
+
+        stalls = []
+        wait = ShardExecutor._wait
+
+        def recording_wait(self, ready, *args):
+            now = time.monotonic()
+            idle = any(slot.current is None for slot in self._slots)
+            due = any(not_before <= now for _, _, not_before in ready)
+            stalls.append(idle and due)
+            return wait(self, ready, *args)
+
+        monkeypatch.setattr(ShardExecutor, "_wait", recording_wait)
+        spec = make_spec(shard_size=2)
+        assert len(plan_shards(spec)) >= 6
+        stats = run_campaign(str(tmp_path / "camp"), spec, workers=2)
+        assert stats.complete
+        assert stalls and not any(stalls)
+        identical_stores(tmp_path / "camp", sequential_reference)
+
+
 class TestCommitFailure:
     """A store that refuses a write is a store fault, not a shard fault."""
 

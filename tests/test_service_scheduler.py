@@ -203,3 +203,111 @@ class TestWarmPool:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+def settled(queue, digest, timeout=60.0):
+    """Poll until the job is terminal or ``timeout`` passes; its last state."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        state = queue.job(digest).state
+        if state in ("complete", "quarantined"):
+            return state
+        time.sleep(0.02)
+    return queue.job(digest).state
+
+
+class TestWakeUps:
+    """``run_forever`` blocks between passes; each case needs one wake-up.
+
+    The loop has no poll interval, so a missing wake-up leaves the job
+    unscheduled (or the thread unjoined) until the bounded wait fails.
+    """
+
+    def _start(self, scheduler):
+        thread = threading.Thread(target=scheduler.run_forever, daemon=True)
+        thread.start()
+        return thread
+
+    def test_job_submitted_while_idle_completes(self, tmp_path):
+        daemon = ServiceDaemon(tmp_path)
+        daemon.start()
+        try:
+            time.sleep(0.2)  # the scheduler thread has gone idle
+            job, created = daemon.submit(make_spec())
+            assert created
+            assert settled(daemon.queue, job.digest) == "complete"
+        finally:
+            daemon.stop(timeout=60)
+
+    def test_job_queued_behind_a_running_one_completes(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        first, _ = queue.submit(make_spec(seed=1))
+        second, _ = queue.submit(make_spec(seed=2))
+        scheduler = Scheduler(queue, max_concurrent=1)
+        thread = self._start(scheduler)
+        try:
+            assert settled(queue, first.digest) == "complete"
+            assert settled(queue, second.digest) == "complete"
+        finally:
+            scheduler.stop(timeout=60)
+            thread.join(timeout=10)
+        assert scheduler.jobs_completed == 2
+
+    def test_job_parked_in_retry_backoff_completes(self, tmp_path):
+        calls = []
+
+        def fail_first_dispatch(shard):
+            calls.append(shard.shard_id)
+            if len(calls) == 1:
+                raise RuntimeError("injected orchestration failure")
+
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(make_spec())
+        scheduler = Scheduler(
+            queue,
+            max_attempts=2,
+            retry_backoff=0.05,
+            campaign_options={"shard_hook": fail_first_dispatch, "max_attempts": 1},
+        )
+        thread = self._start(scheduler)
+        try:
+            assert settled(queue, job.digest) == "complete"
+        finally:
+            scheduler.stop(timeout=60)
+            thread.join(timeout=10)
+        assert queue.job(job.digest).attempts == 2
+        # The retry deadline leaves with the dispatch that honours it.
+        assert scheduler._not_before == {}
+
+    def test_wake_up_during_a_pass_is_not_lost(self, tmp_path):
+        # The job arrives while the first pass reads the queue, so that pass
+        # misses it and only the wake-up set during the pass can dispatch it.
+        queue = JobQueue(tmp_path)
+        scheduler = Scheduler(queue)
+        spec = make_spec()
+        eligible = queue.eligible
+
+        def eligible_then_submit():
+            jobs = eligible()
+            if queue.job(spec.digest()) is None:
+                queue.submit(spec)
+                scheduler.wake()
+            return jobs
+
+        queue.eligible = eligible_then_submit
+        thread = self._start(scheduler)
+        try:
+            assert settled(queue, spec.digest()) == "complete"
+        finally:
+            scheduler.stop(timeout=60)
+            thread.join(timeout=10)
+
+    def test_stop_joins_an_idle_scheduler_promptly(self, tmp_path):
+        scheduler = Scheduler(JobQueue(tmp_path))
+        thread = self._start(scheduler)
+        time.sleep(0.2)  # blocked with nothing to do
+        started = time.monotonic()
+        scheduler.stop()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 1.0
