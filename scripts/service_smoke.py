@@ -13,7 +13,9 @@ sockets, in under a minute:
 4. restart the daemon: ``/readyz`` must flip to 200 only after journal
    replay + ``doctor(repair=True)`` recovery, and the orphaned job must
    resume and complete **without recomputing any finished shard**
-   (``rows_recomputed == 0`` in the journaled stats); a second job,
+   (``rows_recomputed == 0`` in the journaled stats) and within half the
+   lease stale timeout of the restart (recovery clears the dead daemon's
+   leases); a second job,
    submitted while the orphan still runs, must queue behind it (one job at
    a time), start only when the orphan's run returns — the scheduler's
    end-of-job wake-up, as the journal's order shows — and run on the
@@ -40,6 +42,7 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
+from datetime import datetime
 
 
 def fail(message: str) -> None:
@@ -145,6 +148,7 @@ def main() -> None:
     args = parser.parse_args()
 
     from repro.campaign import CampaignArm, CampaignSpec, CampaignStore, run_campaign
+    from repro.campaign.leases import DEFAULT_STALE_AFTER
     from repro.cli import main as cli_main
     from repro.service import JobQueue
 
@@ -259,9 +263,10 @@ def main() -> None:
         assert_exited(workers, "workers to exit after the drain")
         if os.path.exists(os.path.join(service_dir, "daemon.json")):
             fail("graceful drain should remove daemon.json")
+        records = JobQueue(service_dir).journal_records()
         order = [
             (record["digest"], record["state"])
-            for record in JobQueue(service_dir).journal_records()
+            for record in records
             if record.get("event") == "job"
         ]
         orphan_done = order.index((digest, "complete"))
@@ -269,6 +274,22 @@ def main() -> None:
             fail("the orphan finished before the second job was submitted")
         if order.index((second["digest"], "running")) < orphan_done:
             fail("the second job started before the orphan's run returned")
+        # Recovery clears the dead daemon's leases: the orphan resumes at
+        # once instead of waiting them out to the stale timeout.
+        restarted = [r["ts"] for r in records if r.get("event") == "daemon-start"][-1]
+        completed = next(
+            r["ts"] for r in records
+            if r.get("event") == "job" and (r["digest"], r["state"]) == (digest, "complete")
+        )
+        gap = (
+            datetime.fromisoformat(completed) - datetime.fromisoformat(restarted)
+        ).total_seconds()
+        print(f"[service-smoke] orphan completed {gap:.0f} s after the restart")
+        if gap > DEFAULT_STALE_AFTER / 2:
+            fail(
+                f"the orphan completed {gap:.0f} s after the restart; recovery "
+                "should have cleared the dead daemon's leases"
+            )
 
         print("[service-smoke] 5/5 report --check + byte-identity reference")
         store_dir = os.path.join(service_dir, "stores", digest)

@@ -57,6 +57,24 @@ def default_owner_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
 
 
+def _owner_is_dead(owner: Optional[str]) -> bool:
+    """Whether ``owner`` is a :func:`default_owner_id` of a gone pid on this host.
+
+    Only ``os.kill(pid, 0)`` raising ``ProcessLookupError`` proves it; a
+    recycled live pid just leaves the lease to the stale timeout.
+    """
+    host, _, pid = str(owner).rpartition(":")[0].rpartition(":")
+    if host != socket.gethostname() or not pid.isdigit() or int(pid) <= 0:
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass
+    return False
+
+
 class LeaseManager:
     """Claims, heartbeats and releases shard leases in one campaign directory.
 
@@ -224,6 +242,16 @@ class LeaseManager:
             age = self._age(os.path.join(self.directory, name))
             if age is not None:
                 yield name[: -len(".lease")], age
+
+    def remove_dead_owners(self) -> List[str]:
+        """Unlink every (fresh or stale) lease of a gone owner; returns the ids."""
+        dead = [s for s, _ in self._lease_ages() if _owner_is_dead(self.owner_of(s))]
+        for shard_id in dead:
+            try:
+                os.unlink(self.lease_path(shard_id))
+            except OSError:
+                pass
+        return dead
 
     def remove_stale(self) -> List[str]:
         """Unlink every stale lease (doctor --repair); returns the shard ids."""

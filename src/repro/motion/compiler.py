@@ -663,7 +663,9 @@ class TrajectoryView:
     program's trailing stationary row is the builder's row after the last.
     Nothing is stored per agent beyond the frame, so any number of views
     share one builder; :func:`repro.sim.rounds.build_windows` maps the rows
-    it touches, and :meth:`materialize` builds the explicit table.
+    it touches, and :meth:`materialize` builds the explicit table.  A view
+    takes no boundary cut of its own: the batch driver cuts all views of a
+    builder in one search (:func:`exact_counts`).
 
     ``rows`` counts the local rows in the table (the trailing row included),
     ``segments`` the real segments (the pre-wake row included, the trailing
@@ -685,41 +687,12 @@ class TrajectoryView:
         #: Absolute time up to which the table describes the motion, and the
         #: time the (finite) program ends at, if represented: both the start
         #: of the builder's row after the prefix.
-        last = self._time(len(local))
+        last = absolute_time(frame[0], frame[1], float(self.source._time[len(local)]))
         self.end_time = math.inf if self.exhausted else last
         self.finish_time = last if self.exhausted else None
 
     def __len__(self) -> int:
         return self.pre + self.rows
-
-    def _time(self, local_row: int) -> float:
-        return absolute_time(self.frame[0], self.frame[1], float(self.source._time[local_row]))
-
-    def _count(self, bound: float, strict: bool) -> int:
-        """``#{k < rows : absolute time of local row k < bound}`` (``<=`` if not strict)."""
-        wake, rate = self.frame[0], self.frame[1]
-        time = self.source._time
-        rows = self.rows
-        side = "left" if strict else "right"
-        k = int(time[:rows].searchsorted((bound - wake) / rate, side=side))
-
-        def below(row: int) -> bool:
-            absolute = self._time(row)
-            return absolute < bound if strict else absolute <= bound
-
-        if (k == 0 or below(k - 1)) and (k == rows or not below(k)):
-            return k
-        return int(
-            exact_counts(
-                time, np.array([rows]), np.array([wake]), np.array([rate]),
-                np.array([bound]), strict,
-            )[0]
-        )
-
-    def count_boundaries(self, time: float, strict: bool = False) -> int:
-        """Boundaries (starts of rows but the first) before ``time``, or at it too."""
-        # Without a pre-wake row, local row 0 is the table's first row.
-        return max(self._count(time, strict) - (1 - self.pre), 0)
 
     def start_times(self, count: int) -> np.ndarray:
         """The start times of the first ``count`` rows."""

@@ -14,7 +14,8 @@ Startup sequence (the crash-recovery contract):
 2. **Recover**: every job that was ``running`` when the previous process
    died gets ``CampaignStore.doctor(repair=True)`` on its store, deleting
    any half-written artifacts so the scheduler's resume recomputes exactly
-   the broken shards — and zero finished ones.
+   the broken shards — and zero finished ones — and the leases of its gone
+   workers, which the resume would otherwise wait out.
 3. **Journal** a ``daemon-start`` record and mark the daemon *ready*; only
    now does ``/readyz`` flip to 200 and submission open.
 4. **Serve + schedule** until asked to stop.
@@ -41,6 +42,7 @@ import socket
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.campaign.leases import LeaseManager
 from repro.campaign.orchestrator import status_rows
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
@@ -243,7 +245,8 @@ class ServiceDaemon:
 
         ``doctor(repair=True)`` deletes half-written shard data (orphaned or
         corrupt npz files from a crash mid-commit) and clears stale leases,
-        so the scheduler's resume recomputes exactly the broken shards.
+        so the scheduler's resume recomputes exactly the broken shards, and
+        clears the leases of gone local owners (the killed daemon's workers).
         Returns the repaired digests.
         """
         repaired: List[str] = []
@@ -256,11 +259,13 @@ class ServiceDaemon:
                 # starts it from the journaled spec.
                 continue
             report = store.doctor(repair=True)
+            released = LeaseManager(store.lease_dir).remove_dead_owners()
             repaired.append(job.digest)
             log_event(
                 logger, logging.INFO, "recovered crash-orphaned campaign",
                 digest=job.digest,
                 repaired=len(report["repaired"]),
+                dead_leases=len(released),
                 incomplete=len(report["incomplete"]),
                 worker_pid=self.pid,
             )

@@ -22,9 +22,12 @@ trajectory is mapped and how many windows are solved.
 
 A round is columns over the pending instance rows plus one table list per
 agent, classified at once with numpy masks (met / freeze / grow / terminal)
-into the carried columns of :class:`~repro.sim.columns.ResultColumns`;
-per-instance Python runs only at a freeze and once per instance at
-resolution (segment-cursor counts).
+into the carried columns of :class:`~repro.sim.columns.ResultColumns`.
+Every entry that meets, terminates or freezes takes its segment-cursor
+counts from one grouped boundary cut per side
+(:func:`~repro.sim.rounds.cursor_segments`), and a freeze reads its table
+rows from the round's gather columns; per-instance Python runs only at a
+freeze, for the freeze position and the frozen agent's one-row table.
 
 Scope and guarantees:
 
@@ -76,6 +79,7 @@ from repro.sim.rounds import (
     ProgramSource,
     StallTransform,
     build_windows,
+    cursor_segments,
     default_initial_horizon,
     per_instance_option,
     round_bounds,
@@ -112,27 +116,19 @@ def batch_group_key(algorithm: Any) -> Any:
     return id(algorithm)
 
 
-def _row_position(
-    table: Any, window_start: float, first_window: bool, when: float
-) -> Tuple[float, float]:
-    """An agent's position at ``when`` inside the window starting at ``window_start``.
+def _row_position(table: Any, row: int, when: float) -> Tuple[float, float]:
+    """An agent's position at ``when``, inside table row ``row``.
 
     Computed exactly like the event engine's cursor (``state_at``): from the
-    start of the table row active at the window start, with the offset
+    start of the row active at the window start (the round's gather column,
+    :meth:`~repro.sim.rounds.RoundWindows.table_rows`), with the offset
     clamped into that row.  Extrapolating from the window-start state instead
     differs by an ulp, which a grazing approach after a freeze amplifies into
-    a visibly different meeting time.  A first window starting at time 0 uses
-    row 0, like :func:`~repro.sim.rounds.build_windows`.
+    a visibly different meeting time.
     """
-    row = 0 if first_window and window_start <= 0.0 else table.count_boundaries(window_start)
     start, duration, x, y, vx, vy = table.row(row)
     offset = min(max(when - start, 0.0), duration)
     return x + vx * offset, y + vy * offset
-
-
-def _segments_in_play(table: Any, until: float) -> int:
-    """Segments of ``table`` starting by ``until`` (the event cursor's count)."""
-    return min(table.count_boundaries(until) + 1, table.segments)
 
 
 def _run_rounds(
@@ -292,41 +288,51 @@ def _run_rounds(
             )
             terminal = ~met & ~freezes & ~unresolved
 
+            # Segment-cursor counts of every entry that stops or freezes this
+            # round, one grouped cut per side at its stopping time: the hit
+            # window's start, the freeze time (the cursor stops pulling) or
+            # the horizon.
+            until = np.where(met, windows.starts[np.where(met, first_hit, 0)], horizon)
+            if np.any(freezes):
+                freeze_start = windows.starts[np.where(freezes, freeze_hit, 0)]
+                freeze_time = freeze_start + solution.hit_offset2
+                until = np.where(freezes, freeze_time, until)
+            in_play = [
+                cursor_segments(side, until, ~unresolved)
+                for side in (windows.side_a, windows.side_b)
+            ]
+
             if np.any(freezes):
                 # A small per-freeze Python pass (at most one per instance
                 # per run).
                 positions = np.flatnonzero(freezes)
                 rows = pending[positions]
                 hit_index = freeze_hit[positions]
-                window_start = windows.starts[hit_index]
-                freeze_time = window_start + solution.hit_offset2[positions]
                 agents = larger_agent[rows]
+                rows_a, rows_b = windows.table_rows(hit_index, positions)
                 distances = []
-                segments = []
-                for k, row, agent, when, start, first_window in zip(
+                for k, row, agent, when, row_a, row_b in zip(
                     positions.tolist(),
                     rows.tolist(),
                     agents.tolist(),
-                    freeze_time.tolist(),
-                    window_start.tolist(),
-                    (hit_index == lo[positions]).tolist(),
+                    freeze_time[positions].tolist(),
+                    rows_a.tolist(),
+                    rows_b.tolist(),
                 ):
-                    pos_a = _row_position(tables_a[k], start, first_window, when)
-                    pos_b = _row_position(tables_b[k], start, first_window, when)
+                    pos_a = _row_position(tables_a[k], row_a, when)
+                    pos_b = _row_position(tables_b[k], row_b, when)
                     distances.append(math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1]))
-                    table, position = (
-                        (tables_a[k], pos_a) if agent == "A" else (tables_b[k], pos_b)
-                    )
-                    segments.append(_segments_in_play(table, when))
-                    frozen_tables[row] = constant_table(position)
+                    frozen_tables[row] = constant_table(pos_a if agent == "A" else pos_b)
                 cols.frozen_agent[rows] = agents
-                cols.freeze_time[rows] = freeze_time
+                cols.freeze_time[rows] = freeze_time[positions]
                 cols.freeze_distance[rows] = distances
-                cols.freeze_segments[rows] = segments
+                cols.freeze_segments[rows] = np.where(
+                    agents == "A", in_play[0][positions], in_play[1][positions]
+                )
                 # Resume scanning at the freeze time with the frozen agent
                 # stationary; same horizon.  The freeze window's tracking was
                 # clamped at the freeze, so it needs no full-length rescan.
-                cols.scan_from[rows] = freeze_time
+                cols.scan_from[rows] = freeze_time[positions]
                 cols.windows_before[rows] += (hit_index - lo[positions]) + 1
 
             if np.any(unresolved):
@@ -376,21 +382,16 @@ def _run_rounds(
                     cols.windows_before[rows] + (hit_index - lo[met]) + 1
                 )
 
-            # Per-resolved-instance residue (once per instance per batch):
-            # segment-cursor counts up to the stopping point, where a frozen
-            # cursor stopped pulling at the freeze time.
             resolved = np.flatnonzero(met | terminal)
             if resolved.size:
                 rows = pending[resolved]
-                hit_start = windows.starts[np.where(met, first_hit, 0)]
-                until = np.where(met, hit_start, horizon).tolist()
-                for role, tables, column in (
-                    ("A", tables_a, cols.segments_a), ("B", tables_b, cols.segments_b)
+                # A cursor frozen in an earlier round kept its count then.
+                kept = cols.freeze_segments[rows]
+                for role, counts, column in zip(
+                    "AB", in_play, (cols.segments_a, cols.segments_b)
                 ):
-                    counted = [_segments_in_play(tables[k], until[k]) for k in resolved.tolist()]
-                    column[rows] = np.where(
-                        frozen_agent[resolved] == role, cols.freeze_segments[rows], counted
-                    )
+                    frozen = frozen_agent[resolved] == role
+                    column[rows] = np.where(frozen, kept, counts[resolved])
 
             pending = pending[unresolved | freezes]
 

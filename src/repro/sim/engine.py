@@ -35,7 +35,6 @@ from repro.geometry.vec import Vec2, add, scale
 from repro.motion.compiler import TrajectorySegment, compile_trajectory, stalled_segments
 from repro.motion.instructions import Instruction
 from repro.motion.program import ColumnBlock, instruction_blocks
-from repro.sim.events import FREEZE, EventKind
 from repro.sim.recorder import TrajectoryRecorder
 from repro.sim.results import AsymmetricOutcome, SimulationResult, TerminationReason
 from repro.sim.scenarios import scaled_agents, stall_schedule, validate_scenario_options
@@ -225,13 +224,12 @@ class FreezeRule:
     """The dual-radius freeze event bound to one run.
 
     ``radius`` is the detection radius (slack included) at which ``agent``
-    freezes; the detection/resolution/tracking semantics come from the
-    declared event ``kind`` (:data:`repro.sim.events.FREEZE` by default).
+    freezes; :func:`drive_windows` implements the declared semantics of
+    :data:`repro.sim.events.FREEZE`.
     """
 
     radius: float
     agent: str
-    kind: EventKind = FREEZE
 
 
 @dataclass
@@ -268,8 +266,9 @@ def drive_windows(
     """THE window loop: every scenario's event engine runs through here.
 
     Advances absolute time from segment boundary to segment boundary
-    (:func:`window_bounds` is the only window-end clamping), detects events
-    inside each window per the active event kinds, and enforces the
+    (:func:`window_bounds` is the only window-end clamping), detects the
+    meeting and, when ``freeze`` is given, the freeze inside each window,
+    and enforces the
     ``max_segments`` budget on every path that pulls new segments — the
     single implementation of window advancement, horizon cuts and budgets.
 
@@ -279,9 +278,9 @@ def drive_windows(
       dual-radius two-phase detection — a first-crossing of ``freeze.radius``
       strictly before any meeting stops ``freeze.agent`` forever and the
       remainder of the window is re-simulated with it stationary.  The
-      closest-approach tracker honours the kind's declared ``tracking_clamp``:
-      scanning a freeze-winning window past the event offset would observe
-      counterfactual motion.
+      closest-approach tracker stops a freeze-winning window at the event
+      offset (the kind's declared ``clamp_at_event``): scanning past it
+      would observe counterfactual motion.
     * ``stall`` never surfaces here: its ``scheduled`` detection is lowered
       into the segment streams (:func:`repro.motion.compiler.stalled_segments`)
       before the cursors reach this loop.
@@ -319,11 +318,7 @@ def drive_windows(
             event_wins = event_hit is not None and (hit is None or event_hit < hit)
             approach = None
             if track_min_distance:
-                tracked = (
-                    event_hit
-                    if event_wins and freeze.kind.tracking_clamp == "clamp_at_event"
-                    else window
-                )
+                tracked = event_hit if event_wins else window
                 approach = closest_approach_moving_points(
                     pos_a, vel_a, pos_b, vel_b, tracked
                 )

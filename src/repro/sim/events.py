@@ -1,10 +1,12 @@
 """Declared event semantics of the windowed engine.
 
-The window loop in :mod:`repro.sim.engine` (:func:`~repro.sim.engine.
-drive_windows`) is scenario-agnostic: it advances absolute time from segment
-boundary to segment boundary and consults *event kinds* for what can happen
-inside a window and how a detection is resolved.  Each kind declares three
-properties:
+The registry names the events a scenario can raise and what each one
+means.  The engines implement these semantics directly — the window loop
+(:func:`repro.sim.engine.drive_windows`) detects the meeting and, given a
+:class:`~repro.sim.engine.FreezeRule`, the freeze; the stall is lowered into
+the trajectory streams; the batch driver reproduces the same rules on
+columns — and nothing dispatches on a kind's strings.  Each kind declares
+three properties:
 
 ``detection``
     How the event time is found inside a window.  ``"first_hit"`` solves one
@@ -27,13 +29,11 @@ properties:
     How far the closest-approach tracker may scan a window in which the event
     fires.  ``"full_window"`` is the symmetric engine's convention (meeting
     windows are scanned in full); ``"clamp_at_event"`` stops the scan at the
-    event offset because motion past it never happens — the clamp that fixed
-    the freeze-counterfactual bug is this property of the freeze kind, not a
-    hand-maintained loop fork.
+    event offset because motion past it never happens (the freeze).
 
-The registry is the single source of truth: scenario families
-(:mod:`repro.sim.scenarios`) reference event kinds by name, and the docs'
-event-kind table is generated from these declarations.
+The registry is the declared vocabulary: scenario families
+(:mod:`repro.sim.scenarios`) check their event kinds against it, and
+``repro scenarios`` prints these declarations.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: Valid detection / resolution / tracking-clamp vocabularies.  Closed sets:
-#: the window loop dispatches on these strings, so an unknown value is a
+#: each value names semantics an engine implements, so an unknown value is a
 #: programming error worth failing on at registration time.
 DETECTIONS = ("first_hit", "dual_radius", "scheduled")
 RESOLUTIONS = ("terminate", "freeze_resimulate", "pause_resume")

@@ -305,7 +305,7 @@ class StallTransform:
     round and preserves table sharing — instances with an identical source
     table and identical stall parameters keep receiving one shared stalled
     table, which the window merge's identity-based dedup
-    (:func:`_dedup_tables`) relies on.  The memo holds the source table too,
+    (:class:`_SideRuns`) relies on.  The memo holds the source table too,
     so an identity it keys on is never recycled while the memo lives.
     """
 
@@ -406,11 +406,11 @@ class RoundWindows:
     entries; entry ``k`` owns the range ``[offsets[k], offsets[k + 1])`` of
     ``counts[k]`` windows.  Agent states are not stored per window:
     ``gather_a``/``gather_b`` hold each window's active row as an index into
-    that agent's mapped rows ``columns_a``/``columns_b`` (absolute ``(time,
-    x, y, vx, vy)``), and :meth:`relative_motion` and :meth:`states_at` form
-    the states of any slice or index set of windows on demand —
-    :func:`solve_round` does so one tile at a time.  An entry's final window
-    is cut at the round's horizon, which is not a segment boundary;
+    that agent's side's mapped rows (:class:`_SideRuns`, kept for the
+    driver's :func:`cursor_segments`), and :meth:`relative_motion` and
+    :meth:`states_at` form the states of any slice or index set of windows
+    on demand — :func:`solve_round` does so one tile at a time.  An entry's
+    final window is cut at the round's horizon, which is not a segment boundary;
     ``final_durations[k]`` is how long that window really lasts — to the
     next boundary of either agent, capped at the entry's ``limit`` — over
     which :func:`solve_round` tracks its closest approach (``None``: as cut).
@@ -418,7 +418,7 @@ class RoundWindows:
 
     __slots__ = (
         "starts", "durations", "offsets", "counts", "final_durations",
-        "gather_a", "gather_b", "columns_a", "columns_b",
+        "gather_a", "gather_b", "side_a", "side_b",
     )
 
     def __init__(
@@ -430,8 +430,8 @@ class RoundWindows:
         final_durations: Optional[np.ndarray],
         gather_a: np.ndarray,
         gather_b: np.ndarray,
-        columns_a: Tuple[np.ndarray, ...],
-        columns_b: Tuple[np.ndarray, ...],
+        side_a: "_SideRuns",
+        side_b: "_SideRuns",
     ) -> None:
         self.starts = starts
         self.durations = durations
@@ -440,8 +440,8 @@ class RoundWindows:
         self.final_durations = final_durations
         self.gather_a = gather_a
         self.gather_b = gather_b
-        self.columns_a = columns_a
-        self.columns_b = columns_b
+        self.side_a = side_a
+        self.side_b = side_b
 
     def __len__(self) -> int:
         return int(self.starts.shape[0])
@@ -454,8 +454,19 @@ class RoundWindows:
         """
         starts = self.starts[at]
         return _window_states(
-            self.columns_a, self.gather_a[at], starts
-        ) + _window_states(self.columns_b, self.gather_b[at], starts)
+            self.side_a.columns, self.gather_a[at], starts
+        ) + _window_states(self.side_b.columns, self.gather_b[at], starts)
+
+    def table_rows(self, at: np.ndarray, entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Both agents' table rows at windows ``at`` of ``entries``.
+
+        Each counts its boundaries at or before the window start (the merge
+        keeps the last of equal starts); a first window at time 0 has row 0.
+        """
+        return (
+            self.gather_a[at] - self.side_a.entry_shift[entries],
+            self.gather_b[at] - self.side_b.entry_shift[entries],
+        )
 
     @property
     def states(self) -> Tuple[np.ndarray, ...]:
@@ -489,101 +500,62 @@ def _consecutive(count: int) -> np.ndarray:
     return _CONSECUTIVE[:count]
 
 
-def _dedup_tables(tables: Sequence[Any]):
-    """Deduplicate tables by identity: distinct list, member lists, slot column.
-
-    Universal campaigns share one A-side table across every instance of a
-    round; deduplicating once serves both the grouped range cuts and the
-    row mapping.
-    """
-    slots: Dict[int, int] = {}
-    distinct: List[Any] = []
-    members: List[List[int]] = []
-    table_of_entry = np.empty(len(tables), dtype=np.int64)
-    for k, table in enumerate(tables):
-        key = id(table)
-        slot = slots.get(key)
-        if slot is None:
-            slot = len(distinct)
-            slots[key] = slot
-            distinct.append(table)
-            members.append([])
-        members[slot].append(k)
-        table_of_entry[k] = slot
-    return distinct, members, table_of_entry
-
-
-def _source_groups(distinct: Sequence[Any]) -> List[List[int]]:
-    """Distinct tables grouped by the source whose rows they read.
-
-    Every view of one builder — all agents of a universal program, whatever
-    their frames and prefixes — forms one group; an explicit table is its
-    own source.  Groups keep first-seen order, and so do tables inside them.
-    """
-    groups: Dict[int, List[int]] = {}
-    for t, table in enumerate(distinct):
-        groups.setdefault(id(table.source), []).append(t)
-    return list(groups.values())
-
-
 def _range_cuts(
-    distinct: Sequence[Any],
-    members: Sequence[Sequence[int]],
-    groups: Sequence[Sequence[int]],
-    scan_froms: np.ndarray,
-    horizons: np.ndarray,
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-entry ``(low, high)`` boundary cuts into each table's event times.
+    side: "_SideRuns",
+    times: np.ndarray,
+    strict: bool,
+    selected: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per entry of ``side``, its table's boundaries before ``times[k]``.
 
-    ``low`` counts the boundaries at or before the entry's ``scan_from``
-    (doubling as the base row count there), ``high`` those strictly before
-    its horizon; boundaries are the start times of every row but the first.
-    One vectorized search serves every entry of a source group, with each
-    entry's own frame: a view's cut searches the shared local times at
-    ``(h - wake) / rate`` and is then corrected against the absolute times
+    Boundaries are the start times of every row but the first; ``strict``
+    counts those strictly before the entry's time, otherwise those at it
+    too.  Only the entries of the ``selected`` mask are searched (all when
+    ``None``); the others read 0.  One vectorized search serves every
+    selected entry of a source group, with each entry's own frame: a view's
+    cut searches the shared local times at ``(t - wake) / rate`` and is then
+    corrected against the absolute times
     (:func:`~repro.motion.compiler.exact_counts`), so it equals the cut on
-    the materialized column exactly.  An explicit table cuts its own
-    boundaries, and a lone entry asks its table's scalar
-    ``count_boundaries``.  ``scan_from == 0.0`` keeps the base at 0 even when
-    boundaries sit at time 0 (zero-duration first segments).
+    the materialized column exactly; an explicit table cuts its own
+    boundaries, and a group of one entry searches like any other.
     """
-    low = np.zeros(n, dtype=np.int64)
-    high = np.empty(n, dtype=np.int64)
-    for group in groups:
-        sel = np.concatenate([members[t] for t in group]).astype(np.int64)
-        froms = scan_froms[sel]
-        first = distinct[group[0]]
-        if len(sel) == 1:
-            k = int(sel[0])
-            high[k] = first.count_boundaries(horizons[k], strict=True)
-            if froms[0] > 0.0:
-                low[k] = first.count_boundaries(scan_froms[k])
-            continue
+    cuts = np.zeros(len(side.slot), dtype=np.int64)
+    for group in side.groups:
+        sel = np.concatenate([side.members[t] for t in group]).astype(np.int64)
+        if selected is not None:
+            sel = sel[selected[sel]]
+            if not sel.size:
+                continue
+        first = side.distinct[group[0]]
         if first.frame is None:
-            bounds = first.boundaries()
-            high[sel] = bounds.searchsorted(horizons[sel], side="left")
-            low[sel] = np.where(froms > 0.0, bounds.searchsorted(froms, side="right"), 0)
+            cuts[sel] = first.boundaries().searchsorted(
+                times[sel], side="left" if strict else "right"
+            )
             continue
-        tables = [distinct[t] for t in group]
-        which = np.repeat(
-            np.arange(len(group)), [len(members[t]) for t in group]
-        )
+        tables = [side.distinct[t] for t in group]
+        # Each entry's table in the group (a group lists its tables in order).
+        which = np.searchsorted(group, side.slot[sel])
         wake, rate = np.array([table.frame[:2] for table in tables]).T[:, which]
         rows = np.array([table.rows for table in tables], dtype=np.int64)[which]
         # Without a pre-wake row, local row 0 is the table's first row: no
         # boundary.
         lead = np.array([1 - table.pre for table in tables], dtype=np.int64)[which]
         time = first.source.state_columns()[0]
-        cut = exact_counts(time, rows, wake, rate, horizons[sel], strict=True)
-        high[sel] = np.maximum(cut - lead, 0)
-        later = np.flatnonzero(froms > 0.0)
-        if later.size:
-            cut = exact_counts(
-                time, rows[later], wake[later], rate[later], froms[later], strict=False
-            )
-            low[sel[later]] = np.maximum(cut - lead[later], 0)
-    return low, high
+        cut = exact_counts(time, rows, wake, rate, times[sel], strict)
+        cuts[sel] = np.maximum(cut - lead, 0)
+    return cuts
+
+
+def cursor_segments(side: "_SideRuns", until: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Per ``selected`` entry, the segments its event cursor pulled by ``until``.
+
+    The rows starting at or before ``until``, at most the table's real
+    segments; the other entries hold no meaningful count.
+    """
+    segments = np.array([table.segments for table in side.distinct], dtype=np.int64)
+    return np.minimum(
+        _range_cuts(side, until, strict=False, selected=selected) + 1, segments[side.slot]
+    )
 
 
 #: The table columns a window's state is gathered from.
@@ -652,10 +624,16 @@ def _group_rows(
 class _SideRuns:
     """One agent's side of a round: its tables, range cuts and boundary runs.
 
+    ``distinct`` holds the side's tables once each by identity (universal
+    campaigns share one A table across a round), ``members[t]`` the entries
+    reading ``distinct[t]``, ``slot[k]`` entry ``k``'s, and ``groups`` the
+    distinct tables by the source whose rows they read: all views of one
+    builder form one group, an explicit table is its own; first-seen order.
     ``base[k]``/``counts[k]`` are entry ``k``'s active-row count at its
-    ``scan_from`` and its number of in-range boundaries; ``offsets[k]`` is
-    where that run starts in the flat, entry-grouped ``values`` (boundary
-    times) and ``rows`` (the row each boundary opens).  Rows are indices
+    ``scan_from`` (0 at a ``scan_from`` of 0.0, even with boundaries at time
+    0) and its number of in-range boundaries (:func:`_range_cuts`);
+    ``offsets[k]`` is where that run starts in the flat, entry-grouped runs
+    (:meth:`runs`).  Rows are indices
     into ``columns``, the side's absolute ``(time, x, y, vx, vy)`` rows: per
     distinct table, only the rows its entries can touch — from the lowest
     member ``base`` to the highest opened row — mapped once
@@ -665,8 +643,8 @@ class _SideRuns:
     """
 
     __slots__ = (
-        "members", "slot", "base", "counts", "offsets", "columns",
-        "shift", "entry_shift", "low", "top", "rows", "values", "row_ends",
+        "distinct", "members", "slot", "groups", "base", "counts", "offsets", "columns",
+        "shift", "entry_shift", "low", "top", "row_ends",
     )
 
     def __init__(
@@ -675,12 +653,24 @@ class _SideRuns:
         scan_froms: np.ndarray,
         horizons: np.ndarray,
     ) -> None:
-        n_entries = len(tables)
-        distinct, self.members, self.slot = _dedup_tables(tables)
-        groups = _source_groups(distinct)
-        base, high = _range_cuts(
-            distinct, self.members, groups, scan_froms, horizons, n_entries
-        )
+        slots: Dict[int, int] = {}
+        distinct: List[Any] = []
+        self.members: List[List[int]] = []
+        self.slot = np.empty(len(tables), dtype=np.int64)
+        for k, table in enumerate(tables):
+            t = slots.setdefault(id(table), len(distinct))
+            if t == len(distinct):
+                distinct.append(table)
+                self.members.append([])
+            self.members[t].append(k)
+            self.slot[k] = t
+        by_source: Dict[int, List[int]] = {}
+        for t, table in enumerate(distinct):
+            by_source.setdefault(id(table.source), []).append(t)
+        self.distinct = distinct
+        self.groups = groups = list(by_source.values())
+        base = _range_cuts(self, scan_froms, strict=False, selected=scan_froms > 0.0)
+        high = _range_cuts(self, horizons, strict=True)
         # A budget-capped horizon can fall at or before scan_from; the
         # in-range run is then empty (the raw ``base`` stays the active-row
         # count).
@@ -717,14 +707,6 @@ class _SideRuns:
             )
         )
         self.entry_shift = self.shift[self.slot]
-
-        # Boundary ``j`` of entry ``k``'s run is the start time of table row
-        # ``base[k] + 1 + j`` (boundaries are the starts of every row but
-        # the first).
-        total = int(counts.sum())
-        first_row = base + 1 + self.entry_shift
-        self.rows = _consecutive(total) + np.repeat(first_row - self.offsets, counts)
-        self.values = self.columns[0][self.rows]
         # Where each entry's last active row (``base + counts``) ends: the
         # next row's start, or the table's own end past its last row.
         after = base + counts + 1
@@ -733,8 +715,19 @@ class _SideRuns:
         next_start = self.columns[0][np.where(inside, after, after - 1) + self.entry_shift]
         self.row_ends = np.where(inside, next_start, ends)
 
+    def runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The flat boundary runs: the row each boundary opens, and its time.
 
-def _a_rows_at_b(side_a: _SideRuns, side_b: _SideRuns) -> np.ndarray:
+        Boundary ``j`` of entry ``k`` opens table row ``base[k] + 1 + j``.
+        Formed on demand: the round's windows keep the side, not its runs.
+        """
+        total = int(self.counts.sum())
+        first_row = self.base + 1 + self.entry_shift
+        rows = _consecutive(total) + np.repeat(first_row - self.offsets, self.counts)
+        return rows, self.columns[0][rows]
+
+
+def _a_rows_at_b(side_a: _SideRuns, side_b: _SideRuns, values_b: np.ndarray) -> np.ndarray:
     """Agent A's active row (a ``side_a.columns`` index) at every B boundary.
 
     The row active at B boundary ``v`` counts A's boundaries at or before
@@ -771,7 +764,7 @@ def _a_rows_at_b(side_a: _SideRuns, side_b: _SideRuns) -> np.ndarray:
                 side_b.offsets[sel] - (np.cumsum(sel_counts) - sel_counts),
                 sel_counts,
             )
-        rows[at] = bounds.searchsorted(side_b.values[at], side="right") + (low + shift)
+        rows[at] = bounds.searchsorted(values_b[at], side="right") + (low + shift)
     return rows
 
 
@@ -840,7 +833,9 @@ def build_windows(
     counts = side_a.counts + side_b.counts + 1
     first = np.cumsum(counts) - counts
     total = int(counts.sum())
-    a_rows = _a_rows_at_b(side_a, side_b)
+    rows_a, values_a = side_a.runs()
+    rows_b, values_b = side_b.runs()
+    a_rows = _a_rows_at_b(side_a, side_b, values_b)
     # B boundary j of entry k: window ``first[k] + 1 + j + rank`` with
     # rank = A row - base_a.
     b_windows = (_consecutive(a_rows.shape[0]) + a_rows) + np.repeat(
@@ -860,15 +855,15 @@ def build_windows(
 
     starts = np.empty(total)
     starts[first] = scan_from
-    starts[b_windows] = side_b.values
-    starts[a_windows] = side_a.values
+    starts[b_windows] = values_b
+    starts[a_windows] = values_a
     gather_a = np.empty(total, dtype=np.int64)
     gather_a[first] = side_a.base + side_a.entry_shift
     gather_a[b_windows] = a_rows
-    gather_a[a_windows] = side_a.rows
+    gather_a[a_windows] = rows_a
     gather_b = np.empty(total, dtype=np.int64)
     gather_b[first] = side_b.base + side_b.entry_shift
-    gather_b[b_windows] = side_b.rows
+    gather_b[b_windows] = rows_b
     gather_b[a_windows] = b_rows
 
     # Deduplicate equal boundary times within an entry, keeping the *last*
@@ -905,7 +900,7 @@ def build_windows(
     final_durations = np.maximum(final_end - starts[last], durations[last])
     return RoundWindows(
         starts, durations, offsets, counts, final_durations,
-        gather_a, gather_b, side_a.columns, side_b.columns,
+        gather_a, gather_b, side_a, side_b,
     )
 
 

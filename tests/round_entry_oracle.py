@@ -23,7 +23,9 @@ class RoundEntry:
 
     Tables are :class:`~repro.motion.compiler.TrajectoryView` s or explicit
     :class:`~repro.motion.compiler.TrajectoryTable` s; every row lookup goes
-    through their shared methods (``count_boundaries``, ``start_times``, ``end_time``).
+    through their shared methods (``start_times``, ``end_time``), except
+    :meth:`segments_in_play`, which takes explicit tables' ``count_boundaries``
+    (a view has no scalar cut).
     ``extra_segments`` counts trajectory segments that the event engine's
     cursors have already pulled but that are *not* rows of the tables handed
     in — the driver passes a frozen agent's pre-freeze segment count here

@@ -5,10 +5,11 @@ shared local rows of a :class:`~repro.motion.compiler.LocalProgramBuilder`
 seen through the agent's frame.  Pinned here against the explicit table
 (:meth:`~repro.motion.compiler.TrajectoryView.materialize`) and the lazy
 event-engine compiler: every row equals the lazy segment bit for bit, and
-every cut the batch engine takes on a view — the vectorized range cuts of
-:func:`repro.sim.rounds.build_windows`, the scalar row lookups of
-``count_boundaries`` — equals ``searchsorted`` on the materialized start times, also
-where rounding maps long runs of local times onto one absolute time.
+every cut the batch engine takes on a view — the grouped range cuts of
+:func:`repro.sim.rounds.build_windows` and of the driver's segment-cursor
+counts, over many entries of one builder or over a group of one entry —
+equals ``searchsorted`` on the materialized start times, also where rounding
+maps long runs of local times onto one absolute time.
 """
 
 import math
@@ -40,6 +41,12 @@ def _prefix(builder, draw):
     if len(full) > 1 and draw(st.booleans()):
         return builder.snapshot(math.inf, max_steps=draw(st.integers(1, len(full) - 1)))
     return full
+
+
+def _lone_cut(table, time, strict):
+    """The grouped range cut of ``table`` at ``time``, as a group of one entry."""
+    side = rounds._SideRuns([table], np.zeros(1), np.zeros(1))
+    return int(rounds._range_cuts(side, np.array([time]), strict)[0])
 
 
 def _probe_times(draw, table, count=6):
@@ -91,8 +98,9 @@ def test_cuts_equal_searchsorted_on_the_materialized_column(blocks, specs, data)
     for t, (view, table) in enumerate(zip(views, explicit)):
         times = table.start_time
         for bound in _probe_times(data.draw, table):
+            # The view alone: a source group of one entry.
             for strict, side in ((True, "left"), (False, "right")):
-                assert view.count_boundaries(bound, strict) == times[1:].searchsorted(
+                assert _lone_cut(view, bound, strict) == times[1:].searchsorted(
                     bound, side=side
                 )
             # The raw cut over the local rows, both sides.
@@ -110,20 +118,21 @@ def test_cuts_equal_searchsorted_on_the_materialized_column(blocks, specs, data)
                 data.draw(st.one_of(st.just(0.0), st.floats(0.0, max(bound, 0.0))))
             )
 
-    # The grouped cuts build_windows takes: one search over every entry of
-    # the shared builder, each with its own frame.
-    entries = np.array(entries)
-    members = [np.flatnonzero(entries == t).tolist() for t in range(len(views))]
-    horizons = np.array(horizons)
-    scan_froms = np.array(scan_froms)
-    cut = rounds._range_cuts(
-        views, members, rounds._source_groups(views), scan_froms, horizons, len(entries)
-    )
-    reference = rounds._range_cuts(
-        explicit, members, rounds._source_groups(explicit), scan_froms, horizons,
-        len(entries),
-    )
-    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(cut, reference))
+    # The grouped cuts build_windows and the driver take: one search over
+    # every (selected) entry of the shared builder, each with its own frame.
+    horizons, scan_froms = np.array(horizons), np.array(scan_froms)
+    side = rounds._SideRuns([views[t] for t in entries], scan_froms, horizons)
+    reference = rounds._SideRuns([explicit[t] for t in entries], scan_froms, horizons)
+    assert np.array_equal(side.base, reference.base)
+    assert np.array_equal(side.counts, reference.counts)
+    selected = np.array([data.draw(st.booleans()) for _ in entries])
+    for times in (horizons, scan_froms):
+        for strict in (True, False):
+            for mask in (None, selected):
+                assert np.array_equal(
+                    rounds._range_cuts(side, times, strict, mask),
+                    rounds._range_cuts(reference, times, strict, mask),
+                )
 
     # The mapped rows of any range equal the materialized rows bit for bit,
     # whether a range is mapped on its own or with per-row frames.
@@ -132,7 +141,8 @@ def test_cuts_equal_searchsorted_on_the_materialized_column(blocks, specs, data)
         [data.draw(st.integers(lo + 1, len(view))) for lo, view in zip(low, views)]
     )
     long_range = data.draw(st.sampled_from((1, 3, rounds._LONG_RANGE)))
-    for group in rounds._source_groups(views):
+    zeros = np.zeros(len(views))
+    for group in rounds._SideRuns(views, zeros, zeros).groups:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rounds, "_LONG_RANGE", long_range)
             mapped = rounds._group_rows([views[t] for t in group], low[group], top[group])
@@ -159,4 +169,4 @@ def test_a_late_wake_and_tiny_durations_make_long_runs_of_equal_times():
     for bound in np.unique(times):
         for at in (float(bound), float(np.nextafter(bound, -math.inf))):
             for strict, side in ((True, "left"), (False, "right")):
-                assert view.count_boundaries(at, strict) == times[1:].searchsorted(at, side=side)
+                assert _lone_cut(view, at, strict) == times[1:].searchsorted(at, side=side)

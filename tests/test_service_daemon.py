@@ -9,6 +9,9 @@ through :func:`repro.contracts.invariants.check_recovery_identity`).
 
 import json
 import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -16,6 +19,8 @@ import urllib.request
 import pytest
 
 from repro.campaign import CampaignArm, CampaignSpec, CampaignStore, run_campaign
+from repro.campaign.leases import LeaseManager
+from repro.campaign.shards import plan_shards
 from repro.contracts.invariants import check_recovery_identity
 from repro.service import DAEMON_FILE, ServiceDaemon, ServiceError, read_daemon_file
 
@@ -250,6 +255,50 @@ class TestRecovery:
         assert fresh.recover() == [job.digest]
         assert not os.path.exists(orphan)
         assert store.doctor()["clean"]
+
+
+class TestDeadLeaseTakeover:
+    """Recovery clears a lease only when its owner is provably gone."""
+
+    def _orphan_with_lease(self, tmp_path, owner):
+        daemon = ServiceDaemon(tmp_path)
+        job, _ = daemon.queue.submit(make_spec())
+        daemon.queue.mark_running(job.digest)
+        store_dir = daemon.queue.store_path(job.digest)
+        run_campaign(store_dir, make_spec(), max_shards=1)
+        store = CampaignStore(store_dir)
+        planned = [shard.shard_id for shard in plan_shards(make_spec())]
+        shard = next(s for s in planned if s not in store.completed())
+        assert LeaseManager(store.lease_dir, owner=owner).acquire(shard)
+        return store, LeaseManager(store.lease_dir).lease_path(shard)
+
+    @staticmethod
+    def _gone_pid():
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        return child.pid
+
+    def test_fresh_lease_of_a_dead_local_pid_is_cleared(self, tmp_path):
+        owner = f"{socket.gethostname()}:{self._gone_pid()}:0badf00d"
+        store, lease = self._orphan_with_lease(tmp_path, owner)
+        ServiceDaemon(tmp_path).recover()
+        assert not os.path.exists(lease)
+        assert store.doctor()["active_leases"] == []
+
+    @pytest.mark.parametrize(
+        "owner",
+        [
+            pytest.param(f"{socket.gethostname()}:{os.getpid()}:0badf00d", id="live-pid"),
+            pytest.param("elsewhere.example:999999:0badf00d", id="other-host"),
+            pytest.param("runner-a", id="custom-owner"),
+            pytest.param(f"{socket.gethostname()}:pid:0badf00d", id="unparsed-pid"),
+        ],
+    )
+    def test_lease_without_proof_of_death_is_kept(self, tmp_path, owner):
+        store, lease = self._orphan_with_lease(tmp_path, owner)
+        ServiceDaemon(tmp_path).recover()
+        assert os.path.exists(lease)
+        assert len(store.doctor()["active_leases"]) == 1
 
 
 class TestDaemonFile:

@@ -184,7 +184,10 @@ class TestViewLookups:
         table = view.materialize()
         assert len(table) == 1 and table.segments == 0 and table.exhausted
         assert table.row(0) == (0.0, math.inf, 1.5, -2.0, 0.0, 0.0)
-        assert view.count_boundaries(1e9) == 0 and view.count_boundaries(0.0) == 0
+        # No boundary, at any time: the grouped cut on a group of one entry.
+        side = rounds._SideRuns([view], np.zeros(1), np.zeros(1))
+        assert rounds._range_cuts(side, np.array([1e9]), strict=False)[0] == 0
+        assert rounds._range_cuts(side, np.array([0.0]), strict=False)[0] == 0
         # Every frozen agent reads the one shared empty program.
         assert constant_table((0.0, 0.0)).source is view.source
 

@@ -10,6 +10,16 @@ side's extra segments; tables truncated one ulp, a few 1e-9 of the horizon
 (where the coverage net's ``math.isclose`` tolerance decides) or a whole
 segment short of the horizon; a budget cutoff exactly at ``max_time``; and
 horizons at or below ``scan_from``.
+
+The driver's residue — each stopping entry's segment-cursor counts, taken
+by one grouped cut per side (:func:`repro.sim.rounds.cursor_segments`), and
+the table rows a freeze reads back from the round's gather columns
+(:meth:`repro.sim.rounds.RoundWindows.table_rows`) — must equal the
+oracle's per-instance ``segments_in_play`` and the scalar row rule on the
+materialized tables.  Those draws add stalled explicit sides and a late
+wake with tiny durations (long runs of equal absolute times), and put the
+stopping time on a budget cutoff at a row start, on a window start, at a
+freeze offset equal to the window's duration and at 0.0.
 """
 
 import math
@@ -25,7 +35,8 @@ from repro.motion.compiler import (
     TrajectoryTable,
     constant_table,
 )
-from repro.sim.rounds import round_bounds
+from repro.motion.program import ColumnBlock
+from repro.sim.rounds import StallTransform, build_windows, cursor_segments, round_bounds
 from round_entry_oracle import RoundEntry, entry_state_arrays
 from test_sim_build_windows import _start_times, _table
 from view_strategies import agent_specs, local_programs
@@ -170,3 +181,114 @@ def test_round_bounds_match_the_round_entry_oracle(drawn):
     ):
         assert mine.dtype == theirs.dtype, name
         assert mine.tobytes() == theirs.tobytes(), name
+
+
+#: A late wake and 1e-12 durations: about a hundred consecutive rows share
+#: each absolute start time.
+_LATE_SPEC = Instance(r=0.5, x=1.0, y=0.0, tau=1.0, t=1e6).agent_b()
+_LATE_BUILDER = LocalProgramBuilder(
+    [ColumnBlock(np.zeros(400), np.zeros(400), np.full(400, 1e-12))]
+)
+
+
+@st.composite
+def _late_view(draw):
+    """A prefix view of the late-wake program (one compiler per draw)."""
+    rows = draw(st.integers(1, 400))
+    local = _LATE_BUILDER.snapshot(math.inf, max_steps=rows)
+    return IncrementalTableCompiler(_LATE_SPEC).table(local)
+
+
+@st.composite
+def _residue_rounds(draw):
+    """A bounded round with stalled and late-wake sides mixed in.
+
+    Empty tables (a prefix of no rows, which the bounds allow) are replaced:
+    the driver's tables always hold a row.
+    """
+    tables_a, tables_b, scan_from, horizon, extra, max_segments, max_time = draw(_rounds())
+    stalls = StallTransform()
+    for tables in (tables_a, tables_b):
+        for k, table in enumerate(tables):
+            kind = draw(st.sampled_from(("kept", "kept", "stalled", "late")))
+            if kind == "stalled" and table.segments:
+                tables[k] = stalls.apply(
+                    table,
+                    draw(st.sampled_from((0.0, 0.5, 1.0, 2.5))),
+                    draw(st.sampled_from((0.25, 1.0, 3.0))),
+                )
+            elif kind == "late" or not len(table):
+                tables[k] = draw(_late_view())
+                times = tables[k].start_times(len(tables[k]))
+                horizon[k] = draw(
+                    st.one_of(st.sampled_from(times.tolist()), st.just(horizon[k]))
+                )
+                scan_from[k] = min(scan_from[k], horizon[k])
+    capped, _, limit, _ = round_bounds(
+        tables_a, tables_b, np.array(horizon), np.array(extra, dtype=np.int64),
+        max_segments, max_time,
+    )
+    return tables_a, tables_b, np.array(scan_from), capped, limit, extra, max_segments, max_time
+
+
+def _scalar_row(table, start, first_window):
+    """The row a freeze read before the gather columns: a scalar cut."""
+    return 0 if first_window and start <= 0.0 else table.count_boundaries(start)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_residue_rounds(), st.data())
+def test_residue_counts_and_freeze_rows_match_the_round_entry_oracle(drawn, data):
+    tables_a, tables_b, scan_from, horizon, limit, extra, max_segments, max_time = drawn
+    windows = build_windows(tables_a, tables_b, scan_from, horizon, limit)
+    offsets = windows.offsets
+    explicit = {}
+
+    def materialized(table):
+        if id(table) not in explicit:
+            explicit[id(table)] = table.materialize()
+        return explicit[id(table)]
+
+    n = len(tables_a)
+    until = np.empty(n)
+    for k in range(n):
+        window = data.draw(st.integers(int(offsets[k]), int(offsets[k + 1]) - 1))
+        start = float(windows.starts[window])
+        stop = data.draw(st.sampled_from(("terminal", "met", "freeze", "end", "zero")))
+        if stop == "terminal":
+            # A budget-capped horizon lies on a row start.
+            until[k] = horizon[k]
+        elif stop == "met":
+            until[k] = start
+        elif stop == "freeze":
+            until[k] = start + data.draw(
+                st.floats(min_value=0.0, max_value=float(windows.durations[window]))
+            )
+        elif stop == "end":
+            # A freeze at the window's very end: on the next boundary.
+            until[k] = start + float(windows.durations[window])
+        else:
+            until[k] = 0.0
+    selected = np.array([data.draw(st.booleans()) for _ in range(n)])
+    selected[data.draw(st.integers(0, n - 1))] = True
+    counts_a = cursor_segments(windows.side_a, until, selected)
+    counts_b = cursor_segments(windows.side_b, until, selected)
+
+    for k in np.flatnonzero(selected).tolist():
+        entry = RoundEntry(
+            k, _INSTANCE, materialized(tables_a[k]), materialized(tables_b[k]),
+            float(horizon[k]), float(scan_from[k]), max_segments, max_time,
+            extra_segments=extra[k],
+        )
+        assert (int(counts_a[k]), int(counts_b[k])) == entry.segments_in_play(until[k])
+
+    # Every window of every entry, so freeze windows of all kinds are among
+    # them: the first one at time 0, runs of equal starts, the final one.
+    entries = np.repeat(np.arange(n), windows.counts)
+    at = np.arange(len(windows))
+    rows_a, rows_b = windows.table_rows(at, entries)
+    for w, k in enumerate(entries.tolist()):
+        start = float(windows.starts[w])
+        first_window = w == offsets[k]
+        assert rows_a[w] == _scalar_row(materialized(tables_a[k]), start, first_window)
+        assert rows_b[w] == _scalar_row(materialized(tables_b[k]), start, first_window)
