@@ -1,7 +1,8 @@
 """Sharded, checkpointed, resumable simulation campaigns.
 
-The campaign subsystem turns the in-memory Monte-Carlo sweeps into durable,
-larger-than-RAM workloads:
+The campaign subsystem turns Monte-Carlo simulation into durable,
+larger-than-RAM workloads, and is the one path of the experiment sweeps
+(:mod:`repro.experiments.sweep`):
 
 * :mod:`repro.campaign.spec` — campaigns as serializable, content-addressed
   declarations (algorithm grid x instance sampler x simulator options);

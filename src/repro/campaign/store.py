@@ -75,9 +75,8 @@ RESULT_COLUMNS: Dict[str, Any] = {
     "segments_a": np.int64,
     "segments_b": np.int64,
     "windows": np.int64,
-    # Freeze event of the asymmetric engines: -1 = no freeze (or the record
-    # carried no freeze information — exact-timebase event fallback), 0 = A
-    # froze, 1 = B froze.
+    # Freeze event of the asymmetric engines: -1 = no freeze, 0 = A froze,
+    # 1 = B froze.
     "frozen": np.int8,
     "freeze_time": np.float64,
     "freeze_distance": np.float64,

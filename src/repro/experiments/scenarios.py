@@ -2,7 +2,7 @@
 
 Two sweeps make the new scenario families (:mod:`repro.sim.scenarios`)
 measurable, mirroring the Section 5 sweep's structure (one row per
-(type, grid-point) cell, campaign-capable, vectorized by default):
+(type, grid-point) cell, vectorized by default):
 
 **Heterogeneous speeds** — agent B's speed unit is scaled by a factor grid
 spanning much-slower to much-faster partners.  The paper's model is
@@ -20,29 +20,27 @@ growing length delays rendezvous, with the zero-duration limit recovering the
 fault-free baseline.  Expectation: success rates stay flat; the mean meeting
 time grows by at most roughly the stall duration.
 
-Both sweeps run on the vectorized batch engine by default (one call per
-cell); ``engine="event"`` loops the per-instance event engine — the
-cross-check the scenario parity suite automates.  ``campaign_dir`` routes a
-sweep through the campaign orchestrator as checkpointed, resumable shards;
-the stalling sweep's per-instance onsets then serialize as a
-``stall_time_range`` arm option resolved deterministically by stream
-position, so resumed campaigns stay byte-identical.
+Each sweep is a campaign spec (:func:`speed_campaign_spec`,
+:func:`stalling_campaign_spec`) run by :func:`repro.experiments.sweep.run_sweep`
+as checkpointed, resumable shards — in ``campaign_dir`` when one is given, in
+a temporary directory otherwise.  The shards run on the vectorized batch
+engine (one call per shard); ``engine="event"`` puts ``engine: "event"`` in
+the spec, so every instance runs on the per-instance event engine — the
+cross-check the scenario parity suite automates.  The stalling sweep's
+per-instance onsets serialize as a ``stall_time_range`` arm option resolved
+deterministically by stream position, so resumed campaigns stay
+byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.algorithms.almost_universal import AlmostUniversalRV
-from repro.algorithms.schedules import CompactSchedule, Schedule
-from repro.analysis.sampler import InstanceSampler, SamplerConfig
+from repro.analysis.sampler import SamplerConfig
 from repro.experiments.report import ExperimentResult
 from repro.experiments.section5 import TYPE_CLASSES
+from repro.experiments.sweep import run_sweep, with_event_engine
 from repro.experiments.theorem32 import DEFAULT_COVERAGE_CONFIG
-from repro.sim.batch import simulate_batch
-from repro.sim.engine import simulate
 
 #: Speed-factor grid for agent B: slower and faster partners around the
 #: paper's homogeneous ``1.0``.
@@ -55,54 +53,8 @@ DEFAULT_STALL_DURATIONS = (2.0, 8.0)
 #: Stall onsets are drawn uniformly from ``[0, DEFAULT_STALL_ONSET_MAX]``.
 DEFAULT_STALL_ONSET_MAX = 20.0
 
-
-def _aggregate_rows(label: str, grid_key: str, grid_value, results) -> Dict[str, object]:
-    met = [result for result in results if result.met]
-    unresolved = len(results) - len(met)
-    return {
-        "label": label,
-        grid_key: grid_value,
-        "count": len(results),
-        "success_rate": len(met) / len(results),
-        "meeting_time_mean": (
-            float(np.mean([r.meeting_time for r in met])) if met else None
-        ),
-        "budget_exhausted": unresolved,
-    }
-
-
-def _campaign_scenario_result(
-    campaign_dir: str, name: str, arm_labels, grid_key: str, grid_values, spec
-) -> ExperimentResult:
-    """Assemble a scenario sweep table from a campaign directory's columns."""
-    from repro.campaign import status_rows
-
-    status = status_rows(campaign_dir)
-    by_label = {(cell["arm"], cell["class"]): cell for cell in status["cells"]}
-    rows: List[Dict[str, object]] = []
-    for cls in TYPE_CLASSES:
-        for arm_label, value in zip(arm_labels, grid_values):
-            cell = by_label[(arm_label, cls.value)]
-            rows.append(
-                {
-                    "label": cls.value,
-                    grid_key: value,
-                    "count": cell["count"],
-                    "success_rate": cell["success_rate"],
-                    "meeting_time_mean": cell["meeting_time_mean"],
-                    "budget_exhausted": cell["budget_exhausted"],
-                }
-            )
-    result = ExperimentResult(name=name, rows=rows)
-    result.add_note(
-        f"Campaign mode: columns stored under {campaign_dir} "
-        f"[{status['digest']}]; re-running resumes instead of recomputing."
-    )
-    result.add_note(
-        f"Budgets: max_time={spec.simulator['max_time']:g}, "
-        f"max_segments={spec.simulator['max_segments']}."
-    )
-    return result
+#: The stored aggregates each scenario row reports.
+_SCENARIO_COLUMNS = ("count", "success_rate", "meeting_time_mean", "budget_exhausted")
 
 
 def _scenario_campaign_spec(
@@ -208,7 +160,6 @@ def run_speed_ratio_experiment(
     seed: int = 29,
     *,
     factors=DEFAULT_SPEED_FACTORS,
-    schedule: Optional[Schedule] = None,
     config: Optional[SamplerConfig] = None,
     max_time: float = 1e6,
     max_segments: int = 200_000,
@@ -220,66 +171,19 @@ def run_speed_ratio_experiment(
 
     One row per (type, factor) cell; ``factors`` scale agent B's speed unit
     (``1.0`` is the paper's homogeneous model).  ``engine`` picks the backend;
-    ``campaign_dir`` routes the sweep through the campaign orchestrator as
-    checkpointed, resumable shards (vectorized engine, default schedule).
+    the sweep runs :func:`speed_campaign_spec` as a campaign in
+    ``campaign_dir`` (checkpointed, resumable) or, when ``None``, in a
+    temporary directory.
     """
     if engine not in ("event", "vectorized"):
         raise ValueError(f"unknown engine {engine!r}; expected 'event' or 'vectorized'")
-    if campaign_dir is not None:
-        if engine == "event":
-            raise ValueError(
-                "campaign mode routes float-timebase shards through the "
-                "vectorized engine; use engine='event' without campaign_dir"
-            )
-        if schedule is not None:
-            raise ValueError(
-                "campaign mode serializes the spec; custom schedule objects "
-                "have no registry name — use schedule=None"
-            )
-        from repro.campaign import run_campaign
-
-        spec = speed_campaign_spec(
-            samples_per_type, seed, factors=factors, config=config,
-            max_time=max_time, max_segments=max_segments,
-            radius_slack=radius_slack,
-        )
-        run_campaign(campaign_dir, spec)
-        return _campaign_scenario_result(
-            campaign_dir, "heterogeneous-speed",
-            [f"speed-{factor:g}" for factor in factors], "speed_b", factors, spec,
-        )
-
-    sampler = InstanceSampler(
-        config if config is not None else DEFAULT_COVERAGE_CONFIG, seed
+    spec = speed_campaign_spec(
+        samples_per_type, seed, factors=factors, config=config,
+        max_time=max_time, max_segments=max_segments, radius_slack=radius_slack,
     )
-    algorithm = AlmostUniversalRV(schedule if schedule is not None else CompactSchedule())
-    rows: List[Dict[str, object]] = []
-    for cls in TYPE_CLASSES:
-        instances = sampler.batch_of_class(cls, samples_per_type)
-        for factor in factors:
-            if engine == "vectorized":
-                results = simulate_batch(
-                    instances, algorithm,
-                    max_time=max_time, max_segments=max_segments,
-                    radius_slack=radius_slack, speed_b=float(factor),
-                )
-            else:
-                results = [
-                    simulate(
-                        instance, algorithm,
-                        max_time=max_time, max_segments=max_segments,
-                        radius_slack=radius_slack, timebase="float",
-                        speed_b=float(factor),
-                    )
-                    for instance in instances
-                ]
-            rows.append(_aggregate_rows(cls.value, "speed_b", factor, results))
-
-    result = ExperimentResult(name="heterogeneous-speed", rows=rows)
-    result.add_note(
-        f"Algorithm: {algorithm.name}; engine={engine}; speed_b factors = "
-        f"{tuple(factors)}; budgets: max_time={max_time:g}, max_segments={max_segments}."
-    )
+    if engine == "event":
+        spec = with_event_engine(spec)
+    result = run_sweep(spec, campaign_dir, _SCENARIO_COLUMNS, grid=("speed_b", factors))
     result.add_note(
         "Heterogeneous-speed scenario: agent B's speed unit is scaled, so it "
         "covers factor-times the ground per instruction while the program's "
@@ -295,7 +199,6 @@ def run_stalling_experiment(
     *,
     durations=DEFAULT_STALL_DURATIONS,
     onset_max: float = DEFAULT_STALL_ONSET_MAX,
-    schedule: Optional[Schedule] = None,
     config: Optional[SamplerConfig] = None,
     max_time: float = 1e6,
     max_segments: int = 200_000,
@@ -307,88 +210,28 @@ def run_stalling_experiment(
 
     A fault-free baseline row plus one row per (type, duration) cell.  Agent
     B stalls once, for ``duration`` time units, at an onset drawn uniformly
-    from ``[0, onset_max]`` per instance (deterministic in ``seed``).
-    ``campaign_dir`` routes the sweep through the campaign orchestrator with
-    position-keyed onset draws, so resumed runs stay byte-identical.
+    from ``[0, onset_max]`` per instance, keyed by stream position (so
+    deterministic in ``seed``).  The sweep runs
+    :func:`stalling_campaign_spec` as a campaign in ``campaign_dir``
+    (resumed runs stay byte-identical) or, when ``None``, in a temporary
+    directory.
     """
     if engine not in ("event", "vectorized"):
         raise ValueError(f"unknown engine {engine!r}; expected 'event' or 'vectorized'")
-    if campaign_dir is not None:
-        if engine == "event":
-            raise ValueError(
-                "campaign mode routes float-timebase shards through the "
-                "vectorized engine; use engine='event' without campaign_dir"
-            )
-        if schedule is not None:
-            raise ValueError(
-                "campaign mode serializes the spec; custom schedule objects "
-                "have no registry name — use schedule=None"
-            )
-        from repro.campaign import run_campaign
-
-        spec = stalling_campaign_spec(
-            samples_per_type, seed, durations=durations, onset_max=onset_max,
-            config=config, max_time=max_time, max_segments=max_segments,
-            radius_slack=radius_slack,
-        )
-        run_campaign(campaign_dir, spec)
-        return _campaign_scenario_result(
-            campaign_dir, "stalling-agent",
-            ["no-stall"] + [f"stall-{d:g}" for d in durations],
-            "stall_duration", (0.0,) + tuple(durations), spec,
-        )
-
-    sampler = InstanceSampler(
-        config if config is not None else DEFAULT_COVERAGE_CONFIG, seed
+    spec = stalling_campaign_spec(
+        samples_per_type, seed, durations=durations, onset_max=onset_max,
+        config=config, max_time=max_time, max_segments=max_segments,
+        radius_slack=radius_slack,
     )
-    algorithm = AlmostUniversalRV(schedule if schedule is not None else CompactSchedule())
-    rows: List[Dict[str, object]] = []
-    for cls in TYPE_CLASSES:
-        instances = sampler.batch_of_class(cls, samples_per_type)
-        # One onset per instance, shared across the duration grid so rows
-        # differ only in the stall length.
-        onset_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(TYPE_CLASSES.index(cls),))
-        )
-        onsets = onset_rng.uniform(0.0, onset_max, len(instances))
-        baseline = simulate_batch(
-            instances, algorithm,
-            max_time=max_time, max_segments=max_segments, radius_slack=radius_slack,
-        ) if engine == "vectorized" else [
-            simulate(instance, algorithm, max_time=max_time,
-                     max_segments=max_segments, radius_slack=radius_slack,
-                     timebase="float")
-            for instance in instances
-        ]
-        rows.append(_aggregate_rows(cls.value, "stall_duration", 0.0, baseline))
-        for duration in durations:
-            if engine == "vectorized":
-                results = simulate_batch(
-                    instances, algorithm,
-                    max_time=max_time, max_segments=max_segments,
-                    radius_slack=radius_slack,
-                    stall_agent="B", stall_time=onsets,
-                    stall_duration=float(duration),
-                )
-            else:
-                results = [
-                    simulate(
-                        instance, algorithm,
-                        max_time=max_time, max_segments=max_segments,
-                        radius_slack=radius_slack, timebase="float",
-                        stall_agent="B", stall_time=float(onset),
-                        stall_duration=float(duration),
-                    )
-                    for instance, onset in zip(instances, onsets)
-                ]
-            rows.append(_aggregate_rows(cls.value, "stall_duration", duration, results))
-
-    result = ExperimentResult(name="stalling-agent", rows=rows)
+    if engine == "event":
+        spec = with_event_engine(spec)
+    result = run_sweep(
+        spec, campaign_dir, _SCENARIO_COLUMNS,
+        grid=("stall_duration", (0.0,) + tuple(durations)),
+    )
     result.add_note(
-        f"Algorithm: {algorithm.name}; engine={engine}; stall durations = "
-        f"{(0.0,) + tuple(durations)} (0.0 = fault-free baseline), onsets "
-        f"uniform in [0, {onset_max:g}]; budgets: max_time={max_time:g}, "
-        f"max_segments={max_segments}."
+        f"Stall durations = {(0.0,) + tuple(durations)} (0.0 = fault-free "
+        f"baseline), onsets uniform in [0, {onset_max:g}]."
     )
     result.add_note(
         "Stalling-agent scenario: agent B pauses once at the first segment "

@@ -16,28 +16,24 @@ meeting and freeze times.  The expectation mirrored from the paper: the
 success rate stays 1.0 across the whole grid (budget exhaustion aside), only
 the meeting gets later as the meeting radius shrinks.
 
-The campaign runs on the vectorized batch engine by default
-(:func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`, the freeze-
-aware entry point of the one batch driver of :mod:`repro.sim.batch`, one
-batched call per (type, ratio) cell); ``engine="event"`` drives the
-per-instance event engine instead, which is the cross-check the asymmetric
-parity suite automates.
+The sweep is :func:`asymmetric_campaign_spec`, one arm per ratio, run as a
+campaign by :func:`repro.experiments.sweep.run_sweep`.  Its shards run on the
+vectorized batch engine (the freeze-aware entry point of
+:mod:`repro.sim.batch_asymmetric`, one batched call per shard);
+``engine="event"`` puts ``engine: "event"`` in the spec, so every instance
+runs on the per-instance event engine instead, which is the cross-check the
+asymmetric parity suite automates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.algorithms.almost_universal import AlmostUniversalRV
-from repro.algorithms.schedules import CompactSchedule, Schedule
-from repro.analysis.sampler import InstanceSampler, SamplerConfig
+from repro.analysis.sampler import SamplerConfig
 from repro.core.classification import InstanceClass
 from repro.experiments.report import ExperimentResult
+from repro.experiments.sweep import run_sweep, with_event_engine
 from repro.experiments.theorem32 import DEFAULT_COVERAGE_CONFIG
-from repro.sim.asymmetric import simulate_asymmetric
-from repro.sim.batch_asymmetric import simulate_batch_asymmetric
 
 #: The four algorithmic types of Section 3.1.1 — the instances Theorem 3.2
 #: covers, and therefore the instances whose Section 5 behaviour the paper
@@ -72,7 +68,7 @@ def asymmetric_campaign_spec(
     whole ratio grid serializes without knowing the instances — and every
     arm simulates the *identical* per-type instance stream (instances are
     keyed by class position, not by arm), keeping ratios comparable row for
-    row just like the in-memory sweep.
+    row.
     """
     from dataclasses import asdict
 
@@ -102,49 +98,11 @@ def asymmetric_campaign_spec(
     )
 
 
-def _campaign_asymmetric_result(campaign_dir: str, spec, ratios) -> ExperimentResult:
-    """Assemble the sweep table from a campaign directory's stored columns."""
-    from repro.campaign import status_rows
-
-    status = status_rows(campaign_dir)
-    by_label = {
-        (cell["arm"], cell["class"]): cell for cell in status["cells"]
-    }
-    rows: List[Dict[str, object]] = []
-    for cls in TYPE_CLASSES:
-        for ratio in ratios:
-            cell = by_label[(f"ratio-{ratio:g}", cls.value)]
-            rows.append(
-                {
-                    "label": cls.value,
-                    "ratio": ratio,
-                    "count": cell["count"],
-                    "success_rate": cell["success_rate"],
-                    "freeze_rate": cell["freeze_rate"],
-                    "meeting_time_mean": cell["meeting_time_mean"],
-                    "freeze_time_mean": cell["freeze_time_mean"],
-                    "budget_exhausted": cell["budget_exhausted"],
-                }
-            )
-    result = ExperimentResult(name="section-5-asymmetric-radii", rows=rows)
-    result.add_note(
-        f"Campaign mode: columns stored under {campaign_dir} "
-        f"[{status['digest']}]; re-running resumes instead of recomputing."
-    )
-    result.add_note(
-        f"Ratios r_b/r_a = {tuple(ratios)}; budgets: "
-        f"max_time={spec.simulator['max_time']:g}, "
-        f"max_segments={spec.simulator['max_segments']}."
-    )
-    return result
-
-
 def run_asymmetric_radius_experiment(
     samples_per_type: int = 8,
     seed: int = 17,
     *,
     ratios=DEFAULT_RATIOS,
-    schedule: Optional[Schedule] = None,
     config: Optional[SamplerConfig] = None,
     max_time: float = 1e6,
     max_segments: int = 200_000,
@@ -156,109 +114,33 @@ def run_asymmetric_radius_experiment(
 
     One row per (type, ratio) cell.  ``ratios`` are ``r_b / r_a`` values with
     ``r_a = instance.r``; ``engine`` picks the backend (``"vectorized"``
-    batches each cell through the asymmetric batch engine, ``"event"`` loops
-    the per-instance event engine).  Budgets and the ``radius_slack``
-    meeting tolerance mirror the other Monte-Carlo experiments.
+    batches each shard through the batch driver, ``"event"`` runs every
+    instance on the event engine).  Budgets and the ``radius_slack`` meeting
+    tolerance mirror the other Monte-Carlo experiments.
 
-    ``campaign_dir`` routes the sweep through the campaign orchestrator: the
-    (type, ratio) grid executes as checkpointed shards under that directory —
-    resumable, durable, aggregated by streaming the stored columns.  Requires
-    the default schedule (the spec serializes algorithms by registry name).
+    The sweep runs :func:`asymmetric_campaign_spec` as a campaign in
+    ``campaign_dir`` (resumable and durable) or, when ``None``, in a
+    temporary directory.
     """
     if engine not in ("event", "vectorized"):
         raise ValueError(f"unknown engine {engine!r}; expected 'event' or 'vectorized'")
-    if campaign_dir is not None:
-        if engine == "event":
-            # The campaign router sends float-timebase tasks to the
-            # vectorized engine; silently ignoring an explicit event-engine
-            # cross-check request would hand back the wrong evidence.
-            raise ValueError(
-                "campaign mode routes float-timebase shards through the "
-                "vectorized engine; use engine='event' without campaign_dir "
-                "for the per-instance event cross-check"
-            )
-        if schedule is not None:
-            raise ValueError(
-                "campaign mode serializes the spec; custom schedule objects "
-                "have no registry name — use schedule=None"
-            )
-        from repro.campaign import run_campaign
-
-        spec = asymmetric_campaign_spec(
-            samples_per_type,
-            seed,
-            ratios=ratios,
-            config=config,
-            max_time=max_time,
-            max_segments=max_segments,
-            radius_slack=radius_slack,
-        )
-        run_campaign(campaign_dir, spec)
-        return _campaign_asymmetric_result(campaign_dir, spec, ratios)
-    sampler = InstanceSampler(
-        config if config is not None else DEFAULT_COVERAGE_CONFIG, seed
+    spec = asymmetric_campaign_spec(
+        samples_per_type,
+        seed,
+        ratios=ratios,
+        config=config,
+        max_time=max_time,
+        max_segments=max_segments,
+        radius_slack=radius_slack,
     )
-    algorithm = AlmostUniversalRV(schedule if schedule is not None else CompactSchedule())
-
-    rows: List[Dict[str, object]] = []
-    budget_hits = 0
-    for cls in TYPE_CLASSES:
-        instances = sampler.batch_of_class(cls, samples_per_type)
-        for ratio in ratios:
-            radii_a = [instance.r for instance in instances]
-            radii_b = [instance.r * ratio for instance in instances]
-            if engine == "vectorized":
-                outcomes = simulate_batch_asymmetric(
-                    instances,
-                    algorithm,
-                    radius_a=radii_a,
-                    radius_b=radii_b,
-                    max_time=max_time,
-                    max_segments=max_segments,
-                    radius_slack=radius_slack,
-                )
-            else:
-                outcomes = [
-                    simulate_asymmetric(
-                        instance,
-                        algorithm,
-                        radius_a=r_a,
-                        radius_b=r_b,
-                        max_time=max_time,
-                        max_segments=max_segments,
-                        radius_slack=radius_slack,
-                    )
-                    for instance, r_a, r_b in zip(instances, radii_a, radii_b)
-                ]
-            met = [outcome for outcome in outcomes if outcome.met]
-            frozen = [
-                outcome for outcome in outcomes if outcome.frozen_agent is not None
-            ]
-            unresolved = len(outcomes) - len(met)
-            budget_hits += unresolved
-            rows.append(
-                {
-                    "label": cls.value,
-                    "ratio": ratio,
-                    "count": len(outcomes),
-                    "success_rate": len(met) / len(outcomes),
-                    "freeze_rate": len(frozen) / len(outcomes),
-                    "meeting_time_mean": (
-                        float(np.mean([o.meeting_time for o in met])) if met else None
-                    ),
-                    "freeze_time_mean": (
-                        float(np.mean([o.freeze_time for o in frozen]))
-                        if frozen
-                        else None
-                    ),
-                    "budget_exhausted": unresolved,
-                }
-            )
-
-    result = ExperimentResult(name="section-5-asymmetric-radii", rows=rows)
-    result.add_note(
-        f"Algorithm: {algorithm.name}; engine={engine}; ratios r_b/r_a = "
-        f"{tuple(ratios)}; budgets: max_time={max_time:g}, max_segments={max_segments}."
+    if engine == "event":
+        spec = with_event_engine(spec)
+    result = run_sweep(
+        spec,
+        campaign_dir,
+        ("count", "success_rate", "freeze_rate", "meeting_time_mean",
+         "freeze_time_mean", "budget_exhausted"),
+        grid=("ratio", ratios),
     )
     result.add_note(
         "Section 5 claim: the universal algorithm keeps achieving rendezvous under "

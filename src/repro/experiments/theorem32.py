@@ -6,29 +6,26 @@ strict-inequality clauses — i.e. on every feasible instance outside the
 exception sets S1/S2.  The experiment samples instances of each of the four
 algorithmic types (Section 3.1.1) and simulates the algorithm on them,
 reporting the success rate, the meeting time and the amount of simulation work
-per type.
+per type.  The sweep is :func:`coverage_campaign_spec`, one arm over the four
+types, run as a campaign by :func:`repro.experiments.sweep.run_sweep` — kept
+in a campaign directory when one is given, in a temporary one otherwise.
 
 Simulation budgets matter here: the paper's constants make deep phases
 astronomically long, so a bounded simulation can only *confirm* rendezvous for
-instances it catches within the budget; a failure row therefore reports
-``termination`` so budget exhaustion is distinguishable from a genuine miss
+instances it catches within the budget; each row therefore reports
+``budget_exhausted`` so budget exhaustion is distinguishable from a genuine miss
 (which Theorem 3.2 says cannot happen).  The default sampler ranges are chosen
 so that the bulk of the samples meet within the default budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.algorithms.almost_universal import AlmostUniversalRV
-from repro.algorithms.schedules import Schedule
-from repro.analysis.metrics import summarize_results
-from repro.analysis.sampler import InstanceSampler, SamplerConfig
+from repro.analysis.sampler import SamplerConfig
 from repro.core.classification import InstanceClass
 from repro.experiments.report import ExperimentResult
-from repro.sim.batch import simulate_batch
-from repro.sim.engine import RendezvousSimulator
-from repro.sim.results import TerminationReason
+from repro.experiments.sweep import run_sweep, with_event_engine
 
 #: Sampler ranges keeping instances within comfortable simulation budgets:
 #: moderate initial distances and generous visibility radii.
@@ -68,10 +65,10 @@ def coverage_campaign_spec(
     The serializable form of the experiment's Monte-Carlo bulk: one
     ``almost-universal`` arm over the four types.  Running it through
     :func:`repro.campaign.orchestrator.run_campaign` makes the sweep
-    checkpointed and resumable; note the campaign samples through
-    position-spawned per-instance seeds, so its draws differ from the
-    in-memory path's sequential sampler stream under the same ``seed`` (each
-    path is self-consistent; they are two sampling schemes, not two engines).
+    checkpointed and resumable.  It is the experiment's only sampling
+    scheme: instances come from position-spawned per-instance seeds, so the
+    draws under one ``seed`` are the same for every shard size, engine and
+    campaign directory.
     """
     from dataclasses import asdict
 
@@ -92,48 +89,10 @@ def coverage_campaign_spec(
     )
 
 
-def _campaign_coverage_result(campaign_dir: str, spec) -> ExperimentResult:
-    """Assemble the experiment table from a campaign directory's stored columns."""
-    from repro.campaign import status_rows
-
-    status = status_rows(campaign_dir)
-    rows: List[Dict[str, object]] = []
-    budget_hits = 0
-    for cell in status["cells"]:
-        budget_hits += cell["budget_exhausted"]
-        rows.append(
-            {
-                "label": cell["class"],
-                "count": cell["count"],
-                "successes": cell["successes"],
-                "success_rate": round(cell["success_rate"], 4),
-                "meeting_time_mean": cell["meeting_time_mean"],
-                "meeting_time_max": cell["meeting_time_max"],
-                "min_distance_mean": round(cell["min_distance_mean"], 6),
-                "segments_mean": round(cell["segments_mean"], 1),
-                "budget_exhausted": cell["budget_exhausted"],
-            }
-        )
-    result = ExperimentResult(name="theorem-3.2-universal-coverage", rows=rows)
-    result.add_note(
-        f"Campaign mode: columns stored under {campaign_dir} "
-        f"[{status['digest']}]; re-running resumes instead of recomputing."
-    )
-    result.add_note(
-        f"Budgets: max_time={spec.simulator['max_time']:g}, "
-        f"max_segments={spec.simulator['max_segments']}; timebase="
-        f"{spec.simulator.get('timebase', 'float')}."
-    )
-    if budget_hits == 0:
-        result.add_note("Every sampled instance met within the budget.")
-    return result
-
-
 def run_universal_coverage_experiment(
     samples_per_type: int = 8,
     seed: int = 11,
     *,
-    schedule: Optional[Schedule] = None,
     config: Optional[SamplerConfig] = None,
     max_time: float = 1e30,
     max_segments: int = 600_000,
@@ -143,20 +102,18 @@ def run_universal_coverage_experiment(
 ) -> ExperimentResult:
     """Run the THM-3.2 coverage experiment and return its per-type table.
 
-    ``engine="auto"`` (default) uses the vectorized batch engine whenever the
-    ``timebase`` is ``"float"`` and the event engine otherwise (the exact
-    timebase — the default here, since deep phases schedule astronomically
-    long waits — has no vectorized counterpart).  ``engine="vectorized"``
-    forces the batch path and requires ``timebase="float"``; note that
-    ``max_time`` is then capped by float arithmetic, so pass a finite horizon
-    such as ``1e9``.
+    The sweep runs :func:`coverage_campaign_spec` as a campaign in
+    ``campaign_dir`` (resumed for free on a re-run) or, when ``None``, in a
+    temporary directory; the table aggregates the stored columns.
 
-    ``campaign_dir`` routes the sweep through the campaign orchestrator
-    instead of memory: the per-type rows execute as checkpointed shards in
-    that directory (resumed for free on a re-run) and the table aggregates
-    the stored columns by streaming them.  Campaign mode serializes the spec,
-    so it requires the default schedule (a custom ``schedule`` object has no
-    registry name) and leaves engine selection to the task router.
+    ``engine="auto"`` (default) lets the task router pick: the vectorized
+    batch engine when ``timebase`` is ``"float"``, the event engine
+    otherwise (the exact timebase — the default here, since deep phases
+    schedule astronomically long waits — has no vectorized counterpart).
+    ``engine="vectorized"`` requires ``timebase="float"``; note that
+    ``max_time`` is then capped by float arithmetic, so pass a finite horizon
+    such as ``1e9``.  ``engine="event"`` runs float-timebase tasks on the
+    event engine too.
     """
     if engine not in ("auto", "event", "vectorized"):
         raise ValueError(
@@ -164,69 +121,26 @@ def run_universal_coverage_experiment(
         )
     if engine == "vectorized" and timebase != "float":
         raise ValueError("engine='vectorized' requires timebase='float'")
-    if campaign_dir is not None:
-        if engine == "event" and timebase == "float":
-            # Float-timebase shards route to the vectorized engine inside a
-            # campaign; exact-timebase ones genuinely run on the event engine,
-            # so only this combination would silently disobey the request.
-            raise ValueError(
-                "campaign mode routes float-timebase shards through the "
-                "vectorized engine; use engine='event' without campaign_dir "
-                "(or timebase='exact') for the event-engine path"
-            )
-        if schedule is not None:
-            raise ValueError(
-                "campaign mode serializes the spec; custom schedule objects "
-                "have no registry name — use schedule=None"
-            )
-        from repro.campaign import run_campaign
-
-        spec = coverage_campaign_spec(
-            samples_per_type,
-            seed,
-            config=config,
-            max_time=max_time,
-            max_segments=max_segments,
-            timebase=timebase,
-        )
-        run_campaign(campaign_dir, spec)
-        return _campaign_coverage_result(campaign_dir, spec)
-    use_batch = engine == "vectorized" or (engine == "auto" and timebase == "float")
-    sampler = InstanceSampler(config if config is not None else DEFAULT_COVERAGE_CONFIG, seed)
-    algorithm = AlmostUniversalRV(schedule)
-    simulator = RendezvousSimulator(
-        max_time=max_time, max_segments=max_segments, timebase=timebase
+    spec = coverage_campaign_spec(
+        samples_per_type,
+        seed,
+        config=config,
+        max_time=max_time,
+        max_segments=max_segments,
+        timebase=timebase,
     )
-    rows: List[Dict[str, object]] = []
-    budget_hits = 0
-    for cls in TYPE_CLASSES:
-        instances = sampler.batch_of_class(cls, samples_per_type)
-        if use_batch:
-            outcomes = simulate_batch(
-                instances, algorithm, max_time=max_time, max_segments=max_segments
-            )
-        else:
-            outcomes = [simulator.run(instance, algorithm) for instance in instances]
-        summary = summarize_results(outcomes, label=cls.value)
-        row = summary.as_row()
-        row["budget_exhausted"] = sum(
-            1
-            for outcome in outcomes
-            if not outcome.met
-            and outcome.termination
-            in (TerminationReason.MAX_TIME, TerminationReason.MAX_SEGMENTS)
-        )
-        budget_hits += row["budget_exhausted"]
-        rows.append(row)
-
-    result = ExperimentResult(name="theorem-3.2-universal-coverage", rows=rows)
-    result.add_note(f"Algorithm: {algorithm.name}; timebase={timebase}; "
-                    f"engine={'vectorized' if use_batch else 'event'}; "
-                    f"budgets: max_time={max_time:g}, max_segments={max_segments}.")
+    if engine == "event" and timebase == "float":
+        spec = with_event_engine(spec)
+    result = run_sweep(
+        spec,
+        campaign_dir,
+        ("count", "successes", "success_rate", "meeting_time_mean",
+         "meeting_time_max", "min_distance_mean", "segments_mean", "budget_exhausted"),
+    )
     result.add_note(
         "Theorem 3.2 guarantees eventual rendezvous for every sampled instance; rows with "
         "budget_exhausted > 0 are simulations cut short by the budget, not counterexamples."
     )
-    if budget_hits == 0:
+    if not any(row["budget_exhausted"] for row in result.rows):
         result.add_note("Every sampled instance met within the budget.")
     return result

@@ -8,11 +8,11 @@ mode groups compatible tasks by (algorithm, options) and dispatches each
 group to :func:`repro.sim.batch.simulate_batch` (or its asymmetric-radius
 counterpart for tasks with per-agent radii).  Tasks the vectorized engine
 cannot take (exact timebase — authoritative for the S1/S2 boundary runs —
-trajectory recording, ``raise_on_budget``) run through the per-task event
-engine.  Everything runs in the calling process: parallelism is
-shard-granular (``repro campaign run --workers N``, see
-:mod:`repro.campaign.executor`), so results never depend on which process
-computed them.
+trajectory recording, ``raise_on_budget``, an explicit ``engine`` option)
+run through the per-task event engine.  Everything runs in the calling
+process: parallelism is shard-granular (``repro campaign run --workers N``,
+see :mod:`repro.campaign.executor`), so results never depend on which
+process computed them.
 
 Tasks are *descriptions* (instance dict + algorithm name + simulator
 options), not live objects, and results come back as flat records (dicts of
@@ -31,6 +31,7 @@ from repro.obs import core as _obs
 from repro.sim.batch import simulate_batch
 from repro.sim.batch_asymmetric import simulate_batch_asymmetric
 from repro.sim.engine import RendezvousSimulator
+from repro.sim.results import AsymmetricOutcome, SimulationResult
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,27 @@ class BatchTask:
         )
 
 
+def _task_record(
+    task: BatchTask, result: SimulationResult, outcome: Optional[AsymmetricOutcome]
+) -> Dict[str, Any]:
+    """The flat record of one task; ``outcome`` adds the freeze event of a radii task."""
+    record = result.as_record()
+    record["tag"] = task.tag
+    if outcome is not None:
+        # The campaign store and the Section 5 sweep aggregate these columns.
+        record["frozen_agent"] = outcome.frozen_agent
+        record["freeze_time"] = outcome.freeze_time
+        record["freeze_distance"] = outcome.freeze_distance
+    return record
+
+
 def _execute_task(task: BatchTask) -> Dict[str, Any]:
     """Run one task through the event engine and return a flat result record."""
     instance = Instance.from_dict(task.instance)
     algorithm = get_algorithm(task.algorithm)
     simulator = RendezvousSimulator(**task.simulator_options)
-    result = simulator.run(instance, algorithm)
-    record = result.as_record()
-    record["tag"] = task.tag
-    return record
+    outcome = simulator._run(instance, algorithm, "BatchRunner")
+    return _task_record(task, outcome.result, outcome if _is_asymmetric(task) else None)
 
 
 #: Simulator options the vectorized engine understands.  A task carrying any
@@ -170,21 +183,10 @@ def _execute_vectorized_group(tasks: Sequence[BatchTask]) -> List[Dict[str, Any]
         outcomes = None
         results = simulate_batch(instances, algorithm, **options)
     with _obs.span("campaign.collate"):
-        records = []
-        for k, (task, result) in enumerate(zip(tasks, results)):
-            record = result.as_record()
-            record["tag"] = task.tag
-            if outcomes is not None:
-                # Surface the asymmetric engine's freeze event; the campaign
-                # store and the Section 5 sweep aggregate these columns.  The
-                # event-engine fallback has no record-level freeze channel, so
-                # the keys mark the difference between "did not freeze" and
-                # "not recorded".
-                record["frozen_agent"] = outcomes[k].frozen_agent
-                record["freeze_time"] = outcomes[k].freeze_time
-                record["freeze_distance"] = outcomes[k].freeze_distance
-            records.append(record)
-        return records
+        return [
+            _task_record(task, result, None if outcomes is None else outcomes[k])
+            for k, (task, result) in enumerate(zip(tasks, results))
+        ]
 
 
 @dataclass

@@ -249,6 +249,15 @@ class TestFreezeHeavyExactCrossCheck:
         finite = np.isfinite(md_f) & np.isfinite(md_e)
         assert np.allclose(md_f[finite], md_e[finite], rtol=1e-9, atol=1e-12)
 
+    def test_exact_event_records_the_same_freezes(self, columns):
+        # The event route stores the freeze event too, not just the result.
+        float_arm, exact_arm = columns["arm"] == 0, columns["arm"] == 1
+        assert np.array_equal(columns["frozen"][float_arm], columns["frozen"][exact_arm])
+        for name in ("freeze_time", "freeze_distance"):
+            f, e = columns[name][float_arm], columns[name][exact_arm]
+            assert np.array_equal(np.isnan(f), np.isnan(e)), name
+            assert np.allclose(f, e, rtol=1e-9, atol=0.0, equal_nan=True), name
+
 
 class TestPhaseObservability:
     """REPRO_OBS=on: manifests gain phase slices; results must not change."""

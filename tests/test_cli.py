@@ -253,6 +253,20 @@ class TestCampaignCommands:
         assert main(args) == 0
         assert "Campaign mode" in capsys.readouterr().out
 
+    def test_experiment_event_engine_runs_in_its_own_campaign_dir(self, tmp_path, capsys):
+        args = [
+            "experiment", "section5", "--samples", "2", "--engine", "event",
+            "--campaign-dir", str(tmp_path), "--no-save",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "engine=event" in out
+        assert (tmp_path / "section5-event" / "manifest.jsonl").exists()
+        assert not (tmp_path / "section5").exists()
+        # The vectorized spec's digest differs; it keeps its own directory.
+        assert main(args[:4] + args[6:]) == 0
+        assert (tmp_path / "section5" / "manifest.jsonl").exists()
+
     def test_experiment_campaign_dir_rejected_for_unsupported(self, tmp_path, capsys):
         code = main([
             "experiment", "thm41", "--samples", "2",

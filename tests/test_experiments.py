@@ -144,31 +144,58 @@ class TestTheoremExperiments:
         assert again.rows == result.rows
         assert CampaignStore(directory).manifest_records() == manifest_before
 
-    def test_universal_coverage_campaign_mode_rejects_custom_schedule(self, tmp_path):
-        from repro.algorithms.schedules import CompactSchedule
-
-        with pytest.raises(ValueError, match="registry name"):
-            run_universal_coverage_experiment(
-                samples_per_type=2, schedule=CompactSchedule(),
-                campaign_dir=str(tmp_path / "thm32"),
-            )
-
-    def test_campaign_mode_rejects_silently_unhonorable_event_engine(self, tmp_path):
-        # Float-timebase shards route to the vectorized engine inside a
-        # campaign; an explicit event-engine request must fail loudly, never
-        # silently hand back vectorized results.
+    def test_section5_event_cross_check_in_a_campaign_dir(self, tmp_path):
+        """engine='event' runs as its own spec and matches the vectorized rows."""
         from repro.experiments.section5 import run_asymmetric_radius_experiment
 
-        with pytest.raises(ValueError, match="vectorized engine"):
-            run_asymmetric_radius_experiment(
-                samples_per_type=2, engine="event",
-                campaign_dir=str(tmp_path / "s5"),
-            )
-        with pytest.raises(ValueError, match="vectorized engine"):
-            run_universal_coverage_experiment(
-                samples_per_type=2, engine="event", timebase="float",
-                max_time=1e9, campaign_dir=str(tmp_path / "thm32"),
-            )
+        kwargs = dict(samples_per_type=2, seed=23, ratios=(1.0, 0.5))
+        vectorized = run_asymmetric_radius_experiment(
+            campaign_dir=str(tmp_path / "s5"), **kwargs
+        )
+        event = run_asymmetric_radius_experiment(
+            engine="event", campaign_dir=str(tmp_path / "s5-event"), **kwargs
+        )
+        assert len(event.rows) == len(vectorized.rows) == 8
+        for a, b in zip(vectorized.rows, event.rows):
+            assert a["success_rate"] == b["success_rate"]
+            assert a["freeze_rate"] == b["freeze_rate"]
+            assert a["meeting_time_mean"] == pytest.approx(b["meeting_time_mean"], rel=1e-9)
+        assert any(row["freeze_rate"] > 0.0 for row in event.rows)
+
+
+def _sweeps():
+    from repro.experiments.scenarios import run_speed_ratio_experiment, run_stalling_experiment
+    from repro.experiments.section5 import run_asymmetric_radius_experiment
+
+    return {
+        "thm32": lambda **kw: run_universal_coverage_experiment(
+            samples_per_type=2, seed=4, timebase="float", max_time=1e9, **kw
+        ),
+        "section5": lambda **kw: run_asymmetric_radius_experiment(
+            samples_per_type=2, ratios=(1.0, 0.5), **kw
+        ),
+        "speeds": lambda **kw: run_speed_ratio_experiment(
+            samples_per_type=2, factors=(0.5, 2.0), **kw
+        ),
+        "stalling": lambda **kw: run_stalling_experiment(
+            samples_per_type=2, durations=(4.0,), **kw
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["thm32", "section5", "speeds", "stalling"])
+def test_sweep_rows_do_not_depend_on_the_campaign_dir(name, tmp_path, monkeypatch):
+    """A sweep without a campaign_dir is the same campaign, run in a temporary dir."""
+    import tempfile
+
+    sweep = _sweeps()[name]
+    kept = sweep(campaign_dir=str(tmp_path / "kept"))
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    unkept = sweep(campaign_dir=None)
+    assert unkept.rows == kept.rows
+    assert list(scratch.iterdir()) == []
 
 
 class TestScalingAndAblation:
@@ -208,3 +235,19 @@ class TestMeasureExperiment:
         assert "boundary_thickness" in result.extra
         assert result.extra["dimension_summary"]["ambient_dimension"] == 7
         assert any("feasible fraction" in note for note in result.notes)
+
+
+def test_incomplete_sweep_raises_instead_of_tabulating(tmp_path, monkeypatch):
+    """A sweep whose campaign stopped short names it, rather than a missing cell."""
+    from repro.campaign import CampaignError
+    from repro.experiments import sweep
+    from repro.experiments.scenarios import run_speed_ratio_experiment
+
+    run_campaign = sweep.run_campaign
+    monkeypatch.setattr(
+        sweep, "run_campaign", lambda directory, spec: run_campaign(directory, spec, max_shards=1)
+    )
+    with pytest.raises(CampaignError, match="did not complete"):
+        run_speed_ratio_experiment(
+            samples_per_type=1, factors=(1.0, 2.0), campaign_dir=str(tmp_path / "speeds")
+        )

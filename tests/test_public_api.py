@@ -74,3 +74,18 @@ def test_no_entry_point_takes_a_removed_execution_keyword():
         module_name, _, attribute = entry_point.partition(":")
         target = getattr(importlib.import_module(module_name), attribute)
         assert not removed & set(inspect.signature(target).parameters), entry_point
+
+
+def test_no_sweep_takes_a_schedule_keyword():
+    """The Monte-Carlo sweeps run as campaign specs; ``schedule=`` stays gone."""
+    for entry_point in (
+        "repro.experiments.theorem32:run_universal_coverage_experiment",
+        "repro.experiments.section5:run_asymmetric_radius_experiment",
+        "repro.experiments.scenarios:run_speed_ratio_experiment",
+        "repro.experiments.scenarios:run_stalling_experiment",
+    ):
+        module_name, _, attribute = entry_point.partition(":")
+        target = getattr(importlib.import_module(module_name), attribute)
+        assert "schedule" not in inspect.signature(target).parameters, entry_point
+        with pytest.raises(TypeError, match="schedule"):
+            target(schedule=None)
