@@ -28,14 +28,14 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaign.executor import ShardExecutor, SlotPool
 from repro.campaign.leases import DEFAULT_STALE_AFTER, LeaseManager
-from repro.campaign.shards import Shard, plan_shards
+from repro.campaign.shards import Shard, plan_shards, shard_instances, shard_tasks
 from repro.campaign.spec import CampaignError, CampaignSpec
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import RECORD_FORMAT, CampaignStore
 from repro.contracts import core as _contracts
 from repro.contracts.invariants import CAMPAIGN_RESUME_NO_RECOMPUTE
 from repro.obs import trace as _trace
@@ -164,6 +164,37 @@ def _require_positive(name: str, value, *, optional: bool = True) -> None:
         raise CampaignError(f"{name} must be a positive number, got {value!r}")
 
 
+def _refuse_unrecorded_freezes(
+    store: CampaignStore, spec: CampaignSpec, plan: List[Shard], done: Dict[str, Any]
+) -> None:
+    """Refuse to finish a directory whose stored radii shards lost their freezes.
+
+    Before record format 2, a per-agent-radii task run on the event engine
+    (exact timebase, or an explicit ``engine`` option) stored ``frozen = -1``
+    and NaN freeze columns even when an agent froze.  Finishing such a
+    directory would mix those shards with shards that record the freeze, so
+    its columns would differ from an uninterrupted run's.
+    """
+    from repro.parallel.runner import event_routed_radii
+
+    checked = set()
+    for shard in plan:
+        record = done.get(shard.shard_id)
+        if record is None or record.get("format", 1) >= RECORD_FORMAT:
+            continue
+        if shard.arm_index in checked:
+            continue
+        checked.add(shard.arm_index)
+        probe = replace(shard, count=1)
+        if event_routed_radii(shard_tasks(spec, probe, shard_instances(spec, probe))[0]):
+            raise CampaignError(
+                f"{store.directory} holds shards of arm "
+                f"{spec.arms[shard.arm_index].label!r} stored before per-agent-radii "
+                "runs on the event engine recorded their freeze (frozen = -1 there); "
+                "run the campaign in a fresh directory"
+            )
+
+
 def run_campaign(
     directory: str,
     spec: Optional[CampaignSpec] = None,
@@ -282,6 +313,8 @@ def run_campaign(
             stats.shards_quarantined += 1
         else:
             pending.append(shard)
+    if pending:
+        _refuse_unrecorded_freezes(store, spec, plan, done)
     emit(
         f"campaign {spec.name!r} [{stats.spec_digest}]: {len(plan)} shards planned, "
         f"{stats.shards_skipped} already complete, {len(pending)} to run "

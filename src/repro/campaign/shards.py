@@ -19,8 +19,11 @@ resume.
 from __future__ import annotations
 
 import hashlib
+import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.campaign.spec import RATIO_OPTIONS, CampaignSpec
 from repro.core.instance import Instance
@@ -112,17 +115,49 @@ def class_stream_seed(spec: CampaignSpec, class_index: int):
     return np.random.SeedSequence(spec.seed).spawn(len(spec.classes))[class_index]
 
 
+#: Recently sampled stream slices of multi-arm campaigns, keyed by everything
+#: the draw depends on.  Every arm simulates the same class streams and the
+#: plan is arm-major, so arm 1 finds arm 0's slices here instead of drawing
+#: them again, as long as one arm's slices fit in :data:`_SLICE_CACHE_LIMIT`
+#: instances (least recently used slices are evicted first).
+_SLICE_CACHE: "OrderedDict[Tuple, Tuple[Instance, ...]]" = OrderedDict()
+_SLICE_CACHE_LIMIT = 8192
+_SLICE_CACHE_LOCK = threading.Lock()
+
+
 def shard_instances(spec: CampaignSpec, shard: Shard) -> List[Instance]:
     """Sample the shard's instances — bit-identical for any shard partition."""
     from repro.analysis.sampler import sample_spawned
 
-    return sample_spawned(
+    def sample() -> List[Instance]:
+        return sample_spawned(
+            shard.count,
+            seed=class_stream_seed(spec, shard.class_index),
+            start=shard.start,
+            cls=spec.instance_class(shard.class_index),
+            config=spec.sampler_config(),
+        )
+
+    if len(spec.arms) == 1:
+        return sample()  # no other arm would reuse the slice
+    key = (
+        spec.seed,
+        spec.classes,
+        json.dumps(spec.sampler, sort_keys=True),
+        shard.class_index,
+        shard.start,
         shard.count,
-        seed=class_stream_seed(spec, shard.class_index),
-        start=shard.start,
-        cls=spec.instance_class(shard.class_index),
-        config=spec.sampler_config(),
     )
+    with _SLICE_CACHE_LOCK:
+        instances = _SLICE_CACHE.pop(key, None)
+    if instances is None:
+        instances = tuple(sample())
+    with _SLICE_CACHE_LOCK:
+        _SLICE_CACHE[key] = instances
+        cached = sum(len(entry) for entry in _SLICE_CACHE.values())
+        while cached > _SLICE_CACHE_LIMIT and len(_SLICE_CACHE) > 1:
+            cached -= len(_SLICE_CACHE.popitem(last=False)[1])
+    return list(instances)
 
 
 def shard_tasks(spec: CampaignSpec, shard: Shard, instances: Sequence[Instance]):

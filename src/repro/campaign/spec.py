@@ -51,8 +51,13 @@ UNIFORM_CLASS = "uniform"
 RATIO_OPTIONS = ("radius_a_ratio", "radius_b_ratio")
 
 
-class CampaignError(ReproError):
-    """A campaign spec, store or manifest is invalid or inconsistent."""
+class CampaignError(ReproError, ValueError):
+    """A campaign spec, store or manifest is invalid or inconsistent.
+
+    A :class:`ValueError` too, like the engines' own argument errors: a sweep
+    given a bad value fails with the same type whether the value is checked
+    by the spec or by an engine.
+    """
 
 
 #: Simulator option keys with a numeric domain, validated at spec
@@ -112,6 +117,13 @@ def _validate_simulator_options(options: Mapping[str, Any], where: str) -> None:
         if not _is_number(value) or value != int(value) or value <= 0:
             raise CampaignError(
                 f"{key} of {where} must be a positive integer, got {value!r}"
+            )
+    for key, choices in (("timebase", ("exact", "float")), ("engine", ("event", "vectorized"))):
+        value = options.get(key)
+        if value is not None and value not in choices:
+            raise CampaignError(
+                f"{key} of {where} must be one of {', '.join(map(repr, choices))}, "
+                f"got {value!r}"
             )
     for key in _NON_NEGATIVE_OPTIONS:
         value = options.get(key)

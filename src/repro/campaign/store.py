@@ -91,6 +91,12 @@ RESULT_COLUMNS: Dict[str, Any] = {
     "instance_chi": np.int8,
 }
 
+#: Version of the manifest records :meth:`CampaignStore.write_shard` writes
+#: (records without a ``format`` key are version 1).  Version 2: shards of
+#: per-agent-radii tasks run on the event engine record the freeze columns;
+#: version 1 stored ``frozen = -1`` there even when an agent froze.
+RECORD_FORMAT = 2
+
 _TERMINATION_CODES = {reason.value: code for code, reason in enumerate(TERMINATION_BY_CODE)}
 
 
@@ -171,6 +177,12 @@ class CellAggregate:
     freeze_time_sum: float = 0.0
     termination_counts: List[int] = field(
         default_factory=lambda: [0] * len(TERMINATION_BY_CODE)
+    )
+
+    #: The stored columns :meth:`fold` reads.
+    COLUMNS = (
+        "met", "meeting_time", "min_distance", "segments_a", "segments_b",
+        "simulated_time", "windows", "frozen", "freeze_time", "termination",
     )
 
     def fold(self, columns: Mapping[str, np.ndarray], rows: np.ndarray) -> None:
@@ -417,6 +429,7 @@ class CampaignStore:
             "start": shard.start,
             "rows": shard.count,
             "sha256": _sha256_file(path),
+            "format": RECORD_FORMAT,
             "wall_seconds": round(float(wall_seconds), 6),
             "completed_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         }
@@ -472,13 +485,16 @@ class CampaignStore:
         )
 
     # -- readers -------------------------------------------------------------------------
-    def read_shard(self, shard_id: str) -> Dict[str, np.ndarray]:
+    def read_shard(
+        self, shard_id: str, names: Optional[Sequence[str]] = None
+    ) -> Dict[str, np.ndarray]:
+        """One shard's columns: all of them, or only ``names``."""
         path = self.shard_path(shard_id)
         if not os.path.exists(path):
             raise CampaignError(f"shard {shard_id} has no data file in {self.directory}")
         try:
             with np.load(path) as data:
-                return {name: data[name] for name in data.files}
+                return {name: data[name] for name in (data.files if names is None else names)}
         except (OSError, ValueError) as error:
             # In-place corruption (atomic writes rule out torn files, but not
             # a bad disk or an outside edit): surface as a campaign problem —
@@ -486,15 +502,15 @@ class CampaignStore:
             raise CampaignError(f"shard {shard_id} is unreadable: {error}") from None
 
     def iter_completed(
-        self, plan: Optional[Sequence[Shard]] = None
+        self, plan: Optional[Sequence[Shard]] = None, names: Optional[Sequence[str]] = None
     ) -> Iterator[Tuple[Shard, Dict[str, np.ndarray]]]:
-        """Completed shards with their columns, one at a time, in plan order."""
+        """Completed shards with their columns (or only ``names``), in plan order."""
         if plan is None:
             plan = plan_shards(self.load_spec())
         done = self.completed()
         for shard in plan:
             if shard.shard_id in done:
-                yield shard, self.read_shard(shard.shard_id)
+                yield shard, self.read_shard(shard.shard_id, names)
 
     def export_columns(self, plan: Optional[Sequence[Shard]] = None) -> Dict[str, np.ndarray]:
         """All stored columns concatenated in plan order (completeness required).
@@ -526,7 +542,7 @@ class CampaignStore:
     ) -> Dict[Tuple[int, int], CellAggregate]:
         """Streaming per-(arm, class) aggregates over every completed shard."""
         cells: Dict[Tuple[int, int], CellAggregate] = {}
-        for shard, columns in self.iter_completed(plan):
+        for shard, columns in self.iter_completed(plan, CellAggregate.COLUMNS):
             key = (shard.arm_index, shard.class_index)
             aggregate = cells.setdefault(key, CellAggregate())
             aggregate.fold(columns, np.arange(shard.count))

@@ -50,7 +50,12 @@ def run_sweep(
         directory = campaign_dir
         if directory is None:
             directory = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-sweep-"))
-        if not run_campaign(directory, spec).complete:
+        # In a temporary directory nothing resumes a quarantined shard, so
+        # the first failure ends the sweep instead of being retried.
+        stats = run_campaign(directory, spec, max_attempts=1 if campaign_dir is None else 3)
+        if not stats.complete:
+            # The quarantine entry holds the shard's traceback; the message
+            # carries it out before a temporary directory is removed.
             failed = CampaignStore(directory).failed_shards()
             reason = next(iter(failed.values()), {}).get("error", "interrupted")
             raise CampaignError(f"sweep {spec.name!r} did not complete: {reason}")

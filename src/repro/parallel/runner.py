@@ -127,6 +127,11 @@ def _is_asymmetric(task: BatchTask) -> bool:
     return "radius_a" in options or "radius_b" in options
 
 
+def event_routed_radii(task: BatchTask) -> bool:
+    """Whether ``task`` carries per-agent radii and runs on the event engine."""
+    return _is_asymmetric(task) and not _vectorizable(task)
+
+
 def _execute_vectorized_group(tasks: Sequence[BatchTask]) -> List[Dict[str, Any]]:
     """Run one compatible group through the batch engine, inline.
 

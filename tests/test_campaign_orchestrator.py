@@ -259,6 +259,41 @@ class TestFreezeHeavyExactCrossCheck:
             assert np.allclose(f, e, rtol=1e-9, atol=0.0, equal_nan=True), name
 
 
+def _as_format_1(directory):
+    """Rewrite the manifest as a pre-format-2 store wrote it (no ``format`` key)."""
+    import json
+
+    store = CampaignStore(directory)
+    records = store.manifest_records()
+    with open(store.manifest_path, "w") as handle:
+        for record in records:
+            record.pop("format")
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+class TestFormat1Stores:
+    """Stores whose event-routed radii shards predate recorded freezes."""
+
+    def test_resume_refuses_to_mix_unrecorded_freezes(self, tmp_path):
+        directory = str(tmp_path / "camp")
+        run_campaign(directory, freeze_heavy_spec(), max_shards=4)
+        _as_format_1(directory)
+        with pytest.raises(CampaignError, match="arm 'exact' stored before"):
+            run_campaign(directory)
+
+    def test_float_radii_and_complete_stores_still_resume(self, tmp_path):
+        float_only = freeze_heavy_spec(arms=freeze_heavy_spec().arms[:1])
+        partial = str(tmp_path / "float")
+        run_campaign(partial, float_only, max_shards=1)
+        _as_format_1(partial)
+        assert run_campaign(partial).complete
+        # Nothing left to run: nothing gets mixed, so nothing is refused.
+        complete = str(tmp_path / "complete")
+        run_campaign(complete, freeze_heavy_spec())
+        _as_format_1(complete)
+        assert run_campaign(complete).shards_skipped == len(plan_shards(freeze_heavy_spec()))
+
+
 class TestPhaseObservability:
     """REPRO_OBS=on: manifests gain phase slices; results must not change."""
 

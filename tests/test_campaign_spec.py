@@ -89,11 +89,22 @@ class TestCampaignSpec:
             (dict(name=""), "named"),
             (dict(sampler={"min_radius": -1.0}), "sampler"),
             (dict(simulator={"radius_b_ratio": 0.5}), "per-arm option"),
+            (dict(simulator={"timebase": "warp"}), "timebase of campaign defaults"),
+            (
+                dict(arms=(CampaignArm("almost-universal-compact", options={"engine": "x"}),)),
+                "engine of arm",
+            ),
         ],
     )
     def test_validation_errors(self, overrides, match):
         with pytest.raises(CampaignError, match=match):
             make_spec(**overrides)
+
+    def test_validation_errors_are_value_errors(self):
+        # Sweeps pass their arguments through a spec; a bad value raises the
+        # same type as the engines' own argument checks.
+        with pytest.raises(ValueError):
+            make_spec(instances_per_cell=0)
 
     def test_duplicate_arm_labels_rejected(self):
         with pytest.raises(CampaignError, match="unique"):
@@ -164,6 +175,49 @@ class TestShardPlan:
         assert shard_instances(spec, by_cell[(0, 0)]) == shard_instances(
             spec, by_cell[(1, 0)]
         )
+
+    def test_slices_are_drawn_once_per_class_not_per_arm(self, monkeypatch):
+        import repro.analysis.sampler as sampler
+        from repro.campaign import shards
+
+        spec = make_spec(
+            arms=(
+                CampaignArm(algorithm="almost-universal-compact", label="a"),
+                CampaignArm(algorithm="almost-universal-compact", label="b"),
+            )
+        )
+        plan = plan_shards(spec)
+        monkeypatch.setattr(shards, "_SLICE_CACHE", type(shards._SLICE_CACHE)())
+        fresh = [sample_spawned(s.count, seed=shards.class_stream_seed(spec, s.class_index),
+                                start=s.start, cls=spec.instance_class(s.class_index))
+                 for s in plan]
+        draws = []
+        real = sampler.sample_spawned
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "sample_spawned", counted)
+        assert [shard_instances(spec, s) for s in plan] == fresh
+        assert len(draws) == len(plan) // 2
+
+    def test_slice_cache_is_bounded(self, monkeypatch):
+        from repro.campaign import shards
+
+        monkeypatch.setattr(shards, "_SLICE_CACHE", type(shards._SLICE_CACHE)())
+        monkeypatch.setattr(shards, "_SLICE_CACHE_LIMIT", 6)
+        single = make_spec()
+        for shard in plan_shards(single):
+            shard_instances(single, shard)
+        assert not shards._SLICE_CACHE  # one arm: nothing to reuse, nothing kept
+        spec = make_spec(arms=(
+            CampaignArm(algorithm="almost-universal-compact", label="a"),
+            CampaignArm(algorithm="almost-universal-compact", label="b"),
+        ))
+        for shard in plan_shards(spec):
+            shard_instances(spec, shard)
+            assert 0 < sum(map(len, shards._SLICE_CACHE.values())) <= 6
 
     def test_ratio_options_resolve_against_instance_r(self):
         spec = make_spec(

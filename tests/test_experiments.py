@@ -144,24 +144,6 @@ class TestTheoremExperiments:
         assert again.rows == result.rows
         assert CampaignStore(directory).manifest_records() == manifest_before
 
-    def test_section5_event_cross_check_in_a_campaign_dir(self, tmp_path):
-        """engine='event' runs as its own spec and matches the vectorized rows."""
-        from repro.experiments.section5 import run_asymmetric_radius_experiment
-
-        kwargs = dict(samples_per_type=2, seed=23, ratios=(1.0, 0.5))
-        vectorized = run_asymmetric_radius_experiment(
-            campaign_dir=str(tmp_path / "s5"), **kwargs
-        )
-        event = run_asymmetric_radius_experiment(
-            engine="event", campaign_dir=str(tmp_path / "s5-event"), **kwargs
-        )
-        assert len(event.rows) == len(vectorized.rows) == 8
-        for a, b in zip(vectorized.rows, event.rows):
-            assert a["success_rate"] == b["success_rate"]
-            assert a["freeze_rate"] == b["freeze_rate"]
-            assert a["meeting_time_mean"] == pytest.approx(b["meeting_time_mean"], rel=1e-9)
-        assert any(row["freeze_rate"] > 0.0 for row in event.rows)
-
 
 def _sweeps():
     from repro.experiments.scenarios import run_speed_ratio_experiment, run_stalling_experiment
@@ -245,9 +227,35 @@ def test_incomplete_sweep_raises_instead_of_tabulating(tmp_path, monkeypatch):
 
     run_campaign = sweep.run_campaign
     monkeypatch.setattr(
-        sweep, "run_campaign", lambda directory, spec: run_campaign(directory, spec, max_shards=1)
+        sweep, "run_campaign", lambda *args, **kw: run_campaign(*args, max_shards=1, **kw)
     )
     with pytest.raises(CampaignError, match="did not complete"):
         run_speed_ratio_experiment(
             samples_per_type=1, factors=(1.0, 2.0), campaign_dir=str(tmp_path / "speeds")
         )
+
+
+def test_failed_sweep_reports_the_shard_traceback(monkeypatch):
+    """A sweep in a temporary directory fails at once, naming the original error."""
+    from repro.campaign import CampaignError
+    from repro.campaign.executor import FaultInjection
+    from repro.experiments import sweep
+    from repro.experiments.scenarios import run_speed_ratio_experiment
+
+    dispatched = []
+
+    def fail(shard):
+        dispatched.append(shard)
+        raise FaultInjection("fail")
+
+    run_campaign = sweep.run_campaign
+    monkeypatch.setattr(
+        sweep, "run_campaign", lambda *args, **kw: run_campaign(*args, shard_hook=fail, **kw)
+    )
+    with pytest.raises(CampaignError) as caught:
+        run_speed_ratio_experiment(samples_per_type=1, factors=(2.0,))
+    message = str(caught.value)
+    assert "Traceback" in message
+    assert "RuntimeError: injected shard fault" in message
+    # No retries in a temporary directory: one dispatch per shard.
+    assert len(dispatched) == len({shard.shard_id for shard in dispatched})

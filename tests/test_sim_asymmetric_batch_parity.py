@@ -632,17 +632,20 @@ class TestSection5Experiment:
         from repro.experiments.section5 import run_asymmetric_radius_experiment
 
         vectorized = run_asymmetric_radius_experiment(
-            samples_per_type=2, seed=23, ratios=(0.5,)
+            samples_per_type=2, seed=23, ratios=(1.0, 0.5)
         )
         event = run_asymmetric_radius_experiment(
-            samples_per_type=2, seed=23, ratios=(0.5,), engine="event"
+            samples_per_type=2, seed=23, ratios=(1.0, 0.5), engine="event"
         )
+        assert len(event.rows) == len(vectorized.rows) == 8
         for a, b in zip(vectorized.rows, event.rows):
             assert a["success_rate"] == b["success_rate"]
             assert a["freeze_rate"] == b["freeze_rate"]
             assert a["meeting_time_mean"] == pytest.approx(
                 b["meeting_time_mean"], rel=1e-9
             )
+        # The event engine's freezes reach the table too.
+        assert any(row["freeze_rate"] > 0.0 for row in event.rows)
 
     def test_unknown_engine_rejected(self):
         from repro.experiments.section5 import run_asymmetric_radius_experiment
