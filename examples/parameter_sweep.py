@@ -1,11 +1,12 @@
 """Campaign example: sweep a parameter over many instances.
 
-Uses the stratified sampler and the batch runner to measure how the meeting
-time of ``AlmostUniversalRV`` and of the dedicated witnesses behaves across
-a population of type-1 and type-4 instances on the exact timebase, then
-writes the aggregate table and the raw records under ``results/``.  The
-runner works in this process; for parallel runs, express the sweep as a
-campaign and use ``repro campaign run --workers N``.
+Declares a two-arm campaign (the dedicated witnesses and
+``AlmostUniversalRV``) over type-1 and type-4 instances on the exact
+timebase, runs it with :func:`repro.experiments.sweep.run_sweep` and writes
+the per-(class, algorithm) table under ``results/``.  The sweep runs in this
+process in a temporary campaign directory; to keep the columns, resume or
+spread the shards over processes, save the spec and use ``repro campaign
+run --spec ... --workers N``.
 
 Run with::
 
@@ -13,68 +14,47 @@ Run with::
 """
 
 import os
-from collections import defaultdict
 
-from repro.analysis.sampler import InstanceSampler, SamplerConfig
-from repro.core.classification import InstanceClass
+from repro.campaign import CampaignArm, CampaignSpec
 from repro.experiments.report import format_table, results_directory, write_csv
-from repro.parallel.runner import BatchRunner, BatchTask
+from repro.experiments.sweep import run_sweep
 
 SAMPLES_PER_CLASS = 12
-CLASSES = (InstanceClass.TYPE_1, InstanceClass.TYPE_4)
+CLASSES = ("type-1", "type-4")
 ALGORITHMS = ("dedicated", "almost-universal")
 
 
-def build_tasks():
-    config = SamplerConfig(min_distance=1.5, max_distance=3.0, min_radius=0.4, max_radius=0.9)
-    sampler = InstanceSampler(config, seed=2024)
-    tasks = []
-    for cls in CLASSES:
-        for instance in sampler.batch_of_class(cls, SAMPLES_PER_CLASS):
-            for algorithm in ALGORITHMS:
-                tasks.append(
-                    BatchTask.make(
-                        instance,
-                        algorithm,
-                        tag=cls.value,
-                        max_time=1e30,
-                        max_segments=400_000,
-                        timebase="exact",
-                        radius_slack=1e-9,
-                    )
-                )
-    return tasks
+def sweep_spec() -> CampaignSpec:
+    return CampaignSpec(
+        name="parameter-sweep",
+        arms=tuple(CampaignArm(algorithm) for algorithm in ALGORITHMS),
+        classes=CLASSES,
+        instances_per_cell=SAMPLES_PER_CLASS,
+        seed=2024,
+        sampler={"min_distance": 1.5, "max_distance": 3.0, "min_radius": 0.4, "max_radius": 0.9},
+        simulator={
+            "max_time": 1e30,
+            "max_segments": 400_000,
+            "timebase": "exact",
+            "radius_slack": 1e-9,
+        },
+    )
 
 
 def main() -> None:
-    tasks = build_tasks()
-    print(f"Running {len(tasks)} simulations...")
-    records = BatchRunner().run(tasks)
+    spec = sweep_spec()
+    print(f"Running {spec.total_instances} simulations...")
+    result = run_sweep(
+        spec,
+        None,
+        ("count", "successes", "meeting_time_mean", "segments_mean"),
+        grid=("algorithm", ALGORITHMS),
+    )
+    print(format_table(result.rows))
 
-    grouped = defaultdict(list)
-    for record in records:
-        grouped[(record["tag"], record["algorithm"])].append(record)
-
-    rows = []
-    for (cls, algorithm), group in sorted(grouped.items()):
-        met = [r for r in group if r["met"]]
-        rows.append(
-            {
-                "class": cls,
-                "algorithm": algorithm,
-                "runs": len(group),
-                "met": len(met),
-                "mean meeting time": (
-                    round(sum(r["meeting_time"] for r in met) / len(met), 3) if met else None
-                ),
-                "mean segments": round(sum(r["segments_a"] + r["segments_b"] for r in group) / len(group), 1),
-            }
-        )
-    print(format_table(rows))
-
-    out = os.path.join(results_directory(), "parameter_sweep_records.csv")
-    write_csv(records, out)
-    print(f"\nRaw per-run records written to {out}")
+    out = os.path.join(results_directory(), "parameter_sweep.csv")
+    write_csv(result.rows, out)
+    print(f"\nTable written to {out}")
 
 
 if __name__ == "__main__":

@@ -35,9 +35,10 @@ Two backends answer the rendezvous question:
   (pinned by ``tests/test_sim_batch_parity.py``) at one to two orders of
   magnitude higher throughput (see ``BENCH_engine.json``).
 
-Monte-Carlo campaigns (``parallel.runner.BatchRunner``, the Theorem 3.1/3.2
-experiments, ``repro experiment --engine ...``) use the batch engine by
-default and fall back to the event engine where it is not applicable.
+Monte-Carlo campaigns (``repro campaign``, the Theorem 3.1/3.2 experiments,
+``repro experiment --engine ...``) route each shard once
+(``parallel.runner.BatchRunner``): one batch-engine call where it applies,
+the event engine instance by instance where it does not.
 """
 
 from repro.core import (

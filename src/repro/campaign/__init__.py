@@ -40,7 +40,7 @@ from repro.campaign.spec import (
     CampaignError,
     CampaignSpec,
 )
-from repro.campaign.store import CampaignStore, CellAggregate, records_to_columns
+from repro.campaign.store import CampaignStore, CellAggregate
 
 __all__ = [
     "CampaignArm",
@@ -55,7 +55,6 @@ __all__ = [
     "ShardExecutor",
     "UNIFORM_CLASS",
     "plan_shards",
-    "records_to_columns",
     "run_campaign",
     "shard_instances",
     "shard_tasks",

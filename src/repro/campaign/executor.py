@@ -78,7 +78,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.campaign.leases import LeaseManager
 from repro.campaign.shards import Shard, shard_instances, shard_tasks
 from repro.campaign.spec import CampaignError, CampaignSpec
-from repro.campaign.store import CampaignStore, records_to_columns
+from repro.campaign.store import CampaignStore, outcome_columns
 from repro.obs import core as _obs
 from repro.obs import phases as _phases
 from repro.obs import trace as _trace
@@ -158,11 +158,10 @@ def _compute_shard(
     with _obs.span("campaign.shard", shard=shard.shard_id):
         with _obs.collect() as phases:
             with _obs.span("campaign.sample"):
-                instances = shard_instances(spec, shard)
-                tasks = shard_tasks(spec, shard, instances)
-            records = runner.run(tasks)
+                work = shard_tasks(spec, shard, shard_instances(spec, shard))
+            outcomes = runner.run(work)
             with _obs.span("campaign.collate"):
-                columns = records_to_columns(shard, records)
+                columns = outcome_columns(shard, outcomes)
     return columns, time.perf_counter() - started, phases
 
 
@@ -172,11 +171,11 @@ def _worker_main(conn) -> None:
     Workers compute *columns* and ship them back; the parent alone writes
     the store, so manifest appends are serialized per runner process.  Each
     worker holds its own :class:`BatchRunner` — vectorized shards are one
-    batch-engine call, exact-timebase shards run the event engine task by
-    task in the worker (the parallelism is shard-granular).  A worker binds
-    no campaign: every ``("run", spec, shard, fault)`` assignment names its
-    own spec, so one warm worker serves job after job.  A closed pipe means
-    the parent is gone, and the worker returns quietly.
+    batch-engine call, exact-timebase shards run the event engine instance
+    by instance in the worker (the parallelism is shard-granular).  A worker
+    binds no campaign: every ``("run", spec, shard, fault)`` assignment names
+    its own spec, so one warm worker serves job after job.  A closed pipe
+    means the parent is gone, and the worker returns quietly.
 
     Wire protocol: with observability off (the default) each shard answers
     with one ``("ok", shard_id, columns, wall)`` tuple.  With observability

@@ -28,12 +28,12 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.campaign.executor import ShardExecutor, SlotPool
 from repro.campaign.leases import DEFAULT_STALE_AFTER, LeaseManager
-from repro.campaign.shards import Shard, plan_shards, shard_instances, shard_tasks
+from repro.campaign.shards import Shard, event_routed_radii, plan_shards
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.campaign.store import RECORD_FORMAT, CampaignStore
 from repro.contracts import core as _contracts
@@ -169,27 +169,22 @@ def _refuse_unrecorded_freezes(
 ) -> None:
     """Refuse to finish a directory whose stored radii shards lost their freezes.
 
-    Before record format 2, a per-agent-radii task run on the event engine
+    Before record format 2, a per-agent-radii shard run on the event engine
     (exact timebase, or an explicit ``engine`` option) stored ``frozen = -1``
     and NaN freeze columns even when an agent froze.  Finishing such a
     directory would mix those shards with shards that record the freeze, so
     its columns would differ from an uninterrupted run's.
     """
-    from repro.parallel.runner import event_routed_radii
-
-    checked = set()
-    for shard in plan:
-        record = done.get(shard.shard_id)
-        if record is None or record.get("format", 1) >= RECORD_FORMAT:
-            continue
-        if shard.arm_index in checked:
-            continue
-        checked.add(shard.arm_index)
-        probe = replace(shard, count=1)
-        if event_routed_radii(shard_tasks(spec, probe, shard_instances(spec, probe))[0]):
+    stale_arms = {
+        shard.arm_index
+        for shard in plan
+        if shard.shard_id in done and done[shard.shard_id].get("format", 1) < RECORD_FORMAT
+    }
+    for arm_index in sorted(stale_arms):
+        if event_routed_radii(spec.arm_options(arm_index)):
             raise CampaignError(
                 f"{store.directory} holds shards of arm "
-                f"{spec.arms[shard.arm_index].label!r} stored before per-agent-radii "
+                f"{spec.arms[arm_index].label!r} stored before per-agent-radii "
                 "runs on the event engine recorded their freeze (frozen = -1 there); "
                 "run the campaign in a fresh directory"
             )

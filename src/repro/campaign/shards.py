@@ -23,7 +23,9 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.campaign.spec import RATIO_OPTIONS, CampaignSpec
 from repro.core.instance import Instance
@@ -31,6 +33,7 @@ from repro.sim.scenarios import STALL_RANGE_OPTIONS, resolve_stall_options
 
 __all__ = [
     "Shard",
+    "ShardWork",
     "class_stream_seed",
     "plan_shards",
     "shard_instances",
@@ -110,8 +113,6 @@ def class_stream_seed(spec: CampaignSpec, class_index: int):
     are shared across arms — every arm simulates the identical stream, which
     keeps arms comparable row for row.
     """
-    import numpy as np
-
     return np.random.SeedSequence(spec.seed).spawn(len(spec.classes))[class_index]
 
 
@@ -160,46 +161,125 @@ def shard_instances(spec: CampaignSpec, shard: Shard) -> List[Instance]:
     return list(instances)
 
 
-def shard_tasks(spec: CampaignSpec, shard: Shard, instances: Sequence[Instance]):
-    """The shard's :class:`~repro.parallel.runner.BatchTask` list.
+_RADIUS_OPTIONS = ("radius_a", "radius_b")
+
+#: Simulator options the vectorized batch engines understand.  A shard
+#: carrying any other option (or a non-float timebase) runs on the event
+#: engine.
+_BATCH_OPTIONS = frozenset(
+    {
+        "max_time",
+        "max_segments",
+        "radius_slack",
+        "track_min_distance",
+        "timebase",
+        "speed_a",
+        "speed_b",
+        "stall_agent",
+        "stall_time",
+        "stall_duration",
+        *_RADIUS_OPTIONS,
+    }
+)
+
+
+def _batched(options: Mapping[str, Any]) -> bool:
+    """Whether a shard with these scalar options runs as one batch-engine call."""
+    return _BATCH_OPTIONS.issuperset(options) and options.get("timebase", "float") == "float"
+
+
+@dataclass(frozen=True)
+class ShardWork:
+    """One shard's simulations as columns: what ``BatchRunner.run`` takes.
+
+    A shard is homogeneous: one arm, so one ``algorithm`` and one set of
+    scalar simulator ``options`` (the arm's ratio and stall-range
+    conveniences resolved away) over the sampled ``instances``.  ``columns``
+    holds the per-instance float64 values the arm derives from those
+    conveniences (``radius_a``/``radius_b``/``stall_time``/
+    ``stall_duration``); no key is both an option and a column.  The shard
+    also carries its route (:attr:`batched`, :attr:`asymmetric`), which the
+    runner follows.
+    """
+
+    algorithm: str
+    options: Mapping[str, Any]
+    instances: Tuple[Instance, ...]
+    columns: Mapping[str, np.ndarray]
+
+    @property
+    def batched(self) -> bool:
+        """Whether the shard is one batch-engine call (else the event engine, per instance)."""
+        return _batched(self.options)
+
+    @property
+    def asymmetric(self) -> bool:
+        """Whether the shard runs under per-agent radii (Section 5)."""
+        return any(key in self.options or key in self.columns for key in _RADIUS_OPTIONS)
+
+    def instance_options(self, k: int) -> Dict[str, Any]:
+        """The simulator options of instance ``k`` alone (its column values folded in)."""
+        options = dict(self.options)
+        options.update((key, float(column[k])) for key, column in self.columns.items())
+        return options
+
+
+def _split_options(options: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Pop an arm's ratio and stall-range conveniences out of ``options``."""
+    ratios = {key: options.pop(key) for key in RATIO_OPTIONS if key in options}
+    stall_ranges = {key: options.pop(key) for key in STALL_RANGE_OPTIONS if key in options}
+    return ratios, stall_ranges
+
+
+def shard_tasks(spec: CampaignSpec, shard: Shard, instances: Sequence[Instance]) -> ShardWork:
+    """The shard's :class:`ShardWork` over its sampled ``instances``.
 
     Resolves the arm's :data:`~repro.campaign.spec.RATIO_OPTIONS` against
-    each instance's own ``r`` into concrete ``radius_a``/``radius_b`` values,
-    and the :data:`~repro.sim.scenarios.STALL_RANGE_OPTIONS` into concrete
-    per-instance stall schedules drawn from position-keyed child seeds (like
-    the instances themselves, the draws depend only on the spec and the
-    stream position — never on the shard partition or execution order).
-    Every other option passes through to the runner verbatim.  Tasks are
-    tagged with the shard id, so any record can be traced back to the shard
-    (and therefore the spec slice) that produced it.
+    each instance's own ``r`` into ``radius_a``/``radius_b`` columns, and
+    the :data:`~repro.sim.scenarios.STALL_RANGE_OPTIONS` into per-instance
+    stall schedules drawn from position-keyed child seeds (like the
+    instances themselves, the draws depend only on the spec and the stream
+    position, never on the shard partition or execution order).  Every
+    other option passes through to the runner verbatim.
     """
-    import numpy as np
-
-    from repro.parallel.runner import BatchTask
-
-    base = spec.arm_options(shard.arm_index)
-    ratios: Dict[str, Any] = {key: base.pop(key) for key in RATIO_OPTIONS if key in base}
-    stall_ranges: Dict[str, Any] = {
-        key: base.pop(key) for key in STALL_RANGE_OPTIONS if key in base
-    }
-    stream_seed = class_stream_seed(spec, shard.class_index) if stall_ranges else None
-    tasks = []
-    for offset, instance in enumerate(instances):
-        options = dict(base)
-        if "radius_a_ratio" in ratios:
-            options["radius_a"] = ratios["radius_a_ratio"] * instance.r
-        if "radius_b_ratio" in ratios:
-            options["radius_b"] = ratios["radius_b_ratio"] * instance.r
-        if stall_ranges:
-            options.update(stall_ranges)
+    options = spec.arm_options(shard.arm_index)
+    ratios, stall_ranges = _split_options(options)
+    columns: Dict[str, np.ndarray] = {}
+    if ratios:
+        radii = np.array([instance.r for instance in instances], dtype=float)
+        for key, ratio in ratios.items():
+            columns[key[: -len("_ratio")]] = ratio * radii
+    if stall_ranges:
+        stream_seed = class_stream_seed(spec, shard.class_index)
+        draws = []
+        for position in range(shard.start, shard.start + len(instances)):
             child = np.random.SeedSequence(
                 entropy=stream_seed.entropy,
-                spawn_key=stream_seed.spawn_key
-                + (_STALL_SPAWN_TAG, shard.arm_index, shard.start + offset),
+                spawn_key=stream_seed.spawn_key + (_STALL_SPAWN_TAG, shard.arm_index, position),
             )
-            resolve_stall_options(options, np.random.default_rng(child))
-        tasks.append(
-            BatchTask.make(instance, spec.arms[shard.arm_index].algorithm,
-                           tag=shard.shard_id, **options)
-        )
-    return tasks
+            draws.append(resolve_stall_options(dict(stall_ranges), np.random.default_rng(child)))
+        for key in ("stall_time", "stall_duration"):
+            if f"{key}_range" in stall_ranges:
+                columns[key] = np.array([draw[key] for draw in draws], dtype=float)
+    for key in columns:
+        options.pop(key, None)
+    return ShardWork(
+        algorithm=spec.arms[shard.arm_index].algorithm,
+        options=options,
+        instances=tuple(instances),
+        columns=columns,
+    )
+
+
+def event_routed_radii(options: Mapping[str, Any]) -> bool:
+    """Whether an arm with these options runs per-agent radii on the event engine.
+
+    ``options`` are the arm's effective options
+    (:meth:`~repro.campaign.spec.CampaignSpec.arm_options`).  Its ratio and
+    stall-range conveniences become batch columns, so the options left pick
+    the route, as :attr:`ShardWork.batched` does.
+    """
+    scalar = dict(options)
+    ratios, _ = _split_options(scalar)
+    radii = bool(ratios) or any(key in scalar for key in _RADIUS_OPTIONS)
+    return radii and not _batched(scalar)

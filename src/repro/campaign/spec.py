@@ -7,15 +7,15 @@ classes, a count per cell, a master seed) under campaign-wide simulator
 defaults.  The spec is a plain frozen dataclass round-trippable through JSON:
 it is written into the campaign directory verbatim, and everything else —
 the shard plan (:mod:`repro.campaign.shards`), every sampled instance, every
-:class:`~repro.parallel.runner.BatchTask` — is a pure function of it.  Two
-campaign directories holding equal specs therefore hold byte-identical
+shard's :class:`~repro.campaign.shards.ShardWork` — is a pure function of
+it.  Two campaign directories holding equal specs therefore hold byte-identical
 result columns once complete, which is what makes ``repro campaign resume``
 safe: the digest pins the work, the manifest records which of it is done.
 
 Per-arm options are ordinary simulator options (the fields of
 :class:`~repro.sim.engine.RendezvousSimulator`, e.g. ``timebase="exact"``,
 plus the options the scenario registry declares) with two campaign-only
-conveniences resolved at task-build time: ``radius_a_ratio`` /
+conveniences resolved when a shard's work is built: ``radius_a_ratio`` /
 ``radius_b_ratio`` scale each *instance's own* ``r`` into concrete per-agent
 radii, which is how a Section 5 radius-ratio sweep serializes without
 knowing the sampled instances in advance.
@@ -45,9 +45,9 @@ __all__ = [
 #: Pseudo-class name drawing unconstrained samples instead of a stratum.
 UNIFORM_CLASS = "uniform"
 
-#: Per-arm option keys resolved against each instance's ``r`` at task-build
-#: time (``radius_a = radius_a_ratio * instance.r``), instead of being passed
-#: to the engines verbatim.
+#: Per-arm option keys resolved against each instance's ``r`` into a shard's
+#: radius columns (``radius_a = radius_a_ratio * instance.r``), instead of
+#: being passed to the engines verbatim.
 RATIO_OPTIONS = ("radius_a_ratio", "radius_b_ratio")
 
 
@@ -74,7 +74,7 @@ def _is_number(value: Any) -> bool:
 
 
 def _known_simulator_options() -> frozenset:
-    """Every option key a campaign task may carry.
+    """Every option key a campaign arm may carry.
 
     The :class:`~repro.sim.engine.RendezvousSimulator` fields (what the event
     fallback is built from), the :data:`RATIO_OPTIONS` conveniences, and the
@@ -118,7 +118,10 @@ def _validate_simulator_options(options: Mapping[str, Any], where: str) -> None:
             raise CampaignError(
                 f"{key} of {where} must be a positive integer, got {value!r}"
             )
-    for key, choices in (("timebase", ("exact", "float")), ("engine", ("event", "vectorized"))):
+    # A shard routes itself (one batch call where the batch engine applies);
+    # ``engine`` only forces the event engine.  ``"vectorized"`` would make
+    # every instance its own batch call, and fail every exact-timebase shard.
+    for key, choices in (("timebase", ("exact", "float")), ("engine", ("event",))):
         value = options.get(key)
         if value is not None and value not in choices:
             raise CampaignError(

@@ -43,7 +43,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +55,9 @@ from repro.contracts.invariants import (
     STORE_SHARD_ROUNDTRIP,
 )
 from repro.sim.columns import TERMINATION_BY_CODE
+from repro.sim.results import AsymmetricOutcome
 
-__all__ = ["CampaignStore", "CellAggregate", "records_to_columns", "RESULT_COLUMNS"]
+__all__ = ["CampaignStore", "CellAggregate", "outcome_columns", "RESULT_COLUMNS"]
 
 #: Column name -> dtype of every shard file, in canonical order.  Wall-clock
 #: fields are deliberately absent: stored columns are a pure function of the
@@ -93,45 +94,59 @@ RESULT_COLUMNS: Dict[str, Any] = {
 
 #: Version of the manifest records :meth:`CampaignStore.write_shard` writes
 #: (records without a ``format`` key are version 1).  Version 2: shards of
-#: per-agent-radii tasks run on the event engine record the freeze columns;
+#: per-agent-radii shards run on the event engine record the freeze columns;
 #: version 1 stored ``frozen = -1`` there even when an agent froze.
 RECORD_FORMAT = 2
 
 _TERMINATION_CODES = {reason.value: code for code, reason in enumerate(TERMINATION_BY_CODE)}
+_FROZEN_CODES = {"A": 0, "B": 1}
 
 
-def _float_or_nan(value: Any) -> float:
-    return float("nan") if value is None else float(value)
+def _floats(values: Iterable[Optional[float]]) -> np.ndarray:
+    """A float64 column with ``None`` stored as NaN."""
+    return np.array([np.nan if value is None else value for value in values], dtype=np.float64)
 
 
-def records_to_columns(
-    shard: Shard, records: Sequence[Mapping[str, Any]]
-) -> Dict[str, np.ndarray]:
-    """Pack one shard's runner records into the canonical column arrays."""
-    n = len(records)
+def outcome_columns(shard: Shard, outcomes: Sequence[AsymmetricOutcome]) -> Dict[str, np.ndarray]:
+    """Pack one shard's runner outcomes into the canonical column arrays.
+
+    ``outcomes`` are :meth:`~repro.parallel.runner.BatchRunner.run`'s, one
+    per instance in order; the ``instance_*`` columns come from each
+    outcome's own instance.  ``None`` fields become NaN, terminations their
+    :data:`~repro.sim.columns.TERMINATION_BY_CODE` index and the frozen
+    agent ``0``/``1`` (``-1``: no freeze).
+    """
+    n = len(outcomes)
+    results = [outcome.result for outcome in outcomes]
     columns: Dict[str, np.ndarray] = {
-        name: np.zeros(n, dtype=dtype) for name, dtype in RESULT_COLUMNS.items()
+        "arm": np.full(n, shard.arm_index, dtype=np.int32),
+        "cls": np.full(n, shard.class_index, dtype=np.int32),
+        "position": np.arange(shard.start, shard.start + n, dtype=np.int64),
+        "met": np.array([result.met for result in results], dtype=np.bool_),
+        "termination": np.array(
+            [_TERMINATION_CODES[result.termination.value] for result in results],
+            dtype=np.int8,
+        ),
+        "meeting_time": _floats(result.meeting_time for result in results),
+        "min_distance": _floats(result.min_distance for result in results),
+        "min_distance_time": _floats(result.min_distance_time for result in results),
+        "simulated_time": _floats(result.simulated_time for result in results),
+        "segments_a": np.array([result.segments_a for result in results], dtype=np.int64),
+        "segments_b": np.array([result.segments_b for result in results], dtype=np.int64),
+        "windows": np.array([result.windows_processed for result in results], dtype=np.int64),
+        "frozen": np.array(
+            [_FROZEN_CODES.get(outcome.frozen_agent, -1) for outcome in outcomes],
+            dtype=np.int8,
+        ),
+        "freeze_time": _floats(outcome.freeze_time for outcome in outcomes),
+        "freeze_distance": _floats(outcome.freeze_distance for outcome in outcomes),
     }
-    columns["arm"][:] = shard.arm_index
-    columns["cls"][:] = shard.class_index
-    columns["position"][:] = np.arange(shard.start, shard.start + n)
-    for k, record in enumerate(records):
-        columns["met"][k] = bool(record["met"])
-        columns["termination"][k] = _TERMINATION_CODES[record["termination"]]
-        columns["meeting_time"][k] = _float_or_nan(record["meeting_time"])
-        columns["min_distance"][k] = _float_or_nan(record["min_distance"])
-        columns["min_distance_time"][k] = _float_or_nan(record["min_distance_time"])
-        columns["simulated_time"][k] = float(record["simulated_time"])
-        columns["segments_a"][k] = int(record["segments_a"])
-        columns["segments_b"][k] = int(record["segments_b"])
-        columns["windows"][k] = int(record["windows"])
-        frozen_agent = record.get("frozen_agent")
-        columns["frozen"][k] = {"A": 0, "B": 1}.get(frozen_agent, -1)
-        columns["freeze_time"][k] = _float_or_nan(record.get("freeze_time"))
-        columns["freeze_distance"][k] = _float_or_nan(record.get("freeze_distance"))
-        for name in ("r", "x", "y", "phi", "tau", "v", "t"):
-            columns[f"instance_{name}"][k] = float(record[f"instance_{name}"])
-        columns["instance_chi"][k] = int(record["instance_chi"])
+    for name, dtype in RESULT_COLUMNS.items():
+        if name.startswith("instance_"):
+            attribute = name[len("instance_"):]
+            columns[name] = np.array(
+                [getattr(result.instance, attribute) for result in results], dtype=dtype
+            )
     return columns
 
 

@@ -132,7 +132,7 @@ def stalling_campaign_spec(
 
     A fault-free baseline arm plus one arm per stall duration; the onset is a
     ``stall_time_range`` arm option, so each instance's onset is drawn
-    deterministically by stream position at task-build time — resumable and
+    deterministically by stream position when the shard is built — resumable and
     partition-independent like the instances themselves.
     """
     from repro.campaign import CampaignArm

@@ -64,7 +64,7 @@ def asymmetric_campaign_spec(
     """The Section 5 sweep as a :class:`~repro.campaign.spec.CampaignSpec`.
 
     One arm per radius ratio: the ``radius_b_ratio`` arm option resolves
-    against each sampled instance's own ``r`` at task-build time, so the
+    against each sampled instance's own ``r`` when the shard is built, so the
     whole ratio grid serializes without knowing the instances — and every
     arm simulates the *identical* per-type instance stream (instances are
     keyed by class position, not by arm), keeping ratios comparable row for

@@ -22,12 +22,11 @@ from repro.experiments.report import ExperimentResult
 
 
 def with_event_engine(spec):
-    """``spec`` with every task routed to the per-instance event engine.
+    """``spec`` with every shard routed to the per-instance event engine.
 
-    The event-engine cross-check of a float-timebase sweep: a task carrying
-    the ``engine`` option is not vectorizable, so the runner sends it to
-    :class:`~repro.sim.engine.RendezvousSimulator`.  Never put
-    ``"vectorized"`` there: that too would make each task its own call.
+    The event-engine cross-check of a float-timebase sweep: a shard carrying
+    the ``engine`` option runs each instance through
+    :class:`~repro.sim.engine.RendezvousSimulator`.
     """
     return dataclasses.replace(spec, simulator={**spec.simulator, "engine": "event"})
 

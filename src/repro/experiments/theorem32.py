@@ -106,13 +106,13 @@ def run_universal_coverage_experiment(
     ``campaign_dir`` (resumed for free on a re-run) or, when ``None``, in a
     temporary directory; the table aggregates the stored columns.
 
-    ``engine="auto"`` (default) lets the task router pick: the vectorized
+    ``engine="auto"`` (default) lets the shard runner pick: the vectorized
     batch engine when ``timebase`` is ``"float"``, the event engine
     otherwise (the exact timebase — the default here, since deep phases
     schedule astronomically long waits — has no vectorized counterpart).
     ``engine="vectorized"`` requires ``timebase="float"``; note that
     ``max_time`` is then capped by float arithmetic, so pass a finite horizon
-    such as ``1e9``.  ``engine="event"`` runs float-timebase tasks on the
+    such as ``1e9``.  ``engine="event"`` runs float-timebase shards on the
     event engine too.
     """
     if engine not in ("auto", "event", "vectorized"):

@@ -51,11 +51,11 @@ ENGINE_ASSEMBLE = declare_span(
 # -- campaign phases --------------------------------------------------------------
 CAMPAIGN_SAMPLE = declare_span(
     "campaign.sample",
-    "per-shard instance sampling (shard_instances, spawn-seeded)",
+    "per-shard instance sampling and work columns (shard_instances, shard_tasks)",
 )
 CAMPAIGN_COLLATE = declare_span(
     "campaign.collate",
-    "shard result records to store columns (records_to_columns)",
+    "shard outcomes to store columns (outcome_columns)",
 )
 CAMPAIGN_STORE_WRITE = declare_span(
     "campaign.store_write",

@@ -1,10 +1,10 @@
-"""Batch execution of simulation tasks, in the calling process.
+"""Campaign shard execution, in the calling process.
 
 Parallelism is shard-granular: ``repro campaign run --workers N`` spreads a
 campaign's shards over spawned slots (:mod:`repro.campaign.executor`), each
-running its shards through a :class:`BatchRunner`.
+running one :meth:`BatchRunner.run` call per shard.
 """
 
-from repro.parallel.runner import BatchRunner, BatchTask, run_batch
+from repro.parallel.runner import BatchRunner
 
-__all__ = ["BatchRunner", "BatchTask", "run_batch"]
+__all__ = ["BatchRunner"]

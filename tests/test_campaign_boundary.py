@@ -17,6 +17,8 @@ import pytest
 from repro.campaign import CampaignArm, CampaignError, CampaignSpec
 from repro.campaign.orchestrator import run_campaign
 from repro.cli import main
+from repro.parallel.runner import BatchRunner
+from shard_work import spy
 
 
 def make_spec(**overrides):
@@ -155,6 +157,18 @@ class TestUnknownSimulatorOptions:
         assert "max_segmnts" in capsys.readouterr().err
         assert not target.exists()
 
+    def test_campaign_run_spec_with_vectorized_engine_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        data = make_spec().as_dict()
+        data["simulator"].update(engine="vectorized", timebase="exact")
+        spec_file.write_text(json.dumps(data))
+        target = tmp_path / "never-created"
+        code = main(["campaign", "run", "--campaign-dir", str(target),
+                     "--spec", str(spec_file)])
+        assert code == 2
+        assert "must be one of 'event', got 'vectorized'" in capsys.readouterr().err
+        assert not target.exists()
+
 
 class TestScenarioOptionBoundary:
     """Scenario-owned options validate at the spec boundary via the registry."""
@@ -203,17 +217,17 @@ class TestScenarioOptionBoundary:
             )
             out = []
             for shard in plan_shards(spec):
-                for task in shard_tasks(spec, shard, shard_instances(spec, shard)):
-                    options = task.simulator_options
-                    assert "stall_time_range" not in options
-                    assert 0.0 <= options["stall_time"] <= 10.0
-                    assert 1.0 <= options["stall_duration"] <= 2.0
-                    out.append((options["stall_time"], options["stall_duration"]))
+                work = shard_tasks(spec, shard, shard_instances(spec, shard))
+                assert not {"stall_time_range", "stall_duration_range"} & set(work.options)
+                times, durations = work.columns["stall_time"], work.columns["stall_duration"]
+                assert ((0.0 <= times) & (times <= 10.0)).all()
+                assert ((1.0 <= durations) & (durations <= 2.0)).all()
+                out.extend(zip(times.tolist(), durations.tolist()))
             return out
 
         assert draws(8) == draws(3) == draws(1)
 
-    def test_stall_draws_differ_across_positions(self):
+    def test_stall_draws_differ_across_positions(self, monkeypatch):
         from repro.campaign.shards import plan_shards, shard_instances, shard_tasks
 
         spec = make_spec(
@@ -223,9 +237,16 @@ class TestScenarioOptionBoundary:
                        "stall_duration_range": [1.0, 2.0]},
         )
         (shard,) = plan_shards(spec)
-        tasks = shard_tasks(spec, shard, shard_instances(spec, shard))
-        times = [task.simulator_options["stall_time"] for task in tasks]
+        instances = shard_instances(spec, shard)
+        work = shard_tasks(spec, shard, instances)
+        times = work.columns["stall_time"].tolist()
         assert len(set(times)) == len(times)
+        # The drawn schedule is what the shard runs: one batch call takes the
+        # per-instance stall columns, the event engine each instance's value.
+        calls = spy(monkeypatch, "simulate_batch")
+        assert len(BatchRunner().run(work)) == len(instances)
+        assert len(calls) == 1 and list(calls[0]["stall_time"]) == times
+        assert work.instance_options(2)["stall_time"] == times[2]
 
 
 class TestOrchestratorKnobs:

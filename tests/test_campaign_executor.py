@@ -492,7 +492,7 @@ class TestConcurrentRunners:
         # run park it, then commit the shard "as the peer" and release.
         from repro.campaign.leases import LeaseManager
         from repro.campaign.shards import shard_instances, shard_tasks
-        from repro.campaign.store import records_to_columns
+        from repro.campaign.store import outcome_columns
         from repro.parallel.runner import BatchRunner
         import threading
 
@@ -506,9 +506,8 @@ class TestConcurrentRunners:
 
         def commit_as_peer():
             time.sleep(0.6)
-            instances = shard_instances(spec, held)
-            records = BatchRunner().run(shard_tasks(spec, held, instances))
-            store.write_shard(held, records_to_columns(held, records))
+            outcomes = BatchRunner().run(shard_tasks(spec, held, shard_instances(spec, held)))
+            store.write_shard(held, outcome_columns(held, outcomes))
             peer.release(held.shard_id)
 
         thread = threading.Thread(target=commit_as_peer)

@@ -20,6 +20,8 @@ from repro.campaign import (
     shard_instances,
     shard_tasks,
 )
+from repro.campaign.spec import RATIO_OPTIONS
+from repro.parallel.runner import BatchRunner
 
 
 def make_spec(**overrides):
@@ -99,6 +101,20 @@ class TestCampaignSpec:
     def test_validation_errors(self, overrides, match):
         with pytest.raises(CampaignError, match=match):
             make_spec(**overrides)
+
+    @pytest.mark.parametrize("where", ["defaults", "arm"])
+    def test_vectorized_engine_is_refused_naming_event(self, where):
+        # A shard picks its own route; "vectorized" made every instance its
+        # own batch call, and failed every exact-timebase shard at run time.
+        if where == "defaults":
+            overrides = dict(simulator={"max_time": 1e6, "engine": "vectorized"})
+        else:
+            arm = CampaignArm("almost-universal-compact", options={"engine": "vectorized"})
+            overrides = dict(arms=(arm,))
+        with pytest.raises(CampaignError, match="must be one of 'event', got 'vectorized'"):
+            make_spec(**overrides)
+        arm = CampaignArm("almost-universal-compact", options={"engine": "event"})
+        assert make_spec(arms=(arm,)).arm_options(0)["engine"] == "event"
 
     def test_validation_errors_are_value_errors(self):
         # Sweeps pass their arguments through a spec; a bad value raises the
@@ -231,12 +247,22 @@ class TestShardPlan:
         )
         shard = plan_shards(spec)[0]
         instances = shard_instances(spec, shard)
-        tasks = shard_tasks(spec, shard, instances)
-        for task, instance in zip(tasks, instances):
-            assert task.simulator_options["radius_a"] == instance.r
-            assert task.simulator_options["radius_b"] == 0.25 * instance.r
-            assert "radius_b_ratio" not in task.simulator_options
-            assert task.tag == shard.shard_id
+        work = shard_tasks(spec, shard, instances)
+        outcomes = BatchRunner().run(work)
+        assert [(o.radius_a, o.radius_b) for o in outcomes] == [
+            (instance.r, 0.25 * instance.r) for instance in instances
+        ]
+        assert work.algorithm == "almost-universal-compact"
+        assert work.instances == tuple(instances)
+        assert work.columns["radius_a"].tolist() == [instance.r for instance in instances]
+        assert work.columns["radius_b"].tolist() == [0.25 * instance.r for instance in instances]
+        assert work.columns["radius_b"].dtype == np.float64
+        assert not set(RATIO_OPTIONS) & set(work.options)
+        assert work.asymmetric
+        for k, instance in enumerate(instances):
+            options = work.instance_options(k)
+            assert options["radius_b"] == 0.25 * instance.r
+            assert options["max_time"] == spec.simulator["max_time"]
 
 
 class TestSpawnedSeeding:

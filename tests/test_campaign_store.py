@@ -21,7 +21,12 @@ from repro.campaign import (
     CampaignStore,
     plan_shards,
 )
-from repro.campaign.store import RESULT_COLUMNS, records_to_columns
+from repro.campaign.shards import shard_instances, shard_tasks
+from repro.campaign.store import RESULT_COLUMNS, outcome_columns
+from repro.core.instance import Instance
+from repro.parallel.runner import BatchRunner
+from repro.sim.columns import TERMINATION_BY_CODE
+from repro.sim.results import AsymmetricOutcome, SimulationResult, TerminationReason
 
 
 def make_spec(**overrides):
@@ -38,28 +43,32 @@ def make_spec(**overrides):
     return CampaignSpec(**base)
 
 
-def fake_record(met=True, **overrides):
-    record = {
-        "met": met,
-        "termination": "rendezvous" if met else "max-time",
-        "meeting_time": 2.5 if met else None,
-        "min_distance": 0.4,
-        "min_distance_time": 1.5,
-        "simulated_time": 2.5,
-        "segments_a": 3,
-        "segments_b": 4,
-        "windows": 7,
-        "instance_r": 0.5,
-        "instance_x": 1.0,
-        "instance_y": 1.0,
-        "instance_phi": 0.0,
-        "instance_tau": 1.0,
-        "instance_v": 1.0,
-        "instance_t": 0.0,
-        "instance_chi": 1,
-    }
-    record.update(overrides)
-    return record
+FAKE_INSTANCE = Instance(r=0.5, x=1.0, y=1.0)
+
+
+def fake_outcome(met=True, **overrides):
+    fields = dict(
+        instance=FAKE_INSTANCE,
+        algorithm_name="fake",
+        met=met,
+        termination=TerminationReason.RENDEZVOUS if met else TerminationReason.MAX_TIME,
+        meeting_time=2.5 if met else None,
+        min_distance=0.4,
+        min_distance_time=1.5,
+        simulated_time=2.5,
+        segments_a=3,
+        segments_b=4,
+        windows_processed=7,
+    )
+    fields.update(overrides)
+    return AsymmetricOutcome(SimulationResult(**fields), 0.5, 0.5)
+
+
+def fake_columns(shard, outcomes=None):
+    """Store columns for ``shard`` from fake outcomes (one per row by default)."""
+    if outcomes is None:
+        outcomes = [fake_outcome() for _ in range(shard.count)]
+    return outcome_columns(shard, outcomes)
 
 
 @pytest.fixture
@@ -73,8 +82,7 @@ def write_all(store, spec=None):
     spec = spec if spec is not None else store.load_spec()
     plan = plan_shards(spec)
     for shard in plan:
-        columns = records_to_columns(shard, [fake_record() for _ in range(shard.count)])
-        store.write_shard(shard, columns, wall_seconds=0.1)
+        store.write_shard(shard, fake_columns(shard), wall_seconds=0.1)
     return plan
 
 
@@ -103,35 +111,137 @@ class TestWriteAndRead:
         assert columns["met"].all()
         assert (columns["position"] == np.arange(plan[0].count)).all()
 
-    def test_records_to_columns_encodes_sentinels(self):
+    def test_outcome_columns_store_each_field_in_its_column(self):
         shard = plan_shards(make_spec())[0]
-        columns = records_to_columns(
-            shard,
-            [
-                fake_record(),
-                fake_record(
-                    met=False, meeting_time=None, min_distance_time=None,
-                    frozen_agent="B", freeze_time=1.25, freeze_distance=0.75,
+        other = Instance(r=0.25, x=-2.0, y=3.0, phi=0.5, tau=1.5, v=2.0, t=0.125, chi=-1)
+        outcomes = [
+            fake_outcome(),
+            AsymmetricOutcome(
+                SimulationResult(
+                    instance=other,
+                    algorithm_name="fake",
+                    met=False,
+                    termination=TerminationReason.MAX_SEGMENTS,
+                    meeting_time=None,
+                    min_distance=0.4,
+                    min_distance_time=None,
+                    simulated_time=9.5,
+                    segments_a=11,
+                    segments_b=13,
+                    windows_processed=17,
                 ),
-                fake_record(min_distance=float("inf")),
-            ],
-        )
+                0.25,
+                0.5,
+                frozen_agent="B",
+                freeze_time=1.25,
+                freeze_distance=0.75,
+            ),
+            AsymmetricOutcome(
+                fake_outcome(min_distance=float("inf")).result,
+                0.5,
+                0.25,
+                frozen_agent="A",
+                freeze_time=2.0,
+                freeze_distance=0.375,
+            ),
+        ]
+        columns = outcome_columns(shard, outcomes)
         assert columns["met"].tolist() == [True, False, True]
-        assert np.isnan(columns["meeting_time"][1])
-        assert np.isnan(columns["min_distance_time"][1])
-        assert columns["frozen"].tolist() == [-1, 1, -1]
-        assert columns["freeze_time"][1] == 1.25
-        assert np.isinf(columns["min_distance"][2])
+        assert columns["termination"].tolist() == [
+            TERMINATION_BY_CODE.index(TerminationReason.RENDEZVOUS),
+            TERMINATION_BY_CODE.index(TerminationReason.MAX_SEGMENTS),
+            TERMINATION_BY_CODE.index(TerminationReason.RENDEZVOUS),
+        ]
+        np.testing.assert_array_equal(columns["meeting_time"], [2.5, np.nan, 2.5])
+        np.testing.assert_array_equal(columns["min_distance"], [0.4, 0.4, np.inf])
+        np.testing.assert_array_equal(columns["min_distance_time"], [1.5, np.nan, 1.5])
+        np.testing.assert_array_equal(columns["simulated_time"], [2.5, 9.5, 2.5])
+        assert columns["segments_a"].tolist() == [3, 11, 3]
+        assert columns["segments_b"].tolist() == [4, 13, 4]
+        assert columns["windows"].tolist() == [7, 17, 7]
+        assert columns["frozen"].tolist() == [-1, 1, 0]
+        np.testing.assert_array_equal(columns["freeze_time"], [np.nan, 1.25, 2.0])
+        np.testing.assert_array_equal(columns["freeze_distance"], [np.nan, 0.75, 0.375])
+        assert columns["position"].tolist() == [0, 1, 2]
+        assert columns["arm"].tolist() == [0, 0, 0] and columns["cls"].tolist() == [0, 0, 0]
+        for name in ("r", "x", "y", "phi", "tau", "v", "t", "chi"):
+            assert columns[f"instance_{name}"].tolist() == [
+                getattr(FAKE_INSTANCE, name),
+                getattr(other, name),
+                getattr(FAKE_INSTANCE, name),
+            ]
+
+    def test_shard_columns_encode_sentinels(self):
+        # A radii shard that does not track the closest approach, on a budget
+        # too short for some instances: both freeze codes, no-freeze rows
+        # and unmet rows all occur, and NaN stands in for every None.
+        spec = make_spec(
+            arms=(
+                CampaignArm("almost-universal-compact", "a-big", {"radius_b_ratio": 0.5}),
+                CampaignArm("almost-universal-compact", "b-big", {"radius_a_ratio": 0.5}),
+            ),
+            instances_per_cell=4,
+            seed=3,
+            shard_size=4,
+            simulator={"max_time": 1e3, "max_segments": 20_000, "track_min_distance": False},
+        )
+        frozen_codes = set()
+        for shard in plan_shards(spec):
+            instances = shard_instances(spec, shard)
+            outcomes = BatchRunner().run(shard_tasks(spec, shard, instances))
+            results = [outcome.result for outcome in outcomes]
+            columns = outcome_columns(shard, outcomes)
+            met = columns["met"]
+            assert met.tolist() == [outcome.met for outcome in outcomes]
+            assert np.isnan(columns["meeting_time"][~met]).all()
+            assert np.isfinite(columns["meeting_time"][met]).all()
+            assert np.isinf(columns["min_distance"]).all()
+            assert np.isnan(columns["min_distance_time"]).all()
+            expected = [{"A": 0, "B": 1}.get(o.frozen_agent, -1) for o in outcomes]
+            assert columns["frozen"].tolist() == expected
+            unfrozen = columns["frozen"] == -1
+            assert np.isnan(columns["freeze_time"][unfrozen]).all()
+            assert np.isnan(columns["freeze_distance"][unfrozen]).all()
+            assert np.isfinite(columns["freeze_time"][~unfrozen]).all()
+            # Every column holds its own field of the outcome it came from.
+            for name, values in (
+                ("meeting_time", [result.meeting_time for result in results]),
+                ("simulated_time", [result.simulated_time for result in results]),
+                ("freeze_time", [outcome.freeze_time for outcome in outcomes]),
+                ("freeze_distance", [outcome.freeze_distance for outcome in outcomes]),
+            ):
+                np.testing.assert_array_equal(
+                    columns[name], [np.nan if value is None else value for value in values]
+                )
+            for name, attribute in (
+                ("segments_a", "segments_a"),
+                ("segments_b", "segments_b"),
+                ("windows", "windows_processed"),
+            ):
+                assert columns[name].tolist() == [
+                    getattr(result, attribute) for result in results
+                ]
+            assert not np.array_equal(
+                columns["freeze_time"][~unfrozen], columns["freeze_distance"][~unfrozen]
+            )
+            assert columns["termination"].tolist() == [
+                TERMINATION_BY_CODE.index(outcome.result.termination) for outcome in outcomes
+            ]
+            assert columns["instance_x"].tolist() == [instance.x for instance in instances]
+            assert columns["instance_chi"].tolist() == [instance.chi for instance in instances]
+            frozen_codes.update(columns["frozen"].tolist())
+            assert not met.all() and met.any()
+        assert frozen_codes == {-1, 0, 1}
 
     def test_row_count_mismatch_rejected(self, store):
         shard = plan_shards(store.load_spec())[0]
-        columns = records_to_columns(shard, [fake_record()] * (shard.count - 1))
+        columns = fake_columns(shard, [fake_outcome()] * (shard.count - 1))
         with pytest.raises(CampaignError, match="rows"):
             store.write_shard(shard, columns)
 
     def test_unknown_or_missing_columns_rejected(self, store):
         shard = plan_shards(store.load_spec())[0]
-        columns = records_to_columns(shard, [fake_record()] * shard.count)
+        columns = fake_columns(shard)
         columns["bogus"] = np.zeros(shard.count)
         with pytest.raises(CampaignError, match="bogus"):
             store.write_shard(shard, columns)
@@ -210,11 +320,8 @@ class TestReaders:
         spec = store.load_spec()
         plan = plan_shards(spec)
         for shard in plan:
-            records = [
-                fake_record(met=False, meeting_time=None, termination="max-time")
-                for _ in range(shard.count)
-            ]
-            store.write_shard(shard, records_to_columns(shard, records))
+            outcomes = [fake_outcome(met=False) for _ in range(shard.count)]
+            store.write_shard(shard, fake_columns(shard, outcomes))
         row = store.aggregate(plan)[(0, 0)].as_row()
         assert row["successes"] == 0
         assert row["budget_exhausted"] == 6
@@ -298,8 +405,7 @@ class TestDoctor:
 
     def test_partial_store_is_clean_but_incomplete(self, store):
         plan = plan_shards(store.load_spec())
-        columns = records_to_columns(plan[0], [fake_record() for _ in range(plan[0].count)])
-        store.write_shard(plan[0], columns)
+        store.write_shard(plan[0], fake_columns(plan[0]))
         report = store.doctor()
         assert report["clean"]
         assert not report["complete"]

@@ -1,151 +1,131 @@
-"""Tests for the batch runner: vectorized groups, per-task event engine."""
+"""Tests for the shard runner: one route per shard, outcomes in instance order."""
 
-import math
-
+import numpy as np
 import pytest
 
-import repro.parallel.runner as runner_module
-from repro.analysis.sampler import InstanceSampler
-from repro.core.classification import InstanceClass
-from repro.core.instance import Instance
-from repro.parallel.runner import BatchRunner, BatchTask, run_batch
+from repro.algorithms.registry import get_algorithm
+from repro.campaign.store import outcome_columns
+from repro.parallel.runner import BatchRunner
 from repro.sim.asymmetric import simulate_asymmetric
+from shard_work import one_shard, spy
 
-
-class TestBatchTask:
-    def test_make_serializes_instance(self):
-        instance = Instance(r=0.5, x=1.0, y=1.0, phi=math.pi / 2.0)
-        task = BatchTask.make(instance, "linear-probe", tag="demo", max_time=100.0)
-        assert task.instance["x"] == 1.0
-        assert task.algorithm == "linear-probe"
-        assert task.simulator_options == {"max_time": 100.0}
-        assert task.tag == "demo"
+ALGORITHM = "almost-universal-compact"
 
 
 class TestInlineExecution:
-    def test_run_batch_inline(self):
-        instances = [
-            Instance(r=0.5, x=1.0, y=1.0, phi=math.pi / 2.0),
-            Instance(r=0.5, x=-1.0, y=0.5, phi=1.0),
-        ]
-        records = run_batch(instances, "linear-probe", max_time=1e4, tag="t")
-        assert len(records) == 2
-        assert all(record["met"] for record in records)
-        assert all(record["algorithm"] == "dedicated-linear-probe" for record in records)
-        assert all(record["tag"] == "t" for record in records)
-        assert records[0]["instance_x"] == 1.0
+    def test_shard_runs_inline_in_instance_order(self):
+        shard, instances, work = one_shard()
+        outcomes = BatchRunner().run(work)
+        assert len(outcomes) == shard.count
+        assert [outcome.result.instance for outcome in outcomes] == list(instances)
+        name = get_algorithm(ALGORITHM).name
+        assert all(outcome.result.algorithm_name == name for outcome in outcomes)
+        assert all(outcome.frozen_agent is None for outcome in outcomes)
+        assert any(outcome.met for outcome in outcomes)
 
-    def test_order_is_preserved(self):
-        # Alternate the timebase so vectorized groups and event-engine tasks
-        # interleave: records still come back in input order.
-        instances = [Instance(r=2.0, x=float(k % 3 + 1) * 0.1, y=0.0) for k in range(12)]
-        tasks = [
-            BatchTask.make(
-                instance, "stay-put", tag=str(k), max_time=10.0,
-                timebase="exact" if k % 2 else "float",
-            )
-            for k, instance in enumerate(instances)
-        ]
-        records = BatchRunner().run(tasks)
-        assert [rec["tag"] for rec in records] == [str(k) for k in range(12)]
-        assert [rec["instance_x"] for rec in records] == [inst.x for inst in instances]
+    def test_symmetric_shard_is_one_symmetric_batch_call(self, monkeypatch):
+        symmetric = spy(monkeypatch, "simulate_batch")
+        asymmetric = spy(monkeypatch, "simulate_batch_asymmetric")
+        shard, _, work = one_shard()
+        assert work.batched and not work.asymmetric
+        BatchRunner().run(work)
+        assert len(symmetric) == 1 and not asymmetric
+        assert "timebase" not in symmetric[0]
 
 
-class TestPerTaskRadiusColumns:
-    def _ratio_sweep_tasks(self, count=8):
-        sampler = InstanceSampler(seed=23)
-        instances = sampler.batch_of_class(InstanceClass.TYPE_1, count)
-        ratios = (1.0, 0.75, 0.5, 0.25)
-        tasks = []
-        for k, instance in enumerate(instances):
-            tasks.append(
-                BatchTask.make(
-                    instance,
-                    "almost-universal-compact",
-                    tag=str(k),
-                    max_time=1e5,
-                    max_segments=20_000,
-                    radius_a=instance.r,
-                    radius_b=instance.r * ratios[k % len(ratios)],
-                )
-            )
-        return instances, tasks
+class TestRadiusColumns:
+    RATIOS = {"radius_a_ratio": 1.0, "radius_b_ratio": 0.5}
 
-    def test_mixed_ratio_sweep_is_one_batch_call(self, monkeypatch):
-        instances, tasks = self._ratio_sweep_tasks()
-        calls = []
-        real = runner_module.simulate_batch_asymmetric
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(runner_module, "simulate_batch_asymmetric", spy)
-        records = BatchRunner().run(tasks)
-        # Distinct per-task radii stack into per-instance columns of a
-        # single vectorized call instead of one group per radius pair.
+    def test_radii_shard_is_one_batch_call(self, monkeypatch):
+        calls = spy(monkeypatch, "simulate_batch_asymmetric")
+        shard, instances, work = one_shard(self.RATIOS)
+        outcomes = BatchRunner().run(work)
+        # The whole shard's per-instance radii are columns of one call.
         assert len(calls) == 1
-        assert len(calls[0]["radius_a"]) == len(tasks)
-        assert len(records) == len(tasks)
+        assert len(calls[0]["radius_a"]) == len(calls[0]["radius_b"]) == shard.count
+        assert list(calls[0]["radius_b"]) == [0.5 * instance.r for instance in instances]
+        assert len(outcomes) == shard.count
 
-    def test_mixed_ratio_sweep_matches_per_task_event_runs(self):
-        instances, tasks = self._ratio_sweep_tasks()
-        records = BatchRunner().run(tasks)
-        assert [rec["tag"] for rec in records] == [str(k) for k in range(len(tasks))]
-        for task, instance, record in zip(tasks, instances, records):
-            outcome = simulate_asymmetric(
+    def test_radii_shard_matches_per_instance_event_runs(self):
+        _, instances, work = one_shard(self.RATIOS)
+        outcomes = BatchRunner().run(work)
+        for instance, outcome in zip(instances, outcomes):
+            event = simulate_asymmetric(
                 instance,
-                runner_module.get_algorithm(task.algorithm),
-                radius_a=task.simulator_options["radius_a"],
-                radius_b=task.simulator_options["radius_b"],
-                max_time=task.simulator_options["max_time"],
-                max_segments=task.simulator_options["max_segments"],
+                get_algorithm(ALGORITHM),
+                radius_a=instance.r,
+                radius_b=0.5 * instance.r,
+                max_time=1e5,
+                max_segments=20_000,
             )
-            assert record["met"] == outcome.met
-            assert record["termination"] == outcome.result.termination.value
-            if outcome.met:
-                assert record["meeting_time"] == pytest.approx(
-                    outcome.result.meeting_time, rel=1e-9
-                )
+            assert outcome.met == event.met
+            assert outcome.result.termination == event.result.termination
+            assert outcome.frozen_agent == event.frozen_agent
+            if event.met:
+                assert outcome.meeting_time == pytest.approx(event.meeting_time, rel=1e-9)
 
-    def test_single_sided_radius_defaults_to_instance_r(self):
-        instance = Instance(r=0.5, x=1.0, y=1.0, phi=math.pi / 2.0)
-        tasks = [
-            BatchTask.make(instance, "almost-universal-compact",
-                           max_time=1e4, radius_b=0.25),
-        ]
-        record = BatchRunner().run(tasks)[0]
-        outcome = simulate_asymmetric(
-            instance,
-            runner_module.get_algorithm("almost-universal-compact"),
-            radius_b=0.25,
-            max_time=1e4,
-        )
-        assert record["met"] == outcome.met
-        if outcome.met:
-            assert record["meeting_time"] == pytest.approx(
-                outcome.result.meeting_time, rel=1e-9
+    def test_one_sided_ratio_defaults_the_other_radius_to_instance_r(self, monkeypatch):
+        calls = spy(monkeypatch, "simulate_batch_asymmetric")
+        _, instances, work = one_shard({"radius_b_ratio": 0.25}, count=4)
+        outcomes = BatchRunner().run(work)
+        assert calls[0].get("radius_a") is None
+        for instance, outcome in zip(instances, outcomes):
+            assert outcome.radius_a == instance.r
+            assert outcome.radius_b == 0.25 * instance.r
+            event = simulate_asymmetric(
+                instance,
+                get_algorithm(ALGORITHM),
+                radius_b=0.25 * instance.r,
+                max_time=1e5,
+                max_segments=20_000,
             )
+            assert outcome.met == event.met
+            if event.met:
+                assert outcome.meeting_time == pytest.approx(event.meeting_time, rel=1e-9)
 
-    def test_symmetric_tasks_do_not_mix_with_asymmetric(self, monkeypatch):
-        instance = Instance(r=0.5, x=1.0, y=1.0, phi=math.pi / 2.0)
-        tasks = [
-            BatchTask.make(instance, "almost-universal-compact", max_time=1e4),
-            BatchTask.make(instance, "almost-universal-compact", max_time=1e4,
-                           radius_a=0.5, radius_b=0.25),
-        ]
-        symmetric_calls = []
-        asymmetric_calls = []
-        real_sym = runner_module.simulate_batch
-        real_asym = runner_module.simulate_batch_asymmetric
-        monkeypatch.setattr(
-            runner_module, "simulate_batch",
-            lambda *a, **k: symmetric_calls.append(k) or real_sym(*a, **k),
+    def test_scalar_radius_applies_to_every_instance(self, monkeypatch):
+        calls = spy(monkeypatch, "simulate_batch_asymmetric")
+        _, instances, work = one_shard({"radius_a": 0.75, "radius_b_ratio": 0.5}, count=4)
+        assert work.options["radius_a"] == 0.75 and "radius_a" not in work.columns
+        outcomes = BatchRunner().run(work)
+        assert len(calls) == 1
+        assert [outcome.radius_a for outcome in outcomes] == [0.75] * len(instances)
+
+
+class TestEventRoute:
+    @pytest.mark.parametrize(
+        "options",
+        [{"timebase": "exact"}, {"engine": "event"}],
+        ids=["exact-timebase", "event-engine"],
+    )
+    def test_radii_shard_takes_the_event_engine_and_keeps_its_freeze(
+        self, monkeypatch, options
+    ):
+        symmetric = spy(monkeypatch, "simulate_batch")
+        asymmetric = spy(monkeypatch, "simulate_batch_asymmetric")
+        shard, _, work = one_shard(
+            {"radius_a_ratio": 1.0, "radius_b_ratio": 0.5, **options}, count=4
         )
-        monkeypatch.setattr(
-            runner_module, "simulate_batch_asymmetric",
-            lambda *a, **k: asymmetric_calls.append(k) or real_asym(*a, **k),
-        )
-        records = BatchRunner().run(tasks)
-        assert len(symmetric_calls) == 1 and len(asymmetric_calls) == 1
-        assert len(records) == 2 and all(rec["met"] for rec in records)
+        assert work.asymmetric and not work.batched
+        outcomes = BatchRunner().run(work)
+        assert not symmetric and not asymmetric
+        assert outcomes[0].result.timebase_name == options.get("timebase", "float")
+        columns = outcome_columns(shard, outcomes)
+        # A is the larger-radius agent: a met run froze A first.
+        met = columns["met"]
+        assert met.any()
+        assert (columns["frozen"][met] == 0).all()
+        assert np.isfinite(columns["freeze_time"][met]).all()
+
+    def test_event_and_batch_shard_columns_agree(self):
+        shard, _, batch = one_shard(classes=("type-2",), count=6, seed=11)
+        _, _, event = one_shard({"engine": "event"}, classes=("type-2",), count=6, seed=11)
+        assert batch.instances == event.instances
+        assert batch.batched and not event.batched
+        a = outcome_columns(shard, BatchRunner().run(batch))
+        b = outcome_columns(shard, BatchRunner().run(event))
+        assert a["met"].tolist() == b["met"].tolist()
+        assert a["termination"].tolist() == b["termination"].tolist()
+        met = a["met"]
+        np.testing.assert_allclose(a["meeting_time"][met], b["meeting_time"][met], rtol=1e-9)
+        assert np.isnan(a["meeting_time"][~met]).all() and np.isnan(b["meeting_time"][~met]).all()

@@ -89,3 +89,30 @@ def test_no_sweep_takes_a_schedule_keyword():
         assert "schedule" not in inspect.signature(target).parameters, entry_point
         with pytest.raises(TypeError, match="schedule"):
             target(schedule=None)
+
+
+@pytest.mark.parametrize(
+    "module_name, name",
+    [
+        ("repro.parallel.runner", "BatchTask"),
+        ("repro.parallel.runner", "run_batch"),
+        ("repro.campaign.store", "records_to_columns"),
+    ],
+)
+def test_per_row_task_layer_stays_gone(module_name, name):
+    """A shard's work and results are columns; the per-row task/record layer is gone."""
+    module = importlib.import_module(module_name)
+    package = importlib.import_module(module_name.rpartition(".")[0])
+    assert not hasattr(module, name)
+    assert not hasattr(package, name)
+    assert name not in getattr(package, "__all__", ())
+
+
+def test_batch_runner_takes_no_engine():
+    """The runner routes each shard itself; it has no engine mode to pick."""
+    from repro.parallel import BatchRunner, __all__ as parallel_all
+
+    assert parallel_all == ["BatchRunner"]
+    assert "engine" not in inspect.signature(BatchRunner).parameters
+    with pytest.raises(TypeError):
+        BatchRunner(engine="event")

@@ -8,7 +8,7 @@ float-timebase run — across all sampler classes and a grid of per-agent
 radius ratios, including the degenerate equal-radius case (which must match
 the symmetric engine exactly) and invalid zero radii (which both engines must
 reject).  Also covered here: the engine selectors and ``BatchRunner`` routing
-for asymmetric tasks, the Section 5 sweep experiment, the builder-cache
+for radii shards, the Section 5 sweep experiment, the builder-cache
 single-entry eviction bound, and the ``batch_interchangeable`` grouping
 opt-in.
 """
@@ -27,7 +27,7 @@ from repro.motion import compiler as motion_compiler
 from repro.motion.compiler import LocalProgramBuilder
 from repro.motion.program import instruction_blocks
 from repro.motion.instructions import Move
-from repro.parallel.runner import BatchRunner, BatchTask, run_batch
+from repro.parallel.runner import BatchRunner
 from repro.sim import rounds
 from repro.sim.asymmetric import simulate_asymmetric
 from repro.sim.batch import batch_group_key, simulate_batch
@@ -35,6 +35,7 @@ from repro.sim.batch_asymmetric import simulate_batch_asymmetric
 from repro.sim.engine import RendezvousSimulator, simulate
 from repro.sim.results import TerminationReason
 from repro.util.errors import KnowledgeError, SimulationBudgetExceeded
+from shard_work import one_shard, spy
 
 MAX_TIME = 1e5
 MAX_SEGMENTS = 30_000
@@ -574,43 +575,34 @@ class TestEngineSelector:
 
 
 class TestBatchRunnerAsymmetric:
-    def test_vectorized_routing_matches_event_fallback(self):
-        sampler = InstanceSampler(seed=11)
-        instances = sampler.batch_of_class(InstanceClass.TYPE_2, 5)
-        vectorized = run_batch(
-            instances, "almost-universal-compact",
-            max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
-            radius_a=0.9, radius_b=0.3,
-        )
-        event = run_batch(
-            instances, "almost-universal-compact", engine="event",
-            max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
-            radius_a=0.9, radius_b=0.3,
-        )
-        assert len(vectorized) == len(event) == 5
-        for a, b in zip(vectorized, event):
-            assert a["met"] == b["met"]
-            assert a["termination"] == b["termination"]
-            assert a["meeting_time"] == pytest.approx(b["meeting_time"], rel=1e-9)
-            assert "r_a=0.9" in a["algorithm"] and "r_a=0.9" in b["algorithm"]
+    def test_batch_radii_shard_matches_event_shard(self):
+        budgets = dict(classes=("type-2",), count=5, seed=11,
+                       max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
+        radii = {"radius_a": 0.9, "radius_b": 0.3}
+        _, _, batch = one_shard(radii, **budgets)
+        _, _, event = one_shard({**radii, "engine": "event"}, **budgets)
+        vectorized = BatchRunner().run(batch)
+        per_instance = BatchRunner().run(event)
+        assert len(vectorized) == len(per_instance) == 5
+        for a, b in zip(vectorized, per_instance):
+            assert a.met == b.met
+            assert a.result.termination == b.result.termination
+            assert a.meeting_time == pytest.approx(b.meeting_time, rel=1e-9)
+            assert a.frozen_agent == b.frozen_agent
+            assert "r_a=0.9" in a.result.algorithm_name
+            assert "r_a=0.9" in b.result.algorithm_name
 
-    def test_exact_timebase_asymmetric_falls_back_to_event(self):
-        tasks = [
-            BatchTask.make(
-                Instance(r=2.0, x=1.0, y=0.0), "stay-put",
-                max_time=10.0, timebase="exact", radius_a=2.0, radius_b=1.5,
-            )
-        ]
-        records = BatchRunner().run(tasks)
-        assert records[0]["met"] and records[0]["timebase"] == "exact"
-
-    def test_strict_vectorized_accepts_asymmetric_float_tasks(self):
-        task = BatchTask.make(
-            Instance(r=2.0, x=1.0, y=0.0), "stay-put",
-            max_time=10.0, radius_a=2.0, radius_b=1.5,
+    def test_exact_timebase_radii_shard_runs_on_the_event_engine(self, monkeypatch):
+        calls = spy(monkeypatch, "simulate_batch_asymmetric")
+        _, instances, work = one_shard(
+            {"timebase": "exact", "radius_a_ratio": 1.0, "radius_b_ratio": 0.5},
+            count=2, max_time=MAX_TIME,
         )
-        records = BatchRunner(engine="vectorized").run([task])
-        assert records[0]["met"]
+        outcomes = BatchRunner().run(work)
+        assert not calls
+        for instance, outcome in zip(instances, outcomes):
+            assert outcome.result.timebase_name == "exact"
+            assert (outcome.radius_a, outcome.radius_b) == (instance.r, 0.5 * instance.r)
 
 
 class TestSection5Experiment:

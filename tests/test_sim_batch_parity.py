@@ -20,11 +20,12 @@ from repro.analysis.sampler import InstanceSampler
 from repro.contracts import check_engine_parity
 from repro.core.classification import InstanceClass
 from repro.core.instance import Instance
-from repro.parallel.runner import BatchRunner, BatchTask, run_batch
+from repro.parallel.runner import BatchRunner
 from repro.sim.batch import simulate_batch
 from repro.sim.engine import RendezvousSimulator, simulate
 from repro.sim.results import TerminationReason
 from repro.util.errors import KnowledgeError, SimulationBudgetExceeded
+from shard_work import one_shard, spy
 
 MAX_TIME = 1e5
 MAX_SEGMENTS = 30_000
@@ -215,48 +216,25 @@ class TestTrackMinDistance:
 
 
 class TestBatchRunnerVectorized:
-    def test_auto_engine_matches_event_engine(self):
-        sampler = InstanceSampler(seed=11)
-        instances = sampler.batch_of_class(InstanceClass.TYPE_2, 6)
-        vectorized = run_batch(instances, "almost-universal-compact",
-                               max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
-        event = run_batch(instances, "almost-universal-compact", engine="event",
-                          max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
-        assert len(vectorized) == len(event) == 6
-        for a, b in zip(vectorized, event):
-            assert a["met"] == b["met"]
-            assert a["termination"] == b["termination"]
-            assert a["meeting_time"] == pytest.approx(b["meeting_time"], rel=1e-9)
+    def test_batch_shard_matches_event_shard(self):
+        budgets = dict(classes=("type-2",), count=6, seed=11,
+                       max_time=MAX_TIME, max_segments=MAX_SEGMENTS)
+        _, _, batch = one_shard(**budgets)
+        _, _, event = one_shard({"engine": "event"}, **budgets)
+        vectorized = BatchRunner().run(batch)
+        per_instance = BatchRunner().run(event)
+        assert len(vectorized) == len(per_instance) == 6
+        for a, b in zip(vectorized, per_instance):
+            assert a.met == b.met
+            assert a.result.termination == b.result.termination
+            assert a.meeting_time == pytest.approx(b.meeting_time, rel=1e-9)
 
-    def test_exact_timebase_falls_back_to_event(self):
-        tasks = [
-            BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put",
-                           max_time=10.0, timebase="exact")
-        ]
-        records = BatchRunner().run(tasks)
-        assert records[0]["met"] and records[0]["timebase"] == "exact"
-
-    def test_mixed_batch_preserves_order(self):
-        instances = [Instance(r=2.0, x=float(k % 3 + 1) * 0.1, y=0.0) for k in range(9)]
-        tasks = []
-        for k, instance in enumerate(instances):
-            options = {"max_time": 10.0}
-            if k % 2:
-                options["timebase"] = "exact"  # event fallback
-            tasks.append(BatchTask.make(instance, "stay-put", tag=str(k), **options))
-        records = BatchRunner().run(tasks)
-        assert [rec["tag"] for rec in records] == [str(k) for k in range(9)]
-        assert [rec["instance_x"] for rec in records] == [i.x for i in instances]
-
-    def test_strict_vectorized_rejects_incompatible_tasks(self):
-        task = BatchTask.make(Instance(r=2.0, x=1.0, y=0.0), "stay-put",
-                              record_trajectories=True)
-        with pytest.raises(ValueError):
-            BatchRunner(engine="vectorized").run([task])
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(engine="warp").run([])
+    def test_exact_timebase_shard_runs_on_the_event_engine(self, monkeypatch):
+        calls = spy(monkeypatch, "simulate_batch")
+        _, _, work = one_shard({"timebase": "exact"}, count=2, max_time=MAX_TIME)
+        outcomes = BatchRunner().run(work)
+        assert not calls
+        assert all(outcome.result.timebase_name == "exact" for outcome in outcomes)
 
 
 class TestTerminationReasons:
